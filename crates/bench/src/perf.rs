@@ -2,8 +2,9 @@
 //!
 //! [`run`] measures the admission hot path at each layer of the
 //! compile/execute split — the string-keyed interpreted engine, the
-//! compiled allocation-free engine, the LUT backend, and the end-to-end
-//! `decide` / `decide_batch` of every controller — and [`PerfReport`]
+//! compiled allocation-free engine, the LUT backend, the end-to-end
+//! `decide` / `decide_batch` of every controller and the cost of building
+//! one (what a sweep pays per cell) — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
 //! writes.  CI runs the quick mode and fails when the artifact is empty or
 //! malformed, so the perf trajectory of the hot path is tracked across
@@ -854,6 +855,41 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         scc.decide(std::hint::black_box(&req), std::hint::black_box(&station))
             .score
     }));
+    // SCC's per-call cost spans three hooks: the offer path decides, then
+    // registers the admitted call, and its release removes it again.  The
+    // station's two calls are registered first so the estimator holds load.
+    let mut scc = scc::SccAdmission::default();
+    for (id, class, speed, angle) in [
+        (100, ServiceClass::Video, 40.0, 120.0),
+        (101, ServiceClass::Voice, 90.0, 30.0),
+    ] {
+        let mut background = probe_request(class, speed, angle);
+        background.id = id;
+        scc.on_admitted(&background, &station);
+    }
+    cases.push(time_case(
+        "controller/scc admit+release cycle",
+        iters,
+        || {
+            let score = scc
+                .decide(std::hint::black_box(&req), std::hint::black_box(&station))
+                .score;
+            scc.on_admitted(&req, &station);
+            scc.on_released(req.id, &station);
+            score
+        },
+    ));
+
+    // --- controller construction: what a sweep pays per cell --------------
+    cases.push(time_case("controller/facs-p build", iters, || {
+        FacsPController::paper_default().config().capacity_bu
+    }));
+    cases.push(time_case("controller/facs build", iters, || {
+        FacsController::paper_default().config().capacity_bu
+    }));
+    cases.push(time_case("controller/scc build", iters, || {
+        f64::from(scc::SccAdmission::default().config().cell_capacity)
+    }));
 
     // --- batch path: one tick's arrivals in one decide_batch pass -------
     let batch: Vec<AdmissionRequest> = (0..32)
@@ -1034,6 +1070,14 @@ mod tests {
             assert!(case.iters > 0);
         }
         assert!(report.case("cascade/facs-p compiled (flc1+flc2)").is_some());
+        for name in [
+            "controller/facs-p build",
+            "controller/facs build",
+            "controller/scc build",
+            "controller/scc admit+release cycle",
+        ] {
+            assert!(report.case(name).is_some(), "missing case {name}");
+        }
         assert!(report.facs_decision_speedup > 0.0);
         assert!(report.facs_decision_speedup_lut > 0.0);
         // The end-to-end cases the CI perf gate requires.  Their names

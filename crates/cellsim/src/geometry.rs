@@ -9,7 +9,6 @@
 //! [`CellGrid::cluster`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A point in the 2-D plane, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -288,14 +287,14 @@ impl CellGrid {
     }
 
     /// The bordering neighbours of `center` that exist in the grid
-    /// (the paper's "bordering neighbor" cells).
+    /// (the paper's "bordering neighbor" cells), in
+    /// [`CellId::DIRECTIONS`] order.
     #[must_use]
     pub fn bordering_neighbors(&self, center: &CellId) -> Vec<CellId> {
-        let exist: HashSet<CellId> = self.cells.iter().copied().collect();
         center
             .neighbors()
             .into_iter()
-            .filter(|c| exist.contains(c))
+            .filter(|c| self.index_of(c).is_some())
             .collect()
     }
 
@@ -450,6 +449,42 @@ mod tests {
         let n = g.bordering_neighbors(&edge);
         assert!(n.len() < 6);
         assert!(n.contains(&CellId::origin()));
+    }
+
+    #[test]
+    fn bordering_neighbors_keep_their_order_on_edges_and_metro_grids() {
+        // The membership test the grid used to run: a set of every cell.
+        fn reference(g: &CellGrid, center: &CellId) -> Vec<CellId> {
+            let exist: std::collections::HashSet<CellId> = g.cells().iter().copied().collect();
+            center
+                .neighbors()
+                .into_iter()
+                .filter(|c| exist.contains(c))
+                .collect()
+        }
+        // The paper-sized grids, and the 2107-cell metro grid.
+        for radius in [0, 1, 2, 26] {
+            let g = CellGrid::new(radius, 500.0);
+            // Every grid cell, plus cells one and two hops beyond the edge.
+            let beyond = (radius + 2) as i32;
+            for q in -beyond..=beyond {
+                for r in -beyond..=beyond {
+                    let center = CellId::new(q, r);
+                    assert_eq!(
+                        g.bordering_neighbors(&center),
+                        reference(&g, &center),
+                        "radius {radius}, centre {center}"
+                    );
+                }
+            }
+        }
+        assert_eq!(CellGrid::new(26, 500.0).len(), 2107);
+        // An edge cell of the metro grid keeps the DIRECTIONS order.
+        let metro = CellGrid::new(26, 500.0);
+        assert_eq!(
+            metro.bordering_neighbors(&CellId::new(26, 0)),
+            vec![CellId::new(26, -1), CellId::new(25, 0), CellId::new(25, 1)]
+        );
     }
 
     #[test]

@@ -18,15 +18,52 @@ use fuzzy::engine::MamdaniEngine;
 use fuzzy::rule::{Antecedent, Connective, Consequent, Rule};
 use fuzzy::Result;
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Compile an FLC engine and pin the crisp fallback reported when no rule
-/// fires (the same value the string-keyed wrappers passed to `crisp_or`).
-fn compile_with_default(engine: &MamdaniEngine, default: f64) -> Result<(CompiledEngine, Scratch)> {
-    let mut compiled = engine.compile()?;
-    let out = fuzzy::VarId::from_index(0);
-    compiled.set_empty_default(out, default);
-    let scratch = compiled.scratch();
-    Ok((compiled, scratch))
+/// An FLC's interpreted engine and its compiled twin, immutable once built
+/// and shared process-wide by every controller built from the same
+/// parameters.  Only the [`Scratch`] memory is per instance.
+#[derive(Debug)]
+pub(crate) struct SharedEngine {
+    pub(crate) engine: MamdaniEngine,
+    pub(crate) compiled: CompiledEngine,
+}
+
+/// A process-wide cache of shared engines, keyed by a parameter of the
+/// controller (FLC2's capacity bits; a constant for the FLC1 variants).
+pub(crate) type EngineCache = Mutex<Vec<(u64, Arc<SharedEngine>)>>;
+
+impl SharedEngine {
+    /// Compile `engine` and pin the crisp fallback reported when no rule
+    /// fires (the same value the string-keyed wrappers passed to
+    /// `crisp_or`).
+    pub(crate) fn compile(engine: MamdaniEngine, default: f64) -> Result<Self> {
+        let mut compiled = engine.compile()?;
+        compiled.set_empty_default(fuzzy::VarId::from_index(0), default);
+        Ok(Self { engine, compiled })
+    }
+
+    /// The engine cached under `key`, built by `build` on first use.
+    pub(crate) fn cached(
+        cache: &EngineCache,
+        key: u64,
+        build: impl FnOnce() -> Result<Self>,
+    ) -> Result<Arc<Self>> {
+        // A panic while the lock is held can only come from `build`, before
+        // the push, so a poisoned cache still holds only complete entries.
+        let mut entries = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, shared)) = entries.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(shared));
+        }
+        let shared = Arc::new(build()?);
+        entries.push((key, Arc::clone(&shared)));
+        Ok(shared)
+    }
+
+    /// A fresh scratch for one controller instance.
+    pub(crate) fn scratch(&self) -> RefCell<Scratch> {
+        RefCell::new(self.compiled.scratch())
+    }
 }
 
 /// The proposed system's FLC1: `(Sp, An, Sr) -> Cv`.
@@ -34,11 +71,11 @@ fn compile_with_default(engine: &MamdaniEngine, default: f64) -> Result<(Compile
 /// The string-keyed [`MamdaniEngine`] is kept for introspection and as the
 /// bit-identical reference implementation; every
 /// [`Flc1::correction_value`] call runs on the compiled, allocation-free
-/// execute path.
+/// execute path.  Both engines are built once per process and shared by
+/// every `Flc1`; each instance owns only its scratch memory.
 #[derive(Debug, Clone)]
 pub struct Flc1 {
-    engine: MamdaniEngine,
-    compiled: CompiledEngine,
+    shared: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
 }
 
@@ -46,20 +83,22 @@ impl Flc1 {
     /// Build FLC1 with the paper's membership functions (Fig. 5) and the
     /// 63-rule FRB1 (Table 1).
     pub fn paper_default() -> Result<Self> {
-        let mut engine = MamdaniEngine::builder()
-            .input(PaperParams::speed_variable()?)
-            .input(PaperParams::angle_variable()?)
-            .input(PaperParams::service_request_variable()?)
-            .output(PaperParams::correction_value_output()?)
-            .build()?;
-        for rule in frb1_rules()? {
-            engine.add_rule(rule)?;
-        }
-        let (compiled, scratch) = compile_with_default(&engine, 0.5)?;
+        static SHARED: EngineCache = Mutex::new(Vec::new());
+        let shared = SharedEngine::cached(&SHARED, 0, || {
+            let mut engine = MamdaniEngine::builder()
+                .input(PaperParams::speed_variable()?)
+                .input(PaperParams::angle_variable()?)
+                .input(PaperParams::service_request_variable()?)
+                .output(PaperParams::correction_value_output()?)
+                .build()?;
+            for rule in frb1_rules()? {
+                engine.add_rule(rule)?;
+            }
+            SharedEngine::compile(engine, 0.5)
+        })?;
         Ok(Self {
-            engine,
-            compiled,
-            scratch: RefCell::new(scratch),
+            scratch: shared.scratch(),
+            shared,
         })
     }
 
@@ -67,13 +106,13 @@ impl Flc1 {
     /// as the interpreted reference of the compiled path).
     #[must_use]
     pub fn engine(&self) -> &MamdaniEngine {
-        &self.engine
+        &self.shared.engine
     }
 
     /// The compiled execute-path engine.
     #[must_use]
     pub fn compiled(&self) -> &CompiledEngine {
-        &self.compiled
+        &self.shared.compiled
     }
 
     /// Compute the correction value for a request.
@@ -94,7 +133,7 @@ impl Flc1 {
             clamp_or(service_bu, 0.0, PaperParams::SR_MAX_BU, 1.0),
         ];
         let mut scratch = self.scratch.borrow_mut();
-        self.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
+        self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
     }
 }
 
@@ -107,43 +146,46 @@ impl Flc1 {
 /// service-request columns — `Near` behaves like `Me` (most favourable),
 /// `Middle` like `Bi`, and `Far` like `Sm` (least favourable) — reflecting
 /// that nearby users are the safest resource commitment.
+///
+/// Like [`Flc1`], the engines are shared process-wide.
 #[derive(Debug, Clone)]
 pub struct DistanceFlc1 {
-    engine: MamdaniEngine,
-    compiled: CompiledEngine,
+    shared: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
 }
 
 impl DistanceFlc1 {
     /// Build the distance-based FLC1.
     pub fn paper_default() -> Result<Self> {
-        let mut engine = MamdaniEngine::builder()
-            .input(PaperParams::speed_variable()?)
-            .input(PaperParams::angle_variable()?)
-            .input(PaperParams::distance_variable()?)
-            .output(PaperParams::correction_value_output()?)
-            .build()?;
-        for rule in distance_frb_rules()? {
-            engine.add_rule(rule)?;
-        }
-        let (compiled, scratch) = compile_with_default(&engine, 0.5)?;
+        static SHARED: EngineCache = Mutex::new(Vec::new());
+        let shared = SharedEngine::cached(&SHARED, 0, || {
+            let mut engine = MamdaniEngine::builder()
+                .input(PaperParams::speed_variable()?)
+                .input(PaperParams::angle_variable()?)
+                .input(PaperParams::distance_variable()?)
+                .output(PaperParams::correction_value_output()?)
+                .build()?;
+            for rule in distance_frb_rules()? {
+                engine.add_rule(rule)?;
+            }
+            SharedEngine::compile(engine, 0.5)
+        })?;
         Ok(Self {
-            engine,
-            compiled,
-            scratch: RefCell::new(scratch),
+            scratch: shared.scratch(),
+            shared,
         })
     }
 
     /// The underlying Mamdani engine.
     #[must_use]
     pub fn engine(&self) -> &MamdaniEngine {
-        &self.engine
+        &self.shared.engine
     }
 
     /// The compiled execute-path engine.
     #[must_use]
     pub fn compiled(&self) -> &CompiledEngine {
-        &self.compiled
+        &self.shared.compiled
     }
 
     /// Compute the correction value from speed, angle and distance.
@@ -160,7 +202,7 @@ impl DistanceFlc1 {
             clamp_or(distance_m, 0.0, PaperParams::DISTANCE_MAX_M, 500.0),
         ];
         let mut scratch = self.scratch.borrow_mut();
-        self.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
+        self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
     }
 }
 

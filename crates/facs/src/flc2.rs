@@ -6,13 +6,14 @@
 //! Accept/Reject decision (`A/R` ∈ [-1, 1]) with linguistic terms
 //! Reject / Weak Reject / Not-Reject-Not-Accept / Weak Accept / Accept.
 
+use crate::flc1::{EngineCache, SharedEngine};
 use crate::frb2::frb2_rules;
 use crate::params::PaperParams;
 use fuzzy::compile::{CompiledEngine, Scratch};
 use fuzzy::engine::MamdaniEngine;
 use fuzzy::{Lut2d, Result};
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default base grid of [`Flc2Lut`]'s refined tabulation: uniform
 /// `(Cv, Cs)` nodes per tabulated request class before local refinement.
@@ -33,11 +34,12 @@ pub const DEFAULT_LUT_MAX_PATCH_NODES: usize = 129;
 /// The string-keyed [`MamdaniEngine`] is kept for introspection and as the
 /// bit-identical reference implementation; every
 /// [`Flc2::decision_value`] call runs on the compiled, allocation-free
-/// execute path.
+/// execute path.  Both engines are built once per process and capacity and
+/// shared by every `Flc2` of that capacity; each instance owns only its
+/// scratch memory.
 #[derive(Debug, Clone)]
 pub struct Flc2 {
-    engine: MamdaniEngine,
-    compiled: CompiledEngine,
+    shared: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
     capacity_bu: f64,
 }
@@ -52,27 +54,27 @@ impl Flc2 {
     /// Build FLC2 for a base station with a different capacity; the counter
     /// state terms (Small / Middle / Full) scale with it.
     pub fn with_capacity(capacity_bu: f64) -> Result<Self> {
+        static SHARED: EngineCache = Mutex::new(Vec::new());
         let capacity_bu = if capacity_bu > 0.0 {
             capacity_bu
         } else {
             PaperParams::CAPACITY_BU
         };
-        let mut engine = MamdaniEngine::builder()
-            .input(PaperParams::correction_value_input()?)
-            .input(PaperParams::request_variable()?)
-            .input(PaperParams::counter_state_variable(capacity_bu)?)
-            .output(PaperParams::accept_reject_output()?)
-            .build()?;
-        for rule in frb2_rules()? {
-            engine.add_rule(rule)?;
-        }
-        let mut compiled = engine.compile()?;
-        compiled.set_empty_default(fuzzy::VarId::from_index(0), 0.0);
-        let scratch = compiled.scratch();
+        let shared = SharedEngine::cached(&SHARED, capacity_bu.to_bits(), || {
+            let mut engine = MamdaniEngine::builder()
+                .input(PaperParams::correction_value_input()?)
+                .input(PaperParams::request_variable()?)
+                .input(PaperParams::counter_state_variable(capacity_bu)?)
+                .output(PaperParams::accept_reject_output()?)
+                .build()?;
+            for rule in frb2_rules()? {
+                engine.add_rule(rule)?;
+            }
+            SharedEngine::compile(engine, 0.0)
+        })?;
         Ok(Self {
-            engine,
-            compiled,
-            scratch: RefCell::new(scratch),
+            scratch: shared.scratch(),
+            shared,
             capacity_bu,
         })
     }
@@ -87,13 +89,13 @@ impl Flc2 {
     /// as the interpreted reference of the compiled path).
     #[must_use]
     pub fn engine(&self) -> &MamdaniEngine {
-        &self.engine
+        &self.shared.engine
     }
 
     /// The compiled execute-path engine.
     #[must_use]
     pub fn compiled(&self) -> &CompiledEngine {
-        &self.compiled
+        &self.shared.compiled
     }
 
     /// Pre-tabulate this controller into per-request-class lookup tables
@@ -136,7 +138,7 @@ impl Flc2 {
             clamp_or(counter_state_bu, 0.0, self.capacity_bu, self.capacity_bu),
         ];
         let mut scratch = self.scratch.borrow_mut();
-        self.compiled.infer_into(&inputs, &mut scratch)[0].clamp(-1.0, 1.0)
+        self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(-1.0, 1.0)
     }
 
     /// Convenience wrapper: `true` if the decision value exceeds
@@ -173,18 +175,18 @@ impl Flc2 {
 /// number, so size uniform grids generously or prefer the refined
 /// default.
 ///
-/// The class surfaces are stored behind an [`Arc`], so cloning an
-/// `Flc2Lut` (e.g. to share one tabulation across many controllers via
-/// [`crate::FacsPController::with_lut_backend`]) copies pointers, not
-/// megabytes.
+/// The class surfaces and the exact fallback engine are stored behind
+/// [`Arc`]s, so cloning an `Flc2Lut` (e.g. to share one tabulation across
+/// many controllers via [`crate::FacsPController::with_lut_backend`])
+/// copies pointers, not megabytes.
 #[derive(Debug, Clone)]
 pub struct Flc2Lut {
     /// `(request_bu, surface)` pairs for the tabulated classes, shared
     /// across clones.
     luts: Arc<[(f64, Lut2d)]>,
-    /// Exact compiled fallback for non-tabulated request bandwidths
-    /// (small: rule tables and pre-sampled terms, no surfaces).
-    exact: CompiledEngine,
+    /// Exact compiled fallback for non-tabulated request bandwidths: the
+    /// engine of the [`Flc2`] that was tabulated, shared with it.
+    exact: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
     capacity_bu: f64,
 }
@@ -231,7 +233,7 @@ impl Flc2Lut {
     pub fn paper_shared() -> Self {
         // The cache holds only the Sync parts (surfaces + fallback
         // engine); each handed-out value gets fresh scratch memory.
-        type SharedParts = (Arc<[(f64, Lut2d)]>, CompiledEngine, f64);
+        type SharedParts = (Arc<[(f64, Lut2d)]>, Arc<SharedEngine>, f64);
         static PAPER: OnceLock<SharedParts> = OnceLock::new();
         let (luts, exact, capacity_bu) = PAPER.get_or_init(|| {
             let lut = Flc2::paper_default()
@@ -242,8 +244,8 @@ impl Flc2Lut {
         });
         Self {
             luts: Arc::clone(luts),
-            exact: exact.clone(),
-            scratch: RefCell::new(exact.scratch()),
+            exact: Arc::clone(exact),
+            scratch: exact.scratch(),
             capacity_bu: *capacity_bu,
         }
     }
@@ -253,13 +255,14 @@ impl Flc2Lut {
         mut tabulate_class: impl FnMut(&CompiledEngine, &mut Scratch, f64) -> Result<Lut2d>,
     ) -> Result<Self> {
         let mut luts = Vec::with_capacity(3);
-        let mut scratch = flc2.compiled.scratch();
+        let compiled = flc2.compiled();
+        let mut scratch = compiled.scratch();
         for rq in [1.0, 5.0, 10.0] {
-            luts.push((rq, tabulate_class(&flc2.compiled, &mut scratch, rq)?));
+            luts.push((rq, tabulate_class(compiled, &mut scratch, rq)?));
         }
         Ok(Self {
             luts: luts.into(),
-            exact: flc2.compiled.clone(),
+            exact: Arc::clone(&flc2.shared),
             scratch: RefCell::new(scratch),
             capacity_bu: flc2.capacity_bu,
         })
@@ -316,7 +319,7 @@ impl Flc2Lut {
         // `Flc2::decision_value`, so untabulated classes stay bit-identical
         // to the compiled controller.
         let mut scratch = self.scratch.borrow_mut();
-        self.exact.infer_into(&[cv, rq, cs], &mut scratch)[0].clamp(-1.0, 1.0)
+        self.exact.compiled.infer_into(&[cv, rq, cs], &mut scratch)[0].clamp(-1.0, 1.0)
     }
 }
 

@@ -17,6 +17,12 @@
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
+//! * each pre-sampled term also records its support window, the sample
+//!   range where it is non-zero.  Under max aggregation, aggregation, the
+//!   empty-set check and the centroid run only over the hull of the fired
+//!   terms' windows (a paper `Cv` term spans about 40 of the 201 samples,
+//!   an `A/R` term 60 to 70); the skipped samples are zeros, so the result
+//!   keeps its bits;
 //! * all working memory lives in a caller-owned [`Scratch`], so the
 //!   steady-state path [`CompiledEngine::infer_into`] performs **zero heap
 //!   allocations** (asserted by a counting-allocator test).
@@ -148,6 +154,10 @@ pub struct Scratch {
     term_strengths: Vec<f64>,
     /// Aggregated output sets, one `resolution`-sized window per output.
     aggregated: Vec<f64>,
+    /// Per output, the `[lo, hi)` sample range outside which that output's
+    /// `aggregated` window is known to be all zero.  The max-aggregation
+    /// path clears only this range before the next inference.
+    dirty: Vec<(usize, usize)>,
     /// Crisp result per output variable.
     crisp: Vec<f64>,
     /// Samples per aggregated output window (copied from the engine so the
@@ -202,6 +212,9 @@ pub struct CompiledEngine {
     /// Pre-sampled consequent membership functions: one `resolution`-sized
     /// window per flat output term.
     term_samples: Vec<f64>,
+    /// Per flat output term, the `[lo, hi)` sample range outside which its
+    /// pre-sampled membership is zero (`(0, 0)` for an all-zero term).
+    term_support: Vec<(usize, usize)>,
     /// Pre-computed sample grids: one `resolution`-sized window per output.
     xs: Vec<f64>,
     /// Crisp value reported when no rule fired for an output (defaults to
@@ -250,6 +263,7 @@ impl CompiledEngine {
         let mut output_term_offsets = Vec::with_capacity(outputs.len() + 1);
         let mut output_term_names = Vec::new();
         let mut term_samples = Vec::new();
+        let mut term_support = Vec::new();
         let mut xs = Vec::with_capacity(outputs.len() * resolution);
         let mut empty_defaults = Vec::with_capacity(outputs.len());
         output_term_offsets.push(0u32);
@@ -264,9 +278,11 @@ impl CompiledEngine {
             for t in v.terms() {
                 output_term_names.push(t.name().to_string());
                 let mf = t.membership_function();
+                let start = term_samples.len();
                 for &x in &xs[grid_start..grid_start + resolution] {
                     term_samples.push(mf.membership(x));
                 }
+                term_support.push(support_of(&term_samples[start..]));
             }
             flat_terms += v.term_count();
             output_term_offsets.push(as_u32(flat_terms));
@@ -338,6 +354,7 @@ impl CompiledEngine {
             output_term_offsets,
             output_term_names,
             term_samples,
+            term_support,
             xs,
             empty_defaults,
             resolution,
@@ -433,6 +450,7 @@ impl CompiledEngine {
             strengths: vec![0.0; self.rule_weights.len()],
             term_strengths: vec![0.0; self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
+            dirty: vec![(0, 0); self.output_bounds.len()],
             crisp: vec![0.0; self.output_bounds.len()],
             resolution: self.resolution,
         }
@@ -482,7 +500,6 @@ impl CompiledEngine {
             }
         }
 
-        scratch.aggregated.fill(0.0);
         if self.fast_max_aggregation {
             // Max aggregation commutes with clipping/scaling, so instead of
             // one array pass per fired *rule* we take the max strength per
@@ -503,35 +520,11 @@ impl CompiledEngine {
                 }
             }
             for out in 0..self.output_bounds.len() {
-                let agg_start = out * self.resolution;
-                let term_lo = self.output_term_offsets[out] as usize;
-                let term_hi = self.output_term_offsets[out + 1] as usize;
-                for flat in term_lo..term_hi {
-                    let height = scratch.term_strengths[flat];
-                    if height == 0.0 {
-                        continue;
-                    }
-                    let samples =
-                        &self.term_samples[flat * self.resolution..(flat + 1) * self.resolution];
-                    let agg = &mut scratch.aggregated[agg_start..agg_start + self.resolution];
-                    // `SNorm::Maximum.apply` is `max` plus degree clamps;
-                    // every operand here is already in [0, 1], so plain
-                    // `f64::max` is bit-identical and branch-free.
-                    match self.implication {
-                        Implication::Clip => {
-                            for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = a.max(s.min(height));
-                            }
-                        }
-                        Implication::Scale => {
-                            for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = a.max(s * height);
-                            }
-                        }
-                    }
-                }
+                let (lo, hi) = self.aggregate_max(out, scratch);
+                scratch.crisp[out] = self.defuzzify_output(out, &scratch.aggregated, lo, hi);
             }
         } else {
+            scratch.aggregated.fill(0.0);
             // General path: aggregate per fired rule, in rule-base order —
             // the exact operation sequence of the interpreted engine.
             for r in 0..self.rule_weights.len() {
@@ -560,19 +553,75 @@ impl CompiledEngine {
                     }
                 }
             }
-        }
-
-        for out in 0..self.output_bounds.len() {
-            let agg = &scratch.aggregated[out * self.resolution..(out + 1) * self.resolution];
-            let xs = &self.xs[out * self.resolution..(out + 1) * self.resolution];
-            scratch.crisp[out] = if agg.iter().all(|&d| d == 0.0) {
-                self.empty_defaults[out]
-            } else {
-                let (min, max) = self.output_bounds[out];
-                defuzzify_slice(self.defuzzifier, agg, xs, min, max)
-            };
+            for out in 0..self.output_bounds.len() {
+                scratch.dirty[out] = (0, self.resolution);
+                scratch.crisp[out] =
+                    self.defuzzify_output(out, &scratch.aggregated, 0, self.resolution);
+            }
         }
         &scratch.crisp
+    }
+
+    /// Max-aggregate the fired terms of output `out` (heights already in
+    /// `scratch.term_strengths`) and return the `[lo, hi)` hull of their
+    /// supports, outside which the aggregated set is zero.
+    ///
+    /// Each term only touches its own support: beyond it every sample is
+    /// zero, and `max(a, 0)` leaves a non-negative `a` unchanged.
+    fn aggregate_max(&self, out: usize, scratch: &mut Scratch) -> (usize, usize) {
+        let n = self.resolution;
+        let agg = &mut scratch.aggregated[out * n..(out + 1) * n];
+        let (prev_lo, prev_hi) = scratch.dirty[out];
+        agg[prev_lo..prev_hi].fill(0.0);
+        let (mut lo, mut hi) = (n, 0);
+        let term_lo = self.output_term_offsets[out] as usize;
+        let term_hi = self.output_term_offsets[out + 1] as usize;
+        for flat in term_lo..term_hi {
+            let height = scratch.term_strengths[flat];
+            let (t_lo, t_hi) = self.term_support[flat];
+            if height == 0.0 || t_lo == t_hi {
+                continue;
+            }
+            lo = lo.min(t_lo);
+            hi = hi.max(t_hi);
+            let samples = &self.term_samples[flat * n + t_lo..flat * n + t_hi];
+            let agg = &mut agg[t_lo..t_hi];
+            // `SNorm::Maximum.apply` is `max` plus degree clamps; every
+            // operand here is already in [0, 1], so plain `f64::max` is
+            // bit-identical and branch-free.
+            match self.implication {
+                Implication::Clip => {
+                    for (a, &s) in agg.iter_mut().zip(samples) {
+                        *a = a.max(s.min(height));
+                    }
+                }
+                Implication::Scale => {
+                    for (a, &s) in agg.iter_mut().zip(samples) {
+                        *a = a.max(s * height);
+                    }
+                }
+            }
+        }
+        let hull = if lo < hi { (lo, hi) } else { (0, 0) };
+        scratch.dirty[out] = hull;
+        hull
+    }
+
+    /// Defuzzify output `out` of `aggregated`, whose samples outside
+    /// `[lo, hi)` are all zero.  The empty-set check and the centroid only
+    /// visit that range; the other defuzzifiers read the full set.
+    fn defuzzify_output(&self, out: usize, aggregated: &[f64], lo: usize, hi: usize) -> f64 {
+        let n = self.resolution;
+        let agg = &aggregated[out * n..(out + 1) * n];
+        if agg[lo..hi].iter().all(|&d| d == 0.0) {
+            return self.empty_defaults[out];
+        }
+        let xs = &self.xs[out * n..(out + 1) * n];
+        let (min, max) = self.output_bounds[out];
+        match self.defuzzifier {
+            Defuzzifier::Centroid => centroid_window(agg, xs, lo, hi, min, max),
+            method => defuzzify_slice(method, agg, xs, min, max),
+        }
     }
 
     /// Convenience wrapper over [`CompiledEngine::infer_into`] that
@@ -668,29 +717,7 @@ fn as_u32(n: usize) -> u32 {
 fn defuzzify_slice(method: Defuzzifier, degrees: &[f64], xs: &[f64], min: f64, max: f64) -> f64 {
     let n = degrees.len();
     match method {
-        Defuzzifier::Centroid => {
-            // Same accumulation order as defuzz::centroid (end points get
-            // half weight), with the interior branch hoisted out of the
-            // loop — `1.0 * mu * x` and `mu * x` are the same bits, and
-            // the `0.0 + v` first additions keep the signed-zero bits of
-            // the original fold.
-            let mut num = 0.0;
-            let mut den = 0.0;
-            num += 0.5 * degrees[0] * xs[0];
-            den += 0.5 * degrees[0];
-            for i in 1..n - 1 {
-                let mu = degrees[i];
-                num += mu * xs[i];
-                den += mu;
-            }
-            num += 0.5 * degrees[n - 1] * xs[n - 1];
-            den += 0.5 * degrees[n - 1];
-            if den == 0.0 {
-                0.5 * (min + max)
-            } else {
-                num / den
-            }
-        }
+        Defuzzifier::Centroid => centroid_window(degrees, xs, 0, n, min, max),
         Defuzzifier::Bisector => {
             let total: f64 = degrees.iter().sum();
             if total == 0.0 {
@@ -739,6 +766,51 @@ fn defuzzify_slice(method: Defuzzifier, degrees: &[f64], xs: &[f64], min: f64, m
         // Defuzzifier is #[non_exhaustive]; mirror any future method here.
         #[allow(unreachable_patterns)]
         _ => unreachable!("unknown defuzzifier variant"),
+    }
+}
+
+/// The centroid of `degrees`, all of whose samples outside `[lo, hi)` are
+/// zero, summed over `[lo, hi)` only.
+///
+/// Same accumulation order as `defuzz::centroid` (end points get half
+/// weight), with the interior branch hoisted out of the loop: `1.0 * mu * x`
+/// and `mu * x` are the same bits.  Skipping the zero samples outside the
+/// window is exact: both sums start at `+0.0` and can never become `-0.0`
+/// (round-to-nearest gives `x + (-x) = +0.0`), and adding a signed zero to
+/// anything but `-0.0` returns it unchanged.
+fn centroid_window(degrees: &[f64], xs: &[f64], lo: usize, hi: usize, min: f64, max: f64) -> f64 {
+    let n = degrees.len();
+    let mut num = 0.0;
+    let mut den = 0.0;
+    if lo == 0 {
+        num += 0.5 * degrees[0] * xs[0];
+        den += 0.5 * degrees[0];
+    }
+    for i in lo.max(1)..hi.min(n - 1) {
+        let mu = degrees[i];
+        num += mu * xs[i];
+        den += mu;
+    }
+    if hi == n {
+        num += 0.5 * degrees[n - 1] * xs[n - 1];
+        den += 0.5 * degrees[n - 1];
+    }
+    if den == 0.0 {
+        0.5 * (min + max)
+    } else {
+        num / den
+    }
+}
+
+/// The `[lo, hi)` range outside which every sample is zero; `(0, 0)` when
+/// all of them are.
+fn support_of(samples: &[f64]) -> (usize, usize) {
+    match samples.iter().position(|&s| s != 0.0) {
+        Some(lo) => {
+            let hi = samples.iter().rposition(|&s| s != 0.0).unwrap_or(lo) + 1;
+            (lo, hi)
+        }
+        None => (0, 0),
     }
 }
 

@@ -12,10 +12,12 @@
 use crate::cluster::ShadowCluster;
 use crate::config::SccConfig;
 use crate::estimator::LoadEstimator;
-use cellsim::geometry::CellGrid;
+use crate::projection::HomeGeometry;
+use cellsim::geometry::{CellGrid, CellId};
 use cellsim::shard::BoxedController;
 use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
 use cellsim::station::BaseStation;
+use std::collections::BTreeMap;
 
 /// Shadow-Cluster-Concept admission controller.
 #[derive(Debug, Clone)]
@@ -23,6 +25,15 @@ pub struct SccAdmission {
     config: SccConfig,
     grid: CellGrid,
     estimator: LoadEstimator,
+    /// Projection geometry per home cell of the virtual grid (by dense
+    /// index), built on first use.
+    geometry: Vec<Option<HomeGeometry>>,
+    /// The same for home cells outside the virtual grid.
+    outside_geometry: BTreeMap<CellId, HomeGeometry>,
+    /// The tentative cluster of the latest `decide`, with the bits of the
+    /// request's speed and angle: `on_admitted` for the same request
+    /// registers it instead of projecting again.
+    tentative: Option<(ShadowCluster, u64, u64)>,
 }
 
 impl SccAdmission {
@@ -33,9 +44,12 @@ impl SccAdmission {
     pub fn new(config: SccConfig) -> Self {
         let grid = CellGrid::new(config.cluster_radius.max(1), config.cell_radius_m);
         Self {
+            estimator: LoadEstimator::with_extent(grid.radius_cells(), config.slots.max(1)),
+            geometry: vec![None; grid.len()],
+            outside_geometry: BTreeMap::new(),
+            tentative: None,
             config,
             grid,
-            estimator: LoadEstimator::new(),
         }
     }
 
@@ -65,16 +79,35 @@ impl SccAdmission {
         &self.estimator
     }
 
-    fn tentative_cluster(&self, request: &AdmissionRequest) -> ShadowCluster {
-        ShadowCluster::build(
-            &self.config,
-            &self.grid,
+    /// The shadow cluster `request` would get if admitted.
+    fn tentative_cluster(&mut self, request: &AdmissionRequest) -> ShadowCluster {
+        let (config, grid) = (&self.config, &self.grid);
+        let home = request.cell;
+        let build = || HomeGeometry::new(config, grid, home);
+        let geometry = match grid.index_of(&home) {
+            Some(idx) => self.geometry[idx.index()].get_or_insert_with(build),
+            None => self.outside_geometry.entry(home).or_insert_with(build),
+        };
+        ShadowCluster::from_geometry(
+            config,
+            geometry,
             request.id,
-            request.cell,
             request.bandwidth,
             request.speed_kmh,
             request.angle_deg,
         )
+    }
+
+    /// The cluster `decide` projected for this very request, if it was the
+    /// latest one decided.
+    fn take_tentative(&mut self, request: &AdmissionRequest) -> Option<ShadowCluster> {
+        let (cluster, speed_bits, angle_bits) = self.tentative.take()?;
+        let same = cluster.connection_id == request.id
+            && cluster.home == request.cell
+            && cluster.bandwidth == request.bandwidth
+            && speed_bits == request.speed_kmh.to_bits()
+            && angle_bits == request.angle_deg.to_bits();
+        same.then_some(cluster)
     }
 }
 
@@ -106,6 +139,11 @@ impl AdmissionController for SccAdmission {
         let fits_projection = self.estimator.fits_within(&tentative, budget);
         let fits_physical = physical_after <= budget.max(f64::from(request.bandwidth));
         let margin = budget - physical_after.max(self.estimator.load_on(request.cell, 0));
+        self.tentative = Some((
+            tentative,
+            request.speed_kmh.to_bits(),
+            request.angle_deg.to_bits(),
+        ));
         if fits_projection && fits_physical {
             AdmissionDecision::accept(margin)
         } else {
@@ -114,7 +152,10 @@ impl AdmissionController for SccAdmission {
     }
 
     fn on_admitted(&mut self, request: &AdmissionRequest, _station: &BaseStation) {
-        let cluster = self.tentative_cluster(request);
+        let cluster = match self.take_tentative(request) {
+            Some(cluster) => cluster,
+            None => self.tentative_cluster(request),
+        };
         self.estimator.register(cluster);
     }
 

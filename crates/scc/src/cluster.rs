@@ -5,7 +5,7 @@
 //! future slot, and how much bandwidth each unit of probability represents.
 
 use crate::config::SccConfig;
-use crate::projection::{project_demand, CellProbability};
+use crate::projection::{project_demand, project_from, CellProbability, HomeGeometry};
 use cellsim::geometry::{CellGrid, CellId};
 use cellsim::Bandwidth;
 use serde::{Deserialize, Serialize};
@@ -45,6 +45,25 @@ impl ShadowCluster {
             home,
             bandwidth,
             probabilities,
+        }
+    }
+
+    /// [`ShadowCluster::build`] from the precomputed geometry of the home
+    /// cell: the same cluster, without recomputing the neighbourhood.
+    #[must_use]
+    pub(crate) fn from_geometry(
+        config: &SccConfig,
+        geometry: &HomeGeometry,
+        connection_id: u64,
+        bandwidth: Bandwidth,
+        speed_kmh: f64,
+        angle_deg: f64,
+    ) -> Self {
+        Self {
+            connection_id,
+            home: geometry.home(),
+            bandwidth,
+            probabilities: project_from(config, geometry, speed_kmh, angle_deg),
         }
     }
 

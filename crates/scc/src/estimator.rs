@@ -4,25 +4,55 @@
 //! demand projected onto it by every active shadow cluster.  Adding and
 //! removing clusters keeps the per-`(cell, slot)` totals up to date so the
 //! admission test is O(cluster size) rather than O(active connections).
+//!
+//! The totals live in a dense table over a square of axial coordinates
+//! around the origin (the controller's virtual grid), so the hot path never
+//! hashes; keys outside it fall back to an ordered map.  Each key's total
+//! is the same sequence of additions and subtractions wherever it lives.
 
 use crate::cluster::ShadowCluster;
 use cellsim::geometry::CellId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+
+/// Totals below this are treated as fully released and reset to zero.
+const RELEASED: f64 = 1e-9;
 
 /// Aggregated projected load per cell and time slot.
 #[derive(Debug, Clone, Default)]
 pub struct LoadEstimator {
-    /// `(cell, slot)` → projected demand in (fractional) bandwidth units.
-    load: HashMap<(CellId, usize), f64>,
+    /// The dense table covers cells with `|q|, |r| <= radius`.
+    radius: i64,
+    /// Slots per cell in the dense table.
+    slots: usize,
+    /// `(cell, slot)` → projected demand in (fractional) bandwidth units,
+    /// for keys inside the table; `0.0` means no demand.
+    table: Vec<f64>,
+    /// The same for keys outside the table.
+    overflow: BTreeMap<(CellId, usize), f64>,
     /// Registered clusters by connection id.
-    clusters: HashMap<u64, ShadowCluster>,
+    clusters: BTreeMap<u64, ShadowCluster>,
 }
 
 impl LoadEstimator {
-    /// An empty estimator.
+    /// An empty estimator without a dense table: every key lives in the
+    /// fallback map.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty estimator whose dense table covers `slots` slots of every
+    /// cell with axial coordinates `|q|, |r| <= radius_cells` (a superset
+    /// of the hexagonal grid of that radius).
+    #[must_use]
+    pub fn with_extent(radius_cells: u32, slots: usize) -> Self {
+        let side = 2 * radius_cells as usize + 1;
+        Self {
+            radius: i64::from(radius_cells),
+            slots,
+            table: vec![0.0; side * side * slots],
+            ..Self::default()
+        }
     }
 
     /// Number of registered clusters.
@@ -40,7 +70,10 @@ impl LoadEstimator {
     /// The projected load on `cell` during `slot` (BU, fractional).
     #[must_use]
     pub fn load_on(&self, cell: CellId, slot: usize) -> f64 {
-        self.load.get(&(cell, slot)).copied().unwrap_or(0.0)
+        match self.table_index(cell, slot) {
+            Some(i) => self.table[i],
+            None => self.overflow.get(&(cell, slot)).copied().unwrap_or(0.0),
+        }
     }
 
     /// Register a cluster, adding its demand to the per-cell totals.
@@ -50,27 +83,45 @@ impl LoadEstimator {
             self.remove(cluster.connection_id);
         }
         for p in &cluster.probabilities {
-            *self.load.entry((p.cell, p.slot)).or_insert(0.0) +=
-                p.probability * f64::from(cluster.bandwidth);
+            let demand = p.probability * f64::from(cluster.bandwidth);
+            match self.table_index(p.cell, p.slot) {
+                Some(i) => self.table[i] += demand,
+                None => *self.overflow.entry((p.cell, p.slot)).or_insert(0.0) += demand,
+            }
         }
         self.clusters.insert(cluster.connection_id, cluster);
     }
 
     /// Remove the cluster of `connection_id`, subtracting its demand.
     /// Unknown ids are ignored.
+    ///
+    /// A total that drops below `1e-9` (or is NaN) is reset to zero.
+    /// Only the removed cluster's keys are visited.
     pub fn remove(&mut self, connection_id: u64) {
         let Some(cluster) = self.clusters.remove(&connection_id) else {
             return;
         };
         for p in &cluster.probabilities {
-            if let Some(v) = self.load.get_mut(&(p.cell, p.slot)) {
-                *v -= p.probability * f64::from(cluster.bandwidth);
-                if *v < 1e-9 {
-                    *v = 0.0;
+            let demand = p.probability * f64::from(cluster.bandwidth);
+            match self.table_index(p.cell, p.slot) {
+                Some(i) => {
+                    let v = &mut self.table[i];
+                    *v -= demand;
+                    if *v < RELEASED || v.is_nan() {
+                        *v = 0.0;
+                    }
+                }
+                None => {
+                    let key = (p.cell, p.slot);
+                    if let Some(v) = self.overflow.get_mut(&key) {
+                        *v -= demand;
+                        if *v < RELEASED || v.is_nan() {
+                            self.overflow.remove(&key);
+                        }
+                    }
                 }
             }
         }
-        self.load.retain(|_, v| *v > 0.0);
     }
 
     /// Would admitting `candidate` keep the projected load within `budget`
@@ -90,11 +141,29 @@ impl LoadEstimator {
     /// The maximum projected load over all slots for a given cell.
     #[must_use]
     pub fn peak_load(&self, cell: CellId) -> f64 {
-        self.load
-            .iter()
-            .filter(|((c, _), _)| *c == cell)
+        let dense = match self.table_index(cell, 0) {
+            Some(i) => self.table[i..i + self.slots]
+                .iter()
+                .copied()
+                .fold(0.0, f64::max),
+            None => 0.0,
+        };
+        self.overflow
+            .range((cell, 0)..=(cell, usize::MAX))
             .map(|(_, v)| *v)
-            .fold(0.0, f64::max)
+            .fold(dense, f64::max)
+    }
+
+    /// The dense-table position of `(cell, slot)`, if the table covers it.
+    fn table_index(&self, cell: CellId, slot: usize) -> Option<usize> {
+        let side = 2 * self.radius + 1;
+        let q = i64::from(cell.q) + self.radius;
+        let r = i64::from(cell.r) + self.radius;
+        if slot < self.slots && (0..side).contains(&q) && (0..side).contains(&r) {
+            Some((q * side + r) as usize * self.slots + slot)
+        } else {
+            None
+        }
     }
 }
 

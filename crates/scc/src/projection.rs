@@ -25,6 +25,46 @@ pub struct CellProbability {
     pub probability: f64,
 }
 
+/// The heading-independent geometry of projections from one home cell:
+/// its bordering neighbours in the grid, each with its bearing from the
+/// home cell and whether it lies inside the shadow cluster.
+///
+/// It depends only on the configuration, the grid and the home cell, so a
+/// controller builds it once per home cell and reuses it for every
+/// projection from that cell ([`project_from`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HomeGeometry {
+    home: CellId,
+    /// `(neighbour, bearing from the home centre in degrees, in cluster)`,
+    /// in [`CellGrid::bordering_neighbors`] order.
+    neighbors: Vec<(CellId, f64, bool)>,
+}
+
+impl HomeGeometry {
+    /// The geometry of projections from `home` on `grid`.
+    #[must_use]
+    pub(crate) fn new(config: &SccConfig, grid: &CellGrid, home: CellId) -> Self {
+        let home_center = grid.center_of(&home);
+        let neighbors = grid
+            .bordering_neighbors(&home)
+            .into_iter()
+            .map(|n| {
+                let bearing = home_center.bearing_to(&grid.center_of(&n));
+                // Membership of `grid.cluster(&home, cluster_radius)`.
+                let in_cluster = n.distance(&home) <= config.cluster_radius;
+                (n, bearing, in_cluster)
+            })
+            .collect();
+        Self { home, neighbors }
+    }
+
+    /// The home cell.
+    #[must_use]
+    pub(crate) fn home(&self) -> CellId {
+        self.home
+    }
+}
+
 /// Project one mobile's activity probabilities over its shadow cluster.
 ///
 /// * `home` — the mobile's current cell.
@@ -45,10 +85,22 @@ pub fn project_demand(
     speed_kmh: f64,
     heading_angle_deg: f64,
 ) -> Vec<CellProbability> {
+    let geometry = HomeGeometry::new(config, grid, home);
+    project_from(config, &geometry, speed_kmh, heading_angle_deg)
+}
+
+/// [`project_demand`] from a precomputed [`HomeGeometry`].
+#[must_use]
+pub(crate) fn project_from(
+    config: &SccConfig,
+    geometry: &HomeGeometry,
+    speed_kmh: f64,
+    heading_angle_deg: f64,
+) -> Vec<CellProbability> {
     let slots = config.slots.max(1);
     let mut out = Vec::with_capacity(slots * 7);
-    let cluster = grid.cluster(&home, config.cluster_radius);
-    let neighbors = grid.bordering_neighbors(&home);
+    let home = geometry.home;
+    let neighbors = &geometry.neighbors;
 
     // Probability that the call is still active after t seconds, assuming
     // exponentially distributed holding times.
@@ -78,21 +130,19 @@ pub fn project_demand(
     // probability is additionally scaled by how much the heading points
     // away from the BS.
     let away_factor = (heading_angle_deg.abs() / 180.0).clamp(0.0, 1.0);
-    let neighbor_weights: Vec<f64> = neighbors
-        .iter()
-        .map(|n| {
-            let home_center = grid.center_of(&home);
-            let bearing = home_center.bearing_to(&grid.center_of(n));
-            // Neighbours whose direction differs least from the mobile's
-            // outward heading receive the largest weight.  The outward
-            // heading is the BS-relative angle mapped onto the grid with
-            // the BS direction as 180° (i.e. heading away = 0° difference
-            // from the outward radial).
-            let outward = 180.0 - heading_angle_deg.abs();
-            let diff = angle_difference(bearing, outward).abs();
-            (1.0 - diff / 180.0).max(0.05)
-        })
-        .collect();
+    // At most six bordering neighbours, so the weights live on the stack.
+    let mut weights = [0.0f64; 6];
+    for (w, &(_, bearing, _)) in weights.iter_mut().zip(neighbors) {
+        // Neighbours whose direction differs least from the mobile's
+        // outward heading receive the largest weight.  The outward
+        // heading is the BS-relative angle mapped onto the grid with
+        // the BS direction as 180° (i.e. heading away = 0° difference
+        // from the outward radial).
+        let outward = 180.0 - heading_angle_deg.abs();
+        let diff = angle_difference(bearing, outward).abs();
+        *w = (1.0 - diff / 180.0).max(0.05);
+    }
+    let neighbor_weights = &weights[..neighbors.len()];
     let weight_sum: f64 = neighbor_weights.iter().sum();
 
     for slot in 0..slots {
@@ -113,11 +163,11 @@ pub fn project_demand(
             continue;
         }
         let p_out = p_active * p_left_home;
-        for (n, w) in neighbors.iter().zip(&neighbor_weights) {
+        for (&(n, _, in_cluster), w) in neighbors.iter().zip(neighbor_weights) {
             let p = p_out * w / weight_sum;
-            if p > 1e-9 && cluster.contains(n) {
+            if p > 1e-9 && in_cluster {
                 out.push(CellProbability {
-                    cell: *n,
+                    cell: n,
                     slot,
                     probability: p,
                 });
