@@ -4,14 +4,16 @@
 //! compile/execute split — the string-keyed interpreted engine, the
 //! compiled allocation-free engine, the LUT backend, the end-to-end
 //! `decide` / `decide_batch` of every controller and the cost of building
-//! one (what a sweep pays per cell) — and [`PerfReport`]
+//! one (what a sweep pays per cell), the event heap and the metro
+//! station's id index, and the engines end to end — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
 //! writes.  CI runs the quick mode and fails when the artifact is empty or
 //! malformed, so the perf trajectory of the hot path is tracked across
 //! PRs.
 
 use admitd::{BenchConfig, Server, ServerConfig, World, WorldConfig};
-use cellsim::geometry::CellId;
+use cellsim::event::{EventKind, EventQueue};
+use cellsim::geometry::{CellId, CellIdx, Point};
 use cellsim::shard::{ShardConfig, ShardedSimulator};
 use cellsim::sim::{
     AdmissionController, AdmissionDecision, AdmissionRequest, AlwaysAccept, SimConfig, Simulator,
@@ -21,6 +23,7 @@ use cellsim::telemetry::{
     LabelPair, NoopRecorder, Recorder, Registry, SpanSnapshot, TelemetrySnapshot,
 };
 use cellsim::traffic::{MmppConfig, ServiceClass, TrafficModel};
+use cellsim::SimRng;
 use facs::{FacsController, FacsPController, Flc1, Flc2};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -962,6 +965,57 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
     cases.push(compiled_cascade);
     cases.push(lut_cascade);
 
+    // --- engine data structures: the metro run's per-event lookups -------
+    // A steady hold model on a heap as deep as one metro shard's: pop the
+    // earliest event, schedule it again an exponential step later.
+    let mut hold_rng = SimRng::new(0x4EA9);
+    let steps: Vec<f64> = (0..4_096).map(|_| hold_rng.exponential(1.0)).collect();
+    let mut queue = EventQueue::new();
+    for call in 0..65_536u32 {
+        queue.schedule(
+            hold_rng.exponential(1.0),
+            EventKind::Arrival {
+                cell: CellIdx(call % 128),
+                call,
+            },
+        );
+    }
+    let mut step = 0usize;
+    cases.push(time_case(
+        "event/queue pop+schedule (65536 pending)",
+        iters * 10,
+        || {
+            let ev = queue.pop().expect("the hold model never drains");
+            queue.schedule(ev.time + steps[step & 4_095], ev.kind);
+            step += 1;
+            ev.time
+        },
+    ));
+    // A metro station holding 600 calls: admit the next id, release the
+    // oldest, so every iteration is two index lookups and two updates.
+    const LIVE: u64 = 600;
+    let mut metro_station = BaseStation::new(CellId::origin(), Point::default(), 2_000);
+    for id in 0..LIVE {
+        metro_station
+            .admit(id, ServiceClass::Text, 1, 0.0, 1e9, false)
+            .expect("2000 BU hold 600 text calls");
+    }
+    let mut next_id = LIVE;
+    cases.push(time_case(
+        "station/2000-BU admit+release",
+        iters * 10,
+        || {
+            metro_station
+                .admit(next_id, ServiceClass::Text, 1, 0.0, 1e9, false)
+                .expect("one call below capacity");
+            let released = metro_station
+                .release(next_id - LIVE)
+                .expect("the oldest call is live");
+            next_id += 1;
+            f64::from(released.bandwidth)
+        },
+    ));
+
     // --- whole-simulation throughput: events/sec through run_poisson -----
     let engine_case = time_sim_events("always-accept", &mut AlwaysAccept, quick);
     let sim_events_per_sec = 1e9 / engine_case.ns_per_iter;
@@ -1075,6 +1129,8 @@ mod tests {
             "controller/facs build",
             "controller/scc build",
             "controller/scc admit+release cycle",
+            "event/queue pop+schedule (65536 pending)",
+            "station/2000-BU admit+release",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");
         }

@@ -2,21 +2,34 @@
 //!
 //! Events are ordered by time (earliest first); ties are broken by a
 //! monotonically increasing sequence number so insertion order is preserved
-//! and the simulation stays deterministic.
+//! and the simulation stays deterministic.  Sequence numbers are unique
+//! within a queue, so `(time, sequence)` is a total order and any correct
+//! min-heap on it pops exactly the same sequence of events.
 //!
 //! Events are small `Copy` values: an arrival references its
 //! [`crate::traffic::CallRequest`] by index into the run's pre-generated
 //! arrival buffer instead of owning a clone, and departures/handoffs carry
-//! a dense [`CellIdx`] plus the connection's user [`SlotId`] handle.  The
-//! queue's backing heap keeps its capacity across [`EventQueue::clear`], so
-//! a warmed-up simulator schedules and pops events without allocating.
+//! a dense [`CellIdx`] plus the connection's user [`SlotId`] handle.
+//!
+//! [`EventQueue`] is an implicit 4-ary min-heap over one `Vec<Event>`.  A
+//! metro run keeps tens of thousands of events pending per shard, and
+//! sixteen shards' heaps together are far larger than the caches, so
+//! every level a pop descends costs one dependent cache miss.
+//! Four children per node halve the depth of a binary heap (8 levels
+//! instead of 16 at 62k events), the four children of a node sit next to
+//! each other in memory, and sift-down stops as soon as the displaced
+//! last element fits instead of sinking to a leaf first.  The backing
+//! vector keeps its capacity across [`EventQueue::clear`], so a warmed-up
+//! simulator schedules and pops events without allocating.
 
 use crate::geometry::CellIdx;
 use crate::slab::SlotId;
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+
+/// Children per node of the [`EventQueue`] heap.
+const ARITY: usize = 4;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,9 +84,11 @@ pub struct Event {
 
 impl Eq for Event {}
 
+/// Inverted firing order: the event that fires first is the *greatest*,
+/// so a max-heap such as `std::collections::BinaryHeap<Event>` pops events
+/// in the same order as [`EventQueue`].
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap, so invert: earliest time = greatest.
         other
             .time
             .total_cmp(&self.time)
@@ -87,10 +102,23 @@ impl PartialOrd for Event {
     }
 }
 
-/// A time-ordered event queue.
+/// `true` when queued event `a` fires before queued event `b`.
+///
+/// The order is `time.total_cmp`, then `sequence`.  [`EventQueue::schedule`]
+/// stores only `+0.0` or positive finite times, whose bit patterns order
+/// as unsigned integers exactly as `total_cmp` orders the values, so an
+/// integer tuple compare computes it (measured faster than `total_cmp`).
+#[inline]
+fn precedes(a: &Event, b: &Event) -> bool {
+    (a.time.to_bits(), a.sequence) < (b.time.to_bits(), b.sequence)
+}
+
+/// A time-ordered event queue: an implicit 4-ary min-heap.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Event>,
+    /// Heap order: the children of node `i` are `ARITY * i + 1 ..=
+    /// ARITY * i + ARITY`, and no child fires before its parent.
+    heap: Vec<Event>,
     next_sequence: u64,
 }
 
@@ -101,10 +129,15 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedule `kind` at `time` (non-finite or negative times are clamped
-    /// to zero).
+    /// Schedule `kind` at `time` (non-finite or negative times, and
+    /// `-0.0`, are clamped to `+0.0`).
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let time = if time.is_finite() { time.max(0.0) } else { 0.0 };
+        let time = if time.is_finite() && time > 0.0 {
+            time
+        } else {
+            0.0
+        };
+        debug_assert!(time.is_sign_positive(), "`precedes` relies on the clamp");
         let ev = Event {
             time,
             sequence: self.next_sequence,
@@ -112,17 +145,24 @@ impl EventQueue {
         };
         self.next_sequence += 1;
         self.heap.push(ev);
+        self.sift_up(self.heap.len() - 1, ev);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        let last = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(last);
+        }
+        let first = self.heap[0];
+        self.sift_down(last);
+        Some(first)
     }
 
     /// Peek at the earliest event without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
+        self.heap.first()
     }
 
     /// Number of pending events.
@@ -154,6 +194,48 @@ impl EventQueue {
     pub fn clear(&mut self) {
         self.heap.clear();
         self.next_sequence = 0;
+    }
+
+    /// Move `ev`, just written at `pos`, up past every parent it fires
+    /// before, shifting those parents down into the hole.
+    fn sift_up(&mut self, mut pos: usize, ev: Event) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if !precedes(&ev, &self.heap[parent]) {
+                break;
+            }
+            self.heap[pos] = self.heap[parent];
+            pos = parent;
+        }
+        self.heap[pos] = ev;
+    }
+
+    /// Refill the root hole with `ev` (the former last element): move the
+    /// earliest child up while it fires before `ev`, and stop at the first
+    /// level where `ev` fits.
+    fn sift_down(&mut self, ev: Event) {
+        let len = self.heap.len();
+        let mut pos = 0;
+        loop {
+            let first_child = ARITY * pos + 1;
+            if first_child >= len {
+                break;
+            }
+            let children = &self.heap[first_child..len.min(first_child + ARITY)];
+            let mut best = 0;
+            for (i, child) in children.iter().enumerate().skip(1) {
+                if precedes(child, &children[best]) {
+                    best = i;
+                }
+            }
+            let child = children[best];
+            if !precedes(&child, &ev) {
+                break;
+            }
+            self.heap[pos] = child;
+            pos = first_child + best;
+        }
+        self.heap[pos] = ev;
     }
 }
 
@@ -212,6 +294,53 @@ mod tests {
         q.schedule(f64::NAN, EventKind::EndOfSimulation);
         assert_eq!(q.pop().unwrap().time, 0.0);
         assert_eq!(q.pop().unwrap().time, 0.0);
+    }
+
+    #[test]
+    fn negative_zero_is_clamped_to_positive_zero() {
+        let mut q = EventQueue::new();
+        q.schedule(-0.0, EventKind::MobilityTick);
+        q.schedule(f64::NEG_INFINITY, EventKind::MobilityTick);
+        assert_eq!(q.pop().unwrap().time.to_bits(), 0.0f64.to_bits());
+        assert_eq!(q.pop().unwrap().time.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn precedes_agrees_with_the_inverted_ord_on_queued_times() {
+        let ev = |time: f64, sequence: u64| Event {
+            time,
+            sequence,
+            kind: EventKind::MobilityTick,
+        };
+        let events = [
+            ev(0.0, 1),
+            ev(0.0, 2),
+            ev(f64::MIN_POSITIVE, 0),
+            ev(1.5, 0),
+            ev(1.5, 7),
+            ev(2.0, 3),
+            ev(f64::MAX, 4),
+        ];
+        for a in &events {
+            for b in &events {
+                assert_eq!(precedes(a, b), a.cmp(b) == Ordering::Greater, "{a:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pops_in_order_across_many_levels() {
+        let mut q = EventQueue::new();
+        let mut state = 1u64;
+        for call in 0..5_000u32 {
+            state = crate::rng::mix64(state.wrapping_add(crate::rng::SPLITMIX64_GAMMA));
+            q.schedule(f64::from((state % 97) as u32), arrival(call));
+        }
+        let mut prev = q.pop().unwrap();
+        while let Some(next) = q.pop() {
+            assert!(precedes(&prev, &next), "{prev:?} then {next:?}");
+            prev = next;
+        }
     }
 
     #[test]

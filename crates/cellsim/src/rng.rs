@@ -8,6 +8,26 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The SplitMix64 increment: the odd constant nearest `2^64 / φ`, added
+/// to the state before every [`mix64`].
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer: a bijection on `u64` in which every input bit
+/// flips each output bit with probability close to 1/2.
+///
+/// It turns structured counters (adjacent seeds, stream ids, connection
+/// ids spaced by a power of two) into decorrelated values, which is what
+/// [`SimRng::derive`] needs for child seeds and what the base station's
+/// connection index needs from a hash: a plain multiply would leave the
+/// low bits of power-of-two-spaced ids zero and pile them into one bucket.
+#[inline]
+#[must_use]
+pub const fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded random-number generator with the handful of distributions the
 /// simulator needs (uniform, exponential, Bernoulli, weighted choice).
 #[derive(Debug, Clone)]
@@ -38,13 +58,9 @@ impl SimRng {
     pub fn derive(&self, stream: u64) -> Self {
         // SplitMix64-style mixing keeps child streams decorrelated even for
         // adjacent seeds / stream ids.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        Self::new(z)
+        Self::new(mix64(self.seed.wrapping_add(
+            SPLITMIX64_GAMMA.wrapping_mul(stream.wrapping_add(1)),
+        )))
     }
 
     /// Uniform value in `[lo, hi)` (returns `lo` when the range is empty or
@@ -142,6 +158,13 @@ mod tests {
         assert_eq!(a, c1b.uniform(0.0, 1.0));
         assert_ne!(a, c2.uniform(0.0, 1.0));
         assert_eq!(parent.seed(), 7);
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // First output of SplitMix64 seeded with 0 (reference vector).
+        assert_eq!(mix64(SPLITMIX64_GAMMA), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(0), 0);
     }
 
     #[test]

@@ -856,6 +856,10 @@ pub struct ShardedSimulator<R: Recorder = DefaultRecorder> {
     epochs: u64,
     peak_concurrent: u64,
     label: &'static str,
+    /// `std::thread::available_parallelism` read once at construction: on
+    /// Linux the call reads cgroup files (tens of microseconds), and the
+    /// parallel phase runs once per epoch.
+    host_cores: usize,
     /// Coordinator telemetry sink for the sharding-specific series
     /// (observation-only; accumulates across runs until
     /// [`ShardedSimulator::reset_telemetry`]).
@@ -918,6 +922,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             epochs: 0,
             peak_concurrent: 0,
             label: "controller",
+            host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             recorder: R::for_schema(&telem::SCHEMA),
         }
     }
@@ -1123,12 +1128,11 @@ impl<R: Recorder> ShardedSimulator<R> {
     where
         R: Send,
     {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let workers = self
             .sharding
             .threads
             .min(self.shards.len())
-            .min(cores)
+            .min(self.host_cores)
             .max(1);
         let grid = &self.grid;
         let calls = &self.arrivals[..];

@@ -24,19 +24,82 @@
 //! affects observable behaviour — iteration still walks the vector — and
 //! it self-heals (rebuilds from the vector) whenever it is out of sync,
 //! e.g. right after deserialisation.
+//!
+//! The index hashes ids with the SplitMix64 finalizer ([`mix64`]) rather
+//! than `std`'s SipHash: a metro run looks an id up on every arrival,
+//! departure and barrier-merge step, and the finalizer is a handful of
+//! multiplies.  It still avalanches, which matters because `admitd`
+//! clients choose their own connection ids — ids spaced by a power of two
+//! must not share buckets — and each station mixes a random key into
+//! every id, so a client cannot compute ids that collide either.  Nothing
+//! reads the map's iteration order, so the key never shows in any output.
 
 use crate::geometry::{CellId, Point};
+use crate::rng::mix64;
 use crate::traffic::ServiceClass;
 use crate::{Bandwidth, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// Largest capacity (BU) for which connection lookup stays a plain linear
 /// scan.  The paper's 40-BU cell sits far below this; metro cells
 /// (≈ 2000 BU, several hundred concurrent connections) sit far above, and
 /// get the hash index.
 pub const INDEX_LINEAR_SCAN_MAX: Bandwidth = 128;
+
+/// Hasher of the station index: each `u64` written (the id) is xored into
+/// the state, which starts at the station's key, and mixed with [`mix64`].
+#[derive(Debug, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    /// Only `u64` ids are hashed; other input is mixed in byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = mix64(self.0 ^ id);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`IdHasher`]s that all start from one random key.
+#[derive(Debug, Clone, Copy)]
+struct IdHashBuilder {
+    key: u64,
+}
+
+impl Default for IdHashBuilder {
+    /// A fresh key from `std`'s per-process random hash keys.
+    fn default() -> Self {
+        Self {
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for IdHashBuilder {
+    type Hasher = IdHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.key)
+    }
+}
+
+/// Connection id → position in the dense vector.
+type IdIndex = HashMap<u64, u32, IdHashBuilder>;
 
 /// Errors returned by base-station bookkeeping operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,7 +180,7 @@ pub struct BaseStation {
     /// from equality, rebuilt on demand when `index.len()` disagrees with
     /// `connections.len()`.
     #[serde(skip)]
-    index: HashMap<u64, u32>,
+    index: IdIndex,
 }
 
 impl PartialEq for BaseStation {
@@ -151,7 +214,7 @@ impl BaseStation {
             total_admitted: 0,
             total_released: 0,
             total_dropped: 0,
-            index: HashMap::new(),
+            index: IdIndex::default(),
         }
     }
 
@@ -664,52 +727,196 @@ mod tests {
         assert_eq!(scratch.capacity(), cap);
     }
 
-    /// A metro-capacity station (above the index threshold) paired with a
-    /// small, always-linear reference station driven by the same
-    /// operations; both must agree on every observable.
+    /// A SplitMix64 stream for the randomised station tests.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(crate::rng::SPLITMIX64_GAMMA);
+            mix64(self.0)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// The station's dense-vector semantics replayed on a plain `Vec`:
+    /// push on admit, `swap_remove` on every removal.  Lookups on it are
+    /// the linear scan the index must agree with.
+    #[derive(Default)]
+    struct Model {
+        connections: Vec<ActiveConnection>,
+    }
+
+    impl Model {
+        fn find(&self, id: u64) -> Option<&ActiveConnection> {
+            self.connections.iter().find(|c| c.id == id)
+        }
+
+        fn take(&mut self, id: u64) -> Result<ActiveConnection, StationError> {
+            let pos = self
+                .connections
+                .iter()
+                .position(|c| c.id == id)
+                .ok_or(StationError::UnknownConnection { id })?;
+            Ok(self.connections.swap_remove(pos))
+        }
+
+        fn occupied(&self) -> Bandwidth {
+            self.connections.iter().map(|c| c.bandwidth).sum()
+        }
+    }
+
+    /// A 2000-BU metro station (above the index threshold) driven by
+    /// random `admit` / `release` / `transfer_out` / `drop_all_into` /
+    /// `release_expired_into` sequences and serde round trips, with ids
+    /// that are sequential, spaced 2^20 apart, spaced 2^32 apart, and
+    /// random.  Every result, every lookup and the dense order must agree
+    /// with a linear scan of the [`Model`].
     #[test]
     fn indexed_station_matches_linear_semantics() {
-        let mut indexed = BaseStation::new(CellId::origin(), Point::default(), 100_000);
-        let mut linear = BaseStation::new(CellId::origin(), Point::default(), 100_000);
-        // Force the reference station down the scan path by leaving its
-        // index permanently stale: serde skip simulates that below; here
-        // we simply interleave operations and compare.
-        assert!(indexed.uses_index());
-        for id in 0..500u64 {
-            let class = match id % 3 {
-                0 => ServiceClass::Text,
-                1 => ServiceClass::Voice,
-                _ => ServiceClass::Video,
-            };
-            let bw = class.paper_bandwidth();
-            indexed
-                .admit(id, class, bw, id as f64, 50.0 + id as f64, false)
-                .unwrap();
-            linear
-                .admit(id, class, bw, id as f64, 50.0 + id as f64, false)
-                .unwrap();
+        /// A family's name and its `n`-th id, given a random word.
+        type IdFamily = (&'static str, fn(u64, u64) -> u64);
+        let families: [IdFamily; 4] = [
+            ("sequential", |n, _| 1_000 + n),
+            ("spaced 2^20", |n, _| n << 20),
+            ("spaced 2^32", |n, _| n << 32),
+            // 63 random bits: the offline `serde_json` stand-in in
+            // `vendor/` keeps integers as `i64`.
+            ("random", |_, r| r >> 1),
+        ];
+        for (family, (name, id_of)) in families.into_iter().enumerate() {
+            let mut rng = Stream(family as u64);
+            let mut station = BaseStation::new(CellId::origin(), Point::default(), 2000);
+            assert!(station.uses_index());
+            let mut model = Model::default();
+            let mut admitted = 0u64;
+            let mut out = Vec::new();
+            for step in 0..12_000u32 {
+                let now = f64::from(step);
+                // An id that was admitted at some point (live or gone), or
+                // one of the family's ids that has not been used yet.
+                let probe = |rng: &mut Stream, model: &Model, admitted: u64| {
+                    if !model.connections.is_empty() && rng.below(4) != 0 {
+                        model.connections[rng.below(model.connections.len())].id
+                    } else {
+                        id_of(admitted + rng.below(8) as u64, rng.next())
+                    }
+                };
+                match rng.below(1_000) {
+                    0..=549 => {
+                        let id = id_of(admitted, rng.next());
+                        admitted += 1;
+                        let class = [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video]
+                            [rng.below(3)];
+                        let bw = class.paper_bandwidth();
+                        let holding = rng.below(400) as f64;
+                        let expected = if model.find(id).is_some() {
+                            Err(StationError::DuplicateConnection { id })
+                        } else if model.occupied() + bw > 2000 {
+                            Err(StationError::InsufficientCapacity {
+                                requested: bw,
+                                available: 2000 - model.occupied(),
+                            })
+                        } else {
+                            model.connections.push(ActiveConnection {
+                                id,
+                                class,
+                                bandwidth: bw,
+                                admitted_at: now,
+                                ends_at: now + holding,
+                                was_handoff: false,
+                            });
+                            Ok(())
+                        };
+                        let got = station.admit(id, class, bw, now, holding, false);
+                        assert_eq!(got, expected, "{name}: admit {id} at step {step}");
+                    }
+                    550..=799 => {
+                        let id = probe(&mut rng, &model, admitted);
+                        assert_eq!(station.release(id), model.take(id), "{name}: release {id}");
+                    }
+                    800..=989 => {
+                        let id = probe(&mut rng, &model, admitted);
+                        let got = station.transfer_out(id);
+                        assert_eq!(got, model.take(id), "{name}: transfer_out {id}");
+                    }
+                    990..=994 => {
+                        station.release_expired_into(now, &mut out);
+                        let mut expected = Vec::new();
+                        let mut i = 0;
+                        while i < model.connections.len() {
+                            if model.connections[i].ends_at <= now {
+                                expected.push(model.connections.swap_remove(i));
+                            } else {
+                                i += 1;
+                            }
+                        }
+                        expected.sort_unstable_by(|a, b| a.ends_at.total_cmp(&b.ends_at));
+                        assert_eq!(out, expected, "{name}: release_expired_into at {now}");
+                    }
+                    995..=997 => {
+                        let json = serde_json::to_string(&station).unwrap();
+                        let restored: BaseStation = serde_json::from_str(&json).unwrap();
+                        assert_eq!(restored, station, "{name}: serde round trip");
+                        assert!(restored.connections.is_empty() || restored.index.is_empty());
+                        station = restored;
+                    }
+                    _ => {
+                        if rng.below(4) == 0 {
+                            station.drop_all_into(&mut out);
+                            assert_eq!(out, model.connections, "{name}: drop_all_into");
+                            model.connections.clear();
+                        }
+                    }
+                }
+                assert_eq!(station.active_connections(), model.connections.len());
+                assert_eq!(station.occupied(), model.occupied(), "{name}: occupancy");
+                for _ in 0..4 {
+                    let id = probe(&mut rng, &model, admitted);
+                    assert_eq!(
+                        station.connection(id),
+                        model.find(id),
+                        "{name}: lookup {id}"
+                    );
+                }
+                if step % 1_000 == 999 {
+                    assert!(station.connections().eq(model.connections.iter()));
+                    for conn in &model.connections {
+                        assert_eq!(station.connection(conn.id), Some(conn), "{name}");
+                    }
+                }
+            }
+            assert!(admitted > 6_000, "{name}: only {admitted} admits");
         }
-        // Mixed removals exercise every swap_remove path.
-        for id in (0..500u64).step_by(3) {
-            assert_eq!(indexed.release(id).unwrap(), linear.release(id).unwrap());
+    }
+
+    /// The index hash must avalanche: ids spaced by a power of two land in
+    /// as many distinct buckets as random ids would, whatever the key.  (A
+    /// bare multiply leaves the low bits of `n << k` zero, so those ids
+    /// would share one bucket.)
+    #[test]
+    fn index_hash_spreads_power_of_two_spaced_ids() {
+        for builder in [IdHashBuilder { key: 0 }, IdHashBuilder::default()] {
+            for shift in [0u32, 1, 8, 20, 32, 40, 52] {
+                let mut buckets = std::collections::HashSet::new();
+                for n in 0..4_096u64 {
+                    buckets.insert(builder.hash_one(n << shift) & 4_095);
+                }
+                // Throwing 4096 balls into 4096 bins fills about 63 % of them.
+                assert!(
+                    buckets.len() > 2_400,
+                    "ids spaced 2^{shift} fill only {} of 4096 buckets ({builder:?})",
+                    buckets.len()
+                );
+            }
         }
-        for id in (1..500u64).step_by(7) {
-            let a = indexed.transfer_out(id);
-            let b = linear.transfer_out(id);
-            assert_eq!(a, b);
-        }
-        let mut scratch_a = Vec::new();
-        let mut scratch_b = Vec::new();
-        indexed.release_expired_into(300.0, &mut scratch_a);
-        linear.release_expired_into(300.0, &mut scratch_b);
-        assert_eq!(scratch_a, scratch_b);
-        assert_eq!(indexed, linear);
-        assert_eq!(indexed.index.len(), indexed.connections.len());
-        // Every surviving connection is findable through the index.
-        for conn in linear.connections() {
-            assert_eq!(indexed.connection(conn.id).unwrap(), conn);
-        }
-        assert!(indexed.connection(10_000).is_none());
+        assert_ne!(
+            IdHashBuilder::default().key,
+            IdHashBuilder::default().key,
+            "every station draws its own key"
+        );
     }
 
     #[test]

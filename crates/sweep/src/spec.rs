@@ -199,11 +199,8 @@ pub struct ScenarioSpec {
 
 /// One round of the SplitMix64 finalizer: the standard avalanching mix
 /// used to turn structured counters into decorrelated seed streams.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn splitmix64(z: u64) -> u64 {
+    cellsim::rng::mix64(z.wrapping_add(cellsim::rng::SPLITMIX64_GAMMA))
 }
 
 /// FNV-1a over a byte string: a stable, dependency-free label hash.
