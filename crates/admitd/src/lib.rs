@@ -5,16 +5,17 @@
 //! path: a long-running TCP server that owns the authoritative
 //! per-cell [`BaseStation`](cellsim::BaseStation) counter state behind
 //! sharded locks, answers length-prefixed binary admission requests
-//! from many concurrent connections through the controllers'
-//! `decide_batch` one-snapshot contract, and exposes live Prometheus
+//! from many concurrent connections with one controller decision per
+//! frame, in arrival order, and exposes live Prometheus
 //! metrics (`/metrics`) and a JSON occupancy snapshot (`/state`) over
 //! plain HTTP/1.1 — `std::net` only, no async runtime.
 //!
 //! The crate splits into:
 //!
 //! - [`wire`] — the binary frame protocol (see `docs/SERVER.md`);
-//! - [`state`] — the sharded world, the micro-batching engine and the
-//!   snapshot/restore checkpoint path (see `docs/FAULTS.md`);
+//! - [`state`] — the sharded world, the per-frame decision engine over
+//!   same-cell groups and the snapshot/restore checkpoint path (see
+//!   `docs/FAULTS.md`);
 //! - [`server`] — accept loop, backpressure, HTTP endpoints, shutdown;
 //! - [`chaos`] — seeded, deterministic transport-fault injection;
 //! - [`client`] — the scenario-replay load generator, with capped

@@ -8,15 +8,15 @@
 
 use telemetry::{CounterId, GaugeId, HistogramId, MetricDef, Schema, SpanId};
 
-use crate::wire::Status;
+use crate::wire::{Request, Status};
 
 /// Counter ids into [`SCHEMA`].
 pub mod counter {
     use super::CounterId;
 
-    /// Admit request frames received.
+    /// Admit request frames received, shed ones included.
     pub const FRAMES_ADMIT: CounterId = CounterId(0);
-    /// Release request frames received.
+    /// Release request frames received, shed ones included.
     pub const FRAMES_RELEASE: CounterId = CounterId(1);
     /// First of the four response-status counters; see
     /// [`super::response_counter`].
@@ -25,7 +25,7 @@ pub mod counter {
     pub const CONNECTIONS: CounterId = CounterId(6);
     /// HTTP requests served (all paths).
     pub const HTTP_REQUESTS: CounterId = CounterId(7);
-    /// `decide_batch` calls issued by the micro-batching engine.
+    /// Same-cell admit groups applied, one per shard-lock hold.
     pub const BATCHES: CounterId = CounterId(8);
     /// Connections the controller saw expire (implicit releases).
     pub const EXPIRED: CounterId = CounterId(9);
@@ -38,13 +38,15 @@ pub mod counter {
     pub const CHAOS_TRUNCATIONS: CounterId = CounterId(12);
     /// Chaos injections: response windows delayed.
     pub const CHAOS_DELAYS: CounterId = CounterId(13);
+    /// Frames whose payload did not decode into a request.
+    pub const FRAMES_UNDECODABLE: CounterId = CounterId(14);
 }
 
 /// Histogram ids into [`SCHEMA`].
 pub mod histogram {
     use super::HistogramId;
 
-    /// Decisions covered by one `decide_batch` call (log2 buckets).
+    /// Frames in one same-cell admit group (log2 buckets).
     pub const BATCH_SIZE: HistogramId = HistogramId(0);
     /// Bench-client request → response latency, nanoseconds.
     pub const CLIENT_LATENCY_NS: HistogramId = HistogramId(1);
@@ -77,6 +79,16 @@ pub fn response_counter(status: Status) -> CounterId {
         Status::Error => 3,
     };
     CounterId(counter::RESPONSE_BASE + offset)
+}
+
+/// The frame counter for one decoded request.
+#[inline]
+#[must_use]
+pub(crate) fn frame_counter(request: &Request) -> CounterId {
+    match request {
+        Request::Admit(_) => counter::FRAMES_ADMIT,
+        Request::Release(_) => counter::FRAMES_RELEASE,
+    }
 }
 
 /// The `admitd` metric layout.
@@ -124,7 +136,7 @@ pub static SCHEMA: Schema = Schema {
         },
         MetricDef {
             name: "admitd_batches_total",
-            help: "decide_batch calls issued by the micro-batching engine",
+            help: "Same-cell admit groups applied under one shard lock",
             labels: &[],
         },
         MetricDef {
@@ -152,11 +164,16 @@ pub static SCHEMA: Schema = Schema {
             help: "Server-side chaos faults injected, by kind",
             labels: &[("kind", "delay")],
         },
+        MetricDef {
+            name: "admitd_frames_total",
+            help: "Request frames received, by operation",
+            labels: &[("op", "undecodable")],
+        },
     ],
     histograms: &[
         MetricDef {
             name: "admitd_batch_size",
-            help: "Decisions covered by one decide_batch call (log2 buckets)",
+            help: "Admit frames in one same-cell group (log2 buckets)",
             labels: &[],
         },
         MetricDef {

@@ -1,5 +1,5 @@
 //! The `admitd` TCP server: accept loop, per-connection protocol
-//! handlers, micro-batch window collection and backpressure.
+//! handlers, read-window collection and backpressure.
 //!
 //! # Connection model
 //!
@@ -9,17 +9,20 @@
 //! ([`crate::wire::MAGIC`]) starts a frame stream, anything else is
 //! served as one HTTP request ([`crate::http`]).
 //!
-//! # Micro-batching and backpressure
+//! # Read windows and backpressure
 //!
 //! The handler blocks for the first frame, then drains whatever
 //! complete frames the socket already buffered (one non-blocking fill)
 //! into a *bounded* window of [`ServerConfig::max_pending`] requests.
-//! The window is decided in one [`crate::state::World::process`] call
-//! — consecutive same-cell frames within it share `decide_batch`
-//! invocations — and every response is written back in request order.
-//! Frames beyond the bound are answered with
+//! The window is applied in one [`crate::state::World::process`] call
+//! — consecutive same-cell admits within it share one shard-lock hold,
+//! each still decided on its own — and every response is written back
+//! in request order.  Frames beyond the bound are answered with
 //! [`Status::Overload`](crate::wire::Status::Overload) *without*
-//! touching world state; nothing is ever buffered unboundedly.
+//! touching world state; nothing is ever buffered unboundedly.  Every
+//! frame received and every response sent is counted once: the world
+//! counts the frames it applies, the handler the ones it sheds or
+//! cannot decode.
 //!
 //! # Shutdown
 //!
@@ -36,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use telemetry::{Recorder, Registry, TelemetrySnapshot};
+use telemetry::{CounterId, Recorder, Registry, TelemetrySnapshot};
 
 use crate::chaos::{ChaosAction, ChaosConfig, ChaosInjector};
 use crate::http;
@@ -62,8 +65,8 @@ pub fn global_shutdown_requested() -> bool {
 /// Tunables of the accept loop and connection handlers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bound on requests decided per micro-batch window; frames beyond
-    /// it are shed with overload responses.
+    /// Bound on requests decided per read window; frames beyond it are
+    /// shed with overload responses.
     pub max_pending: usize,
     /// Read timeout used to poll the shutdown flag on idle
     /// connections.
@@ -98,7 +101,8 @@ impl Default for ServerConfig {
 pub struct ServerSummary {
     /// Binary connections served.
     pub connections: u64,
-    /// Request frames processed (admits + releases).
+    /// Request frames received (admits, releases and undecodable
+    /// frames, shed ones included).
     pub frames: u64,
     /// Accept responses sent.
     pub accepted: u64,
@@ -106,6 +110,8 @@ pub struct ServerSummary {
     pub rejected: u64,
     /// Overload responses sent.
     pub overloaded: u64,
+    /// Error responses sent.
+    pub errors: u64,
     /// HTTP requests served.
     pub http_requests: u64,
 }
@@ -114,12 +120,14 @@ impl std::fmt::Display for ServerSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} connections, {} frames ({} accepted, {} rejected, {} overloaded), {} http requests",
+            "{} connections, {} frames ({} accepted, {} rejected, {} overloaded, {} errors), \
+             {} http requests",
             self.connections,
             self.frames,
             self.accepted,
             self.rejected,
             self.overloaded,
+            self.errors,
             self.http_requests
         )
     }
@@ -276,6 +284,11 @@ pub fn summary_from(snapshot: &TelemetrySnapshot) -> ServerSummary {
             "admitd_responses_total",
             Some(("status", "overload")),
         ),
+        errors: counter_value(
+            snapshot,
+            "admitd_responses_total",
+            Some(("status", "error")),
+        ),
         http_requests: counter_value(snapshot, "admitd_http_requests_total", None),
     }
 }
@@ -286,12 +299,14 @@ pub fn summary_from(snapshot: &TelemetrySnapshot) -> ServerSummary {
 ///
 /// This is the bounded-queue policy in one pure function: complete
 /// frames beyond `max_pending` get overload responses *now* instead of
-/// queueing, and undecodable payloads get error responses.
+/// queueing, and undecodable payloads get error responses.  Each `shed`
+/// entry is the frame's position in the window, the
+/// `admitd_frames_total` counter it counts under, and its response.
 pub fn drain_window(
     inbuf: &[u8],
     max_pending: usize,
     requests: &mut Vec<Request>,
-    shed: &mut Vec<(usize, Response)>,
+    shed: &mut Vec<(usize, CounterId, Response)>,
 ) -> Result<usize, wire::WireError> {
     let mut consumed = 0;
     let mut position = 0;
@@ -299,8 +314,16 @@ pub fn drain_window(
         let payload = &inbuf[consumed + start..consumed + end];
         match wire::decode_request(payload) {
             Ok(request) if requests.len() < max_pending => requests.push(request),
-            Ok(request) => shed.push((position, Response::overload(request.id()))),
-            Err(_) => shed.push((position, Response::error(0))),
+            Ok(request) => shed.push((
+                position,
+                metrics::frame_counter(&request),
+                Response::overload(request.id()),
+            )),
+            Err(_) => shed.push((
+                position,
+                metrics::counter::FRAMES_UNDECODABLE,
+                Response::error(0),
+            )),
         }
         consumed += end;
         position += 1;
@@ -397,7 +420,7 @@ fn serve_binary_loop(
     let mut inbuf: Vec<u8> = Vec::with_capacity(64 * 1024);
     let mut chunk = [0u8; 64 * 1024];
     let mut requests = Vec::with_capacity(config.max_pending);
-    let mut shed: Vec<(usize, Response)> = Vec::new();
+    let mut shed: Vec<(usize, CounterId, Response)> = Vec::new();
     let mut responses = Vec::with_capacity(config.max_pending);
     let mut outbuf: Vec<u8> = Vec::with_capacity(64 * 1024);
     loop {
@@ -426,6 +449,13 @@ fn serve_binary_loop(
             continue; // only a partial frame buffered so far
         }
         inbuf.drain(..consumed);
+        if !shed.is_empty() {
+            let mut registry = registry.lock().expect("server registry");
+            for &(_, frame, response) in &shed {
+                registry.add(frame, 1);
+                registry.add(metrics::response_counter(response.status), 1);
+            }
+        }
 
         responses.clear();
         world.process(&requests, &mut responses);
@@ -439,7 +469,7 @@ fn serve_binary_loop(
         let mut shed_iter = shed.iter().peekable();
         let total = requests.len() + shed.len();
         for position in 0..total {
-            if let Some(&&(at, response)) = shed_iter.peek() {
+            if let Some(&&(at, _, response)) = shed_iter.peek() {
                 if at == position {
                     wire::encode_response(&response, &mut outbuf);
                     shed_iter.next();
@@ -584,8 +614,9 @@ mod tests {
         assert_eq!(consumed, buf.len());
         assert_eq!(requests.len(), 4);
         assert_eq!(shed.len(), 2);
-        assert_eq!(shed[0], (4, Response::overload(4)));
-        assert_eq!(shed[1], (5, Response::overload(5)));
+        let frames = metrics::counter::FRAMES_ADMIT;
+        assert_eq!(shed[0], (4, frames, Response::overload(4)));
+        assert_eq!(shed[1], (5, frames, Response::overload(5)));
     }
 
     #[test]
@@ -613,6 +644,7 @@ mod tests {
         let consumed = drain_window(&buf, 16, &mut requests, &mut shed).unwrap();
         assert_eq!(consumed, buf.len());
         assert!(requests.is_empty());
-        assert_eq!(shed[0].1.status, Status::Error);
+        assert_eq!(shed[0].1, metrics::counter::FRAMES_UNDECODABLE);
+        assert_eq!(shed[0].2.status, Status::Error);
     }
 }

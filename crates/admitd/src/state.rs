@@ -1,5 +1,5 @@
 //! Authoritative per-cell counter state behind sharded locks, and the
-//! micro-batching decision engine.
+//! per-frame decision engine.
 //!
 //! The server owns one [`BaseStation`] per cell in the dense
 //! [`CellIdx`](cellsim::geometry::CellIdx) layout `cellsim` uses,
@@ -10,32 +10,28 @@
 //! registry, so concurrent connections touching different shards never
 //! contend.
 //!
-//! # Micro-batching and the one-snapshot contract
+//! # Same-cell groups, one decision per frame
 //!
-//! [`World::process`] groups consecutive same-cell admit frames and
-//! drives them through one
-//! [`AdmissionController::decide_batch`](cellsim::AdmissionController::decide_batch)
-//! call where it can.  `decide_batch` answers against a *single* station
-//! snapshot, so a cached batch decision is only reusable while the
-//! station state is exactly the snapshot it was decided against.  The
-//! engine therefore re-batches from the current request onward whenever
-//! state changed — an admission or an expiry — and reuses the cached
-//! tail across the two state-preserving outcomes (policy rejections and
-//! capacity rejections).  Because `decide` never mutates (controllers
-//! learn only via `on_admitted`/`on_released`), the produced sequence
-//! is bit-identical to offering every request sequentially, which is
-//! exactly what `tests/determinism.rs` proves against the in-process
+//! [`World::process`] applies consecutive same-cell admit frames as one
+//! group under a single shard lock, but decides every frame on its own:
+//! the cell clock advances and expired calls complete, an id that is
+//! already admitted is answered again without re-admitting, a call that
+//! cannot fit is rejected without consulting the controller, and every
+//! other frame gets exactly one
+//! [`AdmissionController::decide`](cellsim::AdmissionController::decide)
+//! against the cell's current state.  An accept changes the state the
+//! next frame is decided against, so no decision is ever computed ahead
+//! of its turn.  That is the order the sequential engine uses, so the
+//! produced sequence is bit-identical to offering every request on its
+//! own, which `tests/determinism.rs` proves against the in-process
 //! engine.
 
 use std::path::Path;
 use std::sync::Mutex;
 
-use cellsim::{
-    AdmissionDecision, AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid,
-    SimConfig,
-};
+use cellsim::{AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid, SimConfig};
 use serde::{Deserialize, Serialize};
-use telemetry::{Recorder, Registry, Stopwatch, TelemetrySnapshot};
+use telemetry::{CounterId, Recorder, Registry, Stopwatch, TelemetrySnapshot};
 
 use crate::metrics::{self, SCHEMA};
 use crate::wire::{AdmitFrame, Request, Response, Status};
@@ -87,12 +83,76 @@ struct Shard {
     clocks: Vec<f64>,
     controller: BoxedController,
     registry: Registry,
-    /// Scratch for `decide_batch` output.
-    decisions: Vec<AdmissionDecision>,
     /// Scratch for expired connections.
     expired: Vec<cellsim::station::ActiveConnection>,
-    /// Scratch for the admission requests of one group.
-    requests: Vec<AdmissionRequest>,
+}
+
+impl Shard {
+    /// Advance cell `local`'s clock to `time` (never backwards) and
+    /// complete the calls that expired by then, telling the controller,
+    /// exactly as the sequential engine does before every offer.
+    fn advance(&mut self, local: usize, time: f64) {
+        let now = self.clocks[local].max(time);
+        self.clocks[local] = now;
+        self.expired.clear();
+        self.stations[local].release_expired_into(now, &mut self.expired);
+        if !self.expired.is_empty() {
+            self.registry
+                .add(metrics::counter::EXPIRED, self.expired.len() as u64);
+            for conn in &self.expired {
+                self.controller.on_released(conn.id, &self.stations[local]);
+            }
+        }
+    }
+
+    /// Offer one admission request to cell `local` and apply the
+    /// outcome.
+    fn offer(&mut self, local: usize, request: &AdmissionRequest) -> Response {
+        let station = &self.stations[local];
+        // Idempotent replay: a client that reconnected after a lost
+        // response window resends every unacknowledged frame, so an id
+        // that is already admitted must answer Accept again without
+        // re-admitting (or panicking on the duplicate).
+        if station.connection(request.id).is_some() {
+            return Response {
+                status: Status::Accept,
+                id: request.id,
+                score: 0.0,
+            };
+        }
+        // Capacity screen first: the sequential engine never consults
+        // the controller for a request that cannot fit.
+        if !station.can_fit(request.bandwidth) {
+            return Response {
+                status: Status::Reject,
+                id: request.id,
+                score: -1.0,
+            };
+        }
+        let decision = self.controller.decide(request, station);
+        if decision.accept {
+            self.stations[local]
+                .admit(
+                    request.id,
+                    request.class,
+                    request.bandwidth,
+                    request.time,
+                    request.holding_time,
+                    request.is_handoff,
+                )
+                .expect("admission checked via can_fit");
+            self.controller.on_admitted(request, &self.stations[local]);
+        }
+        Response {
+            status: if decision.accept {
+                Status::Accept
+            } else {
+                Status::Reject
+            },
+            id: request.id,
+            score: decision.score,
+        }
+    }
 }
 
 /// Occupancy snapshot of one cell, as served by `/state`.
@@ -142,6 +202,9 @@ pub struct World {
     shards: Vec<Mutex<Shard>>,
     cells_per_shard: usize,
     controller_label: String,
+    /// Frame and response counters of frames that name no cell of the
+    /// grid; locked only when such a frame arrives.
+    unrouted: Mutex<Registry>,
 }
 
 impl World {
@@ -170,9 +233,7 @@ impl World {
                 stations,
                 controller: build_controller(),
                 registry: Registry::for_schema(&SCHEMA),
-                decisions: Vec::new(),
                 expired: Vec::new(),
-                requests: Vec::new(),
             }));
             base = end;
         }
@@ -181,6 +242,7 @@ impl World {
             shards,
             cells_per_shard,
             controller_label: controller_label.to_string(),
+            unrouted: Mutex::new(Registry::for_schema(&SCHEMA)),
         }
     }
 
@@ -203,10 +265,10 @@ impl World {
     /// Apply a run of request frames, appending exactly one response
     /// per frame to `out`, in order.
     ///
-    /// Consecutive admit frames for the same cell are decided through
-    /// the micro-batching engine under one shard lock; everything else
-    /// is applied frame by frame.  Frames naming a cell outside the
-    /// grid get [`Status::Error`] responses.
+    /// Consecutive admit frames for the same cell are applied as one
+    /// group under one shard lock; releases are applied one by one.
+    /// Every frame is decided on its own, in order.  Frames naming a
+    /// cell outside the grid get [`Status::Error`] responses.
     pub fn process(&self, requests: &[Request], out: &mut Vec<Response>) {
         let mut i = 0;
         while i < requests.len() {
@@ -220,7 +282,7 @@ impl World {
                             _ => break,
                         }
                     }
-                    self.admit_group(&requests[i..j], out);
+                    self.admit_group(first.cell, &requests[i..j], out);
                     i = j;
                 }
                 Request::Release(frame) => {
@@ -231,13 +293,12 @@ impl World {
         }
     }
 
-    /// Decide and apply one group of same-cell admit frames.
-    fn admit_group(&self, group: &[Request], out: &mut Vec<Response>) {
-        let cell = match group[0] {
-            Request::Admit(f) => f.cell as usize,
-            Request::Release(_) => unreachable!("admit_group only sees admit runs"),
-        };
+    /// Apply one group of admit frames for `cell`, one decision per
+    /// frame that passes the replay and capacity screens.
+    fn admit_group(&self, cell: u32, group: &[Request], out: &mut Vec<Response>) {
+        let cell = cell as usize;
         if cell >= self.grid.len() {
+            self.count_unrouted(metrics::counter::FRAMES_ADMIT, group.len());
             out.extend(group.iter().map(|r| Response::error(r.id())));
             return;
         }
@@ -245,133 +306,25 @@ impl World {
         let local = cell - shard.base;
         let watch = Stopwatch::started(true);
         let cell_id = shard.stations[local].cell();
-
-        shard.requests.clear();
+        shard
+            .registry
+            .add(metrics::counter::FRAMES_ADMIT, group.len() as u64);
+        shard.registry.add(metrics::counter::BATCHES, 1);
+        shard
+            .registry
+            .observe(metrics::histogram::BATCH_SIZE, group.len() as u64);
         for request in group {
             let Request::Admit(frame) = request else {
                 unreachable!("admit_group only sees admit runs");
             };
-            shard.registry.add(metrics::counter::FRAMES_ADMIT, 1);
-            shard.requests.push(admission_request(frame, cell_id));
+            let request = admission_request(frame, cell_id);
+            shard.advance(local, request.time);
+            let response = shard.offer(local, &request);
+            shard
+                .registry
+                .add(metrics::response_counter(response.status), 1);
+            out.push(response);
         }
-
-        // Index into `decisions` of the request the cached batch starts
-        // at; `None` = no valid cache (state changed since it was cut).
-        let mut cache_start: Option<usize> = None;
-        let requests = std::mem::take(&mut shard.requests);
-        for (k, request) in requests.iter().enumerate() {
-            // Advance the cell clock and complete expired calls, exactly
-            // as the sequential engine does before every offer.
-            let now = shard.clocks[local].max(request.time);
-            shard.clocks[local] = now;
-            let mut expired = std::mem::take(&mut shard.expired);
-            expired.clear();
-            shard.stations[local].release_expired_into(now, &mut expired);
-            if !expired.is_empty() {
-                cache_start = None;
-                shard
-                    .registry
-                    .add(metrics::counter::EXPIRED, expired.len() as u64);
-                for conn in &expired {
-                    shard
-                        .controller
-                        .on_released(conn.id, &shard.stations[local]);
-                }
-            }
-            shard.expired = expired;
-
-            let station = &shard.stations[local];
-            // Idempotent replay: a client that reconnected after a lost
-            // response window resends every unacknowledged frame, so an
-            // id that is already admitted must answer Accept again
-            // without re-admitting (or panicking on the duplicate).
-            // State is untouched, so the cached batch stays valid.
-            if station.connection(request.id).is_some() {
-                out.push(Response {
-                    status: Status::Accept,
-                    id: request.id,
-                    score: 0.0,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Accept), 1);
-                continue;
-            }
-            // Capacity screen first — the sequential engine never
-            // consults the controller for a request that cannot fit,
-            // and the rejection leaves state (and the cache) intact.
-            if !station.can_fit(request.bandwidth) {
-                out.push(Response {
-                    status: Status::Reject,
-                    id: request.id,
-                    score: -1.0,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Reject), 1);
-                continue;
-            }
-            let start = match cache_start {
-                Some(start) => start,
-                None => {
-                    // (Re-)decide the remaining tail against the current
-                    // snapshot in one batch.
-                    let Shard {
-                        controller,
-                        stations,
-                        decisions,
-                        registry,
-                        ..
-                    } = shard;
-                    controller.decide_batch(&requests[k..], &stations[local], decisions);
-                    registry.add(metrics::counter::BATCHES, 1);
-                    registry.observe(metrics::histogram::BATCH_SIZE, (requests.len() - k) as u64);
-                    cache_start = Some(k);
-                    k
-                }
-            };
-            let decision = shard.decisions[k - start];
-            if decision.accept {
-                shard.stations[local]
-                    .admit(
-                        request.id,
-                        request.class,
-                        request.bandwidth,
-                        request.time,
-                        request.holding_time,
-                        request.is_handoff,
-                    )
-                    .expect("admission checked via can_fit");
-                let Shard {
-                    controller,
-                    stations,
-                    ..
-                } = shard;
-                controller.on_admitted(request, &stations[local]);
-                // The admission changed both occupancy and controller
-                // state: the cached tail no longer matches a snapshot.
-                cache_start = None;
-                out.push(Response {
-                    status: Status::Accept,
-                    id: request.id,
-                    score: decision.score,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Accept), 1);
-            } else {
-                out.push(Response {
-                    status: Status::Reject,
-                    id: request.id,
-                    score: decision.score,
-                });
-                shard
-                    .registry
-                    .add(metrics::response_counter(Status::Reject), 1);
-            }
-        }
-        shard.requests = requests;
-        shard.requests.clear();
         if let Some(ns) = watch.elapsed_ns() {
             shard.registry.span_ns(metrics::span::PROCESS, ns);
         }
@@ -381,35 +334,16 @@ impl World {
     fn release_one(&self, cell: u32, id: u64, time: f64) -> Response {
         let cell = cell as usize;
         if cell >= self.grid.len() {
+            self.count_unrouted(metrics::counter::FRAMES_RELEASE, 1);
             return Response::error(id);
         }
         let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
         let local = cell - shard.base;
         shard.registry.add(metrics::counter::FRAMES_RELEASE, 1);
-        let now = shard.clocks[local].max(time);
-        shard.clocks[local] = now;
-        let mut expired = std::mem::take(&mut shard.expired);
-        expired.clear();
-        shard.stations[local].release_expired_into(now, &mut expired);
-        if !expired.is_empty() {
-            shard
-                .registry
-                .add(metrics::counter::EXPIRED, expired.len() as u64);
-            for conn in &expired {
-                shard
-                    .controller
-                    .on_released(conn.id, &shard.stations[local]);
-            }
-        }
-        shard.expired = expired;
+        shard.advance(local, time);
         let response = match shard.stations[local].release(id) {
             Ok(_) => {
-                let Shard {
-                    controller,
-                    stations,
-                    ..
-                } = shard;
-                controller.on_released(id, &stations[local]);
+                shard.controller.on_released(id, &shard.stations[local]);
                 Response {
                     status: Status::Accept,
                     id,
@@ -418,19 +352,24 @@ impl World {
             }
             Err(_) => Response::error(id),
         };
-        let counted = if response.status == Status::Accept {
-            Status::Accept
-        } else {
-            Status::Error
-        };
-        shard.registry.add(metrics::response_counter(counted), 1);
+        shard
+            .registry
+            .add(metrics::response_counter(response.status), 1);
         response
+    }
+
+    /// Count `n` frames (under the `frames` counter) that named a cell
+    /// outside the grid, and their error responses.
+    fn count_unrouted(&self, frames: CounterId, n: usize) {
+        let mut registry = self.unrouted.lock().expect("unrouted registry");
+        registry.add(frames, n as u64);
+        registry.add(metrics::response_counter(Status::Error), n as u64);
     }
 
     /// Merge every shard's telemetry into one snapshot.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut merged = TelemetrySnapshot::default();
+        let mut merged = self.unrouted.lock().expect("unrouted registry").snapshot();
         for shard in &self.shards {
             let snap = shard.lock().expect("shard lock").registry.snapshot();
             merged.merge(&snap);
@@ -659,8 +598,22 @@ fn admission_request(frame: &AdmitFrame, cell: cellsim::CellId) -> AdmissionRequ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::ServiceClass;
+    use cellsim::{AdmissionController, AdmissionDecision, ServiceClass, SimRng};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use sweep::ControllerSpec;
+
+    const SPECS: [ControllerSpec; 6] = [
+        ControllerSpec::FacsP,
+        ControllerSpec::FacsPLut,
+        ControllerSpec::Facs,
+        ControllerSpec::Scc,
+        ControllerSpec::AlwaysAccept,
+        ControllerSpec::Threshold {
+            new_call: 0.85,
+            handoff: 0.95,
+        },
+    ];
 
     fn frame(id: u64, class: ServiceClass, time: f64, holding: f64) -> Request {
         Request::Admit(AdmitFrame {
@@ -686,36 +639,239 @@ mod tests {
             .collect()
     }
 
-    /// Submitting a whole group at once (micro-batched) must answer
-    /// exactly like submitting the same frames one by one (pure
-    /// sequential path), for every shipped controller.
+    /// A burst-shaped stream over a 19-cell grid: same-instant admit
+    /// groups of 5-15 calls for one cell, some with a later tail so that
+    /// calls admitted at the group's start expire inside it, holding
+    /// times short enough that calls also expire between groups,
+    /// duplicate-id replays inside and between groups, releases of live,
+    /// expired and unknown ids, and frames naming cells outside the grid.
+    fn burst_stream(seed: u64, groups: usize) -> Vec<Request> {
+        let mut rng = SimRng::new(seed);
+        let mut frames = Vec::new();
+        let mut sent: Vec<AdmitFrame> = Vec::new();
+        let mut time = 0.0;
+        let mut next_id = 0u64;
+        for _ in 0..groups {
+            time += rng.exponential(0.3);
+            // Cells 19 and up lie outside the 19-cell grid.
+            let cell = if rng.chance(0.05) {
+                rng.uniform_u32(19, 22)
+            } else {
+                rng.uniform_u32(0, 18)
+            };
+            let size = rng.uniform_u32(5, 15) as usize;
+            let split = if rng.chance(0.3) {
+                rng.uniform_u32(1, size as u32 - 1) as usize
+            } else {
+                size
+            };
+            let tail_at = time + rng.uniform(0.5, 3.0);
+            let first = sent.len();
+            for k in 0..size {
+                if k > 0 && rng.chance(0.15) {
+                    let replay = sent[first + rng.uniform_u32(0, (k - 1) as u32) as usize];
+                    frames.push(Request::Admit(replay));
+                }
+                let class = ServiceClass::ALL[rng.uniform_u32(0, 2) as usize];
+                let frame = AdmitFrame {
+                    cell,
+                    id: next_id,
+                    class,
+                    is_handoff: rng.chance(0.3),
+                    bandwidth: class.paper_bandwidth(),
+                    time: if k < split { time } else { tail_at },
+                    holding_time: 0.05 + rng.exponential(6.0),
+                    speed_kmh: rng.uniform(0.0, 120.0),
+                    angle_deg: rng.uniform(-180.0, 180.0),
+                    distance_m: Some(rng.uniform(0.0, 1000.0)),
+                };
+                next_id += 1;
+                sent.push(frame);
+                frames.push(Request::Admit(frame));
+            }
+            if rng.chance(0.1) {
+                let replay = sent[rng.uniform_u32(0, sent.len() as u32 - 1) as usize];
+                frames.push(Request::Admit(replay));
+            }
+            for _ in 0..rng.uniform_u32(0, 2) {
+                let target = sent[rng.uniform_u32(0, sent.len() as u32 - 1) as usize];
+                let cell = if rng.chance(0.05) { 40 } else { target.cell };
+                frames.push(Request::Release(crate::wire::ReleaseFrame {
+                    cell,
+                    id: target.id,
+                    time,
+                }));
+            }
+        }
+        frames
+    }
+
+    /// Submitting whole same-cell groups at once must answer exactly like
+    /// submitting the same frames one by one, for every shipped
+    /// controller: on the paper's single cell, and on a burst-shaped
+    /// stream over a 19-cell world behind four lock shards.
     #[test]
     fn batched_processing_matches_frame_at_a_time() {
-        let specs = [
-            ControllerSpec::FacsP,
-            ControllerSpec::FacsPLut,
-            ControllerSpec::Facs,
-            ControllerSpec::Scc,
-            ControllerSpec::AlwaysAccept,
-            ControllerSpec::Threshold {
-                new_call: 0.85,
-                handoff: 0.95,
-            },
+        let burst = WorldConfig {
+            grid_radius_cells: 2,
+            shards: 4,
+            ..WorldConfig::paper_default()
+        };
+        let cases = [
+            (WorldConfig::paper_default(), workload(160)),
+            (burst, burst_stream(0xB0057, 400)),
         ];
-        let requests = workload(160);
-        for spec in specs {
-            let config = WorldConfig::paper_default();
-            let batched = World::new(&config, &spec.label(), || spec.build());
-            let sequential = World::new(&config, &spec.label(), || spec.build());
-            let mut batched_out = Vec::new();
-            batched.process(&requests, &mut batched_out);
-            let mut sequential_out = Vec::new();
-            for request in &requests {
-                sequential.process(std::slice::from_ref(request), &mut sequential_out);
+        for (config, requests) in &cases {
+            for spec in SPECS {
+                let grouped = World::new(config, &spec.label(), || spec.build());
+                let sequential = World::new(config, &spec.label(), || spec.build());
+                let mut grouped_out = Vec::new();
+                grouped.process(requests, &mut grouped_out);
+                let mut sequential_out = Vec::new();
+                for request in requests {
+                    sequential.process(std::slice::from_ref(request), &mut sequential_out);
+                }
+                assert_eq!(grouped_out, sequential_out, "controller {}", spec.label());
+                for cell in 0..grouped.grid().len() {
+                    assert_eq!(grouped.occupied(cell), sequential.occupied(cell));
+                }
+                assert_eq!(
+                    grouped.state().active_total,
+                    sequential.state().active_total
+                );
+                // Frame, response and expiry counts agree; only the
+                // number of groups differs.
+                let counters = |world: &World| {
+                    let mut counters = world.telemetry().counters;
+                    counters.retain(|c| c.name != "admitd_batches_total");
+                    counters
+                };
+                assert_eq!(counters(&grouped), counters(&sequential));
             }
-            assert_eq!(batched_out, sequential_out, "controller {}", spec.label());
-            assert_eq!(batched.occupied(0), sequential.occupied(0));
         }
+        // The burst stream exercises every path it claims to.
+        let (_, requests) = &cases[1];
+        let world = World::new(&cases[1].0, "always-accept", || {
+            ControllerSpec::AlwaysAccept.build()
+        });
+        let mut out = Vec::new();
+        world.process(requests, &mut out);
+        let count = |status| out.iter().filter(|r| r.status == status).count();
+        assert!(count(Status::Accept) > 0 && count(Status::Error) > 0);
+        assert!(out
+            .iter()
+            .any(|r| r.status == Status::Reject && r.score == -1.0));
+        let telemetry = world.telemetry();
+        let expired = telemetry
+            .counters
+            .iter()
+            .find(|c| c.name == "admitd_expired_releases_total")
+            .map_or(0, |c| c.value);
+        assert!(expired > 0);
+    }
+
+    /// A controller that counts the decisions it is asked for.
+    struct Counting {
+        inner: BoxedController,
+        decides: Arc<AtomicU64>,
+        batches: Arc<AtomicU64>,
+    }
+
+    impl AdmissionController for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn decide(
+            &mut self,
+            request: &AdmissionRequest,
+            station: &BaseStation,
+        ) -> AdmissionDecision {
+            self.decides.fetch_add(1, Ordering::Relaxed);
+            self.inner.decide(request, station)
+        }
+
+        fn on_admitted(&mut self, request: &AdmissionRequest, station: &BaseStation) {
+            self.inner.on_admitted(request, station);
+        }
+
+        fn on_released(&mut self, connection_id: u64, station: &BaseStation) {
+            self.inner.on_released(connection_id, station);
+        }
+
+        fn decide_batch(
+            &mut self,
+            requests: &[AdmissionRequest],
+            station: &BaseStation,
+            out: &mut Vec<AdmissionDecision>,
+        ) {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.decide_batch(requests, station, out);
+        }
+    }
+
+    /// Every frame that passes the replay and capacity screens costs
+    /// exactly one `decide`, and nothing is decided ahead of its turn.
+    #[test]
+    fn a_burst_is_decided_once_per_screened_frame() {
+        let decides = Arc::new(AtomicU64::new(0));
+        let batches = Arc::new(AtomicU64::new(0));
+        let world = World::new(&WorldConfig::paper_default(), "counting", || {
+            Box::new(Counting {
+                inner: ControllerSpec::AlwaysAccept.build(),
+                decides: Arc::clone(&decides),
+                batches: Arc::clone(&batches),
+            })
+        });
+        // Fifteen calls at one instant, one of them a replay of an
+        // earlier id, against one 40-BU cell.
+        let mut burst: Vec<Request> = (0..14)
+            .map(|i| frame(i, ServiceClass::ALL[(i % 3) as usize], 5.0, 60.0))
+            .collect();
+        burst.insert(6, burst[2]);
+        let mut out = Vec::new();
+        world.process(&burst, &mut out);
+
+        // Under admit-if-it-fits, a frame passes the screens exactly when
+        // its id is new and its bandwidth fits what is left.
+        let mut occupied = 0;
+        let mut admitted = Vec::new();
+        for request in &burst {
+            let Request::Admit(f) = request else {
+                unreachable!()
+            };
+            if !admitted.contains(&f.id) && occupied + f.bandwidth <= 40 {
+                occupied += f.bandwidth;
+                admitted.push(f.id);
+            }
+        }
+        assert!(admitted.len() < 14, "the burst overflows the cell");
+        assert_eq!(decides.load(Ordering::Relaxed), admitted.len() as u64);
+        assert_eq!(batches.load(Ordering::Relaxed), 0);
+        assert_eq!(world.occupied(0), Some(occupied));
+    }
+
+    /// One same-cell group is one batch observation of the group's size.
+    #[test]
+    fn a_same_cell_group_records_one_batch_of_its_size() {
+        let world = World::new(&WorldConfig::paper_default(), "always-accept", || {
+            ControllerSpec::AlwaysAccept.build()
+        });
+        let mut out = Vec::new();
+        world.process(&workload(10), &mut out);
+        let telemetry = world.telemetry();
+        let batches = telemetry
+            .counters
+            .iter()
+            .find(|c| c.name == "admitd_batches_total")
+            .expect("batch counter");
+        assert_eq!(batches.value, 1);
+        let sizes = telemetry
+            .histograms
+            .iter()
+            .find(|h| h.name == "admitd_batch_size")
+            .expect("batch-size histogram");
+        assert_eq!((sizes.count, sizes.sum), (1, 10));
     }
 
     #[test]
@@ -763,8 +919,28 @@ mod tests {
         if let Request::Admit(f) = &mut bad[0] {
             f.cell = 77;
         }
+        bad.push(Request::Release(crate::wire::ReleaseFrame {
+            cell: 77,
+            id: 0,
+            time: 1.0,
+        }));
         world.process(&bad, &mut out);
         assert_eq!(out[0].status, Status::Error);
+        assert_eq!(out[1].status, Status::Error);
+        // Both frames and both responses are counted.
+        let telemetry = world.telemetry();
+        let total = |name: &str| -> u64 {
+            telemetry
+                .counters
+                .iter()
+                .filter(|c| c.name == name)
+                .map(|c| c.value)
+                .sum()
+        };
+        assert_eq!(total("admitd_frames_total"), 2);
+        assert_eq!(total("admitd_responses_total"), 2);
+        let summary = crate::server::summary_from(&telemetry);
+        assert_eq!(summary.errors, 2);
     }
 
     #[test]

@@ -18,9 +18,17 @@ struct Running {
 }
 
 fn start_server(world_config: &WorldConfig, spec: ControllerSpec) -> Running {
+    start_server_with(world_config, spec, ServerConfig::default())
+}
+
+fn start_server_with(
+    world_config: &WorldConfig,
+    spec: ControllerSpec,
+    server_config: ServerConfig,
+) -> Running {
     let world = Arc::new(World::new(world_config, &spec.label(), || spec.build()));
-    let server = Server::bind(Arc::clone(&world), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind loopback");
+    let server =
+        Server::bind(Arc::clone(&world), "127.0.0.1:0", server_config).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
@@ -71,7 +79,12 @@ fn pipelined_replay_gets_one_response_per_frame_in_order() {
     assert!(report.requests_per_sec > 0.0);
     let summary = stop(running);
     assert_eq!(summary.connections, 3);
-    assert_eq!(summary.frames + summary.overloaded, 1500);
+    assert_eq!(summary.frames, 1500);
+    assert_eq!(summary.overloaded, report.overloaded);
+    assert_eq!(
+        summary.accepted + summary.rejected + summary.overloaded + summary.errors,
+        1500
+    );
 }
 
 #[test]
@@ -91,7 +104,9 @@ fn metrics_endpoint_lints_clean_and_state_reports_occupancy() {
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     telemetry::lint_prometheus(&body).expect("valid Prometheus exposition");
     assert!(body.contains("admitd_frames_total"), "{body}");
+    // Same-cell admit groups applied under one shard lock, and their sizes.
     assert!(body.contains("admitd_batches_total"), "{body}");
+    assert!(body.contains("admitd_batch_size"), "{body}");
 
     let (head, body) = http_get(running.addr, "/state");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -125,6 +140,86 @@ fn oversized_length_prefix_drops_the_connection() {
     stop(running);
 }
 
+/// Read at least `n` response frames from `stream`.
+fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<wire::Response> {
+    let mut seen = Vec::new();
+    let mut inbuf = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        while let Some((start, end)) = wire::next_frame(&inbuf).expect("well-formed responses") {
+            let response = wire::decode_response(&inbuf[start..end]).expect("decode");
+            inbuf.drain(..end);
+            seen.push(response);
+        }
+        if seen.len() >= n {
+            return seen;
+        }
+        let n = stream.read(&mut chunk).expect("read responses");
+        assert_ne!(n, 0, "server closed early");
+        inbuf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Sum of every series of one counter family in a Prometheus exposition.
+fn exposition_total(body: &str, family: &str) -> u64 {
+    body.lines()
+        .filter(|line| {
+            line.strip_prefix(family)
+                .is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
+        })
+        .map(|line| {
+            let value = line.rsplit(' ').next().expect("sample value");
+            value.parse::<u64>().expect("integer counter")
+        })
+        .sum()
+}
+
+/// Every frame received and every response sent is counted once, shed
+/// and undecodable ones included.
+#[test]
+fn shed_frames_and_their_responses_are_counted() {
+    let running = start_server_with(
+        &WorldConfig::paper_default(),
+        ControllerSpec::AlwaysAccept,
+        ServerConfig {
+            max_pending: 4,
+            ..ServerConfig::default()
+        },
+    );
+    let frames = scenario::batch_frames(&SimConfig::paper_default(), 63, 0);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&wire::MAGIC);
+    for frame in &frames {
+        wire::encode_request(frame, &mut buf);
+    }
+    // One well-framed payload with an unknown opcode.
+    buf.extend_from_slice(&4u32.to_le_bytes());
+    buf.extend_from_slice(&[9, 0, 0, 0]);
+    let mut stream = TcpStream::connect(running.addr).expect("connect");
+    stream.write_all(&buf).expect("one write of 64 frames");
+    let seen = read_responses(&mut stream, 64);
+    assert_eq!(seen.len(), 64);
+    let overloads = seen.iter().filter(|r| r.status == Status::Overload).count() as u64;
+    let errors = seen.iter().filter(|r| r.status == Status::Error).count() as u64;
+    assert!(
+        overloads > 0,
+        "a 4-frame window must shed part of 64 frames"
+    );
+    assert_eq!(errors, 1);
+
+    let (_, body) = http_get(running.addr, "/metrics");
+    assert_eq!(exposition_total(&body, "admitd_responses_total"), 64);
+    assert_eq!(exposition_total(&body, "admitd_frames_total"), 64);
+    let summary = stop(running);
+    assert_eq!(summary.overloaded, overloads);
+    assert_eq!(summary.errors, errors);
+    assert_eq!(summary.frames, 64);
+    assert_eq!(
+        summary.accepted + summary.rejected + summary.overloaded + summary.errors,
+        64
+    );
+}
+
 #[test]
 fn every_frame_of_a_large_single_write_is_answered() {
     let running = start_server(&WorldConfig::paper_default(), ControllerSpec::AlwaysAccept);
@@ -138,22 +233,7 @@ fn every_frame_of_a_large_single_write_is_answered() {
     let mut stream = TcpStream::connect(running.addr).expect("connect");
     stream.write_all(&buf).expect("one large write");
 
-    let mut seen = Vec::new();
-    let mut inbuf = Vec::new();
-    let mut chunk = [0u8; 8192];
-    while seen.len() < frames.len() {
-        while let Some((start, end)) = wire::next_frame(&inbuf).expect("well-formed responses") {
-            let response = wire::decode_response(&inbuf[start..end]).expect("decode");
-            inbuf.drain(..end);
-            seen.push(response);
-        }
-        if seen.len() == frames.len() {
-            break;
-        }
-        let n = stream.read(&mut chunk).expect("read responses");
-        assert_ne!(n, 0, "server closed early");
-        inbuf.extend_from_slice(&chunk[..n]);
-    }
+    let seen = read_responses(&mut stream, frames.len());
     // Exactly one response per frame, echoing ids in request order;
     // any mix of decided and overload statuses is legal, errors not.
     for (frame, response) in frames.iter().zip(&seen) {
