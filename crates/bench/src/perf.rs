@@ -5,14 +5,12 @@
 //! compiled allocation-free engine, the LUT backend, the end-to-end
 //! `decide` / `decide_batch` of every controller and the cost of building
 //! one (what a sweep pays per cell), the event heap and the metro
-//! station's id index, the `admitd` world on same-cell burst groups, and
-//! the engines end to end — and [`PerfReport`]
+//! station's id index, and the engines end to end — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
 //! writes.  CI runs the quick mode and fails when the artifact is empty or
 //! malformed, so the perf trajectory of the hot path is tracked across
 //! PRs.
 
-use admitd::wire::{AdmitFrame, Request, Response};
 use admitd::{BenchConfig, Server, ServerConfig, World, WorldConfig};
 use cellsim::event::{EventKind, EventQueue};
 use cellsim::geometry::{CellId, CellIdx, Point};
@@ -24,9 +22,7 @@ use cellsim::station::BaseStation;
 use cellsim::telemetry::{
     LabelPair, NoopRecorder, Recorder, Registry, SpanSnapshot, TelemetrySnapshot,
 };
-use cellsim::traffic::{
-    GroupConfig, MmppConfig, ServiceClass, TrafficConfig, TrafficGenerator, TrafficModel,
-};
+use cellsim::traffic::{MmppConfig, ServiceClass, TrafficModel};
 use cellsim::SimRng;
 use facs::{FacsController, FacsPController, Flc1, Flc2};
 use serde::{Deserialize, Serialize};
@@ -100,8 +96,8 @@ pub struct PerfReport {
     pub metro: Vec<ShardThroughput>,
     /// Decision throughput of the `admitd` server over loopback TCP:
     /// scenario replay through the pipelined binary protocol, best
-    /// observed requests per second across the `server/replay` cases.  Defaults to 0 when loading a
-    /// baseline recorded before the server existed.
+    /// observed requests per second across the `server/` cases.  Defaults
+    /// to 0 when loading a baseline recorded before the server existed.
     #[serde(default)]
     pub server_requests_per_sec: f64,
 }
@@ -693,8 +689,8 @@ fn time_metro_events(threads: usize, quick: bool) -> (PerfCase, ShardThroughput)
 /// the paper's 50 BU so the steady-state population (arrival rate x
 /// holding time, well under the limit) never saturates the station —
 /// every frame reaches the controller's `decide` instead of dying on the
-/// cheap `can_fit` fast-reject.  The per-connection request count is part of the case
-/// name: quick and full mode time different workloads, and
+/// cheap `can_fit` fast-reject.  The per-connection request count is part
+/// of the case name: quick and full mode time different workloads, and
 /// [`compare_reports`] must never mix them.
 fn time_server_requests(connections: usize, quick: bool) -> PerfCase {
     let requests_per_connection = if quick { 5_000 } else { 25_000 };
@@ -739,78 +735,6 @@ fn time_server_requests(connections: usize, quick: bool) -> PerfCase {
         ),
         ns_per_iter: best_ns,
         iters: answered,
-    }
-}
-
-/// Time [`World::process`] over a burst-shaped admission stream on the
-/// paper's 40-BU cell, reporting nanoseconds per frame of the fastest
-/// pass.
-///
-/// Calls arrive in groups of 5-15 at one instant (the `Groups` traffic
-/// model, about 1.5x the cell's capacity offered), and each group is
-/// handed over as one chunk, the way one server read window carries it:
-/// every group is one same-cell run whose accepts change the state the
-/// rest of it is decided against, and calls expire between groups.
-/// Every pass starts from a fresh world, so ids and clocks replay from
-/// the start.  The workload is the same in quick and full mode.
-fn time_burst_groups() -> PerfCase {
-    const FRAMES: usize = 20_000;
-    const PASSES: usize = 7;
-    let traffic = TrafficConfig {
-        mean_interarrival_s: 8.0,
-        ..TrafficConfig::paper_default()
-    };
-    let mut generator = TrafficGenerator::with_model(
-        traffic,
-        &TrafficModel::Groups(GroupConfig::new(5, 15)),
-        0xB125,
-    );
-    let mut rng = SimRng::new(0xB126);
-    let mut frames: Vec<Request> = Vec::with_capacity(FRAMES);
-    let mut chunk_lens: Vec<usize> = Vec::new();
-    let mut last_time = f64::NAN;
-    while frames.len() < FRAMES {
-        let call = generator.next_request();
-        if call.arrival_time == last_time {
-            *chunk_lens.last_mut().expect("a chunk is open") += 1;
-        } else {
-            chunk_lens.push(1);
-            last_time = call.arrival_time;
-        }
-        frames.push(Request::Admit(AdmitFrame {
-            cell: 0,
-            id: call.id,
-            class: call.class,
-            is_handoff: call.is_handoff,
-            bandwidth: call.bandwidth,
-            time: call.arrival_time,
-            holding_time: call.holding_time,
-            speed_kmh: call.speed_kmh,
-            angle_deg: call.angle_deg,
-            distance_m: Some(rng.uniform(0.0, 1000.0)),
-        }));
-    }
-    let spec = ControllerSpec::FacsPLut;
-    let mut out: Vec<Response> = Vec::with_capacity(16);
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..PASSES {
-        let world = World::new(&WorldConfig::paper_default(), &spec.label(), || {
-            spec.build()
-        });
-        let start = Instant::now();
-        let mut at = 0;
-        for &len in &chunk_lens {
-            out.clear();
-            world.process(&frames[at..at + len], &mut out);
-            at += len;
-        }
-        best_ns = best_ns.min(start.elapsed().as_nanos() as f64 / FRAMES as f64);
-        std::hint::black_box(&out);
-    }
-    PerfCase {
-        name: "server/burst groups (facs-p-lut, World::process)".to_string(),
-        ns_per_iter: best_ns,
-        iters: (FRAMES * PASSES) as u64,
     }
 }
 
@@ -1129,8 +1053,7 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         cases.push(case);
     }
 
-    // --- admission service: burst groups in process, then loopback TCP --
-    cases.push(time_burst_groups());
+    // --- admission service: scenario replay over loopback TCP -----------
     let mut server_requests_per_sec = 0.0f64;
     for connections in [1usize, 4] {
         let case = time_server_requests(connections, quick);
@@ -1206,7 +1129,6 @@ mod tests {
             "controller/scc admit+release cycle",
             "event/queue pop+schedule (65536 pending)",
             "station/2000-BU admit+release",
-            "server/burst groups (facs-p-lut, World::process)",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");
         }
