@@ -21,15 +21,21 @@
 //! [`AdmissionController::decide`](cellsim::AdmissionController::decide)
 //! against the cell's current state.  An accept changes the state the
 //! next frame is decided against, so no decision is ever computed ahead
-//! of its turn.  That is the order the sequential engine uses, so the
-//! produced sequence is bit-identical to offering every request on its
-//! own, which `tests/determinism.rs` proves against the in-process
-//! engine.
+//! of its turn.
+//!
+//! Apart from the replay screen, every step is a station-level
+//! transition of [`cellsim::cell`] ([`cell::release_expired`],
+//! [`cell::offer`], [`cell::release`]), the same code both simulation
+//! engines run, so the produced sequence is bit-identical to offering
+//! every request on its own, which `tests/determinism.rs` proves against
+//! the in-process engine.
 
 use std::path::Path;
 use std::sync::Mutex;
 
-use cellsim::{AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid, SimConfig};
+use cellsim::{
+    cell, AdmissionRequest, Bandwidth, BaseStation, BoxedController, CellGrid, SimConfig,
+};
 use serde::{Deserialize, Serialize};
 use telemetry::{CounterId, Recorder, Registry, Stopwatch, TelemetrySnapshot};
 
@@ -89,60 +95,39 @@ struct Shard {
 
 impl Shard {
     /// Advance cell `local`'s clock to `time` (never backwards) and
-    /// complete the calls that expired by then, telling the controller,
-    /// exactly as the sequential engine does before every offer.
+    /// complete the calls that expired by then
+    /// ([`cell::release_expired`]), as the sequential engine does before
+    /// every offer.
     fn advance(&mut self, local: usize, time: f64) {
         let now = self.clocks[local].max(time);
         self.clocks[local] = now;
-        self.expired.clear();
-        self.stations[local].release_expired_into(now, &mut self.expired);
+        cell::release_expired(
+            &mut self.stations[local],
+            &mut *self.controller,
+            now,
+            &mut self.expired,
+        );
         if !self.expired.is_empty() {
             self.registry
                 .add(metrics::counter::EXPIRED, self.expired.len() as u64);
-            for conn in &self.expired {
-                self.controller.on_released(conn.id, &self.stations[local]);
-            }
         }
     }
 
-    /// Offer one admission request to cell `local` and apply the
-    /// outcome.
+    /// Offer one admission request to cell `local` ([`cell::offer`]) and
+    /// answer with the outcome.
     fn offer(&mut self, local: usize, request: &AdmissionRequest) -> Response {
-        let station = &self.stations[local];
         // Idempotent replay: a client that reconnected after a lost
         // response window resends every unacknowledged frame, so an id
         // that is already admitted must answer Accept again without
         // re-admitting (or panicking on the duplicate).
-        if station.connection(request.id).is_some() {
+        if self.stations[local].connection(request.id).is_some() {
             return Response {
                 status: Status::Accept,
                 id: request.id,
                 score: 0.0,
             };
         }
-        // Capacity screen first: the sequential engine never consults
-        // the controller for a request that cannot fit.
-        if !station.can_fit(request.bandwidth) {
-            return Response {
-                status: Status::Reject,
-                id: request.id,
-                score: -1.0,
-            };
-        }
-        let decision = self.controller.decide(request, station);
-        if decision.accept {
-            self.stations[local]
-                .admit(
-                    request.id,
-                    request.class,
-                    request.bandwidth,
-                    request.time,
-                    request.holding_time,
-                    request.is_handoff,
-                )
-                .expect("admission checked via can_fit");
-            self.controller.on_admitted(request, &self.stations[local]);
-        }
+        let decision = cell::offer(&mut self.stations[local], &mut *self.controller, request);
         Response {
             status: if decision.accept {
                 Status::Accept
@@ -341,16 +326,13 @@ impl World {
         let local = cell - shard.base;
         shard.registry.add(metrics::counter::FRAMES_RELEASE, 1);
         shard.advance(local, time);
-        let response = match shard.stations[local].release(id) {
-            Ok(_) => {
-                shard.controller.on_released(id, &shard.stations[local]);
-                Response {
-                    status: Status::Accept,
-                    id,
-                    score: 0.0,
-                }
-            }
-            Err(_) => Response::error(id),
+        let response = match cell::release(&mut shard.stations[local], &mut *shard.controller, id) {
+            Some(_) => Response {
+                status: Status::Accept,
+                id,
+                score: 0.0,
+            },
+            None => Response::error(id),
         };
         shard
             .registry
@@ -430,15 +412,8 @@ impl World {
             }
             let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
             let local = cell - shard.base;
-            if shard.stations[local].release(id).is_ok() {
-                let Shard {
-                    controller,
-                    stations,
-                    registry,
-                    ..
-                } = shard;
-                controller.on_released(id, &stations[local]);
-                registry.add(metrics::counter::DISCONNECT_RELEASES, 1);
+            if cell::release(&mut shard.stations[local], &mut *shard.controller, id).is_some() {
+                shard.registry.add(metrics::counter::DISCONNECT_RELEASES, 1);
                 freed += 1;
             }
         }

@@ -239,6 +239,51 @@ impl EventQueue {
     }
 }
 
+/// The four event streams both engines merge, in tie-break order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stream {
+    /// Scheduled faults: infrastructure changes take effect before
+    /// same-instant traffic.
+    Fault,
+    /// The time-sorted arrival buffer.
+    Arrival,
+    /// Computed utilisation-sampling ticks.
+    Tick,
+    /// Run-time events (departures and handoffs) in the [`EventQueue`].
+    Queue,
+}
+
+/// The stream whose next event fires first, with its time, given each
+/// stream's next time.  On exact time ties the earlier [`Stream`] wins,
+/// the order the one-heap engine's sequence numbers produced.
+#[inline]
+pub(crate) fn next_stream(
+    fault: Option<SimTime>,
+    arrival: Option<SimTime>,
+    tick: Option<SimTime>,
+    queued: Option<SimTime>,
+) -> Option<(Stream, SimTime)> {
+    if let Some(f) = fault {
+        if arrival.is_none_or(|a| f <= a)
+            && tick.is_none_or(|t| f <= t)
+            && queued.is_none_or(|q| f <= q)
+        {
+            return Some((Stream::Fault, f));
+        }
+    }
+    if let Some(a) = arrival {
+        if tick.is_none_or(|t| a <= t) && queued.is_none_or(|q| a <= q) {
+            return Some((Stream::Arrival, a));
+        }
+    }
+    if let Some(t) = tick {
+        if queued.is_none_or(|q| t <= q) {
+            return Some((Stream::Tick, t));
+        }
+    }
+    queued.map(|q| (Stream::Queue, q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,6 +33,9 @@
 //!   capacity degradation), folded into both engines as a fourth merge
 //!   stream.
 //! * [`slab`] — generational slab storage for per-connection state.
+//! * [`cell`] — the cell core: every per-cell transition (offer, expiry
+//!   and release, outage force-drop, spawn kinematics, handoff), written
+//!   once for both engines and the `admitd` server.
 //! * [`sim`] — the simulation driver and the [`AdmissionController`] trait.
 //! * [`shard`] — the spatially sharded, epoch-synchronised parallel engine
 //!   for metro-scale runs (bit-identical for any shard/thread count).
@@ -47,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cell;
 pub mod event;
 pub mod fault;
 pub mod geometry;

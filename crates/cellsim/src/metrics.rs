@@ -70,8 +70,14 @@ pub struct UtilizationSample {
     pub capacity: Bandwidth,
 }
 
+/// `true` for a zero counter: the `skip_serializing_if` test of the
+/// counters that serialised reports carry only when nonzero.
+pub(crate) fn is_zero(n: &u64) -> bool {
+    *n == 0
+}
+
 /// Aggregated metrics of one simulation run.
-#[derive(Debug, Clone, Default, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Metrics {
     per_class: [ClassMetrics; 3],
     handoff_offered: u64,
@@ -80,10 +86,9 @@ pub struct Metrics {
     utilization: Vec<UtilizationSample>,
     /// Connections force-dropped by cell outages (a subset of the
     /// per-class `dropped` counters).  `#[serde(default)]` so pre-fault
-    /// reports deserialise; serialised only when nonzero (see the
-    /// hand-written `Serialize` below) so fault-free reports keep their
-    /// exact pre-fault byte layout.
-    #[serde(default)]
+    /// reports deserialise; serialised only when nonzero so fault-free
+    /// reports keep their exact pre-fault byte layout.
+    #[serde(default, skip_serializing_if = "is_zero")]
     dropped_by_outage: u64,
     /// Keep every `stride`-th utilisation sample (0 and 1 both mean
     /// "keep all"). Not serialised: reports carry the samples, not the
@@ -107,40 +112,6 @@ impl PartialEq for Metrics {
             && self.handoff_failed == other.handoff_failed
             && self.utilization == other.utilization
             && self.dropped_by_outage == other.dropped_by_outage
-    }
-}
-
-// Hand-written so `dropped_by_outage` is emitted only when nonzero:
-// every fault-free report (and thus every pre-fault golden snapshot)
-// keeps its exact byte layout.  Field order mirrors the declaration.
-impl Serialize for Metrics {
-    fn serialize_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("per_class".to_string(), self.per_class.serialize_value()),
-            (
-                "handoff_offered".to_string(),
-                self.handoff_offered.serialize_value(),
-            ),
-            (
-                "handoff_accepted".to_string(),
-                self.handoff_accepted.serialize_value(),
-            ),
-            (
-                "handoff_failed".to_string(),
-                self.handoff_failed.serialize_value(),
-            ),
-            (
-                "utilization".to_string(),
-                self.utilization.serialize_value(),
-            ),
-        ];
-        if self.dropped_by_outage > 0 {
-            fields.push((
-                "dropped_by_outage".to_string(),
-                self.dropped_by_outage.serialize_value(),
-            ));
-        }
-        serde::Value::Object(fields)
     }
 }
 
@@ -489,6 +460,27 @@ pub struct SummaryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skip_serializing_if_omits_a_zero_field_and_emits_a_nonzero_one() {
+        #[derive(Serialize)]
+        struct Probe {
+            before: u64,
+            #[serde(default, skip_serializing_if = "is_zero")]
+            counter: u64,
+            after: u64,
+        }
+        let json = |counter| {
+            serde_json::to_string(&Probe {
+                before: 7,
+                counter,
+                after: 9,
+            })
+            .unwrap()
+        };
+        assert_eq!(json(0), r#"{"before":7,"after":9}"#);
+        assert_eq!(json(1), r#"{"before":7,"counter":1,"after":9}"#);
+    }
 
     #[test]
     fn empty_metrics_defaults() {

@@ -4,9 +4,11 @@
 //! [`CellIdx`] ranges — *shards* — each owning its cells' base stations,
 //! per-cell admission controllers, user slab and event heap.  Time advances
 //! in fixed-length **epochs**: within an epoch every shard runs the same
-//! three-stream event loop as the sequential [`crate::sim::Simulator`]
-//! (sorted arrival buffer / computed mobility ticks / run-time event heap)
-//! over its own cells, completely independently of the other shards.
+//! four-stream event loop as the sequential [`crate::sim::Simulator`]
+//! (scheduled faults / sorted arrival buffer / computed mobility ticks /
+//! run-time event heap) over its own cells, completely independently of
+//! the other shards.  Both engines apply every per-cell transition
+//! through the shared [`crate::cell`] core.
 //!
 //! The one interaction between cells — handoff admission at the target
 //! station — is **deferred to the epoch boundary**: when a handoff fires,
@@ -43,18 +45,16 @@
 //! ([`ShardConfig::epoch_s`]) is part of the contract: changing it changes
 //! which admissions see which capacity, exactly like changing a seed.
 
-use crate::event::{EventKind, EventQueue};
+use crate::cell::{Cells, Handoff};
+use crate::event::{next_stream, EventKind, EventQueue, Stream};
 use crate::fault::FaultEvent;
 use crate::geometry::{CellGrid, CellIdx};
-use crate::metrics::Metrics;
-use crate::mobility::{spawn_uniform, UserState};
+use crate::metrics::{is_zero, Metrics};
 use crate::rng::SimRng;
-use crate::sim::{AdmissionController, AdmissionDecision, AdmissionRequest, SimConfig};
-use crate::slab::{Slab, SlotId};
-use crate::station::{ActiveConnection, BaseStation};
+use crate::sim::{AdmissionController, SimConfig};
 use crate::telem::{self, DefaultRecorder};
-use crate::traffic::{CallRequest, ServiceClass, SpawnCellAssigner, TrafficGenerator};
-use crate::{Bandwidth, SimTime};
+use crate::traffic::{CallRequest, SpawnCellAssigner, TrafficGenerator};
+use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -121,7 +121,7 @@ impl ShardConfig {
 /// equivalence tests compare serialised reports byte-for-byte across
 /// shardings.  Execution metadata that *does* vary (worker count, wall
 /// time) is deliberately excluded.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardReport {
     /// Name of the admission controller driving every cell.
     pub controller: String,
@@ -160,71 +160,8 @@ pub struct ShardReport {
     /// Connections force-dropped by a cell outage (also counted in
     /// `dropped`).  Serialised only when nonzero, so fault-free reports
     /// keep their exact pre-fault byte layout.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub dropped_by_outage: u64,
-}
-
-// Hand-written so `dropped_by_outage` is emitted only when nonzero:
-// every fault-free report (and thus every pre-fault golden snapshot)
-// keeps its exact byte layout.  Field order mirrors the declaration.
-impl Serialize for ShardReport {
-    fn serialize_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("controller".to_string(), self.controller.serialize_value()),
-            ("offered".to_string(), self.offered.serialize_value()),
-            ("accepted".to_string(), self.accepted.serialize_value()),
-            (
-                "acceptance_percentage".to_string(),
-                self.acceptance_percentage.serialize_value(),
-            ),
-            (
-                "blocking_probability".to_string(),
-                self.blocking_probability.serialize_value(),
-            ),
-            (
-                "dropping_probability".to_string(),
-                self.dropping_probability.serialize_value(),
-            ),
-            ("completed".to_string(), self.completed.serialize_value()),
-            ("dropped".to_string(), self.dropped.serialize_value()),
-            (
-                "handoffs_offered".to_string(),
-                self.handoffs_offered.serialize_value(),
-            ),
-            (
-                "handoffs_accepted".to_string(),
-                self.handoffs_accepted.serialize_value(),
-            ),
-            (
-                "handoffs_failed".to_string(),
-                self.handoffs_failed.serialize_value(),
-            ),
-            (
-                "mean_utilization".to_string(),
-                self.mean_utilization.serialize_value(),
-            ),
-            (
-                "utilization_samples".to_string(),
-                self.utilization_samples.serialize_value(),
-            ),
-            (
-                "peak_concurrent_users".to_string(),
-                self.peak_concurrent_users.serialize_value(),
-            ),
-            (
-                "events_processed".to_string(),
-                self.events_processed.serialize_value(),
-            ),
-            ("epochs".to_string(), self.epochs.serialize_value()),
-        ];
-        if self.dropped_by_outage > 0 {
-            fields.push((
-                "dropped_by_outage".to_string(),
-                self.dropped_by_outage.serialize_value(),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
 }
 
 /// Ordering key of the epoch-boundary merge queue.
@@ -293,40 +230,14 @@ impl PartialEq for MergeKey {
 
 impl Eq for MergeKey {}
 
-/// A handoff admission deferred to the epoch barrier: the connection has
-/// already been transferred out of its source cell; the target cell's
-/// controller decides at merge time.
-#[derive(Debug, Clone, Copy)]
-struct AdmitMsg {
-    time: SimTime,
-    connection_id: u64,
-    /// Global [`CellIdx`] of the target cell.
-    to: u32,
-    class: ServiceClass,
-    bandwidth: Bandwidth,
-    ends_at: SimTime,
-    user: UserState,
-}
-
 /// Work items of the barrier merge.
 #[derive(Debug, Clone, Copy)]
 enum MergeTask {
     /// Offer a transferred-out connection to its target cell.
-    Admit(AdmitMsg),
-    /// A cascaded handoff (the connection was admitted during this merge
-    /// and exits its new cell before the epoch boundary).
-    Handoff {
-        from: u32,
-        to: u32,
-        connection_id: u64,
-        slot: SlotId,
-    },
-    /// A departure that lands before the epoch boundary.
-    Release {
-        cell: u32,
-        connection_id: u64,
-        slot: SlotId,
-    },
+    Admit(Handoff),
+    /// A departure, or a cascaded handoff, of a connection admitted
+    /// during this merge that lands before the epoch boundary.
+    Event(EventKind),
 }
 
 struct MergeEntry {
@@ -366,84 +277,54 @@ struct UtilAcc {
 /// One spatial shard: a contiguous range of cells with everything their
 /// simulation needs.
 struct Shard<R: Recorder> {
-    /// Global [`CellIdx`] of the first cell in this shard.
-    start: u32,
-    stations: Vec<BaseStation>,
+    /// The shard's stations, users, metrics and shard-local telemetry
+    /// sink (observation-only; merged into the coordinator's snapshot by
+    /// [`ShardedSimulator::telemetry`]).
+    cells: Cells<R>,
+    /// One controller per cell, in `cells.stations` order.
     controllers: Vec<BoxedController>,
-    users: Slab<UserState>,
     queue: EventQueue,
-    metrics: Metrics,
     util: Vec<UtilAcc>,
     /// Indices into the global arrival buffer, in arrival order.
     arrivals: Vec<u32>,
     next_arrival: usize,
     tick_interval: SimTime,
     next_tick: SimTime,
-    ticks_pending: bool,
-    clock: SimTime,
     events_processed: u64,
-    outbox: Vec<AdmitMsg>,
-    /// Nominal (configured) per-station capacity fault transitions are
-    /// computed against.
-    nominal_capacity: Bandwidth,
+    outbox: Vec<Handoff>,
     /// This shard's slice of the fault plan, time-sorted (the fourth
     /// event stream).
     faults: Vec<FaultEvent>,
     next_fault: usize,
-    /// Scratch buffer for outage force-drops (reused across faults).
-    dropped_scratch: Vec<ActiveConnection>,
-    rng: SimRng,
     /// Wall time of this shard's last epoch loop (0 with the no-op
     /// recorder — the disabled build makes no clock syscalls).
     last_epoch_ns: u64,
-    /// Shard-local telemetry sink (observation-only; merged into the
-    /// coordinator's snapshot by [`ShardedSimulator::telemetry`]).
-    recorder: R,
 }
 
 impl<R: Recorder> Shard<R> {
     fn new(grid: &CellGrid, config: &SimConfig, start: u32, len: usize) -> Self {
-        let stations = (start..start + len as u32)
-            .map(|i| {
-                let cell = grid.cell_id(CellIdx(i));
-                BaseStation::new(cell, grid.center_of(&cell), config.station_capacity)
-            })
-            .collect();
         Self {
-            start,
-            stations,
+            cells: Cells::new(grid, start..start + len as u32, config),
             controllers: Vec::with_capacity(len),
-            users: Slab::new(),
             queue: EventQueue::new(),
-            metrics: Metrics::new(),
             util: vec![UtilAcc::default(); len],
             arrivals: Vec::new(),
             next_arrival: 0,
             tick_interval: config.utilization_sample_interval_s,
             next_tick: 0.0,
-            ticks_pending: config.utilization_sample_interval_s > 0.0,
-            clock: 0.0,
             events_processed: 0,
             outbox: Vec::new(),
-            nominal_capacity: config.station_capacity,
             faults: Vec::new(),
             next_fault: 0,
-            dropped_scratch: Vec::new(),
-            rng: SimRng::new(config.seed).derive(0xD15C),
             last_epoch_ns: 0,
-            recorder: R::for_schema(&telem::SCHEMA),
         }
     }
 
     /// Re-arm for a new run. The recorder is deliberately *not* reset:
     /// telemetry accumulates across runs like the sequential engine's.
     fn reset(&mut self, config: &SimConfig) {
-        for station in &mut self.stations {
-            station.reset_for_run(config.station_capacity);
-        }
-        self.users.clear();
+        self.cells.reset(config);
         self.queue.clear();
-        self.metrics.reset();
         for acc in &mut self.util {
             *acc = UtilAcc::default();
         }
@@ -451,45 +332,31 @@ impl<R: Recorder> Shard<R> {
         self.next_arrival = 0;
         self.tick_interval = config.utilization_sample_interval_s;
         self.next_tick = 0.0;
-        self.ticks_pending = self.tick_interval > 0.0;
-        self.clock = 0.0;
         self.events_processed = 0;
         self.outbox.clear();
-        self.nominal_capacity = config.station_capacity;
         self.faults.clear();
         self.next_fault = 0;
-        self.dropped_scratch.clear();
-        self.rng = SimRng::new(config.seed).derive(0xD15C);
         self.last_epoch_ns = 0;
     }
 
-    /// Earliest pending event time in this shard (arrival stream, tick
-    /// stream or event heap), if any.
-    fn next_event_time(&self, calls: &[CallRequest], horizon: SimTime) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        let mut consider = |t: SimTime| min = Some(min.map_or(t, |m: SimTime| m.min(t)));
-        if let Some(fault) = self.faults.get(self.next_fault) {
-            consider(fault.time);
-        }
-        if let Some(&i) = self.arrivals.get(self.next_arrival) {
-            consider(calls[i as usize].arrival_time);
-        }
-        if self.ticks_pending && self.next_tick <= horizon {
-            consider(self.next_tick);
-        }
-        if let Some(event) = self.queue.peek() {
-            consider(event.time);
-        }
-        min
+    /// The stream whose next event fires first in this shard — fault
+    /// stream, arrival stream, tick stream or event heap — with its time.
+    fn next_stream(&self, calls: &[CallRequest], horizon: SimTime) -> Option<(Stream, SimTime)> {
+        next_stream(
+            self.faults.get(self.next_fault).map(|f| f.time),
+            self.arrivals
+                .get(self.next_arrival)
+                .map(|&i| calls[i as usize].arrival_time),
+            (self.tick_interval > 0.0 && self.next_tick <= horizon).then_some(self.next_tick),
+            self.queue.peek().map(|e| e.time),
+        )
     }
 
-    /// Run this shard's three-stream loop up to (exclusive) `epoch_end`.
-    ///
-    /// Mirrors `Simulator::run_poisson` stream merging exactly: on time
-    /// ties arrivals fire before ticks and ticks before run-time events.
-    /// Handoff *admissions* are never performed here — the source side is
-    /// applied locally and the admission is queued on `outbox` for the
-    /// barrier merge.
+    /// Run this shard's four-stream loop (faults, arrivals, ticks, event
+    /// heap) up to (exclusive) `epoch_end`, merging the streams in the
+    /// sequential engine's order.  Handoff *admissions* are never
+    /// performed here — the source side is applied locally and the
+    /// admission is queued on `outbox` for the barrier merge.
     fn run_epoch(
         &mut self,
         grid: &CellGrid,
@@ -499,330 +366,92 @@ impl<R: Recorder> Shard<R> {
         epoch_end: SimTime,
     ) {
         let watch = Stopwatch::started(R::ENABLED);
-        loop {
-            let fault_time = self.faults.get(self.next_fault).map(|f| f.time);
-            let arrival_time = self
-                .arrivals
-                .get(self.next_arrival)
-                .map(|&i| calls[i as usize].arrival_time);
-            let tick_time = if self.ticks_pending && self.next_tick <= horizon {
-                Some(self.next_tick)
-            } else {
-                self.ticks_pending = false;
-                None
-            };
-            let queued_time = self.queue.peek().map(|e| e.time);
-
-            // Fourth stream: scheduled faults fire before any same-time
-            // traffic (tie order fault < arrival < tick < heap), so an
-            // arrival at the exact outage instant already sees the dark
-            // cell.
-            let fire_fault = match fault_time {
-                Some(f) => {
-                    arrival_time.is_none_or(|a| f <= a)
-                        && tick_time.is_none_or(|t| f <= t)
-                        && queued_time.is_none_or(|q| f <= q)
-                }
-                None => false,
-            };
-            if fire_fault {
-                let time = fault_time.expect("checked above");
-                if time >= epoch_end {
-                    break;
-                }
-                self.clock = time;
-                self.events_processed += 1;
-                self.recorder.add(telem::counter::EVENT_FAULT, 1);
-                let fault = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(&fault);
-                continue;
-            }
-            let fire_arrival = match (arrival_time, tick_time, queued_time) {
-                (Some(a), t, q) => t.is_none_or(|t| a <= t) && q.is_none_or(|q| a <= q),
-                _ => false,
-            };
-            if fire_arrival {
-                let time = arrival_time.expect("checked above");
-                if time >= epoch_end {
-                    break;
-                }
-                self.clock = time;
-                self.events_processed += 1;
-                self.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
-                let index = self.arrivals[self.next_arrival] as usize;
-                self.next_arrival += 1;
-                let call = calls[index];
-                let cell = spawn_cells[index];
-                self.handle_arrival(grid, &call, cell);
-                continue;
-            }
-            let fire_tick = match (tick_time, queued_time) {
-                (Some(t), q) => q.is_none_or(|q| t <= q),
-                _ => false,
-            };
-            if fire_tick {
-                if self.next_tick >= epoch_end {
-                    break;
-                }
-                self.clock = self.next_tick;
-                self.next_tick += self.tick_interval;
-                self.recorder.add(telem::counter::EVENT_MOBILITY_TICK, 1);
-                for (acc, station) in self.util.iter_mut().zip(&self.stations) {
-                    acc.sum += station.utilization();
-                    acc.samples += 1;
-                }
-                continue;
-            }
-            let Some(head) = self.queue.peek() else {
-                break;
-            };
-            if head.time >= epoch_end {
+        while let Some((stream, time)) = self.next_stream(calls, horizon) {
+            if time >= epoch_end {
                 break;
             }
-            let event = self.queue.pop().expect("peeked above");
-            self.clock = event.time;
-            self.events_processed += 1;
-            if R::ENABLED {
-                // Depth *including* the popped event, as in the
-                // sequential engine.
-                let depth = self.queue.len() as u64 + 1;
-                self.recorder.observe(telem::histogram::HEAP_DEPTH, depth);
-                self.recorder.high_water(telem::gauge::HEAP_DEPTH, depth);
-            }
-            match event.kind {
-                EventKind::Departure {
-                    cell,
-                    connection_id,
-                    user,
-                } => {
-                    self.recorder.add(telem::counter::EVENT_DEPARTURE, 1);
-                    self.handle_departure(cell, connection_id, user);
+            match stream {
+                Stream::Fault => {
+                    self.events_processed += 1;
+                    self.cells.recorder.add(telem::counter::EVENT_FAULT, 1);
+                    let fault = self.faults[self.next_fault];
+                    self.next_fault += 1;
+                    let controller = &mut *self.controllers[self.cells.local(CellIdx(fault.cell))];
+                    self.cells.fault(controller, &fault);
                 }
-                EventKind::Handoff {
-                    from,
-                    to,
-                    connection_id,
-                    user,
-                } => {
-                    self.recorder.add(telem::counter::EVENT_HANDOFF, 1);
-                    self.handle_handoff(from, to, connection_id, user);
+                Stream::Arrival => {
+                    self.events_processed += 1;
+                    self.cells.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
+                    let index = self.arrivals[self.next_arrival] as usize;
+                    self.next_arrival += 1;
+                    let cell = CellIdx(spawn_cells[index]);
+                    let controller = &mut *self.controllers[self.cells.local(cell)];
+                    let queue = &mut self.queue;
+                    self.cells
+                        .arrive(controller, grid, cell, &calls[index], time, |at, kind| {
+                            queue.schedule(at, kind);
+                        });
                 }
-                EventKind::Arrival { .. } => {
-                    unreachable!("arrivals are streamed, never heap-scheduled")
+                Stream::Tick => {
+                    self.next_tick += self.tick_interval;
+                    self.cells
+                        .recorder
+                        .add(telem::counter::EVENT_MOBILITY_TICK, 1);
+                    for (acc, station) in self.util.iter_mut().zip(&self.cells.stations) {
+                        acc.sum += station.utilization();
+                        acc.samples += 1;
+                    }
                 }
-                EventKind::MobilityTick | EventKind::EndOfSimulation => {
-                    unreachable!("the sharded engine never heap-schedules ticks")
+                Stream::Queue => {
+                    let event = self.queue.pop().expect("peeked above");
+                    self.events_processed += 1;
+                    if R::ENABLED {
+                        // Depth *including* the popped event, as in the
+                        // sequential engine.
+                        let depth = self.queue.len() as u64 + 1;
+                        let recorder = &mut self.cells.recorder;
+                        recorder.observe(telem::histogram::HEAP_DEPTH, depth);
+                        recorder.high_water(telem::gauge::HEAP_DEPTH, depth);
+                    }
+                    match event.kind {
+                        EventKind::Departure {
+                            cell,
+                            connection_id,
+                            user,
+                        } => {
+                            self.cells.recorder.add(telem::counter::EVENT_DEPARTURE, 1);
+                            let controller = &mut *self.controllers[self.cells.local(cell)];
+                            self.cells.depart(controller, cell, connection_id, user);
+                        }
+                        EventKind::Handoff {
+                            from,
+                            to,
+                            connection_id,
+                            user,
+                        } => {
+                            self.cells.recorder.add(telem::counter::EVENT_HANDOFF, 1);
+                            // The source side applies now (its bandwidth
+                            // frees for this shard's later events); the
+                            // target side waits for the barrier merge.
+                            let controller = &mut *self.controllers[self.cells.local(from)];
+                            if let Some(handoff) =
+                                self.cells
+                                    .hand_out(controller, from, to, connection_id, user, time)
+                            {
+                                self.outbox.push(handoff);
+                            }
+                        }
+                        _ => unreachable!("only departures and handoffs are heap-scheduled"),
+                    }
                 }
             }
         }
         self.last_epoch_ns = watch.elapsed_ns().unwrap_or(0);
     }
 
-    fn local(&self, cell: u32) -> usize {
-        (cell - self.start) as usize
-    }
-
-    /// Apply one fault to its cell: adjust capacity, and on an outage
-    /// force-drop every active connection (counted per class and in the
-    /// outage-drop total) in the station's dense connection order —
-    /// which is a pure function of the cell's event history, hence
-    /// shard-invariant.  The dropped calls' queued departure/handoff
-    /// events become stale and fall through the `Err` no-op paths; their
-    /// slab slots are deliberately leaked until the end of the run.
-    fn apply_fault(&mut self, fault: &FaultEvent) {
-        let local = self.local(fault.cell);
-        self.stations[local].set_capacity(fault.kind.capacity(self.nominal_capacity));
-        if fault.kind.drops_connections() {
-            let mut dropped = std::mem::take(&mut self.dropped_scratch);
-            self.stations[local].drop_all_into(&mut dropped);
-            for conn in &dropped {
-                self.metrics.record_dropped(conn.class);
-                self.metrics.record_dropped_by_outage();
-                if R::ENABLED {
-                    self.recorder.add(telem::counter::OUTAGE_DROPPED, 1);
-                }
-                self.controllers[local].on_released(conn.id, &self.stations[local]);
-            }
-            self.dropped_scratch = dropped;
-        }
-    }
-
-    /// Mirror of `Simulator::handle_arrival` over shard-local state.
-    fn handle_arrival(&mut self, grid: &CellGrid, call: &CallRequest, cell: u32) {
-        let cell_id = grid.cell_id(CellIdx(cell));
-        let center = grid.center_of(&cell_id);
-        let mut spawn_rng = self.rng.derive(call.id ^ 0xA11C);
-        let user = if grid.len() > 1 {
-            let user = spawn_uniform(
-                &center,
-                grid.cell_radius_m(),
-                (call.speed_kmh, call.speed_kmh),
-                &mut spawn_rng,
-            );
-            let bearing = user.position.bearing_to(&center);
-            Some(UserState::new(
-                user.position,
-                call.speed_kmh,
-                bearing + call.angle_deg,
-            ))
-        } else {
-            None
-        };
-        let distance = match &user {
-            Some(user) => user.distance_to(&center),
-            None => {
-                // Same draw prefix as the sequential engine's single-cell
-                // path, so the offered distance is bit-identical.
-                let r = grid.cell_radius_m().max(0.0) * spawn_rng.uniform(0.0, 1.0).sqrt();
-                let theta = spawn_rng.uniform(-std::f64::consts::PI, std::f64::consts::PI);
-                let pos = center.translated(r * theta.cos(), r * theta.sin());
-                pos.distance(&center)
-            }
-        };
-
-        let request = AdmissionRequest::from_call(call, cell_id).with_distance(distance);
-        if !self.offer_one(&request, cell) {
-            return;
-        }
-        let slot = user.map(|user| self.users.insert(user));
-        if R::ENABLED {
-            self.recorder
-                .high_water(telem::gauge::SLAB_USERS, self.users.len() as u64);
-        }
-        let departure_at = self.clock + call.holding_time;
-        self.queue.schedule(
-            departure_at,
-            EventKind::Departure {
-                cell: CellIdx(cell),
-                connection_id: call.id,
-                user: slot,
-            },
-        );
-        if let Some(slot) = slot {
-            self.maybe_schedule_handoff(grid, cell, call.id, slot, departure_at);
-        }
-    }
-
-    /// Offer one request to the cell's own controller; `true` if admitted.
-    fn offer_one(&mut self, request: &AdmissionRequest, cell: u32) -> bool {
-        self.metrics
-            .record_offered(request.class, request.is_handoff);
-        let local = self.local(cell);
-        let fits = self.stations[local].can_fit(request.bandwidth);
-        let decision = if fits {
-            self.controllers[local].decide(request, &self.stations[local])
-        } else {
-            AdmissionDecision::reject(-1.0)
-        };
-        if decision.accept && fits {
-            self.stations[local]
-                .admit(
-                    request.id,
-                    request.class,
-                    request.bandwidth,
-                    request.time,
-                    request.holding_time,
-                    request.is_handoff,
-                )
-                .expect("admission checked via can_fit");
-            self.metrics
-                .record_accepted(request.class, request.bandwidth, request.is_handoff);
-            if R::ENABLED {
-                self.recorder.add(
-                    telem::admission_counter(request.class, true, request.is_handoff),
-                    1,
-                );
-            }
-            self.controllers[local].on_admitted(request, &self.stations[local]);
-            true
-        } else {
-            self.metrics
-                .record_blocked(request.class, request.is_handoff);
-            if R::ENABLED {
-                self.recorder.add(
-                    telem::admission_counter(request.class, false, request.is_handoff),
-                    1,
-                );
-            }
-            false
-        }
-    }
-
-    fn maybe_schedule_handoff(
-        &mut self,
-        grid: &CellGrid,
-        cell: u32,
-        connection_id: u64,
-        slot: SlotId,
-        departure_at: SimTime,
-    ) {
-        let Some(user) = self.users.get(slot).copied() else {
-            return;
-        };
-        let cell_id = grid.cell_id(CellIdx(cell));
-        let center = grid.center_of(&cell_id);
-        let Some(exit_in) = user.time_to_exit(&center, grid.cell_radius_m()) else {
-            return;
-        };
-        let handoff_at = self.clock + exit_in;
-        if handoff_at >= departure_at {
-            return;
-        }
-        let Some(target) = grid.next_cell_along(&cell_id, user.heading_deg) else {
-            return;
-        };
-        let to = grid
-            .index_of(&target)
-            .expect("next_cell_along only returns grid cells");
-        self.queue.schedule(
-            handoff_at,
-            EventKind::Handoff {
-                from: CellIdx(cell),
-                to,
-                connection_id,
-                user: slot,
-            },
-        );
-    }
-
-    fn handle_departure(&mut self, cell: CellIdx, connection_id: u64, user: Option<SlotId>) {
-        let local = self.local(cell.index() as u32);
-        if let Ok(conn) = self.stations[local].release(connection_id) {
-            self.metrics.record_completed(conn.class);
-            if let Some(slot) = user {
-                self.users.remove(slot);
-            }
-            self.controllers[local].on_released(connection_id, &self.stations[local]);
-        }
-    }
-
-    /// Source side of a handoff: transfer the connection out *now* (its
-    /// bandwidth frees immediately for this shard's later events) and
-    /// queue the target-side admission for the barrier merge.
-    fn handle_handoff(&mut self, from: CellIdx, to: CellIdx, connection_id: u64, slot: SlotId) {
-        let local = self.local(from.index() as u32);
-        let Ok(conn) = self.stations[local].transfer_out(connection_id) else {
-            return;
-        };
-        self.controllers[local].on_released(connection_id, &self.stations[local]);
-        let Some(user) = self.users.get(slot).copied() else {
-            return;
-        };
-        self.users.remove(slot);
-        self.outbox.push(AdmitMsg {
-            time: self.clock,
-            connection_id,
-            to: to.index() as u32,
-            class: conn.class,
-            bandwidth: conn.bandwidth,
-            ends_at: conn.ends_at,
-            user,
-        });
-    }
-
     fn active_connections(&self) -> u64 {
-        self.stations
+        self.cells
+            .stations
             .iter()
             .map(|s| s.active_connections() as u64)
             .sum()
@@ -935,7 +564,7 @@ impl<R: Recorder> ShardedSimulator<R> {
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snapshot = self.recorder.snapshot();
         for shard in &self.shards {
-            snapshot.merge(&shard.recorder.snapshot());
+            snapshot.merge(&shard.cells.recorder.snapshot());
         }
         snapshot
     }
@@ -945,7 +574,7 @@ impl<R: Recorder> ShardedSimulator<R> {
     pub fn reset_telemetry(&mut self) {
         self.recorder.reset();
         for shard in &mut self.shards {
-            shard.recorder.reset();
+            shard.cells.recorder.reset();
         }
     }
 
@@ -995,7 +624,7 @@ impl<R: Recorder> ShardedSimulator<R> {
         for shard in &mut self.shards {
             shard.reset(&self.config);
             shard.controllers.clear();
-            for _ in 0..shard.stations.len() {
+            for _ in 0..shard.cells.stations.len() {
                 let controller = factory();
                 if label.is_none() {
                     label = Some(controller.name());
@@ -1058,7 +687,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             let t_min = self
                 .shards
                 .iter()
-                .filter_map(|s| s.next_event_time(&self.arrivals, horizon))
+                .filter_map(|s| Some(s.next_stream(&self.arrivals, horizon)?.1))
                 .fold(None, |min: Option<SimTime>, t| {
                     Some(min.map_or(t, |m| m.min(t)))
                 });
@@ -1163,10 +792,10 @@ impl<R: Recorder> ShardedSimulator<R> {
     fn merge_epoch(&mut self, epoch_end: SimTime) -> u64 {
         let mut heap = std::mem::take(&mut self.merge_heap);
         for shard in &mut self.shards {
-            for msg in shard.outbox.drain(..) {
+            for handoff in shard.outbox.drain(..) {
                 heap.push(MergeEntry {
-                    key: MergeKey::new(msg.time, msg.connection_id, RANK_ADMIT),
-                    task: MergeTask::Admit(msg),
+                    key: MergeKey::new(handoff.time, handoff.connection_id, RANK_ADMIT),
+                    task: MergeTask::Admit(handoff),
                 });
             }
         }
@@ -1177,58 +806,46 @@ impl<R: Recorder> ShardedSimulator<R> {
         }
         while let Some(entry) = heap.pop() {
             self.merge_events += 1;
-            let time = entry.key.time;
             match entry.task {
-                MergeTask::Admit(msg) => {
+                MergeTask::Admit(handoff) => {
                     self.recorder.add(telem::counter::MERGE_ADMIT, 1);
-                    self.apply_admit(msg, epoch_end, &mut heap);
+                    self.apply_admit(&handoff, epoch_end, &mut heap);
                 }
-                MergeTask::Handoff {
+                MergeTask::Event(EventKind::Handoff {
                     from,
                     to,
                     connection_id,
-                    slot,
-                } => {
+                    user,
+                }) => {
                     self.recorder.add(telem::counter::MERGE_HANDOFF, 1);
-                    let s = self.shard_of(from);
+                    let s = self.shard_of(from.0);
                     let shard = &mut self.shards[s];
-                    let local = shard.local(from);
-                    let Ok(conn) = shard.stations[local].transfer_out(connection_id) else {
-                        continue;
-                    };
-                    shard.controllers[local].on_released(connection_id, &shard.stations[local]);
-                    let Some(user) = shard.users.get(slot).copied() else {
-                        continue;
-                    };
-                    shard.users.remove(slot);
-                    self.apply_admit(
-                        AdmitMsg {
-                            time,
-                            connection_id,
-                            to,
-                            class: conn.class,
-                            bandwidth: conn.bandwidth,
-                            ends_at: conn.ends_at,
-                            user,
-                        },
-                        epoch_end,
-                        &mut heap,
+                    let controller = &mut *shard.controllers[shard.cells.local(from)];
+                    let handoff = shard.cells.hand_out(
+                        controller,
+                        from,
+                        to,
+                        connection_id,
+                        user,
+                        entry.key.time,
                     );
+                    if let Some(handoff) = handoff {
+                        self.apply_admit(&handoff, epoch_end, &mut heap);
+                    }
                 }
-                MergeTask::Release {
+                MergeTask::Event(EventKind::Departure {
                     cell,
                     connection_id,
-                    slot,
-                } => {
+                    user,
+                }) => {
                     self.recorder.add(telem::counter::MERGE_RELEASE, 1);
-                    let s = self.shard_of(cell);
+                    let s = self.shard_of(cell.0);
                     let shard = &mut self.shards[s];
-                    let local = shard.local(cell);
-                    if let Ok(conn) = shard.stations[local].release(connection_id) {
-                        shard.metrics.record_completed(conn.class);
-                        shard.users.remove(slot);
-                        shard.controllers[local].on_released(connection_id, &shard.stations[local]);
-                    }
+                    let controller = &mut *shard.controllers[shard.cells.local(cell)];
+                    shard.cells.depart(controller, cell, connection_id, user);
+                }
+                MergeTask::Event(_) => {
+                    unreachable!("the merge queues only departures and handoffs")
                 }
             }
         }
@@ -1236,123 +853,37 @@ impl<R: Recorder> ShardedSimulator<R> {
         initial_depth
     }
 
-    /// Target side of a handoff, mirroring `Simulator::handle_handoff`
-    /// after its `transfer_out`: offer at the target cell; on admission,
-    /// re-home the user and schedule the departure and any cascaded
-    /// handoff — into the merge queue if before `epoch_end`, into the
-    /// owning shard's heap otherwise.
+    /// Target side of a handoff: offer it at the target cell and route
+    /// the admitted call's follow-up events — into the merge queue if
+    /// before `epoch_end`, into the owning shard's heap otherwise.
     fn apply_admit(
         &mut self,
-        msg: AdmitMsg,
+        handoff: &Handoff,
         epoch_end: SimTime,
         heap: &mut BinaryHeap<MergeEntry>,
     ) {
-        let s = self.shard_of(msg.to);
-        let grid = &self.grid;
-        let shard = &mut self.shards[s];
-        let local = shard.local(msg.to);
-        let to_id = grid.cell_id(CellIdx(msg.to));
-        let center = grid.center_of(&to_id);
-        let remaining = (msg.ends_at - msg.time).max(0.0);
-        let request = AdmissionRequest {
-            id: msg.connection_id,
-            cell: to_id,
-            time: msg.time,
-            class: msg.class,
-            bandwidth: msg.bandwidth,
-            holding_time: remaining,
-            speed_kmh: msg.user.speed_kmh,
-            angle_deg: msg.user.angle_to_station(&center),
-            distance_m: Some(msg.user.distance_to(&center)),
-            is_handoff: true,
-        };
-        shard.metrics.record_offered(msg.class, true);
-        let fits = shard.stations[local].can_fit(msg.bandwidth);
-        let decision = if fits {
-            shard.controllers[local].decide(&request, &shard.stations[local])
-        } else {
-            AdmissionDecision::reject(-1.0)
-        };
-        if decision.accept && fits {
-            shard.stations[local]
-                .admit(
-                    msg.connection_id,
-                    msg.class,
-                    msg.bandwidth,
-                    msg.time,
-                    remaining,
-                    true,
-                )
-                .expect("admission checked via can_fit");
-            shard
-                .metrics
-                .record_accepted(msg.class, msg.bandwidth, true);
-            if R::ENABLED {
-                self.recorder
-                    .add(telem::admission_counter(msg.class, true, true), 1);
-            }
-            let shard = &mut self.shards[s];
-            shard.controllers[local].on_admitted(&request, &shard.stations[local]);
-            let slot = shard.users.insert(msg.user);
-            let departure_at = msg.ends_at;
-            if departure_at < epoch_end {
+        let s = self.shard_of(handoff.to.0);
+        let Shard {
+            cells,
+            controllers,
+            queue,
+            ..
+        } = &mut self.shards[s];
+        let controller = &mut *controllers[cells.local(handoff.to)];
+        cells.hand_in(controller, &self.grid, handoff, |time, kind| {
+            if time < epoch_end {
+                let rank = match kind {
+                    EventKind::Departure { .. } => RANK_RELEASE,
+                    _ => RANK_HANDOFF,
+                };
                 heap.push(MergeEntry {
-                    key: MergeKey::new(departure_at, msg.connection_id, RANK_RELEASE),
-                    task: MergeTask::Release {
-                        cell: msg.to,
-                        connection_id: msg.connection_id,
-                        slot,
-                    },
+                    key: MergeKey::new(time, handoff.connection_id, rank),
+                    task: MergeTask::Event(kind),
                 });
             } else {
-                shard.queue.schedule(
-                    departure_at,
-                    EventKind::Departure {
-                        cell: CellIdx(msg.to),
-                        connection_id: msg.connection_id,
-                        user: Some(slot),
-                    },
-                );
+                queue.schedule(time, kind);
             }
-            if let Some(exit_in) = msg.user.time_to_exit(&center, grid.cell_radius_m()) {
-                let handoff_at = msg.time + exit_in;
-                if handoff_at < departure_at {
-                    if let Some(target) = grid.next_cell_along(&to_id, msg.user.heading_deg) {
-                        let to = grid
-                            .index_of(&target)
-                            .expect("next_cell_along only returns grid cells");
-                        if handoff_at < epoch_end {
-                            heap.push(MergeEntry {
-                                key: MergeKey::new(handoff_at, msg.connection_id, RANK_HANDOFF),
-                                task: MergeTask::Handoff {
-                                    from: msg.to,
-                                    to: to.index() as u32,
-                                    connection_id: msg.connection_id,
-                                    slot,
-                                },
-                            });
-                        } else {
-                            shard.queue.schedule(
-                                handoff_at,
-                                EventKind::Handoff {
-                                    from: CellIdx(msg.to),
-                                    to,
-                                    connection_id: msg.connection_id,
-                                    user: slot,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        } else {
-            shard.metrics.record_blocked(msg.class, true);
-            shard.metrics.record_dropped(msg.class);
-            if R::ENABLED {
-                self.recorder
-                    .add(telem::admission_counter(msg.class, false, true), 1);
-            }
-        }
+        });
     }
 
     fn build_report(&mut self) -> ShardReport {
@@ -1363,7 +894,7 @@ impl<R: Recorder> ShardedSimulator<R> {
         // double loop reduces utilisation in global cell order — the fixed
         // float summation order the determinism contract requires.
         for shard in &self.shards {
-            merged.merge(&shard.metrics);
+            merged.merge(&shard.cells.metrics);
             for acc in &shard.util {
                 util_sum += acc.sum;
                 util_n += acc.samples;
@@ -1526,6 +1057,22 @@ mod tests {
         assert!(report.epochs > 0);
         assert!(report.utilization_samples > 0);
         assert!(report.mean_utilization > 0.0);
+    }
+
+    #[test]
+    fn outage_drops_leave_no_user_slots_behind() {
+        let config = crate::sim::tests::outage_churn_config();
+        let mut sim = ShardedSimulator::new(config, ShardConfig::new(3));
+        let report = sim.run_poisson(&mut always, 3000);
+        assert!(report.dropped_by_outage > 100);
+        assert!(report.handoffs_offered > 0);
+        for shard in &sim.shards {
+            assert!(
+                shard.cells.users.is_empty(),
+                "{} slots leaked",
+                shard.cells.users.len()
+            );
+        }
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!   arrivals, departures, user mobility and handoffs across a multi-cell
 //!   grid (used by the examples that go beyond the paper's single cell).
 
-use crate::event::{EventKind, EventQueue};
+use crate::cell::Cells;
+use crate::event::{next_stream, EventKind, EventQueue, Stream};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::geometry::{CellGrid, CellId, CellIdx};
 use crate::metrics::Metrics;
-use crate::mobility::{spawn_uniform, MobilityModel, UserState};
-use crate::rng::SimRng;
-use crate::slab::{Slab, SlotId};
-use crate::station::{ActiveConnection, BaseStation};
+use crate::mobility::MobilityModel;
+use crate::station::BaseStation;
 use crate::telem::{self, DefaultRecorder};
 use crate::traffic::{
     CallRequest, ServiceClass, SpawnCellAssigner, TrafficConfig, TrafficGenerator, TrafficModel,
@@ -120,10 +119,10 @@ impl AdmissionDecision {
 
 /// A pluggable call-admission-control policy.
 ///
-/// The simulator guarantees that `decide` is only consulted for requests
-/// that are *physically* possible to carry (the station still has
-/// `request.bandwidth` BU free); controllers therefore only implement
-/// policy, not capacity enforcement.  Controllers are notified of
+/// The cell core ([`crate::cell::offer`]) guarantees that `decide` is only
+/// consulted for requests that are *physically* possible to carry (the
+/// station still has `request.bandwidth` BU free); controllers therefore
+/// only implement policy, not capacity enforcement.  Controllers are notified of
 /// admissions and releases so they can maintain internal state (e.g. the
 /// shadow-cluster projections of SCC or the priority counters of FACS-P).
 pub trait AdmissionController {
@@ -160,9 +159,8 @@ pub trait AdmissionController {
     ///    goes on to admit must re-validate with
     ///    [`BaseStation::can_fit`] (and re-offer if it wants
     ///    admission-order-dependent policies like FLC2's counter state to
-    ///    see the updated occupancy — this is why the simulator's
-    ///    *admitting* paths stay sequential and only the screening path
-    ///    [`Simulator::screen`] batches).
+    ///    see the updated occupancy — this is why every admitting path
+    ///    offers one request at a time).
     /// 3. The produced decisions must be identical to calling `decide`
     ///    sequentially on the same snapshot; overrides may only change
     ///    *how fast* the answers are produced, never the answers.
@@ -423,11 +421,13 @@ impl SimReport {
 /// All per-cell and per-connection state is stored densely: one
 /// [`BaseStation`] per grid cell in a flat `Vec` indexed by [`CellIdx`]
 /// (grid order — iteration is deterministic by construction), user
-/// kinematics in a generational [`Slab`] whose handles ride inside the
-/// (small, `Copy`) events, and the arrival buffer plus all per-tick
-/// scratch reused across runs.  A warmed-up simulator therefore runs its
-/// event loop without heap allocation, and [`Simulator::reset`] recycles
-/// the whole machine for the next sweep cell.
+/// kinematics in a generational [`crate::slab::Slab`] whose handles ride
+/// inside the (small, `Copy`) events, and the arrival buffer plus all
+/// per-tick scratch reused across runs.  A warmed-up simulator therefore
+/// runs its event loop without heap allocation, and [`Simulator::reset`]
+/// recycles the whole machine for the next sweep cell.  Every per-cell
+/// transition goes through the shared [`crate::cell`] core; the simulator
+/// owns the event loop and schedules the follow-up events.
 ///
 /// The simulator is generic over its telemetry [`Recorder`] (static
 /// dispatch, defaulting to the feature-selected
@@ -439,32 +439,22 @@ impl SimReport {
 pub struct Simulator<R: Recorder = DefaultRecorder> {
     config: SimConfig,
     grid: CellGrid,
-    /// One station per grid cell, indexed by `CellIdx` (grid order).
-    stations: Vec<BaseStation>,
-    /// Kinematic state of admitted users (multi-cell runs only; the
-    /// paper's single cell has no handoffs to predict).
-    users: Slab<UserState>,
+    /// Every grid cell's station, plus the users, metrics, base RNG
+    /// stream and telemetry sink (observation-only; it accumulates across
+    /// runs and [`Simulator::reset`]s until [`Simulator::reset_telemetry`]).
+    cells: Cells<R>,
     queue: EventQueue,
-    metrics: Metrics,
     clock: SimTime,
-    rng: SimRng,
     /// Events popped by `run_poisson` loops since construction/reset.
     events_processed: u64,
     /// Reused arrival buffer (`run_batch` / `run_poisson` workloads).
     arrivals: Vec<CallRequest>,
-    /// Reused scratch for expired-connection batches.
-    expired: Vec<ActiveConnection>,
     /// Scheduled faults for the current `run_poisson` run, time-sorted
     /// (the fourth merge stream; armed from `config.fault_plan` at run
     /// start, cells outside the grid dropped).
     faults: Vec<FaultEvent>,
     /// Cursor into `faults`.
     next_fault: usize,
-    /// Reused scratch for outage-dropped connection batches.
-    outage_dropped: Vec<ActiveConnection>,
-    /// Telemetry sink (observation-only; accumulates across runs and
-    /// [`Simulator::reset`]s until [`Simulator::reset_telemetry`]).
-    recorder: R,
 }
 
 impl Simulator {
@@ -485,34 +475,17 @@ impl<R: Recorder> Simulator<R> {
     #[must_use]
     pub fn with_telemetry(config: SimConfig) -> Self {
         let grid = CellGrid::new(config.grid_radius_cells, config.cell_radius_m);
-        let stations = Self::build_stations(&grid, config.station_capacity);
-        let rng = SimRng::new(config.seed).derive(0xD15C);
-        let mut metrics = Metrics::new();
-        metrics.set_utilization_stride(config.utilization_sample_stride);
         Self {
+            cells: Cells::new(&grid, 0..grid.len() as u32, &config),
             grid,
-            stations,
-            users: Slab::new(),
             queue: EventQueue::new(),
-            metrics,
             clock: 0.0,
-            rng,
             events_processed: 0,
             arrivals: Vec::new(),
-            expired: Vec::new(),
             faults: Vec::new(),
             next_fault: 0,
-            outage_dropped: Vec::new(),
-            recorder: R::for_schema(&telem::SCHEMA),
             config,
         }
-    }
-
-    fn build_stations(grid: &CellGrid, capacity: Bandwidth) -> Vec<BaseStation> {
-        grid.cells()
-            .iter()
-            .map(|&c| BaseStation::new(c, grid.center_of(&c), capacity))
-            .collect()
     }
 
     /// Re-arm the simulator for a fresh run under `config`, reusing every
@@ -527,28 +500,14 @@ impl<R: Recorder> Simulator<R> {
             || self.grid.cell_radius_m() != CellGrid::effective_radius(config.cell_radius_m)
         {
             self.grid = CellGrid::new(config.grid_radius_cells, config.cell_radius_m);
-            self.stations.clear();
-            self.stations.extend(
-                self.grid.cells().iter().map(|&c| {
-                    BaseStation::new(c, self.grid.center_of(&c), config.station_capacity)
-                }),
-            );
-        } else {
-            for station in &mut self.stations {
-                station.reset_for_run(config.station_capacity);
-            }
+            self.cells.cover(&self.grid, 0..self.grid.len() as u32);
         }
-        self.users.clear();
+        self.cells.reset(&config);
         self.queue.clear();
-        self.metrics.reset();
-        self.metrics
-            .set_utilization_stride(config.utilization_sample_stride);
         self.clock = 0.0;
-        self.rng = SimRng::new(config.seed).derive(0xD15C);
         self.events_processed = 0;
         self.faults.clear();
         self.next_fault = 0;
-        self.outage_dropped.clear();
         self.config = config;
     }
 
@@ -569,13 +528,13 @@ impl<R: Recorder> Simulator<R> {
     pub fn station(&self, cell: &CellId) -> Option<&BaseStation> {
         self.grid
             .index_of(cell)
-            .map(|idx| &self.stations[idx.index()])
+            .map(|idx| &self.cells.stations[idx.index()])
     }
 
     /// All stations, in dense [`CellIdx`] (grid) order.
     #[must_use]
     pub fn stations(&self) -> &[BaseStation] {
-        &self.stations
+        &self.cells.stations
     }
 
     /// Current simulation time (seconds).
@@ -595,7 +554,7 @@ impl<R: Recorder> Simulator<R> {
     /// Metrics accumulated since the last report was taken.
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.cells.metrics
     }
 
     /// Snapshot of everything the telemetry recorder collected so far.
@@ -605,23 +564,24 @@ impl<R: Recorder> Simulator<R> {
     /// empty with the no-op recorder.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        self.recorder.snapshot()
+        self.cells.recorder.snapshot()
     }
 
     /// Clear everything the telemetry recorder collected (capacity is
     /// retained).
     pub fn reset_telemetry(&mut self) {
-        self.recorder.reset();
+        self.cells.recorder.reset();
     }
 
     /// Build the run's report by *taking* the accumulated metrics (the
     /// accumulator is left empty for the next run; no clone of the sample
     /// series is made).
     fn take_report(&mut self, controller: &'static str) -> SimReport {
-        let metrics = std::mem::take(&mut self.metrics);
+        let metrics = std::mem::take(&mut self.cells.metrics);
         // `take` left a default accumulator; re-arm the configured
         // utilisation stride for the next run.
-        self.metrics
+        self.cells
+            .metrics
             .set_utilization_stride(self.config.utilization_sample_stride);
         SimReport::from_metrics(controller, metrics)
     }
@@ -647,65 +607,16 @@ impl<R: Recorder> Simulator<R> {
         let mut generator = TrafficGenerator::with_model(
             self.config.traffic.clone(),
             &self.config.traffic_model,
-            self.rng.derive(1).seed(),
+            self.cells.rng.derive(1).seed(),
         );
         let mut requests = std::mem::take(&mut self.arrivals);
         generator.generate_batch_into(n, &mut requests);
         self.offer_requests(controller, &requests);
         self.arrivals = requests;
         if let Some(ns) = watch.elapsed_ns() {
-            self.recorder.span_ns(telem::span::RUN_BATCH, ns);
+            self.cells.recorder.span_ns(telem::span::RUN_BATCH, ns);
         }
         self.take_report(controller.name())
-    }
-
-    /// Screen a batch of requests against the **current** station
-    /// snapshots without admitting anything: one
-    /// [`AdmissionController::decide_batch`] call per run of
-    /// consecutive same-cell requests, one decision per request in order.
-    ///
-    /// This is the read-only "what would you do with this tick's
-    /// arrivals?" pass; requests whose cell has no station are rejected
-    /// with score `-1`.  Because nothing is admitted, the decisions for
-    /// *stateful* policies (e.g. FLC2's counter state) can differ from
-    /// what a sequential offer-and-admit pass would produce — that is
-    /// inherent to batching, and why the admitting paths
-    /// ([`Simulator::run_batch`], [`Simulator::run_poisson`]) stay
-    /// sequential.
-    pub fn screen<C: AdmissionController + ?Sized>(
-        &self,
-        controller: &mut C,
-        requests: &[AdmissionRequest],
-        out: &mut Vec<AdmissionDecision>,
-    ) {
-        out.clear();
-        out.reserve(requests.len());
-        let mut chunk = Vec::new();
-        let mut i = 0;
-        while i < requests.len() {
-            let cell = requests[i].cell;
-            let mut j = i + 1;
-            while j < requests.len() && requests[j].cell == cell {
-                j += 1;
-            }
-            match self.grid.index_of(&cell) {
-                // The whole batch is one same-cell run (the common
-                // single-cell case): decide straight into `out`, no copy.
-                Some(idx) if i == 0 && j == requests.len() => {
-                    controller.decide_batch(requests, &self.stations[idx.index()], out);
-                }
-                Some(idx) => {
-                    controller.decide_batch(
-                        &requests[i..j],
-                        &self.stations[idx.index()],
-                        &mut chunk,
-                    );
-                    out.extend_from_slice(&chunk);
-                }
-                None => out.extend((i..j).map(|_| AdmissionDecision::reject(-1.0))),
-            }
-            i = j;
-        }
     }
 
     /// Offer a pre-generated sequence of requests (all against the origin
@@ -725,10 +636,14 @@ impl<R: Recorder> Simulator<R> {
         for call in requests {
             self.clock = self.clock.max(call.arrival_time);
             // Complete any calls that finished before this arrival.
-            self.release_expired(controller, idx);
-            let distance = self.rng.uniform(0.0, self.grid.cell_radius_m()).max(0.0);
+            self.cells.expire(controller, idx, self.clock);
+            let distance = self
+                .cells
+                .rng
+                .uniform(0.0, self.grid.cell_radius_m())
+                .max(0.0);
             let request = AdmissionRequest::from_call(call, cell).with_distance(distance);
-            self.offer_one(controller, &request, idx);
+            self.cells.offer(controller, idx, &request);
         }
     }
 
@@ -758,11 +673,11 @@ impl<R: Recorder> Simulator<R> {
         let mut generator = TrafficGenerator::with_model(
             self.config.traffic.clone(),
             &self.config.traffic_model,
-            self.rng.derive(2).seed(),
+            self.cells.rng.derive(2).seed(),
         );
         let mut arrivals = std::mem::take(&mut self.arrivals);
         generator.generate_poisson_into(total_requests, &mut arrivals);
-        let mut spawn_rng = self.rng.derive(3);
+        let mut spawn_rng = self.cells.rng.derive(3);
         let mut spawn_cells = SpawnCellAssigner::new(&self.config.traffic_model);
 
         // Fault stream: scheduled capacity changes from the config's
@@ -792,455 +707,114 @@ impl<R: Recorder> Simulator<R> {
         let tick_interval = self.config.utilization_sample_interval_s;
         let horizon = arrivals.last().map(|c| c.arrival_time).unwrap_or(0.0);
         let mut next_tick = 0.0;
-        let mut ticks_pending = tick_interval > 0.0;
 
         let mut next_arrival = 0usize;
-        loop {
-            // Earliest of the four streams; on exact time ties faults fire
-            // before arrivals, arrivals before ticks and ticks before
-            // run-time events — mirroring the sequence numbers the
-            // one-heap engine assigned (all arrivals first, then all
-            // ticks, then run-time events; faults are infrastructure
-            // changes that take effect before same-instant traffic, the
-            // [`crate::shard::RANK_FAULT`] ordering of the sharded
-            // engine).
-            let fault_time = self.faults.get(self.next_fault).map(|f| f.time);
-            let arrival_time = arrivals.get(next_arrival).map(|c| c.arrival_time);
-            let tick_time = if ticks_pending && next_tick <= horizon {
-                Some(next_tick)
-            } else {
-                ticks_pending = false;
-                None
-            };
-            let queued_time = self.queue.peek().map(|e| e.time);
-
-            let fire_fault = match fault_time {
-                Some(f) => {
-                    arrival_time.is_none_or(|a| f <= a)
-                        && tick_time.is_none_or(|t| f <= t)
-                        && queued_time.is_none_or(|q| f <= q)
-                }
-                None => false,
-            };
-            if fire_fault {
-                let time = fault_time.expect("checked above");
-                self.clock = time;
-                self.events_processed += 1;
-                self.recorder.add(telem::counter::EVENT_FAULT, 1);
-                let fault = self.faults[self.next_fault];
-                self.next_fault += 1;
-                self.apply_fault(controller, &fault);
-                continue;
-            }
-            let fire_arrival = match (arrival_time, tick_time, queued_time) {
-                (Some(a), t, q) => t.is_none_or(|t| a <= t) && q.is_none_or(|q| a <= q),
-                _ => false,
-            };
-            if fire_arrival {
-                let time = arrival_time.expect("checked above");
-                self.clock = time;
-                self.events_processed += 1;
-                let call = arrivals[next_arrival];
-                next_arrival += 1;
-                self.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
-                let cell = if single_cell {
-                    origin
-                } else {
-                    CellIdx(spawn_cells.assign(time, self.grid.len(), &mut spawn_rng))
-                };
-                self.handle_arrival(controller, cell, &call);
-                continue;
-            }
-            let fire_tick = match (tick_time, queued_time) {
-                (Some(t), q) => q.is_none_or(|q| t <= q),
-                _ => false,
-            };
-            if fire_tick {
-                self.clock = next_tick;
-                self.events_processed += 1;
-                next_tick += tick_interval;
-                self.recorder.add(telem::counter::EVENT_MOBILITY_TICK, 1);
-                // Stations are stored in grid order, so the dense walk is
-                // deterministic by construction — no iteration-order
-                // workaround needed.
-                for station in &self.stations {
-                    self.metrics.record_utilization(
-                        self.clock,
-                        station.occupied(),
-                        station.capacity(),
-                    );
-                }
-                continue;
-            }
-            let Some(event) = self.queue.pop() else {
-                break;
-            };
-            self.clock = event.time;
+        // Earliest of the four streams; time ties go faults, arrivals,
+        // ticks, run-time events (see [`next_stream`]), the order the
+        // sharded engine's merge uses too.
+        while let Some((stream, time)) = next_stream(
+            self.faults.get(self.next_fault).map(|f| f.time),
+            arrivals.get(next_arrival).map(|c| c.arrival_time),
+            (tick_interval > 0.0 && next_tick <= horizon).then_some(next_tick),
+            self.queue.peek().map(|e| e.time),
+        ) {
+            self.clock = time;
             self.events_processed += 1;
-            if R::ENABLED {
-                // Depth *including* the popped event; gated so the
-                // disabled build computes nothing here.
-                let depth = self.queue.len() as u64 + 1;
-                self.recorder.observe(telem::histogram::HEAP_DEPTH, depth);
-                self.recorder.high_water(telem::gauge::HEAP_DEPTH, depth);
-            }
-            match event.kind {
-                EventKind::Arrival { .. } => {
-                    // Arrivals stream from the sorted buffer above and the
-                    // queue is private to the simulator, so one can never
-                    // be heap-scheduled; resolving a stale arrival index
-                    // against another run's buffer would silently process
-                    // the wrong request, so enforce the invariant.
-                    unreachable!("arrivals are streamed, never heap-scheduled");
+            match stream {
+                Stream::Fault => {
+                    self.cells.recorder.add(telem::counter::EVENT_FAULT, 1);
+                    let fault = self.faults[self.next_fault];
+                    self.next_fault += 1;
+                    self.cells.fault(controller, &fault);
                 }
-                EventKind::Departure {
-                    cell,
-                    connection_id,
-                    user,
-                } => {
-                    self.recorder.add(telem::counter::EVENT_DEPARTURE, 1);
-                    self.handle_departure(controller, cell, connection_id, user);
+                Stream::Arrival => {
+                    self.cells.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
+                    let call = arrivals[next_arrival];
+                    next_arrival += 1;
+                    let cell = if single_cell {
+                        origin
+                    } else {
+                        CellIdx(spawn_cells.assign(time, self.grid.len(), &mut spawn_rng))
+                    };
+                    let queue = &mut self.queue;
+                    self.cells
+                        .arrive(controller, &self.grid, cell, &call, time, |at, kind| {
+                            queue.schedule(at, kind);
+                        });
                 }
-                EventKind::Handoff {
-                    from,
-                    to,
-                    connection_id,
-                    user,
-                } => {
-                    self.recorder.add(telem::counter::EVENT_HANDOFF, 1);
-                    self.handle_handoff(controller, from, to, connection_id, user);
-                }
-                EventKind::MobilityTick => {
-                    for station in &self.stations {
-                        self.metrics.record_utilization(
-                            self.clock,
-                            station.occupied(),
-                            station.capacity(),
-                        );
+                Stream::Tick => {
+                    next_tick += tick_interval;
+                    self.cells
+                        .recorder
+                        .add(telem::counter::EVENT_MOBILITY_TICK, 1);
+                    // Stations are stored in grid order, so the dense walk
+                    // is deterministic by construction.
+                    let Cells {
+                        stations, metrics, ..
+                    } = &mut self.cells;
+                    for station in stations.iter() {
+                        metrics.record_utilization(time, station.occupied(), station.capacity());
                     }
                 }
-                EventKind::EndOfSimulation => break,
+                Stream::Queue => {
+                    let event = self.queue.pop().expect("peeked above");
+                    if R::ENABLED {
+                        // Depth *including* the popped event; gated so the
+                        // disabled build computes nothing here.
+                        let depth = self.queue.len() as u64 + 1;
+                        let recorder = &mut self.cells.recorder;
+                        recorder.observe(telem::histogram::HEAP_DEPTH, depth);
+                        recorder.high_water(telem::gauge::HEAP_DEPTH, depth);
+                    }
+                    match event.kind {
+                        EventKind::Departure {
+                            cell,
+                            connection_id,
+                            user,
+                        } => {
+                            self.cells.recorder.add(telem::counter::EVENT_DEPARTURE, 1);
+                            self.cells.depart(controller, cell, connection_id, user);
+                        }
+                        EventKind::Handoff {
+                            from,
+                            to,
+                            connection_id,
+                            user,
+                        } => {
+                            self.cells.recorder.add(telem::counter::EVENT_HANDOFF, 1);
+                            // The sequential engine admits at the target
+                            // with zero lookahead.
+                            if let Some(handoff) =
+                                self.cells
+                                    .hand_out(controller, from, to, connection_id, user, time)
+                            {
+                                let queue = &mut self.queue;
+                                self.cells
+                                    .hand_in(controller, &self.grid, &handoff, |at, kind| {
+                                        queue.schedule(at, kind);
+                                    });
+                            }
+                        }
+                        // Arrivals and ticks are streamed and the queue is
+                        // private to the simulator, so neither can be
+                        // heap-scheduled; resolving a stale arrival index
+                        // against another run's buffer would silently
+                        // process the wrong request, so enforce it.
+                        _ => unreachable!("only departures and handoffs are heap-scheduled"),
+                    }
+                }
             }
         }
         self.arrivals = arrivals;
         if let Some(ns) = watch.elapsed_ns() {
-            self.recorder.span_ns(telem::span::RUN_POISSON, ns);
+            self.cells.recorder.span_ns(telem::span::RUN_POISSON, ns);
         }
         self.take_report(controller.name())
-    }
-
-    fn offer_one<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        request: &AdmissionRequest,
-        cell: CellIdx,
-    ) {
-        self.metrics
-            .record_offered(request.class, request.is_handoff);
-        let station = &self.stations[cell.index()];
-        let physically_fits = station.can_fit(request.bandwidth);
-        let decision = if physically_fits {
-            controller.decide(request, station)
-        } else {
-            AdmissionDecision::reject(-1.0)
-        };
-        if decision.accept && physically_fits {
-            self.stations[cell.index()]
-                .admit(
-                    request.id,
-                    request.class,
-                    request.bandwidth,
-                    request.time,
-                    request.holding_time,
-                    request.is_handoff,
-                )
-                .expect("admission checked via can_fit");
-            self.metrics
-                .record_accepted(request.class, request.bandwidth, request.is_handoff);
-            if R::ENABLED {
-                self.recorder.add(
-                    telem::admission_counter(request.class, true, request.is_handoff),
-                    1,
-                );
-            }
-            controller.on_admitted(request, &self.stations[cell.index()]);
-        } else {
-            self.metrics
-                .record_blocked(request.class, request.is_handoff);
-            if R::ENABLED {
-                self.recorder.add(
-                    telem::admission_counter(request.class, false, request.is_handoff),
-                    1,
-                );
-            }
-        }
-    }
-
-    /// Apply one scheduled fault: retune the cell's capacity and, for
-    /// outages, force-drop every active connection (counted both in the
-    /// per-class `dropped` counters and in
-    /// [`Metrics::dropped_by_outage`]). Mirrors `Shard::apply_fault` in
-    /// the sharded engine exactly, so single-cell faulted runs stay
-    /// bit-identical between the two engines.
-    fn apply_fault<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        fault: &FaultEvent,
-    ) {
-        let cell = fault.cell as usize;
-        self.stations[cell].set_capacity(fault.kind.capacity(self.config.station_capacity));
-        if fault.kind.drops_connections() {
-            let mut dropped = std::mem::take(&mut self.outage_dropped);
-            self.stations[cell].drop_all_into(&mut dropped);
-            for conn in &dropped {
-                self.metrics.record_dropped(conn.class);
-                self.metrics.record_dropped_by_outage();
-                if R::ENABLED {
-                    self.recorder.add(telem::counter::OUTAGE_DROPPED, 1);
-                }
-                controller.on_released(conn.id, &self.stations[cell]);
-            }
-            self.outage_dropped = dropped;
-            // The dropped users' slab slots are deliberately leaked for
-            // the rest of the run: their stale Departure/Handoff events
-            // still in the heap miss at the station (the connection is
-            // gone) and become no-ops, exactly like post-handoff stale
-            // departures, so nothing ever resolves the slots again.
-        }
-    }
-
-    fn release_expired<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        cell: CellIdx,
-    ) {
-        let mut finished = std::mem::take(&mut self.expired);
-        self.stations[cell.index()].release_expired_into(self.clock, &mut finished);
-        for conn in &finished {
-            self.metrics.record_completed(conn.class);
-            controller.on_released(conn.id, &self.stations[cell.index()]);
-        }
-        self.expired = finished;
-    }
-
-    fn handle_arrival<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        cell: CellIdx,
-        call: &CallRequest,
-    ) {
-        let cell_id = self.grid.cell_id(cell);
-        let center = self.grid.center_of(&cell_id);
-        let mut spawn_rng = self.rng.derive(call.id ^ 0xA11C);
-        let user = if self.grid.len() > 1 {
-            // Materialise the user's kinematic state so the request's
-            // speed and angle are geometrically consistent, re-orienting
-            // the heading so the angle to the base station matches the
-            // sampled request angle.
-            let user = spawn_uniform(
-                &center,
-                self.grid.cell_radius_m(),
-                (call.speed_kmh, call.speed_kmh),
-                &mut spawn_rng,
-            );
-            let bearing = user.position.bearing_to(&center);
-            Some(UserState::new(
-                user.position,
-                call.speed_kmh,
-                bearing + call.angle_deg,
-            ))
-        } else {
-            // Single cell: no handoffs ever consume the kinematics, only
-            // the spawn distance survives into the request.  Evaluate the
-            // exact prefix of `spawn_uniform`'s draw sequence and float
-            // expressions (radius, then angle; the speed range is
-            // degenerate and draws nothing) so the distance is
-            // bit-identical to the full path, and skip the unused
-            // heading draw and re-orientation.
-            None
-        };
-        let distance = match &user {
-            Some(user) => user.distance_to(&center),
-            None => {
-                let r = self.grid.cell_radius_m().max(0.0) * spawn_rng.uniform(0.0, 1.0).sqrt();
-                let theta = spawn_rng.uniform(-std::f64::consts::PI, std::f64::consts::PI);
-                let pos = center.translated(r * theta.cos(), r * theta.sin());
-                pos.distance(&center)
-            }
-        };
-
-        let request = AdmissionRequest::from_call(call, cell_id).with_distance(distance);
-        let before_accepted = self.metrics.accepted();
-        self.offer_one(controller, &request, cell);
-        let admitted = self.metrics.accepted() > before_accepted;
-        if !admitted {
-            return;
-        }
-        // Only multi-cell runs track user kinematics: a single cell has no
-        // handoffs to predict, so the slot stays `None` and the slab is
-        // never touched.
-        let slot = user.map(|user| self.users.insert(user));
-        if R::ENABLED {
-            self.recorder
-                .high_water(telem::gauge::SLAB_USERS, self.users.len() as u64);
-        }
-        // Schedule the departure, and a handoff if the user exits the cell
-        // before the call completes.
-        let departure_at = self.clock + call.holding_time;
-        self.queue.schedule(
-            departure_at,
-            EventKind::Departure {
-                cell,
-                connection_id: call.id,
-                user: slot,
-            },
-        );
-        if let Some(slot) = slot {
-            self.maybe_schedule_handoff(cell, call.id, slot, departure_at);
-        }
-    }
-
-    fn maybe_schedule_handoff(
-        &mut self,
-        cell: CellIdx,
-        connection_id: u64,
-        slot: SlotId,
-        departure_at: SimTime,
-    ) {
-        let Some(user) = self.users.get(slot).copied() else {
-            return;
-        };
-        let cell_id = self.grid.cell_id(cell);
-        let center = self.grid.center_of(&cell_id);
-        let Some(exit_in) = user.time_to_exit(&center, self.grid.cell_radius_m()) else {
-            return;
-        };
-        let handoff_at = self.clock + exit_in;
-        if handoff_at >= departure_at {
-            return;
-        }
-        let Some(target) = self.grid.next_cell_along(&cell_id, user.heading_deg) else {
-            return;
-        };
-        let to = self
-            .grid
-            .index_of(&target)
-            .expect("next_cell_along only returns grid cells");
-        self.queue.schedule(
-            handoff_at,
-            EventKind::Handoff {
-                from: cell,
-                to,
-                connection_id,
-                user: slot,
-            },
-        );
-    }
-
-    fn handle_departure<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        cell: CellIdx,
-        connection_id: u64,
-        user: Option<SlotId>,
-    ) {
-        // After an intervening handoff the connection is gone from this
-        // station and the release misses: the event is stale and a no-op
-        // (its replacement was scheduled in the new cell).
-        if let Ok(conn) = self.stations[cell.index()].release(connection_id) {
-            self.metrics.record_completed(conn.class);
-            if let Some(slot) = user {
-                self.users.remove(slot);
-            }
-            controller.on_released(connection_id, &self.stations[cell.index()]);
-        }
-    }
-
-    fn handle_handoff<C: AdmissionController + ?Sized>(
-        &mut self,
-        controller: &mut C,
-        from: CellIdx,
-        to: CellIdx,
-        connection_id: u64,
-        slot: SlotId,
-    ) {
-        // The connection may have already completed or been dropped.
-        let Ok(conn) = self.stations[from.index()].transfer_out(connection_id) else {
-            return;
-        };
-        controller.on_released(connection_id, &self.stations[from.index()]);
-
-        let Some(user) = self.users.get(slot).copied() else {
-            return;
-        };
-        let to_id = self.grid.cell_id(to);
-        let target_center = self.grid.center_of(&to_id);
-        let remaining = (conn.ends_at - self.clock).max(0.0);
-        let request = AdmissionRequest {
-            id: connection_id,
-            cell: to_id,
-            time: self.clock,
-            class: conn.class,
-            bandwidth: conn.bandwidth,
-            holding_time: remaining,
-            speed_kmh: user.speed_kmh,
-            angle_deg: user.angle_to_station(&target_center),
-            distance_m: Some(user.distance_to(&target_center)),
-            is_handoff: true,
-        };
-        self.metrics.record_offered(request.class, true);
-        let target_station = &self.stations[to.index()];
-        let fits = target_station.can_fit(request.bandwidth);
-        let decision = if fits {
-            controller.decide(&request, target_station)
-        } else {
-            AdmissionDecision::reject(-1.0)
-        };
-        if decision.accept && fits {
-            self.stations[to.index()]
-                .admit(
-                    connection_id,
-                    request.class,
-                    request.bandwidth,
-                    self.clock,
-                    remaining,
-                    true,
-                )
-                .expect("admission checked via can_fit");
-            self.metrics
-                .record_accepted(request.class, request.bandwidth, true);
-            if R::ENABLED {
-                self.recorder
-                    .add(telem::admission_counter(request.class, true, true), 1);
-            }
-            controller.on_admitted(&request, &self.stations[to.index()]);
-            // Departure is rescheduled in the new cell; the old departure
-            // event will find the connection gone and become a no-op.
-            self.queue.schedule(
-                conn.ends_at,
-                EventKind::Departure {
-                    cell: to,
-                    connection_id,
-                    user: Some(slot),
-                },
-            );
-            self.maybe_schedule_handoff(to, connection_id, slot, conn.ends_at);
-        } else {
-            // Failed handoff: the on-going call is dropped — the QoS
-            // violation the paper's controllers are designed to avoid.
-            self.metrics.record_blocked(request.class, true);
-            self.metrics.record_dropped(request.class);
-            if R::ENABLED {
-                self.recorder
-                    .add(telem::admission_counter(request.class, false, true), 1);
-            }
-            self.users.remove(slot);
-        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1371,37 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_hooks_are_invoked() {
-        #[derive(Default)]
-        struct Counting {
-            admitted: usize,
-            released: usize,
-        }
-        impl AdmissionController for Counting {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn decide(&mut self, _r: &AdmissionRequest, _s: &BaseStation) -> AdmissionDecision {
-                AdmissionDecision::accept(1.0)
-            }
-            fn on_admitted(&mut self, _r: &AdmissionRequest, _s: &BaseStation) {
-                self.admitted += 1;
-            }
-            fn on_released(&mut self, _id: u64, _s: &BaseStation) {
-                self.released += 1;
-            }
-        }
-        let mut cfg = SimConfig::paper_default().with_seed(6);
-        cfg.traffic.mean_interarrival_s = 20.0;
-        cfg.traffic.mean_holding_s = 30.0;
-        let mut sim = Simulator::new(cfg);
-        let mut controller = Counting::default();
-        let report = sim.run_poisson(&mut controller, 100);
-        assert_eq!(controller.admitted as u64, report.accepted);
-        assert!(controller.released > 0);
-    }
-
-    #[test]
     fn report_fields_are_consistent() {
         let mut sim = Simulator::new(SimConfig::paper_default().with_seed(8));
         let mut controller = AlwaysAccept;
@@ -1439,37 +982,6 @@ mod tests {
         for (r, d) in requests.iter().zip(&batch) {
             assert_eq!(*d, c.decide(r, &station), "snapshot semantics for {}", r.id);
         }
-    }
-
-    #[test]
-    fn screen_groups_by_cell_and_rejects_missing_stations() {
-        let sim = Simulator::new(SimConfig::paper_default().with_seed(14));
-        let mut c = AlwaysAccept;
-        let mk = |id: u64, cell: CellId| AdmissionRequest {
-            id,
-            cell,
-            time: 0.0,
-            class: ServiceClass::Text,
-            bandwidth: 1,
-            holding_time: 60.0,
-            speed_kmh: 30.0,
-            angle_deg: 0.0,
-            distance_m: None,
-            is_handoff: false,
-        };
-        let ghost = CellId::new(5, 5); // single-cell grid: no such station
-        let requests = vec![
-            mk(1, CellId::origin()),
-            mk(2, CellId::origin()),
-            mk(3, ghost),
-            mk(4, CellId::origin()),
-        ];
-        let mut out = Vec::new();
-        sim.screen(&mut c, &requests, &mut out);
-        assert_eq!(out.len(), 4);
-        assert!(out[0].accept && out[1].accept && out[3].accept);
-        assert!(!out[2].accept);
-        assert_eq!(out[2].score, -1.0);
     }
 
     #[test]
@@ -1608,6 +1120,37 @@ mod tests {
         let mut b = AlwaysAccept;
         let rb = Simulator::new(ghost).run_poisson(&mut b, 100);
         assert_eq!(ra, rb, "out-of-grid faults must be no-ops");
+    }
+
+    /// A seven-cell grid under heavy mobile load with 120 outages
+    /// rolling over its cells: many dropped calls whose users were being
+    /// tracked.
+    pub(crate) fn outage_churn_config() -> SimConfig {
+        use crate::fault::FaultPlan;
+        let mut cfg = SimConfig::paper_default()
+            .with_seed(31)
+            .with_grid_radius(1)
+            .with_cell_radius(300.0);
+        cfg.traffic.mean_interarrival_s = 0.5;
+        cfg.traffic.mean_holding_s = 120.0;
+        cfg.traffic.min_speed_kmh = 30.0;
+        cfg.fault_plan = (0..120).fold(FaultPlan::new(), |plan, i| {
+            plan.with_outage(i % 7, 10.0 + 10.0 * f64::from(i), 4.0)
+        });
+        cfg
+    }
+
+    #[test]
+    fn outage_drops_leave_no_user_slots_behind() {
+        let mut sim = Simulator::new(outage_churn_config());
+        let report = sim.run_poisson(&mut AlwaysAccept, 3000);
+        assert!(report.metrics.dropped_by_outage() > 100);
+        assert!(report.metrics.handoffs().0 > 0);
+        assert!(
+            sim.cells.users.is_empty(),
+            "{} slots leaked",
+            sim.cells.users.len()
+        );
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! This walks through the layers of the library:
 //! 1. ask FLC1 for the correction value of a single user,
 //! 2. ask FLC2 for the soft accept/reject decision,
-//! 3. screen a burst of arrivals in one `decide_batch` pass,
-//! 4. run the full controller against the paper's 40-BU base station.
+//! 3. run the full controller against the paper's 40-BU base station.
 //!
 //! Every FLC call below runs on the compiled, allocation-free execute
 //! path (`MamdaniEngine::compile` → `CompiledEngine::infer_into`), which
@@ -35,44 +34,7 @@ fn main() {
         );
     }
 
-    // --- 3. Screen a burst of arrivals in one batch pass ------------------
-    // `Simulator::screen` drives `AdmissionController::decide_batch`: every
-    // request of a tick is judged against the same station snapshot,
-    // without admitting anything — the "what would you do?" view.
-    let mut controller = FacsPController::paper_default();
-    let sim = Simulator::new(SimConfig::paper_default());
-    let burst: Vec<AdmissionRequest> = (0..5)
-        .map(|i| AdmissionRequest {
-            id: 100 + i,
-            cell: CellId::origin(),
-            time: 0.0,
-            class: ServiceClass::Voice,
-            bandwidth: ServiceClass::Voice.paper_bandwidth(),
-            holding_time: 180.0,
-            speed_kmh: 20.0 * i as f64,
-            angle_deg: 40.0 * i as f64 - 80.0,
-            distance_m: None,
-            is_handoff: false,
-        })
-        .collect();
-    let mut decisions = Vec::new();
-    sim.screen(&mut controller, &burst, &mut decisions);
-    println!(
-        "\nScreening a burst of {} voice arrivals in one pass:",
-        burst.len()
-    );
-    for (req, d) in burst.iter().zip(&decisions) {
-        println!(
-            "  user {} ({:>3.0} km/h, {:>4.0}°) -> {} (A/R {:+.3})",
-            req.id,
-            req.speed_kmh,
-            req.angle_deg,
-            if d.accept { "admit" } else { "refuse" },
-            d.score
-        );
-    }
-
-    // --- 4. Full controller against the paper's base station --------------
+    // --- 3. Full controller against the paper's base station --------------
     let mut controller = FacsPController::paper_default();
     let mut sim = Simulator::new(SimConfig::paper_default());
     let report = sim.run_batch(&mut controller, 40);
