@@ -301,12 +301,17 @@ fn snapshot_files_round_trip() {
         ControllerSpec::AlwaysAccept.build()
     });
     let mut out = Vec::new();
-    world.process(&[admit(0, 1, 1e6)], &mut out);
+    // Clients choose connection ids, so ids above `i64::MAX` must survive
+    // the JSON file exactly too.
+    world.process(&[admit(0, 1, 1e6), admit(0, u64::MAX, 1e6)], &mut out);
     let path = std::env::temp_dir().join(format!("admitd-snap-{}.json", std::process::id()));
     state::save_snapshot(&world, &path).expect("write snapshot");
     let loaded = state::load_snapshot(&path).expect("read snapshot");
     assert_eq!(loaded.cells, 1);
-    assert_eq!(loaded.stations[0].occupied(), 5);
+    assert_eq!(loaded.stations[0].occupied(), 10);
+    let mut ids: Vec<u64> = loaded.stations[0].connections().map(|c| c.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [1, u64::MAX]);
     assert!(
         !path.with_extension("tmp").exists(),
         "temp file renamed away"

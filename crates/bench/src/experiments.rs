@@ -16,55 +16,11 @@
 //! | Fig. 9 | FACS-P at 0/30/50/60/90° | user angle fixed per series |
 //! | Fig. 10 | FACS-P vs. FACS | shared arrival sequences, on-going (handoff) traffic |
 
-use cellsim::shard::BoxedController;
 use cellsim::sim::{SimConfig, Simulator};
 use cellsim::traffic::TrafficConfig;
 use cellsim::MobilityModel;
 use serde::{Deserialize, Serialize};
 use sweep::{ControllerSpec, LoadMode, RunReport, ScenarioSpec, SweepRunner};
-
-/// Which admission controller a series uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ControllerKind {
-    /// The proposed FACS-P controller.
-    FacsP,
-    /// The authors' previous FACS controller.
-    Facs,
-    /// The Shadow Cluster Concept baseline.
-    Scc,
-    /// Admit-if-it-fits upper bound (not in the paper; used by ablations).
-    AlwaysAccept,
-}
-
-impl ControllerKind {
-    /// Human-readable label used in tables and JSON output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ControllerKind::FacsP => "FACS-P",
-            ControllerKind::Facs => "FACS",
-            ControllerKind::Scc => "SCC",
-            ControllerKind::AlwaysAccept => "always-accept",
-        }
-    }
-
-    /// The scenario-spec form of this controller choice.
-    #[must_use]
-    pub fn spec(&self) -> ControllerSpec {
-        match self {
-            ControllerKind::FacsP => ControllerSpec::FacsP,
-            ControllerKind::Facs => ControllerSpec::Facs,
-            ControllerKind::Scc => ControllerSpec::Scc,
-            ControllerKind::AlwaysAccept => ControllerSpec::AlwaysAccept,
-        }
-    }
-
-    /// Instantiate the controller.
-    #[must_use]
-    pub fn build(&self) -> BoxedController {
-        self.spec().build()
-    }
-}
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,7 +68,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A cheaper configuration for CI / Criterion runs (fewer points and
+    /// A cheaper configuration for CI smoke runs (fewer points and
     /// repetitions).
     #[must_use]
     pub fn quick() -> Self {
@@ -188,7 +144,7 @@ impl FigureSeries {
 /// paper's ranges.
 #[must_use]
 pub fn figure_scenario(
-    kinds: &[ControllerKind],
+    controllers: &[ControllerSpec],
     cfg: &ExperimentConfig,
     fixed_speed: Option<f64>,
     fixed_angle: Option<f64>,
@@ -214,7 +170,7 @@ pub fn figure_scenario(
         fault_plan: cellsim::FaultPlan::new(),
         mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
-        controllers: kinds.iter().map(ControllerKind::spec).collect(),
+        controllers: controllers.to_vec(),
         load_mode: LoadMode::RequestsPerWindow {
             window_s: cfg.window_s,
         },
@@ -247,12 +203,12 @@ pub fn series_from_report(report: &RunReport) -> Vec<FigureSeries> {
 /// acceptance-percentage curve per controller.
 #[must_use]
 pub fn acceptance_curves(
-    kinds: &[ControllerKind],
+    controllers: &[ControllerSpec],
     cfg: &ExperimentConfig,
     fixed_speed: Option<f64>,
     fixed_angle: Option<f64>,
 ) -> Vec<FigureSeries> {
-    let spec = figure_scenario(kinds, cfg, fixed_speed, fixed_angle);
+    let spec = figure_scenario(controllers, cfg, fixed_speed, fixed_angle);
     let report = SweepRunner::new()
         .run(&spec)
         .expect("figure scenarios are statically valid");
@@ -266,12 +222,12 @@ pub fn acceptance_curves(
 /// the whole series (Figs. 8 and 9); `None` draws them uniformly from the
 /// paper's ranges.
 pub fn acceptance_curve(
-    kind: ControllerKind,
+    controller: ControllerSpec,
     cfg: &ExperimentConfig,
     fixed_speed: Option<f64>,
     fixed_angle: Option<f64>,
 ) -> FigureSeries {
-    acceptance_curves(&[kind], cfg, fixed_speed, fixed_angle)
+    acceptance_curves(&[controller], cfg, fixed_speed, fixed_angle)
         .pop()
         .expect("one controller in, one series out")
 }
@@ -288,7 +244,7 @@ pub fn fig7_series(cfg: &ExperimentConfig) -> Vec<FigureSeries> {
         .clone()
         .with_handoff_fraction(cfg.handoff_fraction.max(0.3));
     acceptance_curves(
-        &[ControllerKind::Facs, ControllerKind::Scc],
+        &[ControllerSpec::Facs, ControllerSpec::Scc],
         &cfg,
         None,
         None,
@@ -302,7 +258,7 @@ pub fn fig8_series(cfg: &ExperimentConfig) -> Vec<FigureSeries> {
     [4.0, 10.0, 30.0, 60.0]
         .into_iter()
         .map(|speed| {
-            let mut s = acceptance_curve(ControllerKind::FacsP, cfg, Some(speed), None);
+            let mut s = acceptance_curve(ControllerSpec::FacsP, cfg, Some(speed), None);
             s.label = format!("speed = {speed:.0} km/h");
             s
         })
@@ -316,7 +272,7 @@ pub fn fig9_series(cfg: &ExperimentConfig) -> Vec<FigureSeries> {
     [0.0, 30.0, 50.0, 60.0, 90.0]
         .into_iter()
         .map(|angle| {
-            let mut s = acceptance_curve(ControllerKind::FacsP, cfg, None, Some(angle));
+            let mut s = acceptance_curve(ControllerSpec::FacsP, cfg, None, Some(angle));
             s.label = format!("angle = {angle:.0} deg");
             s
         })
@@ -331,7 +287,7 @@ pub fn fig10_series(cfg: &ExperimentConfig) -> Vec<FigureSeries> {
         .clone()
         .with_handoff_fraction(cfg.handoff_fraction.max(0.35));
     acceptance_curves(
-        &[ControllerKind::FacsP, ControllerKind::Facs],
+        &[ControllerSpec::FacsP, ControllerSpec::Facs],
         &cfg,
         None,
         None,
@@ -359,13 +315,13 @@ pub struct QosRow {
 #[must_use]
 pub fn qos_protection_rows(total_requests: usize, seed: u64) -> Vec<QosRow> {
     [
-        ControllerKind::FacsP,
-        ControllerKind::Facs,
-        ControllerKind::Scc,
-        ControllerKind::AlwaysAccept,
+        ControllerSpec::FacsP,
+        ControllerSpec::Facs,
+        ControllerSpec::Scc,
+        ControllerSpec::AlwaysAccept,
     ]
     .into_iter()
-    .map(|kind| {
+    .map(|spec| {
         let mut cfg = SimConfig::paper_default()
             .with_seed(seed)
             .with_grid_radius(1);
@@ -377,12 +333,12 @@ pub fn qos_protection_rows(total_requests: usize, seed: u64) -> Vec<QosRow> {
             max_speed_kmh: 120.0,
             ..TrafficConfig::paper_default()
         };
-        let mut controller = kind.build();
+        let mut controller = spec.build();
         let mut sim = Simulator::new(cfg);
         let report = sim.run_poisson(controller.as_mut(), total_requests);
         let (ho_offered, ho_accepted, _) = report.metrics.handoffs();
         QosRow {
-            controller: kind.label().to_string(),
+            controller: spec.label(),
             acceptance_percentage: report.acceptance_percentage,
             dropping_probability: report.dropping_probability,
             handoff_acceptance: if ho_offered == 0 {
@@ -409,7 +365,7 @@ mod tests {
 
     #[test]
     fn acceptance_curve_has_one_point_per_count() {
-        let s = acceptance_curve(ControllerKind::AlwaysAccept, &tiny(), None, None);
+        let s = acceptance_curve(ControllerSpec::AlwaysAccept, &tiny(), None, None);
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].0, 10);
         assert_eq!(s.points[1].0, 60);
@@ -420,7 +376,7 @@ mod tests {
 
     #[test]
     fn acceptance_declines_with_offered_load() {
-        let s = acceptance_curve(ControllerKind::FacsP, &tiny(), None, None);
+        let s = acceptance_curve(ControllerSpec::FacsP, &tiny(), None, None);
         let low = s.value_at(10).unwrap();
         let high = s.value_at(60).unwrap();
         assert!(
@@ -432,24 +388,24 @@ mod tests {
 
     #[test]
     fn curves_are_deterministic() {
-        let a = acceptance_curve(ControllerKind::Facs, &tiny(), None, None);
-        let b = acceptance_curve(ControllerKind::Facs, &tiny(), None, None);
+        let a = acceptance_curve(ControllerSpec::Facs, &tiny(), None, None);
+        let b = acceptance_curve(ControllerSpec::Facs, &tiny(), None, None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn figure_scenario_maps_config_onto_the_spec() {
         let cfg = tiny();
-        let spec = figure_scenario(&[ControllerKind::FacsP], &cfg, None, None);
+        let spec = figure_scenario(&[ControllerSpec::FacsP], &cfg, None, None);
         assert_eq!(spec.base_seed, cfg.base_seed);
         assert_eq!(spec.load_points, cfg.request_counts);
         assert_eq!(spec.replications, cfg.repetitions);
         assert!(spec.validate().is_ok());
         // Cell seeds come from the spec's hashed derivation: distinct per
         // replication and reproducible from the base seed alone.
-        let c = ControllerKind::FacsP.spec();
+        let c = ControllerSpec::FacsP;
         assert_ne!(spec.seed_for(&c, 0, 0), spec.seed_for(&c, 0, 1));
-        let again = figure_scenario(&[ControllerKind::FacsP], &cfg, None, None);
+        let again = figure_scenario(&[ControllerSpec::FacsP], &cfg, None, None);
         assert_eq!(spec.seed_for(&c, 1, 1), again.seed_for(&c, 1, 1));
     }
 
@@ -460,7 +416,7 @@ mod tests {
         // (load, replication), independently of the controller list.
         let cfg = tiny();
         let joint = acceptance_curves(
-            &[ControllerKind::Facs, ControllerKind::Scc],
+            &[ControllerSpec::Facs, ControllerSpec::Scc],
             &cfg,
             None,
             None,
@@ -468,26 +424,12 @@ mod tests {
         assert_eq!(joint.len(), 2);
         assert_eq!(
             joint[0],
-            acceptance_curve(ControllerKind::Facs, &cfg, None, None)
+            acceptance_curve(ControllerSpec::Facs, &cfg, None, None)
         );
         assert_eq!(
             joint[1],
-            acceptance_curve(ControllerKind::Scc, &cfg, None, None)
+            acceptance_curve(ControllerSpec::Scc, &cfg, None, None)
         );
-    }
-
-    #[test]
-    fn controller_kinds_build_with_their_labels() {
-        for kind in [
-            ControllerKind::FacsP,
-            ControllerKind::Facs,
-            ControllerKind::Scc,
-            ControllerKind::AlwaysAccept,
-        ] {
-            let c = kind.build();
-            assert!(!kind.label().is_empty());
-            let _ = c.name();
-        }
     }
 
     #[test]

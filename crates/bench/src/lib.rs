@@ -6,9 +6,10 @@
 //! workloads are built as `facs-sweep` [`sweep::ScenarioSpec`]s and driven
 //! through its deterministic parallel [`sweep::SweepRunner`], so the bins
 //! parallelise across replications for free while staying bit-identical to
-//! a single-threaded run.  The Criterion benches under `benches/` measure
-//! the cost of the underlying fuzzy inference and simulation machinery and
-//! run the ablation studies called out in `DESIGN.md`.
+//! a single-threaded run.  The [`perf`] module (the `perf` bin) is the
+//! workspace's timing harness: it measures the fuzzy inference,
+//! controller, simulator, sweep, sharded-engine and server layers and
+//! writes and checks the committed `BENCH_perf.json` baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +23,8 @@ pub mod report;
 pub use cli::FigureArgs;
 pub use experiments::{
     acceptance_curve, acceptance_curves, fig10_series, fig7_series, fig8_series, fig9_series,
-    figure_scenario, qos_protection_rows, series_from_report, ControllerKind, ExperimentConfig,
-    FigureSeries, QosRow,
+    figure_scenario, qos_protection_rows, series_from_report, ExperimentConfig, FigureSeries,
+    QosRow,
 };
 pub use perf::{PerfCase, PerfReport, SweepThroughput};
 pub use report::{

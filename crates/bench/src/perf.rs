@@ -513,19 +513,25 @@ fn time_case(name: &str, iters: u64, mut routine: impl FnMut() -> f64) -> PerfCa
     }
 }
 
-/// Time whole `run_poisson` simulations on the paper-default
-/// configuration, reporting nanoseconds *per processed event* of the
-/// fastest run (so `1e9 / ns_per_iter` is the engine's events-per-second
-/// throughput).  One warm-up run sizes every reused buffer; the timed
-/// runs then reuse the same simulator via `reset`, exactly like a sweep
-/// worker.  The request count is part of the case name: quick and full
-/// mode time different workloads, and [`compare_reports`] must never
-/// compare a 4k-request run against a 20k-request baseline.
-fn time_sim_events(label: &str, controller: &mut dyn AdmissionController, quick: bool) -> PerfCase {
+/// Time whole `run_poisson` simulations of `config`, reporting
+/// nanoseconds *per processed event* of the fastest run (so
+/// `1e9 / ns_per_iter` is the engine's events-per-second throughput).
+/// One warm-up run sizes every reused buffer; the timed runs then reuse
+/// the same simulator via `reset`, exactly like a sweep worker.  The case
+/// is named `{case} ({label}, {requests} req)`: quick and full mode time
+/// different workloads, and [`compare_reports`] must never compare a
+/// 4k-request run against a 20k-request baseline.
+fn time_sim_events(
+    case: &str,
+    label: &str,
+    config: &SimConfig,
+    controller: &mut dyn AdmissionController,
+    quick: bool,
+) -> PerfCase {
     // An explicit `NoopRecorder` rather than the default alias, so this
     // case times the uninstrumented engine even if some other crate in
     // the build graph unified the `telemetry` feature on.
-    time_sim_events_with::<NoopRecorder>(label, controller, quick).0
+    time_sim_events_with::<NoopRecorder>(case, label, config, controller, quick).0
 }
 
 /// The generic core of [`time_sim_events`]: times `Simulator<R>` and also
@@ -535,13 +541,14 @@ fn time_sim_events(label: &str, controller: &mut dyn AdmissionController, quick:
 /// naming scheme, with `, telemetry` spliced into the label so
 /// [`PerfReport::telemetry_overhead_regressions`] can pair the two.
 fn time_sim_events_with<R: Recorder>(
+    case: &str,
     label: &str,
+    config: &SimConfig,
     controller: &mut dyn AdmissionController,
     quick: bool,
 ) -> (PerfCase, TelemetrySnapshot) {
     let requests = if quick { 4_000 } else { 20_000 };
     let runs = if quick { 3 } else { 5 };
-    let config = SimConfig::paper_default().with_seed(0xBEEF);
     let mut sim = Simulator::<R>::with_telemetry(config.clone());
     std::hint::black_box(sim.run_poisson(controller, requests));
     let mut events = 0u64;
@@ -555,42 +562,11 @@ fn time_sim_events_with<R: Recorder>(
         best_ns = best_ns.min(elapsed.as_nanos() as f64 / sim.events_processed() as f64);
     }
     let case = PerfCase {
-        name: format!("sim/paper-default poisson events ({label}, {requests} req)"),
+        name: format!("{case} ({label}, {requests} req)"),
         ns_per_iter: best_ns,
         iters: events,
     };
     (case, sim.telemetry())
-}
-
-/// Time the engine under bursty MMPP arrivals (the `flash_crowd`
-/// preset on the paper's cell), reporting nanoseconds per processed
-/// event of the fastest run.  The bursty generator's state machine sits
-/// on the arrival pre-generation path, so this case pins its cost
-/// relative to the plain-Poisson `sim/` case above; the request count
-/// stays in the name for the same quick-vs-full reason.
-fn time_burst_events(controller: &mut dyn AdmissionController, quick: bool) -> PerfCase {
-    let requests = if quick { 4_000 } else { 20_000 };
-    let runs = if quick { 3 } else { 5 };
-    let config = SimConfig::paper_default()
-        .with_seed(0xBEEF)
-        .with_traffic_model(TrafficModel::Mmpp(MmppConfig::flash_crowd()));
-    let mut sim = Simulator::<NoopRecorder>::with_telemetry(config.clone());
-    std::hint::black_box(sim.run_poisson(controller, requests));
-    let mut events = 0u64;
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..runs {
-        sim.reset(config.clone());
-        let start = Instant::now();
-        std::hint::black_box(sim.run_poisson(controller, requests));
-        let elapsed = start.elapsed();
-        events += sim.events_processed();
-        best_ns = best_ns.min(elapsed.as_nanos() as f64 / sim.events_processed() as f64);
-    }
-    PerfCase {
-        name: format!("sim/burst events (mmpp flash-crowd, always-accept, {requests} req)"),
-        ns_per_iter: best_ns,
-        iters: events,
-    }
 }
 
 /// Time full paper-default sweeps at one worker count, reporting
@@ -1015,24 +991,49 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
     ));
 
     // --- whole-simulation throughput: events/sec through run_poisson -----
-    let engine_case = time_sim_events("always-accept", &mut AlwaysAccept, quick);
+    const POISSON_EVENTS: &str = "sim/paper-default poisson events";
+    let paper = SimConfig::paper_default().with_seed(0xBEEF);
+    let engine_case = time_sim_events(
+        POISSON_EVENTS,
+        "always-accept",
+        &paper,
+        &mut AlwaysAccept,
+        quick,
+    );
     let sim_events_per_sec = 1e9 / engine_case.ns_per_iter;
     cases.push(engine_case);
     // The same workload through the instrumented recorder.  Its case name
     // differs from the plain one only by the `, telemetry` marker, which
     // is how `telemetry_overhead_regressions` pairs them; the snapshot it
     // produces is the sim-layer slice of the `--telemetry` export.
-    let (telem_case, sim_snapshot) =
-        time_sim_events_with::<Registry>("always-accept, telemetry", &mut AlwaysAccept, quick);
+    let (telem_case, sim_snapshot) = time_sim_events_with::<Registry>(
+        POISSON_EVENTS,
+        "always-accept, telemetry",
+        &paper,
+        &mut AlwaysAccept,
+        quick,
+    );
     cases.push(telem_case);
     cases.push(time_sim_events(
+        POISSON_EVENTS,
         "facs-p-lut",
+        &paper,
         &mut FacsPController::paper_default_lut(),
         quick,
     ));
-    // The same engine under bursty MMPP arrivals, pinning the bursty
-    // generator's cost next to the plain-Poisson case.
-    cases.push(time_burst_events(&mut AlwaysAccept, quick));
+    // The same engine under bursty MMPP arrivals (the `flash_crowd`
+    // preset on the paper's cell).  The bursty generator's state machine
+    // sits on the arrival pre-generation path, so this case pins its cost
+    // next to the plain-Poisson case.
+    cases.push(time_sim_events(
+        "sim/burst events",
+        "mmpp flash-crowd, always-accept",
+        &paper
+            .clone()
+            .with_traffic_model(TrafficModel::Mmpp(MmppConfig::flash_crowd())),
+        &mut AlwaysAccept,
+        quick,
+    ));
 
     // --- end-to-end sweep throughput at 1/2/4 workers --------------------
     let mut sweep_cells_per_sec = Vec::new();

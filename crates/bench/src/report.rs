@@ -177,14 +177,14 @@ mod tests {
 
     #[test]
     fn run_report_writers_delegate_to_the_engine() {
-        use crate::experiments::{figure_scenario, ControllerKind, ExperimentConfig};
-        use sweep::SweepRunner;
+        use crate::experiments::{figure_scenario, ExperimentConfig};
+        use sweep::{ControllerSpec, SweepRunner};
         let cfg = ExperimentConfig {
             request_counts: vec![20],
             repetitions: 2,
             ..ExperimentConfig::paper_default()
         };
-        let spec = figure_scenario(&[ControllerKind::AlwaysAccept], &cfg, None, None);
+        let spec = figure_scenario(&[ControllerSpec::AlwaysAccept], &cfg, None, None);
         let report = SweepRunner::with_threads(2).run(&spec).unwrap();
         let json = run_report_to_json(&report);
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();

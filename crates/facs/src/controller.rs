@@ -128,7 +128,7 @@ impl FacsController {
     }
 
     /// The defuzzified A/R value FACS would produce for a request, given
-    /// the station state (exposed for tests and the benches).
+    /// the station state (exposed for tests).
     #[must_use]
     pub fn decision_value(&self, request: &AdmissionRequest, station: &BaseStation) -> f64 {
         let distance = request.distance_m.unwrap_or(self.config.default_distance_m);
@@ -304,7 +304,8 @@ impl FacsPController {
         self.lut.as_ref()
     }
 
-    /// FLC1's correction value for a request (exposed for the benches).
+    /// FLC1's correction value for a request: the first stage of the
+    /// cascade, before FLC2 weighs it against the station state.
     #[must_use]
     pub fn correction_value(&self, request: &AdmissionRequest) -> f64 {
         self.flc1.correction_value(

@@ -102,8 +102,8 @@ impl Flc1 {
         })
     }
 
-    /// The underlying Mamdani engine (exposed for the ablation benches and
-    /// as the interpreted reference of the compiled path).
+    /// The underlying Mamdani engine: the interpreted reference of the
+    /// compiled path.
     #[must_use]
     pub fn engine(&self) -> &MamdaniEngine {
         &self.shared.engine

@@ -85,8 +85,8 @@ impl Flc2 {
         self.capacity_bu
     }
 
-    /// The underlying Mamdani engine (exposed for the ablation benches and
-    /// as the interpreted reference of the compiled path).
+    /// The underlying Mamdani engine: the interpreted reference of the
+    /// compiled path.
     #[must_use]
     pub fn engine(&self) -> &MamdaniEngine {
         &self.shared.engine

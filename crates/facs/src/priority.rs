@@ -114,7 +114,7 @@ impl PriorityPolicy {
 
     /// A policy that disables priority handling entirely (new calls and
     /// handoffs both see the physical occupancy) — this reduces FACS-P to
-    /// the plain FLC1/FLC2 cascade and is used by the ablation bench.
+    /// the plain FLC1/FLC2 cascade (the priority ablation).
     #[must_use]
     pub fn disabled() -> Self {
         Self {

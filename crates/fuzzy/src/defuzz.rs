@@ -2,8 +2,8 @@
 //!
 //! The aggregated output [`FuzzySet`] produced by the inference engine is
 //! collapsed to a crisp value.  The paper's controllers use the centre of
-//! area (centroid); the other methods are provided for the ablation study
-//! (`bench/benches/ablation.rs`) and for completeness.
+//! area (centroid); the other methods are provided for ablation and for
+//! completeness.
 
 use crate::error::{FuzzyError, Result};
 use crate::set::FuzzySet;

@@ -72,8 +72,8 @@ impl SccAdmission {
         self.estimator.active_clusters()
     }
 
-    /// Read-only access to the load estimator (used by the benches to
-    /// report projected load).
+    /// Read-only access to the load estimator (used by tests to check
+    /// projected load).
     #[must_use]
     pub fn estimator(&self) -> &LoadEstimator {
         &self.estimator

@@ -1,7 +1,7 @@
 //! Integration tests that pin the paper's qualitative claims (the shapes of
 //! Figs. 7–10 and the conclusions of Section 5) using reduced versions of
 //! the full experiment sweeps, so `cargo test --workspace` exercises the
-//! same code paths the benches use without taking minutes.
+//! same code paths the figure binaries use without taking minutes.
 
 use facs_suite::prelude::*;
 
