@@ -23,7 +23,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use admitd::{client, parse_controller, ChaosConfig, Server, ServerConfig, World, WorldConfig};
+use admitd::{
+    client, parse_controller, ChaosConfig, RestoreError, Server, ServerConfig, World, WorldConfig,
+};
 use cellsim::SimConfig;
 use sweep::{builtin, builtin_names, ControllerSpec};
 
@@ -173,8 +175,11 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     }));
     if let Some(path) = &restore {
         let snapshot = admitd::state::load_snapshot(std::path::Path::new(path))?;
-        let restored = world.restore(&snapshot).map_err(|e| {
-            format!("cannot restore {path}: {e} (did the grid/shard flags change?)")
+        let restored = world.restore(&snapshot).map_err(|e| match e {
+            RestoreError::Shape { .. } => {
+                format!("cannot restore {path}: {e} (did the grid/shard flags change?)")
+            }
+            RestoreError::Invalid { .. } => format!("cannot restore {path}: {e}"),
         })?;
         println!(
             "admitd: restored {restored} live connections from {path} \

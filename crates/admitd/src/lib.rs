@@ -37,7 +37,7 @@ pub mod wire;
 pub use chaos::{ChaosAction, ChaosConfig, ChaosInjector};
 pub use client::{BenchConfig, BenchReport, RetryConfig};
 pub use server::{Server, ServerConfig, ServerSummary};
-pub use state::{World, WorldConfig, WorldSnapshot};
+pub use state::{RestoreError, World, WorldConfig, WorldSnapshot};
 
 use sweep::ControllerSpec;
 

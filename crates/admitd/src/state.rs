@@ -30,6 +30,8 @@
 //! every request on its own, which `tests/determinism.rs` proves against
 //! the in-process engine.
 
+use std::collections::HashSet;
+use std::fmt;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -186,6 +188,8 @@ pub struct World {
     grid: CellGrid,
     shards: Vec<Mutex<Shard>>,
     cells_per_shard: usize,
+    /// Capacity every station is built with (BU).
+    station_capacity: Bandwidth,
     controller_label: String,
     /// Frame and response counters of frames that name no cell of the
     /// grid; locked only when such a frame arrives.
@@ -226,6 +230,7 @@ impl World {
             grid,
             shards,
             cells_per_shard,
+            station_capacity: config.station_capacity,
             controller_label: controller_label.to_string(),
             unrouted: Mutex::new(Registry::for_schema(&SCHEMA)),
         }
@@ -452,18 +457,16 @@ impl World {
     /// # Errors
     ///
     /// Fails without touching state when the snapshot's cell count does
-    /// not match this world's grid.
-    pub fn restore(&self, snapshot: &WorldSnapshot) -> Result<u64, String> {
-        if snapshot.cells != self.grid.len()
-            || snapshot.stations.len() != self.grid.len()
-            || snapshot.clocks.len() != self.grid.len()
-        {
-            return Err(format!(
-                "snapshot has {} cells but this world has {}",
-                snapshot.stations.len(),
-                self.grid.len()
-            ));
-        }
+    /// not match this world's grid ([`RestoreError::Shape`]), or when a
+    /// station breaks an invariant every live station keeps
+    /// ([`RestoreError::Invalid`]): station `i` must be the grid's `i`-th
+    /// cell with this world's capacity, its RTC and NRTC counters must
+    /// equal the per-class sums of its connections' bandwidths and
+    /// together fit its capacity, no connection id may repeat within it,
+    /// and its clock and every connection's `admitted_at` and `ends_at`
+    /// must be finite.
+    pub fn restore(&self, snapshot: &WorldSnapshot) -> Result<u64, RestoreError> {
+        check_snapshot(snapshot, &self.grid, self.station_capacity)?;
         let mut restored = 0;
         for shard in &self.shards {
             let shard = &mut *shard.lock().expect("shard lock");
@@ -485,6 +488,114 @@ impl World {
         }
         Ok(restored)
     }
+}
+
+/// Why [`World::restore`] refused a snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RestoreError {
+    /// The snapshot was taken from a world with a different cell count.
+    Shape {
+        /// Cells in the snapshot.
+        snapshot: usize,
+        /// Cells in the restoring world.
+        world: usize,
+    },
+    /// Station `cell` (dense index) breaks the invariant `reason` names.
+    Invalid {
+        /// Dense index of the offending cell.
+        cell: usize,
+        /// The broken invariant.
+        reason: String,
+    },
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Shape { snapshot, world } => {
+                write!(
+                    f,
+                    "snapshot has {snapshot} cells but this world has {world}"
+                )
+            }
+            Self::Invalid { cell, reason } => {
+                write!(f, "snapshot cell {cell} is invalid: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+/// The checks [`World::restore`] runs before touching any state, for a
+/// world of `grid` whose stations hold `capacity` BU; returns the first
+/// violation found.
+fn check_snapshot(
+    snapshot: &WorldSnapshot,
+    grid: &CellGrid,
+    capacity: Bandwidth,
+) -> Result<(), RestoreError> {
+    if snapshot.cells != grid.len()
+        || snapshot.stations.len() != grid.len()
+        || snapshot.clocks.len() != grid.len()
+    {
+        return Err(RestoreError::Shape {
+            snapshot: snapshot.stations.len(),
+            world: grid.len(),
+        });
+    }
+    let mut ids = HashSet::new();
+    for (i, (station, &clock)) in snapshot.stations.iter().zip(&snapshot.clocks).enumerate() {
+        let invalid = |reason: String| RestoreError::Invalid { cell: i, reason };
+        if station.cell() != grid.cells()[i] {
+            return Err(invalid(format!(
+                "station for cell {} where the grid has cell {}",
+                station.cell(),
+                grid.cells()[i]
+            )));
+        }
+        if station.capacity() != capacity {
+            return Err(invalid(format!(
+                "capacity {} BU differs from the world's {capacity} BU",
+                station.capacity()
+            )));
+        }
+        if !clock.is_finite() {
+            return Err(invalid(format!("clock {clock} is not finite")));
+        }
+        let (mut rt, mut nrt) = (0u64, 0u64);
+        ids.clear();
+        for conn in station.connections() {
+            if !ids.insert(conn.id) {
+                return Err(invalid(format!("connection id {} repeats", conn.id)));
+            }
+            if !(conn.admitted_at.is_finite() && conn.ends_at.is_finite()) {
+                return Err(invalid(format!(
+                    "connection {} has admitted_at {} and ends_at {}; both must be finite",
+                    conn.id, conn.admitted_at, conn.ends_at
+                )));
+            }
+            if conn.class.is_real_time() {
+                rt += u64::from(conn.bandwidth);
+            } else {
+                nrt += u64::from(conn.bandwidth);
+            }
+        }
+        if u64::from(station.rtc()) != rt || u64::from(station.nrtc()) != nrt {
+            return Err(invalid(format!(
+                "counters rtc {} / nrtc {} BU differ from its connections' {rt} / {nrt} BU",
+                station.rtc(),
+                station.nrtc()
+            )));
+        }
+        if rt + nrt > u64::from(capacity) {
+            return Err(invalid(format!(
+                "connections hold {} BU of a {capacity} BU capacity",
+                rt + nrt
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// A durable checkpoint of a [`World`]'s authoritative state, written

@@ -12,7 +12,7 @@ use admitd::chaos::ChaosConfig;
 use admitd::client::{self, RetryConfig};
 use admitd::state;
 use admitd::wire::{self, AdmitFrame, Request, Status};
-use admitd::{Server, ServerConfig, World, WorldConfig};
+use admitd::{Server, ServerConfig, World, WorldConfig, WorldSnapshot};
 use cellsim::{ServiceClass, SimConfig};
 use sweep::ControllerSpec;
 
@@ -291,6 +291,80 @@ fn snapshot_restores_bit_identical_state() {
         ControllerSpec::FacsP.build()
     });
     assert!(wrong_shape.restore(&snapshot).is_err());
+
+    // Right shape, corrupt stations: each is refused, naming the cell and
+    // the broken invariant, before any state moves.  Cell 0 holds ids 0,
+    // 19, 38 and 57 (four 5-BU voice calls).
+    let json = serde_json::to_string(&snapshot).unwrap();
+    let edited = |key: &str, value: &str| -> WorldSnapshot {
+        serde_json::from_str(&with_first(&json, key, value)).expect("edited snapshot parses")
+    };
+    let mut corrupt: Vec<(WorldSnapshot, &str)> = vec![
+        (edited("nrtc", "4294967295"), "cell 0 is invalid: counters"),
+        (edited("rtc", "25"), "cell 0 is invalid: counters"),
+        (
+            edited("id", "19"),
+            "cell 0 is invalid: connection id 19 repeats",
+        ),
+    ];
+    let mut swapped = snapshot.clone();
+    swapped.stations.swap(0, 1);
+    corrupt.push((swapped, "cell 0 is invalid: station for cell"));
+    let mut resized = snapshot.clone();
+    resized.stations[2].set_capacity(41);
+    corrupt.push((resized, "cell 2 is invalid: capacity 41 BU"));
+    let mut stopped = snapshot.clone();
+    stopped.clocks[4] = f64::NAN;
+    corrupt.push((stopped, "cell 4 is invalid: clock NaN"));
+    let mut endless = snapshot.clone();
+    endless.stations[5]
+        .admit(9_999, ServiceClass::Voice, 5, 0.0, f64::INFINITY, false)
+        .unwrap();
+    corrupt.push((endless, "cell 5 is invalid: connection 9999"));
+    let mut timeless = snapshot.clone();
+    timeless.stations[6]
+        .admit(9_998, ServiceClass::Text, 1, f64::NAN, 1.0, false)
+        .unwrap();
+    corrupt.push((timeless, "cell 6 is invalid: connection 9998"));
+    let mut overfull = snapshot.clone();
+    overfull.stations[7].set_capacity(60);
+    overfull.stations[7]
+        .admit(9_997, ServiceClass::Video, 30, 0.0, 1.0, false)
+        .unwrap();
+    overfull.stations[7].set_capacity(40);
+    corrupt.push((overfull, "cell 7 is invalid: connections hold 45 BU"));
+    let before = serde_json::to_string(&restored.snapshot()).unwrap();
+    for (bad, reason) in &corrupt {
+        let err = restored.restore(bad).expect_err(reason).to_string();
+        assert!(err.contains(reason), "{err:?} should contain {reason:?}");
+        assert_eq!(
+            serde_json::to_string(&restored.snapshot()).unwrap(),
+            before,
+            "a refused restore ({reason}) must leave the world untouched"
+        );
+    }
+
+    // The counter overflow that used to poison a shard lock: one 5-BU
+    // voice call whose NRTC reads u32::MAX.
+    let solo = World::new(&WorldConfig::paper_default(), "FACS-P", || {
+        ControllerSpec::FacsP.build()
+    });
+    solo.process(&[admit(0, 1, 100.0)], &mut out);
+    let text = serde_json::to_string(&solo.snapshot()).unwrap();
+    let overflow: WorldSnapshot =
+        serde_json::from_str(&with_first(&text, "nrtc", "4294967295")).unwrap();
+    let fresh = World::new(&WorldConfig::paper_default(), "FACS-P", || {
+        ControllerSpec::FacsP.build()
+    });
+    assert!(fresh.restore(&overflow).is_err());
+    assert_eq!(fresh.occupied(0), Some(0));
+}
+
+/// `json` with the value of the first `"key":` replaced by `value`.
+fn with_first(json: &str, key: &str, value: &str) -> String {
+    let start = json.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+    let end = start + json[start..].find([',', '}']).expect("value ends");
+    format!("{}{value}{}", &json[..start], &json[end..])
 }
 
 /// Round-trip through the on-disk format used by `--snapshot` /

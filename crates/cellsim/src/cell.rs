@@ -201,8 +201,6 @@ impl<R: Recorder> Cells<R> {
         }
         self.users.clear();
         self.metrics.reset();
-        self.metrics
-            .set_utilization_stride(config.utilization_sample_stride);
         self.rng = SimRng::new(config.seed).derive(0xD15C);
         self.nominal_capacity = config.station_capacity;
     }

@@ -77,7 +77,7 @@ pub(crate) fn is_zero(n: &u64) -> bool {
 }
 
 /// Aggregated metrics of one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     per_class: [ClassMetrics; 3],
     handoff_offered: u64,
@@ -90,29 +90,6 @@ pub struct Metrics {
     /// reports keep their exact pre-fault byte layout.
     #[serde(default, skip_serializing_if = "is_zero")]
     dropped_by_outage: u64,
-    /// Keep every `stride`-th utilisation sample (0 and 1 both mean
-    /// "keep all"). Not serialised: reports carry the samples, not the
-    /// sampling policy, so the JSON shape is unchanged.
-    #[serde(skip)]
-    util_stride: u32,
-    /// Samples *seen* (kept + skipped) since the last reset; drives the
-    /// stride phase. Not serialised for the same reason.
-    #[serde(skip)]
-    util_seen: u64,
-}
-
-/// Equality over the *observable* state (counters and kept samples) —
-/// exactly the fields that serialise — so reports round-trip through
-/// JSON regardless of the downsampler's internal bookkeeping.
-impl PartialEq for Metrics {
-    fn eq(&self, other: &Self) -> bool {
-        self.per_class == other.per_class
-            && self.handoff_offered == other.handoff_offered
-            && self.handoff_accepted == other.handoff_accepted
-            && self.handoff_failed == other.handoff_failed
-            && self.utilization == other.utilization
-            && self.dropped_by_outage == other.dropped_by_outage
-    }
 }
 
 impl Metrics {
@@ -132,24 +109,6 @@ impl Metrics {
         self.handoff_failed = 0;
         self.utilization.clear();
         self.dropped_by_outage = 0;
-        self.util_stride = 0;
-        self.util_seen = 0;
-    }
-
-    /// Keep only every `stride`-th utilisation sample (systematic
-    /// downsampling; `0` and `1` both keep every sample, the historical
-    /// behaviour). Bounds `utilization_samples` growth on long
-    /// metro-scale runs: a metro sweep cell records one sample per
-    /// station per tick (2107 stations × every tick), ~56 bytes each, so
-    /// an unsampled long run grows by megabytes per simulated hour —
-    /// stride `k` divides that by `k` while keeping the mean estimate
-    /// unbiased for loads without periodicity at the stride.
-    ///
-    /// The counter phase restarts on [`Metrics::reset`]; the stride
-    /// itself is re-applied by the simulator from
-    /// [`crate::sim::SimConfig::utilization_sample_stride`].
-    pub fn set_utilization_stride(&mut self, stride: u32) {
-        self.util_stride = stride;
     }
 
     /// Record an offered request (before the admission decision).
@@ -201,16 +160,8 @@ impl Metrics {
         self.dropped_by_outage
     }
 
-    /// Record a base-station utilisation sample. With a configured
-    /// stride (see [`Metrics::set_utilization_stride`]) only every
-    /// `stride`-th sample is kept; the first sample after a reset is
-    /// always kept, so short runs stay fully observable.
+    /// Record a base-station utilisation sample.
     pub fn record_utilization(&mut self, time: SimTime, occupied: Bandwidth, capacity: Bandwidth) {
-        let seen = self.util_seen;
-        self.util_seen += 1;
-        if self.util_stride > 1 && seen % u64::from(self.util_stride) != 0 {
-            return;
-        }
         self.utilization.push(UtilizationSample {
             time,
             occupied,
@@ -343,7 +294,6 @@ impl Metrics {
         self.handoff_failed += other.handoff_failed;
         self.utilization.extend_from_slice(&other.utilization);
         self.dropped_by_outage += other.dropped_by_outage;
-        self.util_seen += other.util_seen;
     }
 }
 
@@ -528,60 +478,6 @@ mod tests {
         degenerate.record_utilization(0.0, 0, 0);
         assert_eq!(degenerate.mean_utilization(), 1.0);
         assert!(degenerate.mean_utilization().is_finite());
-    }
-
-    #[test]
-    fn utilization_stride_downsamples_systematically() {
-        let mut m = Metrics::new();
-        m.set_utilization_stride(3);
-        for i in 0..10 {
-            m.record_utilization(f64::from(i), u32::try_from(i).unwrap(), 40);
-        }
-        // Samples 0, 3, 6, 9 survive: the first is always kept and the
-        // stride counts *seen* samples, not kept ones.
-        let kept: Vec<u32> = m.utilization_samples().iter().map(|s| s.occupied).collect();
-        assert_eq!(kept, vec![0, 3, 6, 9]);
-
-        // Stride 0 and 1 keep everything (the historical behaviour).
-        for stride in [0, 1] {
-            let mut all = Metrics::new();
-            all.set_utilization_stride(stride);
-            for i in 0..5 {
-                all.record_utilization(f64::from(i), 1, 40);
-            }
-            assert_eq!(all.utilization_samples().len(), 5);
-        }
-    }
-
-    #[test]
-    fn utilization_stride_phase_restarts_on_reset() {
-        let mut m = Metrics::new();
-        m.set_utilization_stride(2);
-        m.record_utilization(0.0, 1, 40);
-        m.record_utilization(1.0, 2, 40);
-        m.record_utilization(2.0, 3, 40);
-        assert_eq!(m.utilization_samples().len(), 2);
-        m.reset();
-        assert_eq!(m, Metrics::new(), "reset must restore the fresh state");
-        // Stride is cleared by reset (the simulator re-applies it from
-        // its config), so recording resumes unsampled.
-        m.record_utilization(0.0, 1, 40);
-        m.record_utilization(1.0, 2, 40);
-        assert_eq!(m.utilization_samples().len(), 2);
-    }
-
-    #[test]
-    fn equality_ignores_downsampler_bookkeeping() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        a.set_utilization_stride(5);
-        a.record_utilization(0.0, 4, 40);
-        b.record_utilization(0.0, 4, 40);
-        // Same kept samples, different stride/seen bookkeeping.
-        assert_eq!(a, b);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Metrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, a, "metrics round-trip ignores skipped fields");
     }
 
     #[test]

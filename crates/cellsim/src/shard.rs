@@ -42,8 +42,8 @@
 //! sequential engine (which admits handoffs with zero lookahead):
 //! `ShardedSimulator` with one shard is the reference run that
 //! `tests/golden/` pins, not `Simulator`.  The epoch length
-//! ([`ShardConfig::epoch_s`]) is part of the contract: changing it changes
-//! which admissions see which capacity, exactly like changing a seed.
+//! ([`EPOCH_S`]) is part of the contract: changing it changes which
+//! admissions see which capacity, exactly like changing a seed.
 
 use crate::cell::{Cells, Handoff};
 use crate::event::{next_stream, EventKind, EventQueue, Stream};
@@ -63,35 +63,28 @@ use telemetry::{Recorder, Stopwatch, TelemetrySnapshot, TraceEvent};
 /// A boxed admission controller that can move to a worker thread.
 pub type BoxedController = Box<dyn AdmissionController + Send>;
 
-/// Default epoch length (seconds) when none is configured.
-pub const DEFAULT_EPOCH_S: SimTime = 5.0;
+/// Epoch length (seconds): handoffs and releases cross cells only at
+/// multiples of it.
+pub const EPOCH_S: SimTime = 5.0;
 
 /// Sharding parameters: how the grid is partitioned and executed.
 ///
-/// `shards` and `epoch_s` are part of the determinism contract (they select
-/// *which* run is computed); `threads` is pure execution policy and never
-/// changes results.
+/// `shards` is part of the determinism contract (with [`EPOCH_S`], it
+/// selects *which* run is computed); `threads` is pure execution policy
+/// and never changes results.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Number of spatial shards (clamped to `1..=cells`).
     pub shards: usize,
     /// Worker threads for the intra-epoch phase (floored at 1).
     pub threads: usize,
-    /// Epoch length in seconds (must be finite and positive; falls back to
-    /// [`DEFAULT_EPOCH_S`] otherwise).
-    pub epoch_s: SimTime,
 }
 
 impl ShardConfig {
-    /// A configuration with `shards` shards, one worker thread and the
-    /// default epoch length.
+    /// A configuration with `shards` shards and one worker thread.
     #[must_use]
     pub fn new(shards: usize) -> Self {
-        Self {
-            shards,
-            threads: 1,
-            epoch_s: DEFAULT_EPOCH_S,
-        }
+        Self { shards, threads: 1 }
     }
 
     /// The single-shard reference configuration.
@@ -104,13 +97,6 @@ impl ShardConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the epoch length in seconds.
-    #[must_use]
-    pub fn with_epoch_s(mut self, epoch_s: SimTime) -> Self {
-        self.epoch_s = epoch_s;
         self
     }
 }
@@ -500,8 +486,7 @@ impl ShardedSimulator {
     /// [`DefaultRecorder`] (the zero-cost
     /// no-op recorder unless the `telemetry` cargo feature is enabled).
     /// `sharding.shards` is clamped to the number of grid cells and
-    /// `sharding.epoch_s` to a finite positive value ([`DEFAULT_EPOCH_S`]
-    /// otherwise).
+    /// `sharding.threads` floored at 1.
     #[must_use]
     pub fn new(config: SimConfig, sharding: ShardConfig) -> Self {
         Self::with_telemetry(config, sharding)
@@ -517,15 +502,9 @@ impl<R: Recorder> ShardedSimulator<R> {
     pub fn with_telemetry(config: SimConfig, sharding: ShardConfig) -> Self {
         let grid = CellGrid::new(config.grid_radius_cells, config.cell_radius_m);
         let cells = grid.len();
-        let epoch_s = if sharding.epoch_s.is_finite() && sharding.epoch_s > 0.0 {
-            sharding.epoch_s
-        } else {
-            DEFAULT_EPOCH_S
-        };
         let sharding = ShardConfig {
             shards: sharding.shards.clamp(1, cells),
             threads: sharding.threads.max(1),
-            epoch_s,
         };
         let base = cells / sharding.shards;
         let rem = cells % sharding.shards;
@@ -697,7 +676,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             // Jump straight to the epoch containing the next event; long
             // quiet stretches (e.g. the departure tail after the last
             // arrival) cost no empty barriers.
-            let epoch_end = self.sharding.epoch_s * ((t_min / self.sharding.epoch_s).floor() + 1.0);
+            let epoch_end = EPOCH_S * ((t_min / EPOCH_S).floor() + 1.0);
             let parallel_watch = Stopwatch::started(R::ENABLED);
             self.run_phase(epoch_end, horizon);
             if let Some(ns) = parallel_watch.elapsed_ns() {
@@ -1079,11 +1058,10 @@ mod tests {
     fn shard_count_is_clamped_to_the_grid() {
         let sim = ShardedSimulator::new(
             SimConfig::paper_default(),
-            ShardConfig::new(16).with_threads(0).with_epoch_s(-1.0),
+            ShardConfig::new(16).with_threads(0),
         );
         assert_eq!(sim.sharding().shards, 1, "single-cell grid ⇒ one shard");
         assert_eq!(sim.sharding().threads, 1);
-        assert_eq!(sim.sharding().epoch_s, DEFAULT_EPOCH_S);
     }
 
     #[test]

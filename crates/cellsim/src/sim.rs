@@ -276,10 +276,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Interval between utilisation samples (seconds); 0 disables sampling.
     pub utilization_sample_interval_s: f64,
-    /// Keep only every `stride`-th utilisation sample (0 and 1 both keep
-    /// all — the historical behaviour); bounds sample-series memory on
-    /// long metro-scale runs (see [`Metrics::set_utilization_stride`]).
-    pub utilization_sample_stride: u32,
 }
 
 impl SimConfig {
@@ -297,7 +293,6 @@ impl SimConfig {
             mobility: MobilityModel::paper_default(),
             seed: 0xFAC5,
             utilization_sample_interval_s: 0.0,
-            utilization_sample_stride: 1,
         }
     }
 
@@ -362,14 +357,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_utilization_sampling(mut self, interval_s: f64) -> Self {
         self.utilization_sample_interval_s = interval_s.max(0.0);
-        self
-    }
-
-    /// Keep only every `stride`-th utilisation sample (0 and 1 both keep
-    /// every sample).
-    #[must_use]
-    pub fn with_utilization_stride(mut self, stride: u32) -> Self {
-        self.utilization_sample_stride = stride;
         self
     }
 }
@@ -578,11 +565,6 @@ impl<R: Recorder> Simulator<R> {
     /// series is made).
     fn take_report(&mut self, controller: &'static str) -> SimReport {
         let metrics = std::mem::take(&mut self.cells.metrics);
-        // `take` left a default accumulator; re-arm the configured
-        // utilisation stride for the next run.
-        self.cells
-            .metrics
-            .set_utilization_stride(self.config.utilization_sample_stride);
         SimReport::from_metrics(controller, metrics)
     }
 

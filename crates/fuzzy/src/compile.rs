@@ -18,20 +18,19 @@
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
 //! * each pre-sampled term also records its support window, the sample
-//!   range where it is non-zero.  Under max aggregation, aggregation, the
-//!   empty-set check and the centroid run only over the hull of the fired
-//!   terms' windows (a paper `Cv` term spans about 40 of the 201 samples,
-//!   an `A/R` term 60 to 70); the skipped samples are zeros, so the result
-//!   keeps its bits;
+//!   range where it is non-zero.  Aggregation, the empty-set check and the
+//!   centroid run only over the hull of the fired terms' windows (a paper
+//!   `Cv` term spans about 40 of the 201 samples, an `A/R` term 60 to 70);
+//!   the skipped samples are zeros, so the result keeps its bits;
 //! * all working memory lives in a caller-owned [`Scratch`], so the
 //!   steady-state path [`CompiledEngine::infer_into`] performs **zero heap
 //!   allocations** (asserted by a counting-allocator test).
 //!
 //! The compiled path is *bit-identical* to the interpreted one: for the
 //! same inputs, `infer_into` produces exactly the `f64` bits that
-//! `MamdaniEngine::infer` + [`crate::Defuzzifier`] produce.  This is what
-//! lets the FACS controllers switch to the compiled path without moving a
-//! single simulation result.
+//! `MamdaniEngine::infer` + [`crate::defuzz::centroid`] produce.  This is
+//! what lets the FACS controllers switch to the compiled path without
+//! moving a single simulation result.
 //!
 //! # Quick example
 //!
@@ -67,11 +66,10 @@
 //! assert_eq!(crisp[0].to_bits(), reference.to_bits());
 //! ```
 
-use crate::defuzz::Defuzzifier;
-use crate::engine::{Implication, MamdaniEngine};
+use crate::engine::MamdaniEngine;
 use crate::error::{FuzzyError, Result};
 use crate::membership::MembershipFunction;
-use crate::norms::{complement, SNorm, TNorm};
+use crate::norms::complement;
 use crate::rule::Connective;
 use crate::{clamp_degree, variable::LinguisticVariable};
 
@@ -148,15 +146,15 @@ pub struct Scratch {
     /// Membership degree of every input term, flattened in declaration
     /// order.
     fuzzified: Vec<f64>,
-    /// Per-rule firing strength (weight applied), in rule-base order.
+    /// Per-rule firing strength, in rule-base order.
     strengths: Vec<f64>,
-    /// Maximum firing strength per output term (max-aggregation fast path).
+    /// Maximum firing strength per output term.
     term_strengths: Vec<f64>,
     /// Aggregated output sets, one `resolution`-sized window per output.
     aggregated: Vec<f64>,
     /// Per output, the `[lo, hi)` sample range outside which that output's
-    /// `aggregated` window is known to be all zero.  The max-aggregation
-    /// path clears only this range before the next inference.
+    /// `aggregated` window is known to be all zero.  Only this range is
+    /// cleared before the next inference.
     dirty: Vec<(usize, usize)>,
     /// Crisp result per output variable.
     crisp: Vec<f64>,
@@ -167,7 +165,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// Per-rule firing strengths of the most recent inference, in rule-base
-    /// order (weights applied) — the diagnostic counterpart of
+    /// order — the diagnostic counterpart of
     /// [`crate::InferenceOutput::firing_strengths`].
     #[must_use]
     pub fn firing_strengths(&self) -> &[f64] {
@@ -197,7 +195,6 @@ pub struct CompiledEngine {
     /// Every input term's membership function, flattened.
     mfs: Vec<MembershipFunction>,
     // --- rules ------------------------------------------------------------
-    rule_weights: Vec<f64>,
     rule_connectives: Vec<Connective>,
     rule_ante_offsets: Vec<u32>,
     antecedents: Vec<CompiledAntecedent>,
@@ -223,15 +220,6 @@ pub struct CompiledEngine {
     empty_defaults: Vec<f64>,
     // --- configuration ----------------------------------------------------
     resolution: usize,
-    and_norm: TNorm,
-    or_norm: SNorm,
-    aggregation: SNorm,
-    implication: Implication,
-    defuzzifier: Defuzzifier,
-    /// `aggregation == SNorm::Maximum` lets aggregation run once per fired
-    /// output *term* (with the max strength over its rules) instead of once
-    /// per fired rule — exact for max, and the common Mamdani case.
-    fast_max_aggregation: bool,
 }
 
 impl CompiledEngine {
@@ -297,14 +285,12 @@ impl CompiledEngine {
                 })
         };
 
-        let mut rule_weights = Vec::with_capacity(engine.rules().len());
         let mut rule_connectives = Vec::with_capacity(engine.rules().len());
         let mut rule_ante_offsets = vec![0u32];
         let mut antecedents = Vec::new();
         let mut rule_cons_offsets = vec![0u32];
         let mut consequents = Vec::new();
         for rule in engine.rules().rules() {
-            rule_weights.push(rule.weight());
             rule_connectives.push(rule.connective());
             for a in rule.antecedents() {
                 let var_idx = find_var(inputs, &a.variable)?;
@@ -343,7 +329,6 @@ impl CompiledEngine {
             input_term_offsets,
             input_term_names,
             mfs,
-            rule_weights,
             rule_connectives,
             rule_ante_offsets,
             antecedents,
@@ -358,12 +343,6 @@ impl CompiledEngine {
             xs,
             empty_defaults,
             resolution,
-            and_norm: engine.and_norm(),
-            or_norm: engine.or_norm(),
-            aggregation: engine.aggregation(),
-            implication: engine.implication(),
-            defuzzifier: engine.defuzzifier(),
-            fast_max_aggregation: engine.aggregation() == SNorm::Maximum,
         })
     }
 
@@ -382,7 +361,7 @@ impl CompiledEngine {
     /// Number of compiled rules.
     #[must_use]
     pub fn rule_count(&self) -> usize {
-        self.rule_weights.len()
+        self.rule_connectives.len()
     }
 
     /// The engine's output sampling resolution.
@@ -447,7 +426,7 @@ impl CompiledEngine {
     pub fn scratch(&self) -> Scratch {
         Scratch {
             fuzzified: vec![0.0; self.mfs.len()],
-            strengths: vec![0.0; self.rule_weights.len()],
+            strengths: vec![0.0; self.rule_connectives.len()],
             term_strengths: vec![0.0; self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
             dirty: vec![(0, 0); self.output_bounds.len()],
@@ -462,7 +441,7 @@ impl CompiledEngine {
     /// This is the steady-state hot path: after [`CompiledEngine::scratch`]
     /// has been allocated, **no heap allocation happens here**, and for any
     /// inputs inside the declared universes the results are bit-identical
-    /// to [`MamdaniEngine::infer`] followed by the configured defuzzifier.
+    /// to [`MamdaniEngine::infer`] followed by the centroid.
     ///
     /// Out-of-universe inputs are clamped (as [`LinguisticVariable::fuzzify`]
     /// does); a NaN input yields zero membership everywhere, so the affected
@@ -481,7 +460,7 @@ impl CompiledEngine {
         );
         assert!(
             scratch.fuzzified.len() == self.mfs.len()
-                && scratch.strengths.len() == self.rule_weights.len()
+                && scratch.strengths.len() == self.rule_connectives.len()
                 && scratch.term_strengths.len() == self.output_term_names.len()
                 && scratch.aggregated.len() == self.output_bounds.len() * self.resolution
                 && scratch.crisp.len() == self.output_bounds.len()
@@ -500,64 +479,27 @@ impl CompiledEngine {
             }
         }
 
-        if self.fast_max_aggregation {
-            // Max aggregation commutes with clipping/scaling, so instead of
-            // one array pass per fired *rule* we take the max strength per
-            // consequent *term* and do one array pass per fired term —
-            // exact (max/min/mul are monotone), and typically 2–4x fewer
-            // passes for the paper's 63-rule FRB1.
-            scratch.term_strengths.fill(0.0);
-            for r in 0..self.rule_weights.len() {
-                let strength = self.firing_strength(r, &scratch.fuzzified) * self.rule_weights[r];
-                scratch.strengths[r] = strength;
-                if strength == 0.0 {
-                    continue;
-                }
-                let height = clamp_degree(strength);
-                for c in self.cons_range(r) {
-                    let flat = self.consequents[c].flat_term as usize;
-                    scratch.term_strengths[flat] = scratch.term_strengths[flat].max(height);
-                }
+        // Max aggregation commutes with clipping, so instead of one array
+        // pass per fired *rule* we take the max strength per consequent
+        // *term* and do one array pass per fired term — exact (max and min
+        // are monotone), and typically 2–4x fewer passes for the paper's
+        // 63-rule FRB1.
+        scratch.term_strengths.fill(0.0);
+        for r in 0..self.rule_connectives.len() {
+            let strength = self.firing_strength(r, &scratch.fuzzified);
+            scratch.strengths[r] = strength;
+            if strength == 0.0 {
+                continue;
             }
-            for out in 0..self.output_bounds.len() {
-                let (lo, hi) = self.aggregate_max(out, scratch);
-                scratch.crisp[out] = self.defuzzify_output(out, &scratch.aggregated, lo, hi);
+            let height = clamp_degree(strength);
+            for c in self.cons_range(r) {
+                let flat = self.consequents[c].flat_term as usize;
+                scratch.term_strengths[flat] = scratch.term_strengths[flat].max(height);
             }
-        } else {
-            scratch.aggregated.fill(0.0);
-            // General path: aggregate per fired rule, in rule-base order —
-            // the exact operation sequence of the interpreted engine.
-            for r in 0..self.rule_weights.len() {
-                let strength = self.firing_strength(r, &scratch.fuzzified) * self.rule_weights[r];
-                scratch.strengths[r] = strength;
-                if strength == 0.0 {
-                    continue;
-                }
-                let height = clamp_degree(strength);
-                for c in self.cons_range(r) {
-                    let cons = self.consequents[c];
-                    let agg_start = cons.out as usize * self.resolution;
-                    let samples = &self.term_samples[cons.flat_term as usize * self.resolution..];
-                    let agg = &mut scratch.aggregated[agg_start..agg_start + self.resolution];
-                    match self.implication {
-                        Implication::Clip => {
-                            for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = self.aggregation.apply(*a, s.min(height));
-                            }
-                        }
-                        Implication::Scale => {
-                            for (a, &s) in agg.iter_mut().zip(samples) {
-                                *a = self.aggregation.apply(*a, s * height);
-                            }
-                        }
-                    }
-                }
-            }
-            for out in 0..self.output_bounds.len() {
-                scratch.dirty[out] = (0, self.resolution);
-                scratch.crisp[out] =
-                    self.defuzzify_output(out, &scratch.aggregated, 0, self.resolution);
-            }
+        }
+        for out in 0..self.output_bounds.len() {
+            let (lo, hi) = self.aggregate_max(out, scratch);
+            scratch.crisp[out] = self.defuzzify_output(out, &scratch.aggregated, lo, hi);
         }
         &scratch.crisp
     }
@@ -586,20 +528,8 @@ impl CompiledEngine {
             hi = hi.max(t_hi);
             let samples = &self.term_samples[flat * n + t_lo..flat * n + t_hi];
             let agg = &mut agg[t_lo..t_hi];
-            // `SNorm::Maximum.apply` is `max` plus degree clamps; every
-            // operand here is already in [0, 1], so plain `f64::max` is
-            // bit-identical and branch-free.
-            match self.implication {
-                Implication::Clip => {
-                    for (a, &s) in agg.iter_mut().zip(samples) {
-                        *a = a.max(s.min(height));
-                    }
-                }
-                Implication::Scale => {
-                    for (a, &s) in agg.iter_mut().zip(samples) {
-                        *a = a.max(s * height);
-                    }
-                }
+            for (a, &s) in agg.iter_mut().zip(samples) {
+                *a = a.max(s.min(height));
             }
         }
         let hull = if lo < hi { (lo, hi) } else { (0, 0) };
@@ -609,7 +539,7 @@ impl CompiledEngine {
 
     /// Defuzzify output `out` of `aggregated`, whose samples outside
     /// `[lo, hi)` are all zero.  The empty-set check and the centroid only
-    /// visit that range; the other defuzzifiers read the full set.
+    /// visit that range.
     fn defuzzify_output(&self, out: usize, aggregated: &[f64], lo: usize, hi: usize) -> f64 {
         let n = self.resolution;
         let agg = &aggregated[out * n..(out + 1) * n];
@@ -618,10 +548,7 @@ impl CompiledEngine {
         }
         let xs = &self.xs[out * n..(out + 1) * n];
         let (min, max) = self.output_bounds[out];
-        match self.defuzzifier {
-            Defuzzifier::Centroid => centroid_window(agg, xs, lo, hi, min, max),
-            method => defuzzify_slice(method, agg, xs, min, max),
-        }
+        centroid_window(agg, xs, lo, hi, min, max)
     }
 
     /// Convenience wrapper over [`CompiledEngine::infer_into`] that
@@ -637,33 +564,31 @@ impl CompiledEngine {
         self.rule_cons_offsets[rule] as usize..self.rule_cons_offsets[rule + 1] as usize
     }
 
-    /// Incremental fold matching `TNorm::fold` / `SNorm::fold` bit for bit.
+    /// Incremental min (AND) or max (OR) fold matching the interpreted
+    /// engine bit for bit.
     ///
-    /// Folds stop early at the norm's absorbing element (`T(0, x) = 0` for
-    /// every t-norm, `S(1, x) = 1` for every s-norm — the boundary
-    /// conditions the norms module tests), which prunes most of a dense
-    /// rule grid: a typical crisp input activates two terms per variable,
-    /// so the vast majority of rules zero out on their first antecedent.
+    /// Folds stop early at the absorbing element (`min(0, x) = 0`,
+    /// `max(1, x) = 1`), which prunes most of a dense rule grid: a typical
+    /// crisp input activates two terms per variable, so the vast majority
+    /// of rules zero out on their first antecedent.  Membership degrees
+    /// are already clamped, so plain `min`/`max` need no clamping.
     #[inline]
     fn firing_strength(&self, rule: usize, fuzzified: &[f64]) -> f64 {
         let lo = self.rule_ante_offsets[rule] as usize;
         let hi = self.rule_ante_offsets[rule + 1] as usize;
+        let degrees = self.antecedents[lo..hi].iter().map(|a| {
+            let mu = fuzzified[a.slot as usize];
+            if a.negated {
+                complement(mu)
+            } else {
+                mu
+            }
+        });
         match self.rule_connectives[rule] {
             Connective::And => {
-                let min_norm = self.and_norm == TNorm::Minimum;
                 let mut acc: f64 = 1.0;
-                for a in &self.antecedents[lo..hi] {
-                    let mut mu = fuzzified[a.slot as usize];
-                    if a.negated {
-                        mu = complement(mu);
-                    }
-                    // Membership degrees are already clamped, so the
-                    // minimum t-norm reduces to a plain `min`.
-                    acc = if min_norm {
-                        acc.min(mu)
-                    } else {
-                        self.and_norm.apply(acc, mu)
-                    };
+                for mu in degrees {
+                    acc = acc.min(mu);
                     if acc == 0.0 {
                         return 0.0;
                     }
@@ -671,23 +596,11 @@ impl CompiledEngine {
                 acc
             }
             Connective::Or => {
-                let max_norm = self.or_norm == SNorm::Maximum;
                 let mut acc: f64 = 0.0;
-                for a in &self.antecedents[lo..hi] {
-                    let mut mu = fuzzified[a.slot as usize];
-                    if a.negated {
-                        mu = complement(mu);
-                    }
-                    // Early exit at the absorbing element is only
-                    // bit-exact for the max norm (e.g. the probabilistic
-                    // sum of 1 and b rounds, it does not short-circuit).
-                    if max_norm {
-                        acc = acc.max(mu);
-                        if acc == 1.0 {
-                            return 1.0;
-                        }
-                    } else {
-                        acc = self.or_norm.apply(acc, mu);
+                for mu in degrees {
+                    acc = acc.max(mu);
+                    if acc == 1.0 {
+                        return 1.0;
                     }
                 }
                 acc
@@ -709,70 +622,10 @@ fn as_u32(n: usize) -> u32 {
     u32::try_from(n).expect("compiled engine index spaces fit in u32")
 }
 
-/// Defuzzify a sampled set with the exact operation sequence of
-/// [`Defuzzifier::defuzzify`] on a [`crate::FuzzySet`], operating on the
-/// pre-computed grid instead of recomputing `x_at` per sample.
-///
-/// The caller has already handled the empty-set case.
-fn defuzzify_slice(method: Defuzzifier, degrees: &[f64], xs: &[f64], min: f64, max: f64) -> f64 {
-    let n = degrees.len();
-    match method {
-        Defuzzifier::Centroid => centroid_window(degrees, xs, 0, n, min, max),
-        Defuzzifier::Bisector => {
-            let total: f64 = degrees.iter().sum();
-            if total == 0.0 {
-                return 0.5 * (min + max);
-            }
-            let half = total / 2.0;
-            let mut acc: f64 = 0.0;
-            for i in 0..n {
-                acc += degrees[i];
-                if acc >= half {
-                    return xs[i];
-                }
-            }
-            max
-        }
-        Defuzzifier::MeanOfMaxima => {
-            let h = height(degrees);
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for i in 0..n {
-                if (degrees[i] - h).abs() <= MAXIMA_TOL {
-                    sum += xs[i];
-                    count += 1;
-                }
-            }
-            sum / count as f64
-        }
-        Defuzzifier::SmallestOfMaxima => {
-            let h = height(degrees);
-            for i in 0..n {
-                if (degrees[i] - h).abs() <= MAXIMA_TOL {
-                    return xs[i];
-                }
-            }
-            max
-        }
-        Defuzzifier::LargestOfMaxima => {
-            let h = height(degrees);
-            for i in (0..n).rev() {
-                if (degrees[i] - h).abs() <= MAXIMA_TOL {
-                    return xs[i];
-                }
-            }
-            min
-        }
-        // Defuzzifier is #[non_exhaustive]; mirror any future method here.
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("unknown defuzzifier variant"),
-    }
-}
-
 /// The centroid of `degrees`, all of whose samples outside `[lo, hi)` are
 /// zero, summed over `[lo, hi)` only.
 ///
-/// Same accumulation order as `defuzz::centroid` (end points get half
+/// Same accumulation order as [`crate::defuzz::centroid`] (end points get half
 /// weight), with the interior branch hoisted out of the loop: `1.0 * mu * x`
 /// and `mu * x` are the same bits.  Skipping the zero samples outside the
 /// window is exact: both sums start at `+0.0` and can never become `-0.0`
@@ -812,13 +665,6 @@ fn support_of(samples: &[f64]) -> (usize, usize) {
         }
         None => (0, 0),
     }
-}
-
-/// Tolerance used by `defuzz::maxima_indices`.
-const MAXIMA_TOL: f64 = 1e-12;
-
-fn height(degrees: &[f64]) -> f64 {
-    degrees.iter().copied().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -926,110 +772,6 @@ mod tests {
         c.infer_into(&inputs, &mut scratch);
         let reference = e.infer(&inputs).unwrap();
         assert_eq!(scratch.firing_strengths(), reference.firing_strengths());
-    }
-
-    #[test]
-    fn slow_path_matches_interpreted_for_probabilistic_sum() {
-        // ProbabilisticSum aggregation disables the per-term fast path.
-        let mut e = {
-            let b = MamdaniEngine::builder();
-            let src = fan_engine();
-            let mut b2 = b;
-            for v in src.inputs() {
-                b2 = b2.input(v.clone());
-            }
-            for v in src.outputs() {
-                b2 = b2.output(v.clone());
-            }
-            b2.aggregation(SNorm::ProbabilisticSum).build().unwrap()
-        };
-        e.add_rules_str([
-            "IF temperature IS Hot THEN fan IS Fast",
-            "IF temperature IS Warm THEN fan IS Medium",
-            "IF temperature IS Hot AND humidity IS Humid THEN fan IS Fast",
-        ])
-        .unwrap();
-        let c = e.compile().unwrap();
-        assert!(!c.fast_max_aggregation);
-        let mut scratch = c.scratch();
-        for t in 0..=40 {
-            let inputs = [f64::from(t), 75.0];
-            let compiled = c.infer_into(&inputs, &mut scratch)[0];
-            // No rule fires at cold temperatures; the compiled empty
-            // default is the universe midpoint (50), mirror it here.
-            let interpreted = e.infer(&inputs).unwrap().crisp_or("fan", 50.0);
-            assert_eq!(compiled.to_bits(), interpreted.to_bits());
-        }
-    }
-
-    #[test]
-    fn scale_implication_matches_interpreted() {
-        let mut e = {
-            let src = fan_engine();
-            let mut b = MamdaniEngine::builder();
-            for v in src.inputs() {
-                b = b.input(v.clone());
-            }
-            for v in src.outputs() {
-                b = b.output(v.clone());
-            }
-            b.implication(Implication::Scale).build().unwrap()
-        };
-        e.add_rules_str([
-            "IF temperature IS Hot THEN fan IS Fast",
-            "IF temperature IS Cold THEN fan IS Slow",
-            "IF temperature IS Warm THEN fan IS Medium",
-        ])
-        .unwrap();
-        let c = e.compile().unwrap();
-        let mut scratch = c.scratch();
-        for t in 0..=80 {
-            let inputs = [f64::from(t) / 2.0, 40.0];
-            let compiled = c.infer_into(&inputs, &mut scratch)[0];
-            let interpreted = e.infer(&inputs).unwrap().crisp("fan").unwrap();
-            assert_eq!(compiled.to_bits(), interpreted.to_bits());
-        }
-    }
-
-    #[test]
-    fn all_defuzzifiers_match_interpreted() {
-        for method in [
-            Defuzzifier::Centroid,
-            Defuzzifier::Bisector,
-            Defuzzifier::MeanOfMaxima,
-            Defuzzifier::SmallestOfMaxima,
-            Defuzzifier::LargestOfMaxima,
-        ] {
-            let mut e = {
-                let src = fan_engine();
-                let mut b = MamdaniEngine::builder();
-                for v in src.inputs() {
-                    b = b.input(v.clone());
-                }
-                for v in src.outputs() {
-                    b = b.output(v.clone());
-                }
-                b.defuzzifier(method).build().unwrap()
-            };
-            e.add_rules_str([
-                "IF temperature IS Hot THEN fan IS Fast",
-                "IF temperature IS Cold THEN fan IS Slow",
-                "IF temperature IS Warm THEN fan IS Medium",
-            ])
-            .unwrap();
-            let c = e.compile().unwrap();
-            let mut scratch = c.scratch();
-            for t in 0..=40 {
-                let inputs = [f64::from(t), 50.0];
-                let compiled = c.infer_into(&inputs, &mut scratch)[0];
-                let interpreted = e.infer(&inputs).unwrap().crisp("fan").unwrap();
-                assert_eq!(
-                    compiled.to_bits(),
-                    interpreted.to_bits(),
-                    "{method:?} at {t}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,30 +1,19 @@
 //! The Mamdani inference engine.
 //!
-//! [`MamdaniEngine`] ties together linguistic variables, a rule base, the
-//! t-norm/s-norm pair, the implication method and a defuzzifier — the
-//! "fuzzifier / inference engine / fuzzy rule base / defuzzifier" structure
-//! of Fig. 2 in the paper.
+//! [`MamdaniEngine`] ties together linguistic variables and a rule base
+//! under the classical Mamdani operators — minimum for AND, maximum for
+//! OR and for aggregation, clipping implication and centroid
+//! defuzzification — the "fuzzifier / inference engine / fuzzy rule base
+//! / defuzzifier" structure of Fig. 2 in the paper.
 
-use crate::defuzz::Defuzzifier;
+use crate::defuzz;
 use crate::error::{FuzzyError, Result};
-use crate::norms::{complement, SNorm, TNorm};
+use crate::norms::complement;
 use crate::rule::{Connective, Rule, RuleBase};
 use crate::set::FuzzySet;
 use crate::variable::LinguisticVariable;
 use crate::DEFAULT_RESOLUTION;
 use serde::{Deserialize, Serialize};
-
-/// How a rule's firing strength is applied to its consequent membership
-/// function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Implication {
-    /// Clip the consequent at the firing strength (Mamdani min).
-    #[default]
-    Clip,
-    /// Scale the consequent by the firing strength (Larsen product).
-    Scale,
-}
 
 /// A complete Mamdani fuzzy controller.
 ///
@@ -36,11 +25,6 @@ pub struct MamdaniEngine {
     inputs: Vec<LinguisticVariable>,
     outputs: Vec<LinguisticVariable>,
     rules: RuleBase,
-    and_norm: TNorm,
-    or_norm: SNorm,
-    aggregation: SNorm,
-    implication: Implication,
-    defuzzifier: Defuzzifier,
     resolution: usize,
 }
 
@@ -69,36 +53,6 @@ impl MamdaniEngine {
         &self.rules
     }
 
-    /// The configured defuzzifier.
-    #[must_use]
-    pub fn defuzzifier(&self) -> Defuzzifier {
-        self.defuzzifier
-    }
-
-    /// The t-norm combining AND antecedents.
-    #[must_use]
-    pub fn and_norm(&self) -> TNorm {
-        self.and_norm
-    }
-
-    /// The s-norm combining OR antecedents.
-    #[must_use]
-    pub fn or_norm(&self) -> SNorm {
-        self.or_norm
-    }
-
-    /// The s-norm aggregating rule outputs.
-    #[must_use]
-    pub fn aggregation(&self) -> SNorm {
-        self.aggregation
-    }
-
-    /// The configured implication method.
-    #[must_use]
-    pub fn implication(&self) -> Implication {
-        self.implication
-    }
-
     /// The sampling resolution of the aggregated output sets.
     #[must_use]
     pub fn resolution(&self) -> usize {
@@ -123,13 +77,6 @@ impl MamdaniEngine {
         for t in texts {
             self.add_rule_str(t)?;
         }
-        Ok(())
-    }
-
-    /// Replace the whole rule base (validating every rule).
-    pub fn set_rules(&mut self, rules: RuleBase) -> Result<()> {
-        rules.validate(&self.inputs, &self.outputs)?;
-        self.rules = rules;
         Ok(())
     }
 
@@ -179,7 +126,7 @@ impl MamdaniEngine {
         let mut strengths = Vec::with_capacity(self.rules.len());
 
         for rule in self.rules.rules() {
-            let strength = self.firing_strength(rule, &fuzzified)? * rule.weight();
+            let strength = self.firing_strength(rule, &fuzzified)?;
             strengths.push(strength);
             if strength == 0.0 {
                 continue;
@@ -200,18 +147,7 @@ impl MamdaniEngine {
                             variable: consequent.variable.clone(),
                             term: consequent.term.clone(),
                         })?;
-                match self.implication {
-                    Implication::Clip => aggregated[out_idx].aggregate_clipped(
-                        term.membership_function(),
-                        strength,
-                        self.aggregation,
-                    ),
-                    Implication::Scale => aggregated[out_idx].aggregate_scaled(
-                        term.membership_function(),
-                        strength,
-                        self.aggregation,
-                    ),
-                }
+                aggregated[out_idx].aggregate_clipped(term.membership_function(), strength);
             }
         }
 
@@ -219,7 +155,6 @@ impl MamdaniEngine {
             outputs: &self.outputs,
             aggregated,
             firing_strengths: strengths,
-            defuzzifier: self.defuzzifier,
         })
     }
 
@@ -260,9 +195,11 @@ impl MamdaniEngine {
             }
             degrees.push(mu);
         }
+        // Degrees are already in [0, 1], so the plain `min`/`max` folds
+        // need no clamping.
         Ok(match rule.connective() {
-            Connective::And => self.and_norm.fold(&degrees),
-            Connective::Or => self.or_norm.fold(&degrees),
+            Connective::And => degrees.iter().fold(1.0, |acc, &d| acc.min(d)),
+            Connective::Or => degrees.iter().fold(0.0, |acc, &d| acc.max(d)),
         })
     }
 }
@@ -277,7 +214,6 @@ pub struct InferenceOutput<'e> {
     outputs: &'e [LinguisticVariable],
     aggregated: Vec<FuzzySet>,
     firing_strengths: Vec<f64>,
-    defuzzifier: Defuzzifier,
 }
 
 impl<'e> InferenceOutput<'e> {
@@ -286,26 +222,19 @@ impl<'e> InferenceOutput<'e> {
         self.index_of(name).map(|i| &self.aggregated[i])
     }
 
-    /// Defuzzified crisp value for output variable `name` using the engine's
-    /// configured defuzzifier.
+    /// Centroid of the aggregated set of output variable `name`.
     pub fn crisp(&self, name: &str) -> Result<f64> {
         let i = self.index_of(name)?;
-        self.defuzzifier.defuzzify(&self.aggregated[i], name)
+        defuzz::centroid(&self.aggregated[i], name)
     }
 
     /// Defuzzified crisp value, falling back to `default` if no rule fired.
     #[must_use]
     pub fn crisp_or(&self, name: &str, default: f64) -> f64 {
         match self.index_of(name) {
-            Ok(i) => self.defuzzifier.defuzzify_or(&self.aggregated[i], default),
+            Ok(i) => defuzz::centroid_or(&self.aggregated[i], default),
             Err(_) => default,
         }
-    }
-
-    /// Defuzzify with an explicit method (ablation support).
-    pub fn crisp_with(&self, name: &str, method: Defuzzifier) -> Result<f64> {
-        let i = self.index_of(name)?;
-        method.defuzzify(&self.aggregated[i], name)
     }
 
     /// Per-rule firing strengths, in rule-base order.
@@ -335,11 +264,6 @@ impl<'e> InferenceOutput<'e> {
 pub struct EngineBuilder {
     inputs: Vec<LinguisticVariable>,
     outputs: Vec<LinguisticVariable>,
-    and_norm: TNorm,
-    or_norm: SNorm,
-    aggregation: SNorm,
-    implication: Implication,
-    defuzzifier: Defuzzifier,
     resolution: Option<usize>,
 }
 
@@ -356,41 +280,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn output(mut self, variable: LinguisticVariable) -> Self {
         self.outputs.push(variable);
-        self
-    }
-
-    /// Set the t-norm used for AND antecedents (default: minimum).
-    #[must_use]
-    pub fn and_norm(mut self, norm: TNorm) -> Self {
-        self.and_norm = norm;
-        self
-    }
-
-    /// Set the s-norm used for OR antecedents (default: maximum).
-    #[must_use]
-    pub fn or_norm(mut self, norm: SNorm) -> Self {
-        self.or_norm = norm;
-        self
-    }
-
-    /// Set the s-norm used to aggregate rule outputs (default: maximum).
-    #[must_use]
-    pub fn aggregation(mut self, norm: SNorm) -> Self {
-        self.aggregation = norm;
-        self
-    }
-
-    /// Set the implication method (default: clip / Mamdani min).
-    #[must_use]
-    pub fn implication(mut self, implication: Implication) -> Self {
-        self.implication = implication;
-        self
-    }
-
-    /// Set the defuzzifier (default: centroid).
-    #[must_use]
-    pub fn defuzzifier(mut self, defuzzifier: Defuzzifier) -> Self {
-        self.defuzzifier = defuzzifier;
         self
     }
 
@@ -414,11 +303,6 @@ impl EngineBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
             rules: RuleBase::new(),
-            and_norm: self.and_norm,
-            or_norm: self.or_norm,
-            aggregation: self.aggregation,
-            implication: self.implication,
-            defuzzifier: self.defuzzifier,
             resolution: self.resolution.unwrap_or(DEFAULT_RESOLUTION),
         })
     }
@@ -590,66 +474,6 @@ mod tests {
             Err(FuzzyError::UnknownOutput { .. })
         ));
         assert_eq!(out.crisp_or("nonexistent", -7.0), -7.0);
-    }
-
-    #[test]
-    fn scale_implication_gives_similar_ordering() {
-        let temperature = LinguisticVariable::builder("temperature", 0.0, 40.0)
-            .triangle("Cold", 0.0, 0.0, 20.0)
-            .triangle("Hot", 20.0, 40.0, 40.0)
-            .build()
-            .unwrap();
-        let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
-            .triangle("Slow", 0.0, 0.0, 50.0)
-            .triangle("Fast", 50.0, 100.0, 100.0)
-            .build()
-            .unwrap();
-        let mut clip = MamdaniEngine::builder()
-            .input(temperature.clone())
-            .output(fan.clone())
-            .implication(Implication::Clip)
-            .build()
-            .unwrap();
-        let mut scale = MamdaniEngine::builder()
-            .input(temperature)
-            .output(fan)
-            .implication(Implication::Scale)
-            .build()
-            .unwrap();
-        for e in [&mut clip, &mut scale] {
-            e.add_rules_str([
-                "IF temperature IS Hot THEN fan IS Fast",
-                "IF temperature IS Cold THEN fan IS Slow",
-            ])
-            .unwrap();
-        }
-        let c = clip.infer_single(&[35.0]).unwrap();
-        let s = scale.infer_single(&[35.0]).unwrap();
-        assert!(c > 60.0 && s > 60.0);
-    }
-
-    #[test]
-    fn product_norm_changes_strengths_but_not_direction() {
-        let mut e = fan_engine();
-        // The output borrows the engine; keep only the strengths around.
-        let strengths_min = e.infer(&[30.0, 70.0]).unwrap().firing_strengths().to_vec();
-        e = {
-            let mut b = MamdaniEngine::builder();
-            for v in e.inputs() {
-                b = b.input(v.clone());
-            }
-            for v in e.outputs() {
-                b = b.output(v.clone());
-            }
-            let mut e2 = b.and_norm(TNorm::Product).build().unwrap();
-            e2.set_rules(e.rules().clone()).unwrap();
-            e2
-        };
-        let out_prod = e.infer(&[30.0, 70.0]).unwrap();
-        // Product t-norm never exceeds minimum.
-        for (p, m) in out_prod.firing_strengths().iter().zip(&strengths_min) {
-            assert!(p <= m);
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! A general-purpose Mamdani fuzzy-logic library.
+//! The Mamdani fuzzy-logic engine behind the paper's controllers.
 //!
-//! This crate implements every fuzzy-logic building block used by the
+//! This crate implements the fuzzy-logic building blocks used by the
 //! FACS / FACS-P call-admission controllers described in
 //! *"A Fuzzy-based Call Admission Control Scheme for Wireless Cellular
 //! Networks Considering Priority of On-going Connections"* (ICDCSW 2009),
-//! but it is written as a stand-alone, reusable library: nothing in here
-//! knows about cellular networks.
+//! and only those: triangular and trapezoidal terms, and the classical
+//! Mamdani operators.  Nothing in here knows about cellular networks.
 //!
 //! # Overview
 //!
@@ -18,11 +18,11 @@
 //! 2. a **fuzzy rule base** — a [`RuleBase`] of IF/THEN [`Rule`]s over those
 //!    terms;
 //! 3. an **inference engine** — [`MamdaniEngine`] evaluates every rule
-//!    (AND via a configurable [`TNorm`]), clips or scales the consequent
-//!    membership function and aggregates the clipped sets (OR via a
-//!    configurable [`SNorm`]);
-//! 4. a **defuzzifier** — a [`Defuzzifier`] collapses the aggregated output
-//!    set back to a crisp number (centroid by default).
+//!    (AND as the minimum, OR as the maximum, `IS NOT` as the complement),
+//!    clips the consequent membership function at the rule's firing
+//!    strength and aggregates the clipped sets with the maximum;
+//! 4. a **defuzzifier** — the centroid ([`defuzz::centroid`]) collapses
+//!    the aggregated output set back to a crisp number.
 //!
 //! # Quick example
 //!
@@ -56,9 +56,9 @@
 //!
 //! # Design notes
 //!
-//! * Membership functions follow the paper's notation: `f(x; x0, w0, w1)` is
-//!   the triangular function and `g(x; x0, x1, w0, w1)` the trapezoidal one
-//!   (Fig. 3). Both are available through [`MembershipFunction`].
+//! * [`MembershipFunction`] has the paper's two shapes (Fig. 3), the
+//!   triangle `f(x)` and the trapezoid `g(x)`, both given by their
+//!   break-points.
 //! * All computation is `f64`; degrees are always clamped to `[0, 1]`.
 //! * The crate is `#![forbid(unsafe_code)]` and has no non-`serde`
 //!   dependencies.
@@ -89,12 +89,10 @@ pub mod set;
 pub mod variable;
 
 pub use compile::{CompiledEngine, Scratch, TermId, VarId};
-pub use defuzz::Defuzzifier;
 pub use engine::{EngineBuilder, InferenceOutput, MamdaniEngine};
 pub use error::{FuzzyError, Result};
 pub use lut::Lut2d;
 pub use membership::MembershipFunction;
-pub use norms::{SNorm, TNorm};
 pub use rule::{Antecedent, Connective, Rule, RuleBase};
 pub use set::FuzzySet;
 pub use variable::{LinguisticVariable, Term, VariableBuilder};
@@ -102,12 +100,10 @@ pub use variable::{LinguisticVariable, Term, VariableBuilder};
 /// Convenience re-exports for users who want everything in scope.
 pub mod prelude {
     pub use crate::compile::{CompiledEngine, Scratch, TermId, VarId};
-    pub use crate::defuzz::Defuzzifier;
     pub use crate::engine::{EngineBuilder, InferenceOutput, MamdaniEngine};
     pub use crate::error::{FuzzyError, Result};
     pub use crate::lut::Lut2d;
     pub use crate::membership::MembershipFunction;
-    pub use crate::norms::{SNorm, TNorm};
     pub use crate::rule::{Antecedent, Connective, Rule, RuleBase};
     pub use crate::set::FuzzySet;
     pub use crate::variable::{LinguisticVariable, Term, VariableBuilder};

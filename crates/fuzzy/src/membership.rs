@@ -2,20 +2,19 @@
 //!
 //! The paper (Fig. 3) uses two parametric shapes, called `f(x)` (triangular)
 //! and `g(x)` (trapezoidal with open shoulders), because they are cheap
-//! enough for real-time admission decisions.  This module implements both
-//! under the paper's parameterisation plus a few extra shapes that are used
-//! by the ablation experiments (gaussian, singleton, shoulder ramps).
+//! enough for real-time admission decisions.  This module implements both,
+//! parameterised by their break-points: the paper's `f(x; x0, w0, w1)` is
+//! the triangle `(x0 - w0, x0, x0 + w1)` and `g(x; x0, x1, w0, w1)` the
+//! trapezoid `(x0 - w0, x0, x1, x1 + w1)`; a shoulder is a trapezoid whose
+//! plateau reaches the universe edge.
 
 use crate::clamp_degree;
 use crate::error::{FuzzyError, Result};
 use serde::{Deserialize, Serialize};
 
-/// A parametric membership function `μ(x) -> [0, 1]`.
-///
-/// The paper-facing constructors are [`MembershipFunction::paper_triangular`]
-/// (the `f(x; x0, w0, w1)` of Fig. 3) and
-/// [`MembershipFunction::paper_trapezoidal`] (the `g(x; x0, x1, w0, w1)`).
-/// Generic constructors taking explicit break-points are also provided.
+/// A parametric membership function `μ(x) -> [0, 1]`, built with
+/// [`MembershipFunction::triangular`] or
+/// [`MembershipFunction::trapezoidal`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum MembershipFunction {
@@ -39,32 +38,6 @@ pub enum MembershipFunction {
         c: f64,
         /// Right foot (membership 0).
         d: f64,
-    },
-    /// Gaussian bell `exp(-(x - mean)^2 / (2 sigma^2))`.
-    Gaussian {
-        /// Centre of the bell (membership 1).
-        mean: f64,
-        /// Standard deviation (`> 0`).
-        sigma: f64,
-    },
-    /// Crisp singleton: membership 1 exactly at `value`, 0 elsewhere.
-    Singleton {
-        /// The single supported point.
-        value: f64,
-    },
-    /// Left shoulder: membership 1 for `x <= full`, falling to 0 at `zero`.
-    LeftShoulder {
-        /// Last point with membership 1.
-        full: f64,
-        /// First point with membership 0 (`zero > full`).
-        zero: f64,
-    },
-    /// Right shoulder: membership 0 for `x <= zero`, rising to 1 at `full`.
-    RightShoulder {
-        /// Last point with membership 0.
-        zero: f64,
-        /// First point with membership 1 (`full > zero`).
-        full: f64,
     },
 }
 
@@ -115,82 +88,6 @@ impl MembershipFunction {
         Ok(Self::Trapezoidal { a, b, c, d })
     }
 
-    /// The paper's triangular function `f(x; x0, w0, w1)` (Fig. 3, left):
-    /// peak at `x0`, left width `w0`, right width `w1`.
-    ///
-    /// Equivalent to [`MembershipFunction::triangular`] with break-points
-    /// `(x0 - w0, x0, x0 + w1)`.
-    pub fn paper_triangular(x0: f64, w0: f64, w1: f64) -> Result<Self> {
-        if w0 < 0.0 || w1 < 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("widths must be non-negative, got w0={w0}, w1={w1}"),
-            });
-        }
-        Self::triangular(x0 - w0, x0, x0 + w1)
-    }
-
-    /// The paper's trapezoidal function `g(x; x0, x1, w0, w1)` (Fig. 3,
-    /// right): plateau of membership 1 between `x0` and `x1`, left width
-    /// `w0` below `x0`, right width `w1` above `x1`.
-    ///
-    /// Equivalent to [`MembershipFunction::trapezoidal`] with break-points
-    /// `(x0 - w0, x0, x1, x1 + w1)`.
-    pub fn paper_trapezoidal(x0: f64, x1: f64, w0: f64, w1: f64) -> Result<Self> {
-        if w0 < 0.0 || w1 < 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("widths must be non-negative, got w0={w0}, w1={w1}"),
-            });
-        }
-        if x0 > x1 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("plateau must satisfy x0 <= x1, got x0={x0}, x1={x1}"),
-            });
-        }
-        Self::trapezoidal(x0 - w0, x0, x1, x1 + w1)
-    }
-
-    /// Gaussian bell centred at `mean` with standard deviation `sigma > 0`.
-    pub fn gaussian(mean: f64, sigma: f64) -> Result<Self> {
-        if !mean.is_finite() || !sigma.is_finite() || sigma <= 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!(
-                    "gaussian requires finite mean and sigma > 0, got ({mean}, {sigma})"
-                ),
-            });
-        }
-        Ok(Self::Gaussian { mean, sigma })
-    }
-
-    /// Crisp singleton at `value`.
-    pub fn singleton(value: f64) -> Result<Self> {
-        if !value.is_finite() {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("singleton value must be finite, got {value}"),
-            });
-        }
-        Ok(Self::Singleton { value })
-    }
-
-    /// Left shoulder: full membership up to `full`, zero from `zero` on.
-    pub fn left_shoulder(full: f64, zero: f64) -> Result<Self> {
-        if !(full.is_finite() && zero.is_finite()) || full >= zero {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("left shoulder requires full < zero, got ({full}, {zero})"),
-            });
-        }
-        Ok(Self::LeftShoulder { full, zero })
-    }
-
-    /// Right shoulder: zero membership up to `zero`, full from `full` on.
-    pub fn right_shoulder(zero: f64, full: f64) -> Result<Self> {
-        if !(full.is_finite() && zero.is_finite()) || zero >= full {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("right shoulder requires zero < full, got ({zero}, {full})"),
-            });
-        }
-        Ok(Self::RightShoulder { zero, full })
-    }
-
     /// Evaluate the membership degree of `x`.
     ///
     /// Always returns a value in `[0, 1]`; non-finite `x` yields `0`.
@@ -202,87 +99,8 @@ impl MembershipFunction {
         let mu = match *self {
             Self::Triangular { a, b, c } => triangle(x, a, b, c),
             Self::Trapezoidal { a, b, c, d } => trapezoid(x, a, b, c, d),
-            Self::Gaussian { mean, sigma } => {
-                let z = (x - mean) / sigma;
-                (-0.5 * z * z).exp()
-            }
-            Self::Singleton { value } => {
-                if x == value {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Self::LeftShoulder { full, zero } => {
-                if x <= full {
-                    1.0
-                } else if x >= zero {
-                    0.0
-                } else {
-                    (zero - x) / (zero - full)
-                }
-            }
-            Self::RightShoulder { zero, full } => {
-                if x <= zero {
-                    0.0
-                } else if x >= full {
-                    1.0
-                } else {
-                    (x - zero) / (full - zero)
-                }
-            }
         };
         clamp_degree(mu)
-    }
-
-    /// The support interval `[lo, hi]` outside of which membership is 0.
-    ///
-    /// Shoulders and gaussians have unbounded support on one or both sides;
-    /// for those the returned bounds are `f64::NEG_INFINITY` /
-    /// `f64::INFINITY` on the unbounded side(s) (gaussian support is treated
-    /// as `mean ± 4 sigma`, beyond which membership is below 3.4e-4).
-    #[must_use]
-    pub fn support(&self) -> (f64, f64) {
-        match *self {
-            Self::Triangular { a, c, .. } => (a, c),
-            Self::Trapezoidal { a, d, .. } => (a, d),
-            Self::Gaussian { mean, sigma } => (mean - 4.0 * sigma, mean + 4.0 * sigma),
-            Self::Singleton { value } => (value, value),
-            Self::LeftShoulder { zero, .. } => (f64::NEG_INFINITY, zero),
-            Self::RightShoulder { zero, .. } => (zero, f64::INFINITY),
-        }
-    }
-
-    /// The set of points at which the membership reaches its maximum (the
-    /// *core*), returned as an interval `[lo, hi]`.
-    #[must_use]
-    pub fn core(&self) -> (f64, f64) {
-        match *self {
-            Self::Triangular { b, .. } => (b, b),
-            Self::Trapezoidal { b, c, .. } => (b, c),
-            Self::Gaussian { mean, .. } => (mean, mean),
-            Self::Singleton { value } => (value, value),
-            Self::LeftShoulder { full, .. } => (f64::NEG_INFINITY, full),
-            Self::RightShoulder { full, .. } => (full, f64::INFINITY),
-        }
-    }
-
-    /// A representative crisp value for this term (the midpoint of the core,
-    /// clamped into the given universe). Used by weighted-average
-    /// defuzzification and by height-based shortcuts.
-    #[must_use]
-    pub fn centroid_hint(&self, universe_min: f64, universe_max: f64) -> f64 {
-        let (lo, hi) = self.core();
-        let lo = lo.max(universe_min);
-        let hi = hi.min(universe_max);
-        0.5 * (lo + hi)
-    }
-
-    /// `true` if `x` lies inside the (closed) support of the function.
-    #[must_use]
-    pub fn contains(&self, x: f64) -> bool {
-        let (lo, hi) = self.support();
-        x >= lo && x <= hi
     }
 }
 
@@ -371,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_triangular_matches_explicit() {
-        let paper = MembershipFunction::paper_triangular(30.0, 30.0, 30.0).unwrap();
-        let explicit = MembershipFunction::triangular(0.0, 30.0, 60.0).unwrap();
-        for x in [-10.0, 0.0, 10.0, 30.0, 45.0, 60.0, 70.0] {
-            assert_eq!(paper.membership(x), explicit.membership(x));
-        }
-    }
-
-    #[test]
-    fn paper_triangular_rejects_negative_width() {
-        assert!(MembershipFunction::paper_triangular(0.0, -1.0, 1.0).is_err());
-        assert!(MembershipFunction::paper_triangular(0.0, 1.0, -1.0).is_err());
-    }
-
-    #[test]
     fn trapezoidal_plateau() {
         let mf = MembershipFunction::trapezoidal(0.0, 2.0, 8.0, 10.0).unwrap();
         assert_eq!(mf.membership(2.0), 1.0);
@@ -413,60 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_trapezoidal_matches_explicit() {
-        let paper = MembershipFunction::paper_trapezoidal(60.0, 120.0, 30.0, 10.0).unwrap();
-        let explicit = MembershipFunction::trapezoidal(30.0, 60.0, 120.0, 130.0).unwrap();
-        for x in [0.0, 30.0, 45.0, 60.0, 100.0, 120.0, 125.0, 130.0, 140.0] {
-            assert_eq!(paper.membership(x), explicit.membership(x));
-        }
-    }
-
-    #[test]
-    fn gaussian_properties() {
-        let mf = MembershipFunction::gaussian(10.0, 2.0).unwrap();
-        assert_eq!(mf.membership(10.0), 1.0);
-        assert!(mf.membership(12.0) < 1.0);
-        assert!((mf.membership(8.0) - mf.membership(12.0)).abs() < 1e-12);
-        assert!(MembershipFunction::gaussian(0.0, 0.0).is_err());
-        assert!(MembershipFunction::gaussian(0.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn singleton_membership() {
-        let mf = MembershipFunction::singleton(3.5).unwrap();
-        assert_eq!(mf.membership(3.5), 1.0);
-        assert_eq!(mf.membership(3.500001), 0.0);
-        assert!(MembershipFunction::singleton(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn shoulders() {
-        let l = MembershipFunction::left_shoulder(10.0, 20.0).unwrap();
-        assert_eq!(l.membership(5.0), 1.0);
-        assert_eq!(l.membership(10.0), 1.0);
-        assert!((l.membership(15.0) - 0.5).abs() < 1e-12);
-        assert_eq!(l.membership(25.0), 0.0);
-
-        let r = MembershipFunction::right_shoulder(10.0, 20.0).unwrap();
-        assert_eq!(r.membership(5.0), 0.0);
-        assert!((r.membership(15.0) - 0.5).abs() < 1e-12);
-        assert_eq!(r.membership(25.0), 1.0);
-
-        assert!(MembershipFunction::left_shoulder(20.0, 10.0).is_err());
-        assert!(MembershipFunction::right_shoulder(20.0, 10.0).is_err());
-    }
-
-    #[test]
-    fn support_and_core() {
-        let mf = MembershipFunction::trapezoidal(0.0, 2.0, 8.0, 10.0).unwrap();
-        assert_eq!(mf.support(), (0.0, 10.0));
-        assert_eq!(mf.core(), (2.0, 8.0));
-        assert_eq!(mf.centroid_hint(0.0, 10.0), 5.0);
-        assert!(mf.contains(5.0));
-        assert!(!mf.contains(11.0));
-    }
-
-    #[test]
     fn non_finite_input_yields_zero() {
         let mf = MembershipFunction::triangular(0.0, 5.0, 10.0).unwrap();
         assert_eq!(mf.membership(f64::NAN), 0.0);
@@ -477,7 +226,7 @@ mod tests {
     fn serde_derives_exist() {
         fn assert_serialize<T: serde::Serialize>(_: &T) {}
         fn assert_deserialize<T: serde::Deserialize>() {}
-        let mf = MembershipFunction::paper_trapezoidal(0.2, 0.4, 0.1, 0.1).unwrap();
+        let mf = MembershipFunction::trapezoidal(0.1, 0.2, 0.4, 0.5).unwrap();
         assert_serialize(&mf);
         assert_deserialize::<MembershipFunction>();
     }

@@ -1,117 +1,10 @@
-//! Triangular norms (t-norms) and co-norms (s-norms).
+//! The fuzzy complement used by negated antecedents (`IS NOT`).
 //!
-//! The AND of rule antecedents is computed with a [`TNorm`] and the OR /
-//! aggregation of rule consequents with an [`SNorm`].  The paper's FLCs use
-//! the classical Mamdani pair (minimum / maximum); the product / probabilistic
-//! sum pair is provided for the ablation experiments.
-
-use serde::{Deserialize, Serialize};
+//! The paper's controllers combine AND antecedents with the minimum and
+//! OR antecedents and rule outputs with the maximum; the engines apply
+//! those two operators inline, so only the complement needs a home.
 
 use crate::clamp_degree;
-
-/// A triangular norm: the fuzzy generalisation of logical AND.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum TNorm {
-    /// Gödel / Mamdani minimum: `min(a, b)`.
-    #[default]
-    Minimum,
-    /// Algebraic product: `a * b`.
-    Product,
-    /// Łukasiewicz (bounded difference): `max(0, a + b - 1)`.
-    Lukasiewicz,
-    /// Drastic product: `min(a, b)` if `max(a, b) == 1`, else 0.
-    Drastic,
-    /// Hamacher product: `a b / (a + b - a b)` (0 when both are 0).
-    Hamacher,
-}
-
-impl TNorm {
-    /// Combine two membership degrees.
-    #[must_use]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        let a = clamp_degree(a);
-        let b = clamp_degree(b);
-        let v = match self {
-            TNorm::Minimum => a.min(b),
-            TNorm::Product => a * b,
-            TNorm::Lukasiewicz => (a + b - 1.0).max(0.0),
-            TNorm::Drastic => {
-                if a == 1.0 {
-                    b
-                } else if b == 1.0 {
-                    a
-                } else {
-                    0.0
-                }
-            }
-            TNorm::Hamacher => {
-                let denom = a + b - a * b;
-                if denom == 0.0 {
-                    0.0
-                } else {
-                    (a * b) / denom
-                }
-            }
-        };
-        clamp_degree(v)
-    }
-
-    /// Fold a slice of degrees with this t-norm.
-    ///
-    /// The identity element of every t-norm is 1, so an empty slice yields 1.
-    #[must_use]
-    pub fn fold(self, degrees: &[f64]) -> f64 {
-        degrees.iter().fold(1.0, |acc, &d| self.apply(acc, d))
-    }
-}
-
-/// A triangular co-norm: the fuzzy generalisation of logical OR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum SNorm {
-    /// Gödel / Mamdani maximum: `max(a, b)`.
-    #[default]
-    Maximum,
-    /// Probabilistic (algebraic) sum: `a + b - a b`.
-    ProbabilisticSum,
-    /// Łukasiewicz (bounded sum): `min(1, a + b)`.
-    BoundedSum,
-    /// Drastic sum: `max(a, b)` if `min(a, b) == 0`, else 1.
-    Drastic,
-}
-
-impl SNorm {
-    /// Combine two membership degrees.
-    #[must_use]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        let a = clamp_degree(a);
-        let b = clamp_degree(b);
-        let v = match self {
-            SNorm::Maximum => a.max(b),
-            SNorm::ProbabilisticSum => a + b - a * b,
-            SNorm::BoundedSum => (a + b).min(1.0),
-            SNorm::Drastic => {
-                if a == 0.0 {
-                    b
-                } else if b == 0.0 {
-                    a
-                } else {
-                    1.0
-                }
-            }
-        };
-        clamp_degree(v)
-    }
-
-    /// Fold a slice of degrees with this s-norm.
-    ///
-    /// The identity element of every s-norm is 0, so an empty slice yields 0.
-    #[must_use]
-    pub fn fold(self, degrees: &[f64]) -> f64 {
-        degrees.iter().fold(0.0, |acc, &d| self.apply(acc, d))
-    }
-}
 
 /// Standard fuzzy complement `1 - a`.
 #[inline]
@@ -124,116 +17,11 @@ pub fn complement(a: f64) -> f64 {
 mod tests {
     use super::*;
 
-    const NORMS: [TNorm; 5] = [
-        TNorm::Minimum,
-        TNorm::Product,
-        TNorm::Lukasiewicz,
-        TNorm::Drastic,
-        TNorm::Hamacher,
-    ];
-    const CONORMS: [SNorm; 4] = [
-        SNorm::Maximum,
-        SNorm::ProbabilisticSum,
-        SNorm::BoundedSum,
-        SNorm::Drastic,
-    ];
-
-    #[test]
-    fn tnorm_boundary_conditions() {
-        // T(a, 1) = a and T(a, 0) = 0 for every t-norm.
-        for t in NORMS {
-            for a in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                assert!((t.apply(a, 1.0) - a).abs() < 1e-12, "{t:?} T({a},1)");
-                assert_eq!(t.apply(a, 0.0), 0.0, "{t:?} T({a},0)");
-            }
-        }
-    }
-
-    #[test]
-    fn snorm_boundary_conditions() {
-        // S(a, 0) = a and S(a, 1) = 1 for every s-norm.
-        for s in CONORMS {
-            for a in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                assert!((s.apply(a, 0.0) - a).abs() < 1e-12, "{s:?} S({a},0)");
-                assert_eq!(s.apply(a, 1.0), 1.0, "{s:?} S({a},1)");
-            }
-        }
-    }
-
-    #[test]
-    fn norms_are_commutative() {
-        let samples = [0.0, 0.1, 0.33, 0.5, 0.9, 1.0];
-        for t in NORMS {
-            for &a in &samples {
-                for &b in &samples {
-                    assert!((t.apply(a, b) - t.apply(b, a)).abs() < 1e-12);
-                }
-            }
-        }
-        for s in CONORMS {
-            for &a in &samples {
-                for &b in &samples {
-                    assert!((s.apply(a, b) - s.apply(b, a)).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tnorm_below_min_snorm_above_max() {
-        let samples = [0.0, 0.2, 0.41, 0.77, 1.0];
-        for t in NORMS {
-            for &a in &samples {
-                for &b in &samples {
-                    assert!(t.apply(a, b) <= a.min(b) + 1e-12, "{t:?}");
-                }
-            }
-        }
-        for s in CONORMS {
-            for &a in &samples {
-                for &b in &samples {
-                    assert!(s.apply(a, b) >= a.max(b) - 1e-12, "{s:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn specific_values() {
-        assert_eq!(TNorm::Minimum.apply(0.3, 0.7), 0.3);
-        assert!((TNorm::Product.apply(0.3, 0.7) - 0.21).abs() < 1e-12);
-        assert!((TNorm::Lukasiewicz.apply(0.3, 0.7) - 0.0).abs() < 1e-12);
-        assert!((TNorm::Lukasiewicz.apply(0.6, 0.7) - 0.3).abs() < 1e-12);
-        assert_eq!(SNorm::Maximum.apply(0.3, 0.7), 0.7);
-        assert!((SNorm::ProbabilisticSum.apply(0.3, 0.7) - 0.79).abs() < 1e-12);
-        assert_eq!(SNorm::BoundedSum.apply(0.6, 0.7), 1.0);
-    }
-
-    #[test]
-    fn fold_identities() {
-        assert_eq!(TNorm::Minimum.fold(&[]), 1.0);
-        assert_eq!(SNorm::Maximum.fold(&[]), 0.0);
-        assert_eq!(TNorm::Minimum.fold(&[0.4, 0.9, 0.6]), 0.4);
-        assert_eq!(SNorm::Maximum.fold(&[0.4, 0.9, 0.6]), 0.9);
-    }
-
-    #[test]
-    fn inputs_are_clamped() {
-        assert_eq!(TNorm::Minimum.apply(2.0, 0.5), 0.5);
-        assert_eq!(SNorm::Maximum.apply(-1.0, 0.5), 0.5);
-        assert_eq!(TNorm::Product.apply(f64::NAN, 0.5), 0.0);
-    }
-
     #[test]
     fn complement_involution_on_grid() {
         for a in [0.0, 0.25, 0.5, 0.75, 1.0] {
             assert!((complement(complement(a)) - a).abs() < 1e-12);
         }
         assert_eq!(complement(1.2), 0.0);
-    }
-
-    #[test]
-    fn hamacher_zero_zero() {
-        assert_eq!(TNorm::Hamacher.apply(0.0, 0.0), 0.0);
     }
 }

@@ -18,10 +18,10 @@ use std::fmt;
 /// How the antecedent clauses of a rule are combined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Connective {
-    /// All clauses must hold (combined with the engine's t-norm).
+    /// All clauses must hold (combined with the minimum).
     #[default]
     And,
-    /// Any clause may hold (combined with the engine's s-norm).
+    /// Any clause may hold (combined with the maximum).
     Or,
 }
 
@@ -97,13 +97,11 @@ pub struct Rule {
     antecedents: Vec<Antecedent>,
     connective: Connective,
     consequents: Vec<Consequent>,
-    weight: f64,
     label: Option<String>,
 }
 
 impl Rule {
-    /// Build a rule from parts. `weight` scales the rule's firing strength
-    /// and must lie in `[0, 1]` (the paper's rules all have weight 1).
+    /// Build a rule from parts.
     pub fn new(
         antecedents: Vec<Antecedent>,
         connective: Connective,
@@ -125,7 +123,6 @@ impl Rule {
             antecedents,
             connective,
             consequents,
-            weight: 1.0,
             label: None,
         })
     }
@@ -135,18 +132,6 @@ impl Rule {
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
-    }
-
-    /// Scale the rule's firing strength by `weight ∈ [0, 1]`.
-    pub fn with_weight(mut self, weight: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&weight) || weight.is_nan() {
-            return Err(FuzzyError::RuleParse {
-                text: self.to_string(),
-                reason: format!("rule weight must be in [0,1], got {weight}"),
-            });
-        }
-        self.weight = weight;
-        Ok(self)
     }
 
     /// Parse a rule from text of the form
@@ -211,12 +196,6 @@ impl Rule {
     #[must_use]
     pub fn consequents(&self) -> &[Consequent] {
         &self.consequents
-    }
-
-    /// The rule weight in `[0, 1]`.
-    #[must_use]
-    pub fn weight(&self) -> f64 {
-        self.weight
     }
 
     /// Optional label.
@@ -494,7 +473,6 @@ mod tests {
         assert_eq!(r.consequents().len(), 1);
         assert_eq!(r.consequents()[0], Consequent::is("Cv", "Bad"));
         assert_eq!(r.connective(), Connective::And);
-        assert_eq!(r.weight(), 1.0);
     }
 
     #[test]
@@ -534,15 +512,6 @@ mod tests {
         let original = Rule::parse("IF Sp IS Sl AND An IS St THEN Cv IS Cv5").unwrap();
         let reparsed = Rule::parse(&original.to_string()).unwrap();
         assert_eq!(original, reparsed);
-    }
-
-    #[test]
-    fn weight_validation() {
-        let r = Rule::parse("IF a IS x THEN o IS t").unwrap();
-        assert!(r.clone().with_weight(0.5).is_ok());
-        assert!(r.clone().with_weight(-0.1).is_err());
-        assert!(r.clone().with_weight(1.1).is_err());
-        assert!(r.with_weight(f64::NAN).is_err());
     }
 
     #[test]

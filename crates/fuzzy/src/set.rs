@@ -1,14 +1,13 @@
 //! Discretised fuzzy sets over a one-dimensional universe of discourse.
 //!
-//! During Mamdani inference each fired rule clips (or scales) its consequent
+//! During Mamdani inference each fired rule clips its consequent
 //! membership function; the clipped sets are aggregated into one output set
 //! per output variable, which is then defuzzified.  [`FuzzySet`] is that
 //! aggregated, sampled representation.
 
+use crate::clamp_degree;
 use crate::error::{FuzzyError, Result};
 use crate::membership::MembershipFunction;
-use crate::norms::SNorm;
-use crate::{clamp_degree, DEFAULT_RESOLUTION};
 use serde::{Deserialize, Serialize};
 
 /// A fuzzy set sampled on a uniform grid over `[min, max]`.
@@ -38,11 +37,6 @@ impl FuzzySet {
         })
     }
 
-    /// An empty set with the [`DEFAULT_RESOLUTION`].
-    pub fn empty_default(min: f64, max: f64) -> Result<Self> {
-        Self::empty(min, max, DEFAULT_RESOLUTION)
-    }
-
     /// Sample a membership function over `[min, max]`.
     pub fn from_membership(
         mf: &MembershipFunction,
@@ -54,20 +48,6 @@ impl FuzzySet {
         for i in 0..set.degrees.len() {
             let x = set.x_at(i);
             set.degrees[i] = mf.membership(x);
-        }
-        Ok(set)
-    }
-
-    /// Build a set from explicit samples (degrees are clamped to `[0,1]`).
-    pub fn from_samples(min: f64, max: f64, samples: &[f64]) -> Result<Self> {
-        if samples.len() < 2 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: "a sampled fuzzy set needs at least 2 samples".into(),
-            });
-        }
-        let mut set = Self::empty(min, max, samples.len())?;
-        for (dst, &src) in set.degrees.iter_mut().zip(samples) {
-            *dst = clamp_degree(src);
         }
         Ok(set)
     }
@@ -120,68 +100,18 @@ impl FuzzySet {
     }
 
     /// Merge another sampled membership function into this set, clipped at
-    /// `height`, combining point-wise with `snorm`.  This is the Mamdani
-    /// "clip and aggregate" step.
-    pub fn aggregate_clipped(&mut self, mf: &MembershipFunction, height: f64, snorm: SNorm) {
+    /// `height`, combining point-wise with the maximum.  This is the
+    /// Mamdani "clip and aggregate" step.
+    pub fn aggregate_clipped(&mut self, mf: &MembershipFunction, height: f64) {
         let height = clamp_degree(height);
         if height == 0.0 {
             return;
         }
         for i in 0..self.degrees.len() {
             let x = self.x_at(i);
-            let clipped = mf.membership(x).min(height);
-            self.degrees[i] = snorm.apply(self.degrees[i], clipped);
+            // Both operands are degrees in [0, 1]: no clamping needed.
+            self.degrees[i] = self.degrees[i].max(mf.membership(x).min(height));
         }
-    }
-
-    /// Merge another sampled membership function into this set, *scaled* by
-    /// `height` (product implication), combining point-wise with `snorm`.
-    pub fn aggregate_scaled(&mut self, mf: &MembershipFunction, height: f64, snorm: SNorm) {
-        let height = clamp_degree(height);
-        if height == 0.0 {
-            return;
-        }
-        for i in 0..self.degrees.len() {
-            let x = self.x_at(i);
-            let scaled = mf.membership(x) * height;
-            self.degrees[i] = snorm.apply(self.degrees[i], scaled);
-        }
-    }
-
-    /// Point-wise union (max) with another set over the same universe.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the universes or resolutions differ.
-    #[must_use]
-    pub fn union(&self, other: &Self) -> Self {
-        self.zip_with(other, f64::max)
-    }
-
-    /// Point-wise intersection (min) with another set over the same universe.
-    #[must_use]
-    pub fn intersection(&self, other: &Self) -> Self {
-        self.zip_with(other, f64::min)
-    }
-
-    /// Point-wise standard complement `1 - μ`.
-    #[must_use]
-    pub fn complement(&self) -> Self {
-        let mut out = self.clone();
-        for d in &mut out.degrees {
-            *d = clamp_degree(1.0 - *d);
-        }
-        out
-    }
-
-    fn zip_with(&self, other: &Self, f: impl Fn(f64, f64) -> f64) -> Self {
-        debug_assert_eq!(self.min, other.min);
-        debug_assert_eq!(self.max, other.max);
-        debug_assert_eq!(self.degrees.len(), other.degrees.len());
-        let mut out = self.clone();
-        for (d, &o) in out.degrees.iter_mut().zip(&other.degrees) {
-            *d = clamp_degree(f(*d, o));
-        }
-        out
     }
 
     /// The maximum membership degree of the set (its *height*).
@@ -194,53 +124,6 @@ impl FuzzySet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.degrees.iter().all(|&d| d == 0.0)
-    }
-
-    /// Area under the membership curve (trapezoidal rule).
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        let n = self.degrees.len();
-        let dx = (self.max - self.min) / ((n - 1) as f64);
-        let mut area = 0.0;
-        for w in self.degrees.windows(2) {
-            area += 0.5 * (w[0] + w[1]) * dx;
-        }
-        area
-    }
-
-    /// The alpha-cut of the set: the interval(s) where membership is at
-    /// least `alpha`, returned as a list of `[lo, hi]` sample-aligned
-    /// intervals.
-    #[must_use]
-    pub fn alpha_cut(&self, alpha: f64) -> Vec<(f64, f64)> {
-        let alpha = clamp_degree(alpha);
-        let mut intervals = Vec::new();
-        let mut start: Option<usize> = None;
-        for i in 0..self.degrees.len() {
-            let above = self.degrees[i] >= alpha && (alpha > 0.0 || self.degrees[i] > 0.0);
-            match (above, start) {
-                (true, None) => start = Some(i),
-                (false, Some(s)) => {
-                    intervals.push((self.x_at(s), self.x_at(i - 1)));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            intervals.push((self.x_at(s), self.max));
-        }
-        intervals
-    }
-
-    /// Scale every degree by `factor` (clamped back into `[0,1]`).
-    #[must_use]
-    pub fn scaled(&self, factor: f64) -> Self {
-        let mut out = self.clone();
-        for d in &mut out.degrees {
-            *d = clamp_degree(*d * factor);
-        }
-        out
     }
 }
 
@@ -259,7 +142,6 @@ mod tests {
         assert_eq!(s.resolution(), 11);
         assert!(s.is_empty());
         assert_eq!(s.height(), 0.0);
-        assert_eq!(s.area(), 0.0);
         assert_eq!(s.membership(0.5), 0.0);
     }
 
@@ -294,94 +176,30 @@ mod tests {
     }
 
     #[test]
-    fn from_samples_clamps() {
-        let s = FuzzySet::from_samples(0.0, 1.0, &[0.0, 2.0, -1.0, 0.5]).unwrap();
-        assert_eq!(s.degrees(), &[0.0, 1.0, 0.0, 0.5]);
-        assert!(FuzzySet::from_samples(0.0, 1.0, &[0.5]).is_err());
-    }
-
-    #[test]
     fn aggregate_clipped_respects_height() {
         let mut s = FuzzySet::empty(0.0, 10.0, 101).unwrap();
-        s.aggregate_clipped(&tri(0.0, 5.0, 10.0), 0.6, SNorm::Maximum);
+        s.aggregate_clipped(&tri(0.0, 5.0, 10.0), 0.6);
         assert!((s.height() - 0.6).abs() < 1e-9);
         // Clipping at zero is a no-op.
         let mut s2 = FuzzySet::empty(0.0, 10.0, 101).unwrap();
-        s2.aggregate_clipped(&tri(0.0, 5.0, 10.0), 0.0, SNorm::Maximum);
+        s2.aggregate_clipped(&tri(0.0, 5.0, 10.0), 0.0);
         assert!(s2.is_empty());
-    }
-
-    #[test]
-    fn aggregate_scaled_scales_shape() {
-        let mut s = FuzzySet::empty(0.0, 10.0, 101).unwrap();
-        s.aggregate_scaled(&tri(0.0, 5.0, 10.0), 0.5, SNorm::Maximum);
-        assert!((s.membership(5.0) - 0.5).abs() < 1e-9);
-        assert!((s.membership(2.5) - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn aggregation_takes_pointwise_max() {
         let mut s = FuzzySet::empty(0.0, 10.0, 201).unwrap();
-        s.aggregate_clipped(&tri(0.0, 2.0, 4.0), 1.0, SNorm::Maximum);
-        s.aggregate_clipped(&tri(6.0, 8.0, 10.0), 0.5, SNorm::Maximum);
+        s.aggregate_clipped(&tri(0.0, 2.0, 4.0), 1.0);
+        s.aggregate_clipped(&tri(6.0, 8.0, 10.0), 0.5);
         assert!((s.membership(2.0) - 1.0).abs() < 1e-9);
         assert!((s.membership(8.0) - 0.5).abs() < 1e-9);
         assert!(s.membership(5.0) < 0.3);
     }
 
     #[test]
-    fn union_intersection_complement() {
-        let a = FuzzySet::from_membership(&tri(0.0, 3.0, 6.0), 0.0, 10.0, 101).unwrap();
-        let b = FuzzySet::from_membership(&tri(4.0, 7.0, 10.0), 0.0, 10.0, 101).unwrap();
-        let u = a.union(&b);
-        let i = a.intersection(&b);
-        for x in [0.0, 2.5, 5.0, 7.5, 10.0] {
-            assert!((u.membership(x) - a.membership(x).max(b.membership(x))).abs() < 1e-9);
-            assert!((i.membership(x) - a.membership(x).min(b.membership(x))).abs() < 1e-9);
-        }
-        let c = a.complement();
-        assert!((c.membership(3.0) - 0.0).abs() < 1e-9);
-        assert!((c.membership(0.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn area_of_triangle() {
-        // Triangle base 10, height 1 -> area 5.
-        let s = FuzzySet::from_membership(&tri(0.0, 5.0, 10.0), 0.0, 10.0, 1001).unwrap();
-        assert!((s.area() - 5.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn alpha_cut_intervals() {
-        let s = FuzzySet::from_membership(&tri(0.0, 5.0, 10.0), 0.0, 10.0, 1001).unwrap();
-        let cuts = s.alpha_cut(0.5);
-        assert_eq!(cuts.len(), 1);
-        let (lo, hi) = cuts[0];
-        assert!((lo - 2.5).abs() < 0.02);
-        assert!((hi - 7.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn alpha_cut_disjoint() {
-        let mut s = FuzzySet::empty(0.0, 10.0, 1001).unwrap();
-        s.aggregate_clipped(&tri(0.0, 1.0, 2.0), 1.0, SNorm::Maximum);
-        s.aggregate_clipped(&tri(8.0, 9.0, 10.0), 1.0, SNorm::Maximum);
-        let cuts = s.alpha_cut(0.9);
-        assert_eq!(cuts.len(), 2);
-    }
-
-    #[test]
-    fn scaled_clamps() {
-        let s = FuzzySet::from_membership(&tri(0.0, 5.0, 10.0), 0.0, 10.0, 101).unwrap();
-        let half = s.scaled(0.5);
-        assert!((half.height() - 0.5).abs() < 1e-9);
-        let over = s.scaled(3.0);
-        assert!((over.height() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn membership_interpolates_between_samples() {
-        let s = FuzzySet::from_samples(0.0, 1.0, &[0.0, 1.0]).unwrap();
+        let s = FuzzySet::from_membership(&tri(0.0, 1.0, 1.0), 0.0, 1.0, 2).unwrap();
+        assert_eq!(s.degrees(), &[0.0, 1.0]);
         assert!((s.membership(0.25) - 0.25).abs() < 1e-12);
         assert!((s.membership(0.75) - 0.75).abs() < 1e-12);
     }

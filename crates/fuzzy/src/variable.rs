@@ -254,41 +254,6 @@ impl VariableBuilder {
         self.push(name, mf)
     }
 
-    /// Add a term using the paper's triangular `f(x; x0, w0, w1)` form.
-    #[must_use]
-    pub fn paper_triangle(self, name: &str, x0: f64, w0: f64, w1: f64) -> Self {
-        let mf = MembershipFunction::paper_triangular(x0, w0, w1);
-        self.push(name, mf)
-    }
-
-    /// Add a term using the paper's trapezoidal `g(x; x0, x1, w0, w1)` form.
-    #[must_use]
-    pub fn paper_trapezoid(self, name: &str, x0: f64, x1: f64, w0: f64, w1: f64) -> Self {
-        let mf = MembershipFunction::paper_trapezoidal(x0, x1, w0, w1);
-        self.push(name, mf)
-    }
-
-    /// Add a gaussian term.
-    #[must_use]
-    pub fn gaussian(self, name: &str, mean: f64, sigma: f64) -> Self {
-        let mf = MembershipFunction::gaussian(mean, sigma);
-        self.push(name, mf)
-    }
-
-    /// Add a left-shoulder term (full membership below `full`).
-    #[must_use]
-    pub fn left_shoulder(self, name: &str, full: f64, zero: f64) -> Self {
-        let mf = MembershipFunction::left_shoulder(full, zero);
-        self.push(name, mf)
-    }
-
-    /// Add a right-shoulder term (full membership above `full`).
-    #[must_use]
-    pub fn right_shoulder(self, name: &str, zero: f64, full: f64) -> Self {
-        let mf = MembershipFunction::right_shoulder(zero, full);
-        self.push(name, mf)
-    }
-
     /// Finish building the variable.
     pub fn build(self) -> Result<LinguisticVariable> {
         if let Some(e) = self.error {

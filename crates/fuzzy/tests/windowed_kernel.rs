@@ -1,35 +1,22 @@
 //! The support-windowed max-aggregation kernel of [`CompiledEngine`]
 //! against full-width references.
 //!
-//! Under max aggregation the compiled engine aggregates each fired term over
-//! its support window only, and runs the empty-set check and the centroid
-//! over the hull of those windows.  These tests pin that the result is the
-//! one a full-width pass gives, bit for bit: on engines whose output terms
-//! touch the first and the last sample (the half-weighted centroid end
-//! points), interior-only terms and full-support terms, for both
-//! implications and every defuzzifier, on a reused scratch, at universe
-//! edges, out of range and with NaN inputs.
+//! The compiled engine aggregates each fired term over its support window
+//! only, and runs the empty-set check and the centroid over the hull of
+//! those windows.  These tests pin that the result is the one a full-width
+//! clip-and-max pass and centroid give, bit for bit: on engines whose
+//! output terms touch the first and the last sample (the half-weighted
+//! centroid end points), interior-only terms and full-support terms, on a
+//! reused scratch, at universe edges, out of range and with NaN inputs.
 
-use fuzzy::engine::Implication;
+use fuzzy::defuzz::centroid_or;
 use fuzzy::prelude::*;
 use proptest::prelude::*;
-
-const DEFUZZIFIERS: [Defuzzifier; 5] = [
-    Defuzzifier::Centroid,
-    Defuzzifier::Bisector,
-    Defuzzifier::MeanOfMaxima,
-    Defuzzifier::SmallestOfMaxima,
-    Defuzzifier::LargestOfMaxima,
-];
 
 /// Two inputs, two outputs.  Output `o` has terms touching sample 0
 /// (`low`), sample n-1 (`high`), the interior only (`mid`, `spike`) and
 /// every sample (`bump`); output `p` lives on a negative universe.
-fn edge_engine(
-    implication: Implication,
-    defuzzifier: Defuzzifier,
-    resolution: usize,
-) -> MamdaniEngine {
+fn edge_engine(resolution: usize) -> MamdaniEngine {
     let a = LinguisticVariable::builder("a", 0.0, 1.0)
         .triangle("lo", 0.0, 0.0, 0.5)
         .triangle("md", 0.2, 0.5, 0.8)
@@ -37,15 +24,15 @@ fn edge_engine(
         .build()
         .unwrap();
     let b = LinguisticVariable::builder("b", -5.0, 5.0)
-        .left_shoulder("neg", -4.0, 1.0)
-        .right_shoulder("pos", -1.0, 4.0)
+        .trapezoid("neg", -5.0, -5.0, -4.0, 1.0)
+        .trapezoid("pos", -1.0, 4.0, 5.0, 5.0)
         .build()
         .unwrap();
     let o = LinguisticVariable::builder("o", 0.0, 10.0)
         .triangle("low", 0.0, 0.0, 3.0)
         .triangle("mid", 2.0, 5.0, 8.0)
         .triangle("spike", 4.9, 5.0, 5.1)
-        .gaussian("bump", 5.0, 1.5)
+        .triangle("bump", -1.0, 5.0, 11.0)
         .triangle("high", 7.0, 10.0, 10.0)
         .build()
         .unwrap();
@@ -59,8 +46,6 @@ fn edge_engine(
         .input(b)
         .output(o)
         .output(p)
-        .implication(implication)
-        .defuzzifier(defuzzifier)
         .resolution(resolution)
         .build()
         .unwrap();
@@ -80,7 +65,7 @@ fn edge_engine(
 /// The full-width reference of one compiled inference: the interpreted
 /// aggregation over every sample, in rule-base order, driven by the
 /// compiled firing strengths (so NaN inputs have a reference too), then
-/// the interpreted defuzzifier with the compiled empty-set fallback.
+/// the interpreted centroid with the compiled empty-set fallback.
 fn full_width_reference(engine: &MamdaniEngine, strengths: &[f64]) -> Vec<(FuzzySet, f64)> {
     let mut sets: Vec<FuzzySet> = engine
         .outputs()
@@ -101,18 +86,13 @@ fn full_width_reference(engine: &MamdaniEngine, strengths: &[f64]) -> Vec<(Fuzzy
                 .term(&c.term)
                 .unwrap()
                 .membership_function();
-            match engine.implication() {
-                Implication::Clip => {
-                    sets[out].aggregate_clipped(mf, strength, engine.aggregation())
-                }
-                _ => sets[out].aggregate_scaled(mf, strength, engine.aggregation()),
-            }
+            sets[out].aggregate_clipped(mf, strength);
         }
     }
     sets.into_iter()
         .map(|set| {
             let midpoint = 0.5 * (set.min() + set.max());
-            let crisp = engine.defuzzifier().defuzzify_or(&set, midpoint);
+            let crisp = centroid_or(&set, midpoint);
             (set, crisp)
         })
         .collect()
@@ -134,12 +114,7 @@ fn check_sequence(engine: &MamdaniEngine, inputs: &[[f64; 2]]) {
         };
         for (out, (set, expected)) in reference.iter().enumerate() {
             let id = VarId::from_index(out);
-            let context = format!(
-                "{:?}/{:?} n={} output {out} at {x:?}",
-                engine.implication(),
-                engine.defuzzifier(),
-                engine.resolution()
-            );
+            let context = format!("n={} output {out} at {x:?}", engine.resolution());
             assert_eq!(crisp[out].to_bits(), expected.to_bits(), "crisp, {context}");
             // Value equality: a skipped sample may hold +0.0 where a
             // full-width max kept -0.0.
@@ -187,15 +162,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn windowed_kernel_matches_full_width_for_every_defuzzifier_and_implication(
+    fn windowed_kernel_matches_full_width(
         inputs in prop::collection::vec(input_pair(), 1..24),
         resolution in prop_oneof![Just(2usize), Just(3usize), Just(11usize), Just(201usize)],
     ) {
-        for implication in [Implication::Clip, Implication::Scale] {
-            for defuzzifier in DEFUZZIFIERS {
-                check_sequence(&edge_engine(implication, defuzzifier, resolution), &inputs);
-            }
-        }
+        check_sequence(&edge_engine(resolution), &inputs);
     }
 }
 
@@ -211,18 +182,14 @@ fn end_point_terms_fire_alone_and_together() {
         [0.5, 0.0],
         [0.0, -5.0],
     ];
-    for implication in [Implication::Clip, Implication::Scale] {
-        for defuzzifier in DEFUZZIFIERS {
-            for resolution in [2, 5, 201] {
-                check_sequence(&edge_engine(implication, defuzzifier, resolution), &inputs);
-            }
-        }
+    for resolution in [2, 5, 201] {
+        check_sequence(&edge_engine(resolution), &inputs);
     }
 }
 
 #[test]
 fn nothing_fired_gives_the_empty_default_after_a_firing_inference() {
-    let engine = edge_engine(Implication::Clip, Defuzzifier::Centroid, 201);
+    let engine = edge_engine(201);
     let compiled = engine.compile().unwrap();
     let mut scratch = compiled.scratch();
     let fired = compiled.infer_into(&[0.9, 3.0], &mut scratch)[0];
