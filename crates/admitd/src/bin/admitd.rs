@@ -177,7 +177,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         let snapshot = admitd::state::load_snapshot(std::path::Path::new(path))?;
         let restored = world.restore(&snapshot).map_err(|e| match e {
             RestoreError::Shape { .. } => {
-                format!("cannot restore {path}: {e} (did the grid/shard flags change?)")
+                // Lock sharding never changes a snapshot's cell count; only
+                // the grid does.
+                format!(
+                    "cannot restore {path}: {e} (was the snapshot taken with a \
+                     different --grid-radius or --scenario?)"
+                )
             }
             RestoreError::Invalid { .. } => format!("cannot restore {path}: {e}"),
         })?;

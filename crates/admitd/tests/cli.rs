@@ -3,7 +3,9 @@
 //! nonzero with a message that names the problem, never a panic or a
 //! silent success.
 
+use admitd::{state, World, WorldConfig};
 use std::process::{Command, Output};
+use sweep::ControllerSpec;
 
 fn admitd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_admitd"))
@@ -78,6 +80,40 @@ fn serve_with_missing_restore_file_exits_nonzero() {
         stderr(&out).contains("cannot read snapshot"),
         "must explain the failed restore: {}",
         stderr(&out)
+    );
+}
+
+#[test]
+fn restoring_onto_a_different_grid_names_the_grid_flag() {
+    let config = WorldConfig {
+        grid_radius_cells: 1,
+        ..WorldConfig::paper_default()
+    };
+    let world = World::new(&config, "always-accept", || {
+        ControllerSpec::AlwaysAccept.build()
+    });
+    let path = std::env::temp_dir().join(format!("admitd-cli-r1-{}.json", std::process::id()));
+    state::save_snapshot(&world, &path).expect("write snapshot");
+    let out = admitd(&[
+        "serve",
+        "--grid-radius",
+        "2",
+        "--restore",
+        path.to_str().expect("utf-8 temp path"),
+    ]);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        !out.status.success(),
+        "a 7-cell snapshot cannot seed 19 cells"
+    );
+    let err = stderr(&out);
+    assert!(
+        err.contains("--grid-radius"),
+        "hint must name the grid: {err}"
+    );
+    assert!(
+        !err.contains("--shards"),
+        "lock sharding never changes the cell count: {err}"
     );
 }
 

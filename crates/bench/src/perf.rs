@@ -714,6 +714,32 @@ fn time_server_requests(connections: usize, quick: bool) -> PerfCase {
     }
 }
 
+/// One sweep-like FLC input set of the mixed-input fuzzy cases.
+struct MixedRequest {
+    /// FLC1's `(speed km/h, angle deg, bandwidth BU)`.
+    flc1: [f64; 3],
+    /// FLC2's counter state `Cs` in BU.
+    counter_state: f64,
+}
+
+/// 4096 fixed, seeded requests drawn the way the paper sweep's traffic
+/// is: speed U[0, 120] km/h, angle U[-180, 180] degrees, a class
+/// bandwidth of 1, 5 or 10 BU, and a counter state U[0, 40] BU.
+fn mixed_requests() -> Vec<MixedRequest> {
+    let mut rng = SimRng::new(0xF1C1);
+    (0..4_096)
+        .map(|_| {
+            let speed = rng.uniform(0.0, 120.0);
+            let angle = rng.uniform(-180.0, 180.0);
+            let bandwidth = [1.0, 5.0, 10.0][(rng.uniform(0.0, 3.0) as usize).min(2)];
+            MixedRequest {
+                flc1: [speed, angle, bandwidth],
+                counter_state: rng.uniform(0.0, 40.0),
+            }
+        })
+        .collect()
+}
+
 fn probe_request(class: ServiceClass, speed: f64, angle: f64) -> AdmissionRequest {
     AdmissionRequest {
         id: 1,
@@ -777,6 +803,19 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         iters * 10,
         || compiled.infer_into(std::hint::black_box(&inputs), &mut scratch)[0],
     ));
+    // The fixed input above lets the branch predictor learn which rules
+    // fire; the sweep's calls vary, so cycle through sweep-like requests.
+    let mixed = mixed_requests();
+    let mut next = 0usize;
+    cases.push(time_case(
+        "fuzzy/flc1 compiled infer_into (mixed inputs)",
+        iters * 10,
+        || {
+            let r = &mixed[next % mixed.len()];
+            next += 1;
+            compiled.infer_into(std::hint::black_box(&r.flc1), &mut scratch)[0]
+        },
+    ));
 
     // --- LUT layer: one FLC2 decision from the tabulated surface --------
     let flc2 = Flc2::paper_default().expect("paper parameters are valid");
@@ -789,6 +828,27 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
                 std::hint::black_box(5.0),
                 std::hint::black_box(23.0),
             )
+        },
+    ));
+    let mixed_flc2: Vec<[f64; 3]> = mixed
+        .iter()
+        .map(|r| {
+            let [speed, angle, bandwidth] = r.flc1;
+            [
+                flc1.correction_value(speed, angle, bandwidth),
+                bandwidth,
+                r.counter_state,
+            ]
+        })
+        .collect();
+    let mut next = 0usize;
+    cases.push(time_case(
+        "fuzzy/flc2 compiled decision (mixed inputs)",
+        iters * 10,
+        || {
+            let [cv, rq, cs] = std::hint::black_box(mixed_flc2[next % mixed_flc2.len()]);
+            next += 1;
+            flc2.decision_value(cv, rq, cs)
         },
     ));
     let lut = flc2.compile_lut().expect("paper parameters tabulate");

@@ -123,8 +123,11 @@ impl AdmissionDecision {
 /// consulted for requests that are *physically* possible to carry (the
 /// station still has `request.bandwidth` BU free); controllers therefore
 /// only implement policy, not capacity enforcement.  Controllers are notified of
-/// admissions and releases so they can maintain internal state (e.g. the
-/// shadow-cluster projections of SCC or the priority counters of FACS-P).
+/// admissions and releases so they can maintain internal state.  Of the
+/// shipped controllers only SCC does (its shadow-cluster projections);
+/// FACS and FACS-P override neither hook and decide from the request and
+/// the station alone (FACS-P weighs the station's connections by priority
+/// on every call).
 pub trait AdmissionController {
     /// Human-readable name used in reports.
     ///

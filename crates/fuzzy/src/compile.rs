@@ -14,6 +14,14 @@
 //! * the rule base is flattened into index arrays (antecedent slots into a
 //!   flat fuzzification buffer, consequent slots into flat output-term
 //!   tables);
+//! * rules that form a grid — an AND of exactly one plain (non-negated)
+//!   clause per input variable, in any order — are indexed by their
+//!   term tuple.  The execute path walks only the tuples of the non-zero
+//!   input terms and fires the rules filed there; every other rule is on
+//!   a short list fired on every call.  The paper's triangles and
+//!   trapezoids give a crisp input at most two non-zero terms per
+//!   variable, so its 63-rule FRB1 folds at most 8 rules per call instead
+//!   of scanning 63;
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
@@ -31,6 +39,14 @@
 //! `MamdaniEngine::infer` + [`crate::defuzz::centroid`] produce.  This is
 //! what lets the FACS controllers switch to the compiled path without
 //! moving a single simulation result.
+//!
+//! The rule grid keeps those bits.  A grid rule whose tuple is not walked
+//! has a zero-degree clause, so the AND fold would stop there and return
+//! `+0.0` — the value an unreached rule is given.  Every reached rule is
+//! folded by the same code as before, and the per-term maximum that
+//! collects the fired heights is order-independent (heights are finite
+//! and positive), so visiting rules in tuple order instead of rule-base
+//! order changes no bit.
 //!
 //! # Quick example
 //!
@@ -148,6 +164,11 @@ pub struct Scratch {
     fuzzified: Vec<f64>,
     /// Per-rule firing strength, in rule-base order.
     strengths: Vec<f64>,
+    /// Per input, a run of its non-zero terms as pre-multiplied rule-grid
+    /// offsets (`term * stride`) ended by [`END_OF_RUN`].  Input `v`'s run
+    /// starts at its first term slot plus `v`: one slot per term and one
+    /// for the end marker.
+    active: Vec<u32>,
     /// Maximum firing strength per output term.
     term_strengths: Vec<f64>,
     /// Aggregated output sets, one `resolution`-sized window per output.
@@ -200,6 +221,7 @@ pub struct CompiledEngine {
     antecedents: Vec<CompiledAntecedent>,
     rule_cons_offsets: Vec<u32>,
     consequents: Vec<CompiledConsequent>,
+    grid: RuleGrid,
     // --- outputs ----------------------------------------------------------
     output_names: Vec<String>,
     output_bounds: Vec<(f64, f64)>,
@@ -323,6 +345,12 @@ impl CompiledEngine {
             rule_cons_offsets.push(as_u32(consequents.len()));
         }
 
+        let grid = RuleGrid::build(
+            &input_term_offsets,
+            &rule_connectives,
+            &rule_ante_offsets,
+            &antecedents,
+        );
         Ok(Self {
             input_names: inputs.iter().map(|v| v.name().to_string()).collect(),
             input_bounds: inputs.iter().map(|v| (v.min(), v.max())).collect(),
@@ -334,6 +362,7 @@ impl CompiledEngine {
             antecedents,
             rule_cons_offsets,
             consequents,
+            grid,
             output_names: outputs.iter().map(|v| v.name().to_string()).collect(),
             output_bounds: outputs.iter().map(|v| (v.min(), v.max())).collect(),
             output_term_offsets,
@@ -362,6 +391,14 @@ impl CompiledEngine {
     #[must_use]
     pub fn rule_count(&self) -> usize {
         self.rule_connectives.len()
+    }
+
+    /// Number of rules filed in the rule grid — the rules an inference
+    /// fires only when every one of their input terms is non-zero.  The
+    /// remaining rules are fired on every call.
+    #[must_use]
+    pub fn indexed_rule_count(&self) -> usize {
+        self.grid.rules.len()
     }
 
     /// The engine's output sampling resolution.
@@ -427,6 +464,7 @@ impl CompiledEngine {
         Scratch {
             fuzzified: vec![0.0; self.mfs.len()],
             strengths: vec![0.0; self.rule_connectives.len()],
+            active: vec![END_OF_RUN; self.mfs.len() + self.input_bounds.len()],
             term_strengths: vec![0.0; self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
             dirty: vec![(0, 0); self.output_bounds.len()],
@@ -461,6 +499,7 @@ impl CompiledEngine {
         assert!(
             scratch.fuzzified.len() == self.mfs.len()
                 && scratch.strengths.len() == self.rule_connectives.len()
+                && scratch.active.len() == self.mfs.len() + self.input_bounds.len()
                 && scratch.term_strengths.len() == self.output_term_names.len()
                 && scratch.aggregated.len() == self.output_bounds.len() * self.resolution
                 && scratch.crisp.len() == self.output_bounds.len()
@@ -469,39 +508,85 @@ impl CompiledEngine {
         );
 
         // Fuzzify every input once (clamped into its universe, exactly as
-        // LinguisticVariable::fuzzify does).
+        // LinguisticVariable::fuzzify does), noting each input's non-zero
+        // terms as rule-grid offsets.
         for (i, (&raw, &(lo, hi))) in inputs.iter().zip(&self.input_bounds).enumerate() {
             let x = raw.clamp(lo, hi);
             let start = self.input_term_offsets[i] as usize;
             let end = self.input_term_offsets[i + 1] as usize;
+            let stride = self.grid.strides[i];
+            let mut active = start + i;
             for t in start..end {
-                scratch.fuzzified[t] = self.mfs[t].membership(x);
+                let mu = self.mfs[t].membership(x);
+                scratch.fuzzified[t] = mu;
+                // Branch-free compaction (which terms are non-zero varies
+                // call to call): always write, advance only on non-zero.
+                // `active <= t + i`, so the write stays in this input's run.
+                scratch.active[active] = as_u32(t - start) * stride;
+                active += usize::from(mu != 0.0);
             }
+            scratch.active[active] = END_OF_RUN;
         }
 
         // Max aggregation commutes with clipping, so instead of one array
         // pass per fired *rule* we take the max strength per consequent
         // *term* and do one array pass per fired term — exact (max and min
         // are monotone), and typically 2–4x fewer passes for the paper's
-        // 63-rule FRB1.
+        // 63-rule FRB1.  Only the rules the non-zero terms reach are
+        // folded; the rest keep the `+0.0` their fold would return.
+        scratch.strengths.fill(0.0);
         scratch.term_strengths.fill(0.0);
-        for r in 0..self.rule_connectives.len() {
-            let strength = self.firing_strength(r, &scratch.fuzzified);
-            scratch.strengths[r] = strength;
-            if strength == 0.0 {
-                continue;
-            }
-            let height = clamp_degree(strength);
-            for c in self.cons_range(r) {
-                let flat = self.consequents[c].flat_term as usize;
-                scratch.term_strengths[flat] = scratch.term_strengths[flat].max(height);
-            }
+        if !self.grid.rules.is_empty() {
+            self.fire_grid(0, 0, scratch);
+        }
+        for &r in &self.grid.scan {
+            self.fire(r as usize, scratch);
         }
         for out in 0..self.output_bounds.len() {
             let (lo, hi) = self.aggregate_max(out, scratch);
             scratch.crisp[out] = self.defuzzify_output(out, &scratch.aggregated, lo, hi);
         }
         &scratch.crisp
+    }
+
+    /// Fold rule `r` into `scratch.strengths` and raise the heights of its
+    /// consequent terms in `scratch.term_strengths`.
+    #[inline]
+    fn fire(&self, r: usize, scratch: &mut Scratch) {
+        let strength = self.firing_strength(r, &scratch.fuzzified);
+        scratch.strengths[r] = strength;
+        if strength == 0.0 {
+            return;
+        }
+        let height = clamp_degree(strength);
+        for c in self.cons_range(r) {
+            let flat = self.consequents[c].flat_term as usize;
+            scratch.term_strengths[flat] = scratch.term_strengths[flat].max(height);
+        }
+    }
+
+    /// Fire every grid rule filed under a tuple of non-zero input terms:
+    /// for each non-zero term of input `v`, add its offset to `cell` and
+    /// walk the remaining inputs (call with `v = 0`, `cell = 0`).
+    fn fire_grid(&self, v: usize, cell: usize, scratch: &mut Scratch) {
+        let mut at = self.input_term_offsets[v] as usize + v;
+        loop {
+            let offset = scratch.active[at];
+            if offset == END_OF_RUN {
+                return;
+            }
+            let cell = cell + offset as usize;
+            if v + 1 < self.input_bounds.len() {
+                self.fire_grid(v + 1, cell, scratch);
+            } else {
+                let lo = self.grid.cell_offsets[cell] as usize;
+                let hi = self.grid.cell_offsets[cell + 1] as usize;
+                for &r in &self.grid.rules[lo..hi] {
+                    self.fire(r as usize, scratch);
+                }
+            }
+            at += 1;
+        }
     }
 
     /// Max-aggregate the fired terms of output `out` (heights already in
@@ -528,8 +613,13 @@ impl CompiledEngine {
             hi = hi.max(t_hi);
             let samples = &self.term_samples[flat * n + t_lo..flat * n + t_hi];
             let agg = &mut agg[t_lo..t_hi];
+            // Compare-select instead of `f64::min`/`max`, whose NaN
+            // handling costs extra instructions per lane: samples and
+            // heights are finite and never `-0.0`, so both give the same
+            // bits here.
             for (a, &s) in agg.iter_mut().zip(samples) {
-                *a = a.max(s.min(height));
+                let clipped = if s < height { s } else { height };
+                *a = if *a < clipped { clipped } else { *a };
             }
         }
         let hull = if lo < hi { (lo, hi) } else { (0, 0) };
@@ -568,10 +658,10 @@ impl CompiledEngine {
     /// engine bit for bit.
     ///
     /// Folds stop early at the absorbing element (`min(0, x) = 0`,
-    /// `max(1, x) = 1`), which prunes most of a dense rule grid: a typical
-    /// crisp input activates two terms per variable, so the vast majority
-    /// of rules zero out on their first antecedent.  Membership degrees
-    /// are already clamped, so plain `min`/`max` need no clamping.
+    /// `max(1, x) = 1`).  The rule grid relies on the AND case: a grid
+    /// rule with a zero-degree clause folds to `+0.0`, so it need not be
+    /// folded at all.  Membership degrees are already clamped, so plain
+    /// `min`/`max` need no clamping.
     #[inline]
     fn firing_strength(&self, rule: usize, fuzzified: &[f64]) -> f64 {
         let lo = self.rule_ante_offsets[rule] as usize;
@@ -607,6 +697,119 @@ impl CompiledEngine {
             }
         }
     }
+}
+
+/// Ends an input's run in [`Scratch`]'s active-term list (no cell offset
+/// reaches it: offsets stay below [`MAX_GRID_CELLS`]).
+const END_OF_RUN: u32 = u32::MAX;
+
+/// Largest rule grid (product of the input term counts) that is indexed;
+/// a larger engine keeps every rule on the scan list rather than allocate
+/// an offset table of mostly empty cells.
+const MAX_GRID_CELLS: usize = 1 << 16;
+
+/// Most inputs an indexed engine may have: the grid walk recurses once
+/// per input.
+const MAX_GRID_INPUTS: usize = 16;
+
+/// The rule base indexed by input-term tuple.
+///
+/// A rule is *indexable* when its connective is AND and it has exactly one
+/// non-negated clause per input variable.  Its cell is the mixed-radix
+/// number of its term tuple (`sum(term[v] * strides[v])`, last input
+/// fastest); a cell may hold several rules or none.  Every other rule is
+/// on `scan`.
+#[derive(Debug, Clone, PartialEq)]
+struct RuleGrid {
+    /// Per input, the place value of its term index in a cell number.
+    strides: Vec<u32>,
+    /// `cells + 1` offsets into `rules` (empty when nothing is indexed).
+    cell_offsets: Vec<u32>,
+    /// Indexed rules grouped by cell, in rule-base order within a cell.
+    rules: Vec<u32>,
+    /// The rules that are not indexable, in rule-base order.
+    scan: Vec<u32>,
+}
+
+impl RuleGrid {
+    fn build(
+        input_term_offsets: &[u32],
+        connectives: &[Connective],
+        ante_offsets: &[u32],
+        antecedents: &[CompiledAntecedent],
+    ) -> Self {
+        let n = input_term_offsets.len() - 1;
+        let counts: Vec<usize> = input_term_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .collect();
+        let mut strides = vec![0u32; n];
+        let mut cells = 1usize;
+        for v in (0..n).rev() {
+            strides[v] = u32::try_from(cells).unwrap_or(u32::MAX);
+            cells = cells.saturating_mul(counts[v]);
+        }
+        let indexable = cells <= MAX_GRID_CELLS && n <= MAX_GRID_INPUTS;
+        if !indexable {
+            strides.fill(0);
+        }
+        let mut keyed: Vec<(usize, u32)> = Vec::new();
+        let mut scan = Vec::new();
+        let mut seen = vec![false; n];
+        for (r, &connective) in connectives.iter().enumerate() {
+            let clauses = &antecedents[ante_offsets[r] as usize..ante_offsets[r + 1] as usize];
+            let cell = if indexable && connective == Connective::And && clauses.len() == n {
+                grid_cell(clauses, input_term_offsets, &strides, &mut seen)
+            } else {
+                None
+            };
+            match cell {
+                Some(c) => keyed.push((c, as_u32(r))),
+                None => scan.push(as_u32(r)),
+            }
+        }
+        let mut cell_offsets = Vec::new();
+        if !keyed.is_empty() {
+            // Stable sort: rule-base order within a cell.
+            keyed.sort_by_key(|&(c, _)| c);
+            cell_offsets = vec![0u32; cells + 1];
+            for &(c, _) in &keyed {
+                cell_offsets[c + 1] += 1;
+            }
+            for c in 0..cells {
+                cell_offsets[c + 1] += cell_offsets[c];
+            }
+        }
+        Self {
+            strides,
+            cell_offsets,
+            rules: keyed.into_iter().map(|(_, r)| r).collect(),
+            scan,
+        }
+    }
+}
+
+/// The grid cell of a rule's `n` clauses, or `None` unless they test every
+/// one of the `n` inputs once, none negated.
+fn grid_cell(
+    clauses: &[CompiledAntecedent],
+    input_term_offsets: &[u32],
+    strides: &[u32],
+    seen: &mut [bool],
+) -> Option<usize> {
+    seen.fill(false);
+    let mut cell = 0usize;
+    for a in clauses {
+        // Terms are flattened in declaration order, so a slot belongs to
+        // the last input whose first slot is at or below it.
+        let v = input_term_offsets.partition_point(|&o| o <= a.slot) - 1;
+        if a.negated || seen[v] {
+            return None;
+        }
+        seen[v] = true;
+        cell += (a.slot - input_term_offsets[v]) as usize * strides[v] as usize;
+    }
+    Some(cell)
 }
 
 impl MamdaniEngine {
