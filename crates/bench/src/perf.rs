@@ -1083,7 +1083,7 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
     ));
     // The same engine under bursty MMPP arrivals (the `flash_crowd`
     // preset on the paper's cell).  The bursty generator's state machine
-    // sits on the arrival pre-generation path, so this case pins its cost
+    // sits on the arrival path, so this case pins its cost
     // next to the plain-Poisson case.
     cases.push(time_sim_events(
         "sim/burst events",

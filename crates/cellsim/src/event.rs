@@ -7,9 +7,11 @@
 //! min-heap on it pops exactly the same sequence of events.
 //!
 //! Events are small `Copy` values: an arrival references its
-//! [`crate::traffic::CallRequest`] by index into the run's pre-generated
-//! arrival buffer instead of owning a clone, and departures/handoffs carry
-//! a dense [`CellIdx`] plus the connection's user [`SlotId`] handle.
+//! [`crate::traffic::CallRequest`] by index into an arrival buffer
+//! instead of owning a clone, and departures/handoffs carry a dense
+//! [`CellIdx`] plus the connection's user [`SlotId`] handle.  Neither
+//! engine queues arrivals: both draw them from a
+//! [`crate::traffic::ArrivalStream`], one of the four merged streams.
 //!
 //! [`EventQueue`] is an implicit 4-ary min-heap over one `Vec<Event>`.  A
 //! metro run keeps tens of thousands of events pending per shard, and
@@ -245,7 +247,8 @@ pub(crate) enum Stream {
     /// Scheduled faults: infrastructure changes take effect before
     /// same-instant traffic.
     Fault,
-    /// The time-sorted arrival buffer.
+    /// Arrivals from the run's [`crate::traffic::ArrivalStream`], in
+    /// time order.
     Arrival,
     /// Computed utilisation-sampling ticks.
     Tick,

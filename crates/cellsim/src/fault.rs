@@ -10,8 +10,8 @@
 //! # Determinism contract
 //!
 //! Both engines fold the plan into their event loops as a **fourth
-//! merge stream** alongside the pre-generated arrival buffer, the
-//! computed mobility ticks and the run-time event heap. At equal
+//! merge stream** alongside the arrival stream, the computed mobility
+//! ticks and the run-time event heap. At equal
 //! timestamps the tie order is `fault < arrival < tick < heap`, and in
 //! the sharded engine a fault's [`MergeKey`] carries
 //! [`RANK_FAULT`] so faults interleave with

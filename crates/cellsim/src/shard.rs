@@ -5,7 +5,7 @@
 //! per-cell admission controllers, user slab and event heap.  Time advances
 //! in fixed-length **epochs**: within an epoch every shard runs the same
 //! four-stream event loop as the sequential [`crate::sim::Simulator`]
-//! (scheduled faults / sorted arrival buffer / computed mobility ticks /
+//! (scheduled faults / the epoch's arrivals / computed mobility ticks /
 //! run-time event heap) over its own cells, completely independently of
 //! the other shards.  Both engines apply every per-cell transition
 //! through the shared [`crate::cell`] core.
@@ -27,8 +27,9 @@
 //! because nothing a shard computes depends on which other cells share its
 //! shard:
 //!
-//! * arrivals are pre-generated and pre-assigned to cells by a global
-//!   sequential RNG stream before sharding;
+//! * arrivals are drawn and assigned to cells in global order by the
+//!   coordinator, from one [`ArrivalStream`] whatever the partition, and
+//!   handed to the owning shards one epoch at a time;
 //! * each call's spawn kinematics come from an RNG derived from the call id
 //!   (order-independent);
 //! * controller state is strictly per-cell;
@@ -53,7 +54,7 @@ use crate::metrics::{is_zero, Metrics};
 use crate::rng::SimRng;
 use crate::sim::{AdmissionController, SimConfig};
 use crate::telem::{self, DefaultRecorder};
-use crate::traffic::{CallRequest, SpawnCellAssigner, TrafficGenerator};
+use crate::traffic::{ArrivalStream, CallRequest};
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -271,8 +272,9 @@ struct Shard<R: Recorder> {
     controllers: Vec<BoxedController>,
     queue: EventQueue,
     util: Vec<UtilAcc>,
-    /// Indices into the global arrival buffer, in arrival order.
-    arrivals: Vec<u32>,
+    /// This epoch's arrivals in this shard: indices into the
+    /// coordinator's epoch buffer, in arrival order.
+    arrivals: Vec<usize>,
     next_arrival: usize,
     tick_interval: SimTime,
     next_tick: SimTime,
@@ -327,12 +329,16 @@ impl<R: Recorder> Shard<R> {
 
     /// The stream whose next event fires first in this shard — fault
     /// stream, arrival stream, tick stream or event heap — with its time.
-    fn next_stream(&self, calls: &[CallRequest], horizon: SimTime) -> Option<(Stream, SimTime)> {
+    fn next_stream(
+        &self,
+        epoch: &[(CallRequest, u32)],
+        horizon: SimTime,
+    ) -> Option<(Stream, SimTime)> {
         next_stream(
             self.faults.get(self.next_fault).map(|f| f.time),
             self.arrivals
                 .get(self.next_arrival)
-                .map(|&i| calls[i as usize].arrival_time),
+                .map(|&i| epoch[i].0.arrival_time),
             (self.tick_interval > 0.0 && self.next_tick <= horizon).then_some(self.next_tick),
             self.queue.peek().map(|e| e.time),
         )
@@ -346,13 +352,12 @@ impl<R: Recorder> Shard<R> {
     fn run_epoch(
         &mut self,
         grid: &CellGrid,
-        calls: &[CallRequest],
-        spawn_cells: &[u32],
+        epoch: &[(CallRequest, u32)],
         horizon: SimTime,
         epoch_end: SimTime,
     ) {
         let watch = Stopwatch::started(R::ENABLED);
-        while let Some((stream, time)) = self.next_stream(calls, horizon) {
+        while let Some((stream, time)) = self.next_stream(epoch, horizon) {
             if time >= epoch_end {
                 break;
             }
@@ -368,13 +373,13 @@ impl<R: Recorder> Shard<R> {
                 Stream::Arrival => {
                     self.events_processed += 1;
                     self.cells.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
-                    let index = self.arrivals[self.next_arrival] as usize;
+                    let (call, cell) = &epoch[self.arrivals[self.next_arrival]];
                     self.next_arrival += 1;
-                    let cell = CellIdx(spawn_cells[index]);
+                    let cell = CellIdx(*cell);
                     let controller = &mut *self.controllers[self.cells.local(cell)];
                     let queue = &mut self.queue;
                     self.cells
-                        .arrive(controller, grid, cell, &calls[index], time, |at, kind| {
+                        .arrive(controller, grid, cell, call, time, |at, kind| {
                             queue.schedule(at, kind);
                         });
                 }
@@ -462,10 +467,9 @@ pub struct ShardedSimulator<R: Recorder = DefaultRecorder> {
     shards: Vec<Shard<R>>,
     /// First global cell index of each shard, ascending.
     starts: Vec<u32>,
-    /// Global pre-generated arrival buffer (reused across runs).
-    arrivals: Vec<CallRequest>,
-    /// Pre-assigned spawn cell of each arrival (global [`CellIdx`] values).
-    arrival_cells: Vec<u32>,
+    /// The current epoch's arrivals with their spawn cells (global
+    /// [`CellIdx`] values), in arrival order; reused across epochs.
+    epoch_arrivals: Vec<(CallRequest, u32)>,
     merge_heap: BinaryHeap<MergeEntry>,
     merge_events: u64,
     epochs: u64,
@@ -523,8 +527,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             grid,
             shards,
             starts,
-            arrivals: Vec::new(),
-            arrival_cells: Vec::new(),
+            epoch_arrivals: Vec::new(),
             merge_heap: BinaryHeap::new(),
             merge_events: 0,
             epochs: 0,
@@ -628,29 +631,16 @@ impl<R: Recorder> ShardedSimulator<R> {
     {
         self.reset_run(factory);
 
-        // Global arrival stream + spawn-cell assignment, both drawn from
-        // the same derived streams as the sequential engine — and, being
-        // pre-sharding, identical for every shard count.
-        let base_rng = SimRng::new(self.config.seed).derive(0xD15C);
-        let mut generator = TrafficGenerator::with_model(
-            self.config.traffic.clone(),
+        // One global arrival stream, drawn from the same derived streams
+        // as the sequential engine and consumed in global order whatever
+        // the partition.
+        let mut arrivals = ArrivalStream::new(
+            &self.config.traffic,
             &self.config.traffic_model,
-            base_rng.derive(2).seed(),
+            &SimRng::new(self.config.seed).derive(0xD15C),
+            self.grid.len(),
+            total_requests,
         );
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        generator.generate_poisson_into(total_requests, &mut arrivals);
-        let mut spawn_rng = base_rng.derive(3);
-        let mut spawn_cells = SpawnCellAssigner::new(&self.config.traffic_model);
-        self.arrival_cells.clear();
-        self.arrival_cells.reserve(arrivals.len());
-        for call in &arrivals {
-            let cell = spawn_cells.assign(call.arrival_time, self.grid.len(), &mut spawn_rng);
-            self.arrival_cells.push(cell);
-        }
-        for (i, &cell) in self.arrival_cells.iter().enumerate() {
-            let s = self.shard_of(cell);
-            self.shards[s].arrivals.push(i as u32);
-        }
         // Partition the fault plan to its owning shards in sorted order;
         // events naming cells outside the grid are ignored.
         for fault in self.config.fault_plan.sorted_events() {
@@ -659,14 +649,18 @@ impl<R: Recorder> ShardedSimulator<R> {
                 self.shards[s].faults.push(fault);
             }
         }
-        let horizon = arrivals.last().map(|c| c.arrival_time).unwrap_or(0.0);
-        self.arrivals = arrivals;
 
         loop {
+            // Every shard has consumed its arrivals, so the stream's next
+            // arrival stands in for all of them.  `horizon` is a lower
+            // bound on the last arrival time that decides ticks exactly
+            // (see [`ArrivalStream`]).
+            let horizon = arrivals.horizon();
             let t_min = self
                 .shards
                 .iter()
-                .filter_map(|s| Some(s.next_stream(&self.arrivals, horizon)?.1))
+                .filter_map(|s| Some(s.next_stream(&self.epoch_arrivals, horizon)?.1))
+                .chain(arrivals.peek_time())
                 .fold(None, |min: Option<SimTime>, t| {
                     Some(min.map_or(t, |m| m.min(t)))
                 });
@@ -677,8 +671,9 @@ impl<R: Recorder> ShardedSimulator<R> {
             // quiet stretches (e.g. the departure tail after the last
             // arrival) cost no empty barriers.
             let epoch_end = EPOCH_S * ((t_min / EPOCH_S).floor() + 1.0);
+            self.deal_arrivals(&mut arrivals, epoch_end);
             let parallel_watch = Stopwatch::started(R::ENABLED);
-            self.run_phase(epoch_end, horizon);
+            self.run_phase(epoch_end, arrivals.horizon());
             if let Some(ns) = parallel_watch.elapsed_ns() {
                 self.recorder.span_ns(telem::span::SHARD_PARALLEL_PHASE, ns);
             }
@@ -704,6 +699,27 @@ impl<R: Recorder> ShardedSimulator<R> {
             }
         }
         self.build_report()
+    }
+
+    /// Draw the arrivals before `epoch_end` into the epoch buffer and hand
+    /// each to the shard owning its spawn cell, in arrival order.
+    fn deal_arrivals(&mut self, arrivals: &mut ArrivalStream, epoch_end: SimTime) {
+        self.epoch_arrivals.clear();
+        for shard in &mut self.shards {
+            shard.arrivals.clear();
+            shard.next_arrival = 0;
+        }
+        while let Some(arrival) = arrivals.pop_before(epoch_end) {
+            let s = self.shard_of(arrival.1);
+            self.shards[s].arrivals.push(self.epoch_arrivals.len());
+            self.epoch_arrivals.push(arrival);
+        }
+        if R::ENABLED {
+            self.recorder.high_water(
+                telem::gauge::SHARD_ARRIVAL_BUFFER,
+                self.epoch_arrivals.len() as u64,
+            );
+        }
     }
 
     /// Per-epoch load-balance signals: one `shard_epoch_ns` observation
@@ -743,11 +759,10 @@ impl<R: Recorder> ShardedSimulator<R> {
             .min(self.host_cores)
             .max(1);
         let grid = &self.grid;
-        let calls = &self.arrivals[..];
-        let cells = &self.arrival_cells[..];
+        let epoch = &self.epoch_arrivals[..];
         if workers <= 1 {
             for shard in &mut self.shards {
-                shard.run_epoch(grid, calls, cells, horizon, epoch_end);
+                shard.run_epoch(grid, epoch, horizon, epoch_end);
             }
             return;
         }
@@ -756,7 +771,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             for group in self.shards.chunks_mut(chunk) {
                 scope.spawn(move || {
                     for shard in group {
-                        shard.run_epoch(grid, calls, cells, horizon, epoch_end);
+                        shard.run_epoch(grid, epoch, horizon, epoch_end);
                     }
                 });
             }

@@ -21,7 +21,7 @@ use crate::mobility::MobilityModel;
 use crate::station::BaseStation;
 use crate::telem::{self, DefaultRecorder};
 use crate::traffic::{
-    CallRequest, ServiceClass, SpawnCellAssigner, TrafficConfig, TrafficGenerator, TrafficModel,
+    ArrivalStream, CallRequest, ServiceClass, TrafficConfig, TrafficGenerator, TrafficModel,
 };
 use crate::{Bandwidth, SimTime};
 use serde::{Deserialize, Serialize};
@@ -412,8 +412,8 @@ impl SimReport {
 /// [`BaseStation`] per grid cell in a flat `Vec` indexed by [`CellIdx`]
 /// (grid order — iteration is deterministic by construction), user
 /// kinematics in a generational [`crate::slab::Slab`] whose handles ride
-/// inside the (small, `Copy`) events, and the arrival buffer plus all
-/// per-tick scratch reused across runs.  A warmed-up simulator therefore
+/// inside the (small, `Copy`) events, and the batch request buffer plus
+/// all per-tick scratch reused across runs.  A warmed-up simulator therefore
 /// runs its event loop without heap allocation, and [`Simulator::reset`]
 /// recycles the whole machine for the next sweep cell.  Every per-cell
 /// transition goes through the shared [`crate::cell`] core; the simulator
@@ -437,7 +437,8 @@ pub struct Simulator<R: Recorder = DefaultRecorder> {
     clock: SimTime,
     /// Events popped by `run_poisson` loops since construction/reset.
     events_processed: u64,
-    /// Reused arrival buffer (`run_batch` / `run_poisson` workloads).
+    /// Reused request buffer of `run_batch` workloads (`run_poisson`
+    /// streams its arrivals instead).
     arrivals: Vec<CallRequest>,
     /// Scheduled faults for the current `run_poisson` run, time-sorted
     /// (the fourth merge stream; armed from `config.fault_plan` at run
@@ -636,11 +637,12 @@ impl<R: Recorder> Simulator<R> {
     /// `total_requests` arrivals (multi-cell aware: admitted users move
     /// according to the mobility model and hand off between cells).
     ///
-    /// Arrivals are pre-generated (time-sorted by construction) into a
-    /// reused buffer and consumed as a stream, mobility ticks are computed
-    /// on the fly, and only the *run-time* events — departures and
-    /// handoffs — live in the heap, which therefore stays at the size of
-    /// the concurrent-call population instead of the whole workload.
+    /// Arrivals are drawn one at a time from an [`ArrivalStream`]
+    /// (time-sorted by construction, the same stream the sharded engine
+    /// reads), mobility ticks are computed on the fly, and only the
+    /// *run-time* events — departures and handoffs — live in the heap,
+    /// which therefore stays at the size of the concurrent-call
+    /// population instead of the whole workload.
     /// Scheduled faults from [`SimConfig::fault_plan`] form a fourth
     /// stream consumed the same way.  The streams are merged in exactly
     /// the order the one-big-heap engine produced (faults before
@@ -655,15 +657,13 @@ impl<R: Recorder> Simulator<R> {
         total_requests: usize,
     ) -> SimReport {
         let watch = Stopwatch::started(R::ENABLED);
-        let mut generator = TrafficGenerator::with_model(
-            self.config.traffic.clone(),
+        let mut arrivals = ArrivalStream::new(
+            &self.config.traffic,
             &self.config.traffic_model,
-            self.cells.rng.derive(2).seed(),
+            &self.cells.rng,
+            self.grid.len(),
+            total_requests,
         );
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        generator.generate_poisson_into(total_requests, &mut arrivals);
-        let mut spawn_rng = self.cells.rng.derive(3);
-        let mut spawn_cells = SpawnCellAssigner::new(&self.config.traffic_model);
 
         // Fault stream: scheduled capacity changes from the config's
         // [`FaultPlan`], time-sorted, cells outside the grid dropped.
@@ -681,26 +681,21 @@ impl<R: Recorder> Simulator<R> {
                 .filter(|f| (f.cell as usize) < cells),
         );
 
-        let origin = self
-            .grid
-            .index_of(&CellId::origin())
-            .expect("every grid contains the origin cell");
-        let single_cell = self.grid.len() == 1;
-
         // Mobility-tick stream: the same `t += interval` accumulation the
-        // scheduling loop used, so sample times are bit-identical.
+        // scheduling loop used, so sample times are bit-identical.  Ticks
+        // fire up to the last arrival; the stream's horizon is a lower
+        // bound on it that decides the tick stream exactly (see
+        // [`ArrivalStream`]).
         let tick_interval = self.config.utilization_sample_interval_s;
-        let horizon = arrivals.last().map(|c| c.arrival_time).unwrap_or(0.0);
         let mut next_tick = 0.0;
 
-        let mut next_arrival = 0usize;
         // Earliest of the four streams; time ties go faults, arrivals,
         // ticks, run-time events (see [`next_stream`]), the order the
         // sharded engine's merge uses too.
         while let Some((stream, time)) = next_stream(
             self.faults.get(self.next_fault).map(|f| f.time),
-            arrivals.get(next_arrival).map(|c| c.arrival_time),
-            (tick_interval > 0.0 && next_tick <= horizon).then_some(next_tick),
+            arrivals.peek_time(),
+            (tick_interval > 0.0 && next_tick <= arrivals.horizon()).then_some(next_tick),
             self.queue.peek().map(|e| e.time),
         ) {
             self.clock = time;
@@ -714,13 +709,8 @@ impl<R: Recorder> Simulator<R> {
                 }
                 Stream::Arrival => {
                     self.cells.recorder.add(telem::counter::EVENT_ARRIVAL, 1);
-                    let call = arrivals[next_arrival];
-                    next_arrival += 1;
-                    let cell = if single_cell {
-                        origin
-                    } else {
-                        CellIdx(spawn_cells.assign(time, self.grid.len(), &mut spawn_rng))
-                    };
+                    let (call, cell) = arrivals.pop().expect("peeked above");
+                    let cell = CellIdx(cell);
                     let queue = &mut self.queue;
                     self.cells
                         .arrive(controller, &self.grid, cell, &call, time, |at, kind| {
@@ -790,7 +780,6 @@ impl<R: Recorder> Simulator<R> {
                 }
             }
         }
-        self.arrivals = arrivals;
         if let Some(ns) = watch.elapsed_ns() {
             self.cells.recorder.span_ns(telem::span::RUN_POISSON, ns);
         }

@@ -89,6 +89,9 @@ pub mod gauge {
     pub const HEAP_DEPTH: GaugeId = GaugeId(1);
     /// High-water mark of concurrent users across all shards.
     pub const SHARD_CONCURRENT_USERS: GaugeId = GaugeId(2);
+    /// High-water mark of the sharded coordinator's epoch arrival buffer
+    /// (arrivals drawn for one epoch).
+    pub const SHARD_ARRIVAL_BUFFER: GaugeId = GaugeId(3);
 }
 
 /// Span-timer ids into [`SCHEMA`].
@@ -226,6 +229,11 @@ pub static SCHEMA: Schema = Schema {
             help: "High-water mark of concurrent users across all shards",
             labels: &[],
         },
+        MetricDef {
+            name: "shard_arrival_buffer_high_water",
+            help: "High-water mark of the arrivals drawn for one sharded epoch",
+            labels: &[],
+        },
     ],
     spans: &[
         MetricDef {
@@ -331,6 +339,7 @@ mod tests {
         r.observe(histogram::MERGE_QUEUE_DEPTH, 9);
         r.high_water(gauge::SLAB_USERS, 7);
         r.high_water(gauge::SHARD_CONCURRENT_USERS, 11);
+        r.high_water(gauge::SHARD_ARRIVAL_BUFFER, 13);
         r.span_ns(span::RUN_POISSON, 42);
         r.span_ns(span::SHARD_MERGE_PHASE, 42);
         let text = r.snapshot().to_prometheus();

@@ -640,6 +640,111 @@ fn trace_overrides(entry: model::TraceEntry, duration: model::DurationPolicy) ->
     }
 }
 
+/// One run's arrivals, drawn on demand in global arrival order.
+///
+/// Both engines read their arrivals from this stream, so a run holds
+/// only the arrivals it is about to process.  It owns the run's
+/// [`TrafficGenerator`] (base stream `derive(2)`), the
+/// [`SpawnCellAssigner`] with its RNG (`derive(3)`), the count of
+/// requests still to draw and a one-arrival lookahead.  Requests are drawn
+/// one after another from one generator and spawn cells are assigned in
+/// the same order, so the sequence depends only on the run's
+/// configuration, not on what consumes it or how the world is sharded.
+///
+/// # The tick horizon
+///
+/// Mobility ticks fire while `tick <= t_last`, the time of the run's last
+/// arrival, which is unknown until the stream is drained.
+/// [`ArrivalStream::horizon`] returns `t_last` once drained and the
+/// lookahead's time before that, a lower bound.  The bound decides the
+/// tick stream exactly as `t_last` would:
+///
+/// * every tick the engines can reach before the lookahead fires is at or
+///   below the lookahead's time, so it is due under both horizons;
+/// * a later tick cannot win the engines' stream merge against the
+///   earlier pending arrival, so whether it counts as due does not matter
+///   until the lookahead has been popped, and the horizon has moved on.
+#[derive(Debug)]
+pub struct ArrivalStream {
+    generator: TrafficGenerator,
+    spawn_cells: SpawnCellAssigner,
+    spawn_rng: SimRng,
+    num_cells: usize,
+    /// Requests not yet drawn from the generator (the lookahead excluded).
+    remaining: usize,
+    next: Option<CallRequest>,
+    /// Time of the last popped arrival (0 before the first).
+    last_time: SimTime,
+}
+
+impl ArrivalStream {
+    /// The stream of `requests` arrivals on a grid of `num_cells` cells,
+    /// drawn from the streams derived from the run's `base` RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` fails [`TrafficModel::validate`], like
+    /// [`TrafficGenerator::with_model`].
+    #[must_use]
+    pub fn new(
+        traffic: &TrafficConfig,
+        model: &TrafficModel,
+        base: &SimRng,
+        num_cells: usize,
+        requests: usize,
+    ) -> Self {
+        let mut generator =
+            TrafficGenerator::with_model(traffic.clone(), model, base.derive(2).seed());
+        let next = (requests > 0).then(|| generator.next_request());
+        Self {
+            generator,
+            spawn_cells: SpawnCellAssigner::new(model),
+            spawn_rng: base.derive(3),
+            num_cells,
+            remaining: requests.saturating_sub(1),
+            next,
+            last_time: 0.0,
+        }
+    }
+
+    /// Arrival time of the next arrival, `None` once drained.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.next.map(|call| call.arrival_time)
+    }
+
+    /// The tick horizon: the last arrival's time once drained, the next
+    /// arrival's time (a lower bound) before that, and 0 for an empty run.
+    #[must_use]
+    pub fn horizon(&self) -> SimTime {
+        self.peek_time().unwrap_or(self.last_time)
+    }
+
+    /// Take the next arrival and its spawn cell (an index into the grid's
+    /// cell order).
+    pub fn pop(&mut self) -> Option<(CallRequest, u32)> {
+        let call = self.next.take()?;
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            self.next = Some(self.generator.next_request());
+        }
+        self.last_time = call.arrival_time;
+        let cell = self
+            .spawn_cells
+            .assign(call.arrival_time, self.num_cells, &mut self.spawn_rng);
+        Some((call, cell))
+    }
+
+    /// Take the next arrival if it arrives before `end`.
+    pub fn pop_before(&mut self, end: SimTime) -> Option<(CallRequest, u32)> {
+        if self.peek_time()? < end {
+            self.pop()
+        } else {
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,5 +1088,30 @@ mod tests {
             is_handoff: false,
         };
         assert!(req.is_real_time());
+    }
+
+    #[test]
+    fn arrival_stream_replays_the_generator_and_assigner_in_order() {
+        let config = TrafficConfig::paper_default();
+        let model = TrafficModel::Groups(GroupConfig::new(2, 4).with_same_cell(true));
+        let base = SimRng::new(17);
+        let calls = TrafficGenerator::with_model(config.clone(), &model, base.derive(2).seed())
+            .generate_poisson(50);
+        let mut assigner = SpawnCellAssigner::new(&model);
+        let mut rng = base.derive(3);
+        let mut stream = ArrivalStream::new(&config, &model, &base, 7, 50);
+        for call in &calls {
+            // Before it is drained, the horizon is the next arrival.
+            assert_eq!(stream.horizon(), call.arrival_time);
+            assert_eq!(stream.pop_before(call.arrival_time), None);
+            let cell = assigner.assign(call.arrival_time, 7, &mut rng);
+            assert_eq!(stream.pop(), Some((*call, cell)));
+        }
+        assert_eq!(stream.pop(), None);
+        assert_eq!(stream.horizon(), calls[49].arrival_time);
+
+        let empty = ArrivalStream::new(&config, &model, &base, 7, 0);
+        assert_eq!(empty.peek_time(), None);
+        assert_eq!(empty.horizon(), 0.0);
     }
 }

@@ -17,9 +17,10 @@
 //!   letting out, a train arriving) that can hit one cell simultaneously.
 //!
 //! Every model is deterministic: the whole stream is a pure function of
-//! the generator seed, and because arrivals are pre-generated *before*
-//! the world is sharded, replay is bit-identical at any shard or thread
-//! count (pinned by `tests/golden_sharded.rs`).
+//! the generator seed, and because the sharded engine's coordinator draws
+//! arrivals in global order whatever the partition, replay is
+//! bit-identical at any shard or thread count (pinned by
+//! `tests/golden_sharded.rs`).
 
 use crate::rng::SimRng;
 use crate::traffic::ServiceClass;
@@ -524,7 +525,7 @@ impl GroupConfig {
     }
 }
 
-/// Assigns pre-generated arrivals to spawn cells.
+/// Assigns arrivals to spawn cells, in arrival order.
 ///
 /// Both engines route every arrival's cell draw through one of these so
 /// the sequential and sharded simulators consume *identical* RNG call

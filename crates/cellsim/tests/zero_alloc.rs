@@ -1,5 +1,5 @@
 //! The dense-state engine's steady-state guarantee: once a [`Simulator`]
-//! has warmed up (arrival buffer, event heap, station storage, user slab
+//! has warmed up (batch request buffer, event heap, station storage, user slab
 //! and scratch vectors all sized by a first run), further runs perform no
 //! heap allocation beyond the single `String` that labels the returned
 //! report — and the event loop itself performs none at all.
@@ -41,7 +41,7 @@ static COUNTING: CountingAllocator = CountingAllocator;
 #[test]
 fn warmed_up_runs_allocate_only_the_report_label() {
     // A multi-cell Poisson workload exercises every storage layer: the
-    // arrival buffer, the run-time event heap, departures, handoffs, the
+    // arrival stream, the run-time event heap, departures, handoffs, the
     // user slab and the expiry scratch.  Utilisation sampling stays off —
     // its sample series is owned by the report, so a sampled run hands its
     // buffer away by design.

@@ -198,7 +198,7 @@ impl SweepRunner {
 
         // Each worker owns ONE simulator and re-arms it per cell with
         // `Simulator::reset` — stations, slabs, the event heap and the
-        // arrival buffers all get reused, so a worker pays the engine's
+        // batch request buffer all get reused, so a worker pays the engine's
         // allocation cost once instead of once per cell.  `reset` is
         // bit-identical to building a fresh simulator (asserted by the
         // engine's tests), so this is purely a throughput change.
