@@ -851,6 +851,18 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             flc2.decision_value(cv, rq, cs)
         },
     ));
+    // The tabulation behind `Flc2Lut::paper_shared`, which every process
+    // that serves `facs-p-lut` (an admitd start, a sweep) pays once: the
+    // three refined class surfaces, 1.8M engine points.
+    cases.push(time_case(
+        "lut/flc2 tabulate_refined (paper default)",
+        3,
+        || {
+            flc2.compile_lut()
+                .expect("paper parameters tabulate")
+                .max_error()
+        },
+    ));
     let lut = flc2.compile_lut().expect("paper parameters tabulate");
     cases.push(time_case("lut/flc2 decision", iters * 10, || {
         lut.decision_value(
@@ -1001,18 +1013,32 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
 
     // --- engine data structures: the metro run's per-event lookups -------
     // A steady hold model on a heap as deep as one metro shard's: pop the
-    // earliest event, schedule it again an exponential step later.
+    // earliest event, schedule it again an exponential step later.  The
+    // heap holds what the engines queue: departures and, one in four,
+    // handoffs.
     let mut hold_rng = SimRng::new(0x4EA9);
     let steps: Vec<f64> = (0..4_096).map(|_| hold_rng.exponential(1.0)).collect();
+    let mut users = cellsim::slab::Slab::new();
+    let user = users.insert(());
     let mut queue = EventQueue::new();
     for call in 0..65_536u32 {
-        queue.schedule(
-            hold_rng.exponential(1.0),
-            EventKind::Arrival {
-                cell: CellIdx(call % 128),
-                call,
-            },
-        );
+        let cell = CellIdx(call % 128);
+        let connection_id = u64::from(call);
+        let kind = if call % 4 == 0 {
+            EventKind::Handoff {
+                from: cell,
+                to: CellIdx((call + 1) % 128),
+                connection_id,
+                user,
+            }
+        } else {
+            EventKind::Departure {
+                cell,
+                connection_id,
+                user: Some(user),
+            }
+        };
+        queue.schedule(hold_rng.exponential(1.0), kind);
     }
     let mut step = 0usize;
     cases.push(time_case(
@@ -1190,6 +1216,7 @@ mod tests {
             "controller/scc admit+release cycle",
             "event/queue pop+schedule (65536 pending)",
             "station/2000-BU admit+release",
+            "lut/flc2 tabulate_refined (paper default)",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");
         }

@@ -6,12 +6,11 @@
 //! within a queue, so `(time, sequence)` is a total order and any correct
 //! min-heap on it pops exactly the same sequence of events.
 //!
-//! Events are small `Copy` values: an arrival references its
-//! [`crate::traffic::CallRequest`] by index into an arrival buffer
-//! instead of owning a clone, and departures/handoffs carry a dense
-//! [`CellIdx`] plus the connection's user [`SlotId`] handle.  Neither
-//! engine queues arrivals: both draw them from a
-//! [`crate::traffic::ArrivalStream`], one of the four merged streams.
+//! The queue holds run-time events only: departures and handoffs, small
+//! `Copy` values carrying a dense [`CellIdx`] plus the connection's user
+//! [`SlotId`] handle.  Faults, arrivals and utilisation ticks are not
+//! queued: both engines merge them in as the other three of four event
+//! streams, arrivals drawn from a [`crate::traffic::ArrivalStream`].
 //!
 //! [`EventQueue`] is an implicit 4-ary min-heap over one `Vec<Event>`.  A
 //! metro run keeps tens of thousands of events pending per shard, and
@@ -37,13 +36,6 @@ const ARITY: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum EventKind {
-    /// A new call request arrives in `cell`.
-    Arrival {
-        /// Dense index of the cell where the request is made.
-        cell: CellIdx,
-        /// Index of the request in the run's arrival buffer.
-        call: u32,
-    },
     /// An admitted connection completes normally.
     Departure {
         /// Dense index of the cell scheduled to serve the connection at
@@ -67,10 +59,6 @@ pub enum EventKind {
         /// The connection's user-state slot.
         user: SlotId,
     },
-    /// Periodic mobility update (multi-cell scenarios).
-    MobilityTick,
-    /// End of the simulation.
-    EndOfSimulation,
 }
 
 /// A timestamped event.
@@ -291,19 +279,20 @@ pub(crate) fn next_stream(
 mod tests {
     use super::*;
 
-    fn arrival(id: u32) -> EventKind {
-        EventKind::Arrival {
+    fn departure(id: u64) -> EventKind {
+        EventKind::Departure {
             cell: CellIdx(0),
-            call: id,
+            connection_id: id,
+            user: None,
         }
     }
 
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(10.0, EventKind::MobilityTick);
-        q.schedule(5.0, EventKind::EndOfSimulation);
-        q.schedule(7.5, arrival(1));
+        q.schedule(10.0, departure(1));
+        q.schedule(5.0, departure(2));
+        q.schedule(7.5, departure(3));
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop().unwrap().time, 5.0);
         assert_eq!(q.pop().unwrap().time, 7.5);
@@ -314,13 +303,13 @@ mod tests {
     #[test]
     fn ties_are_broken_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, arrival(100));
-        q.schedule(1.0, arrival(200));
-        q.schedule(1.0, arrival(300));
-        let ids: Vec<u32> = (0..3)
+        q.schedule(1.0, departure(100));
+        q.schedule(1.0, departure(200));
+        q.schedule(1.0, departure(300));
+        let ids: Vec<u64> = (0..3)
             .map(|_| match q.pop().unwrap().kind {
-                EventKind::Arrival { call, .. } => call,
-                _ => unreachable!(),
+                EventKind::Departure { connection_id, .. } => connection_id,
+                EventKind::Handoff { .. } => unreachable!(),
             })
             .collect();
         assert_eq!(ids, vec![100, 200, 300]);
@@ -329,7 +318,7 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, EventKind::MobilityTick);
+        q.schedule(3.0, departure(1));
         assert_eq!(q.peek().unwrap().time, 3.0);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -338,8 +327,8 @@ mod tests {
     #[test]
     fn bad_times_are_clamped() {
         let mut q = EventQueue::new();
-        q.schedule(-5.0, EventKind::MobilityTick);
-        q.schedule(f64::NAN, EventKind::EndOfSimulation);
+        q.schedule(-5.0, departure(1));
+        q.schedule(f64::NAN, departure(2));
         assert_eq!(q.pop().unwrap().time, 0.0);
         assert_eq!(q.pop().unwrap().time, 0.0);
     }
@@ -347,8 +336,8 @@ mod tests {
     #[test]
     fn negative_zero_is_clamped_to_positive_zero() {
         let mut q = EventQueue::new();
-        q.schedule(-0.0, EventKind::MobilityTick);
-        q.schedule(f64::NEG_INFINITY, EventKind::MobilityTick);
+        q.schedule(-0.0, departure(1));
+        q.schedule(f64::NEG_INFINITY, departure(2));
         assert_eq!(q.pop().unwrap().time.to_bits(), 0.0f64.to_bits());
         assert_eq!(q.pop().unwrap().time.to_bits(), 0.0f64.to_bits());
     }
@@ -358,7 +347,7 @@ mod tests {
         let ev = |time: f64, sequence: u64| Event {
             time,
             sequence,
-            kind: EventKind::MobilityTick,
+            kind: departure(1),
         };
         let events = [
             ev(0.0, 1),
@@ -380,9 +369,9 @@ mod tests {
     fn pops_in_order_across_many_levels() {
         let mut q = EventQueue::new();
         let mut state = 1u64;
-        for call in 0..5_000u32 {
+        for call in 0..5_000u64 {
             state = crate::rng::mix64(state.wrapping_add(crate::rng::SPLITMIX64_GAMMA));
-            q.schedule(f64::from((state % 97) as u32), arrival(call));
+            q.schedule(f64::from((state % 97) as u32), departure(call));
         }
         let mut prev = q.pop().unwrap();
         while let Some(next) = q.pop() {
@@ -395,22 +384,21 @@ mod tests {
     fn clear_empties_queue_and_keeps_capacity() {
         let mut q = EventQueue::new();
         for i in 0..64 {
-            q.schedule(f64::from(i), EventKind::MobilityTick);
+            q.schedule(f64::from(i), departure(1));
         }
         let cap = q.capacity();
         q.clear();
         assert!(q.is_empty());
         assert!(q.capacity() >= cap, "clear must keep the backing storage");
         // Sequence numbers restart, so replays are bit-identical.
-        q.schedule(1.0, arrival(1));
+        q.schedule(1.0, departure(1));
         assert_eq!(q.pop().unwrap().sequence, 0);
     }
 
     #[test]
     fn events_are_small_copy_values() {
-        // The whole point of indexing arrivals instead of owning them: an
-        // event moves a few machine words through the heap, not a cloned
-        // CallRequest.
+        // An event moves a few machine words through the heap: handles,
+        // not owned connection state.
         assert!(
             std::mem::size_of::<Event>() <= 48,
             "Event grew to {} bytes",

@@ -432,7 +432,6 @@ impl<R: Recorder> Shard<R> {
                                 self.outbox.push(handoff);
                             }
                         }
-                        _ => unreachable!("only departures and handoffs are heap-scheduled"),
                     }
                 }
             }
@@ -837,9 +836,6 @@ impl<R: Recorder> ShardedSimulator<R> {
                     let shard = &mut self.shards[s];
                     let controller = &mut *shard.controllers[shard.cells.local(cell)];
                     shard.cells.depart(controller, cell, connection_id, user);
-                }
-                MergeTask::Event(_) => {
-                    unreachable!("the merge queues only departures and handoffs")
                 }
             }
         }

@@ -770,12 +770,6 @@ impl<R: Recorder> Simulator<R> {
                                     });
                             }
                         }
-                        // Arrivals and ticks are streamed and the queue is
-                        // private to the simulator, so neither can be
-                        // heap-scheduled; resolving a stale arrival index
-                        // against another run's buffer would silently
-                        // process the wrong request, so enforce it.
-                        _ => unreachable!("only departures and handoffs are heap-scheduled"),
                     }
                 }
             }

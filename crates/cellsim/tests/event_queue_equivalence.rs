@@ -79,24 +79,18 @@ impl Stream {
 
     fn kind(&mut self, slots: &[SlotId]) -> EventKind {
         let cell = CellIdx(self.below(7) as u32);
-        match self.below(5) {
-            0 => EventKind::Arrival {
-                cell,
-                call: self.next() as u32,
-            },
-            1 => EventKind::Departure {
+        match self.below(2) {
+            0 => EventKind::Departure {
                 cell,
                 connection_id: self.next(),
                 user: (self.below(2) == 0).then(|| slots[self.below(4) as usize]),
             },
-            2 => EventKind::Handoff {
+            _ => EventKind::Handoff {
                 from: cell,
                 to: CellIdx(self.below(7) as u32),
                 connection_id: self.next(),
                 user: slots[self.below(4) as usize],
             },
-            3 => EventKind::MobilityTick,
-            _ => EventKind::EndOfSimulation,
         }
     }
 }

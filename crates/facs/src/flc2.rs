@@ -9,7 +9,7 @@
 use crate::flc1::{EngineCache, SharedEngine};
 use crate::frb2::frb2_rules;
 use crate::params::PaperParams;
-use fuzzy::compile::{CompiledEngine, Scratch};
+use fuzzy::compile::{CompiledEngine, Scratch, VarId};
 use fuzzy::engine::MamdaniEngine;
 use fuzzy::{Lut2d, Result};
 use std::cell::RefCell;
@@ -196,9 +196,15 @@ impl Flc2Lut {
     /// uniform `(Cv, Cs)` grids of the given resolution.
     pub fn tabulate(flc2: &Flc2, (n_cv, n_cs): (usize, usize)) -> Result<Self> {
         Self::build(flc2, |compiled, scratch, rq| {
-            Lut2d::tabulate_fn(0.0, 1.0, 0.0, flc2.capacity_bu, n_cv, n_cs, |cv, cs| {
-                compiled.infer_into(&[cv, rq, cs], scratch)[0].clamp(-1.0, 1.0)
-            })
+            Lut2d::tabulate_fn(
+                0.0,
+                1.0,
+                0.0,
+                flc2.capacity_bu,
+                n_cv,
+                n_cs,
+                class_line(compiled, scratch, rq),
+            )
         })
     }
 
@@ -220,7 +226,7 @@ impl Flc2Lut {
                 base,
                 target_error,
                 max_patch_nodes,
-                |cv, cs| compiled.infer_into(&[cv, rq, cs], scratch)[0].clamp(-1.0, 1.0),
+                class_line(compiled, scratch, rq),
             )
         })
     }
@@ -297,6 +303,11 @@ impl Flc2Lut {
         self.luts.iter().map(|&(rq, _)| rq).collect()
     }
 
+    /// The tabulated `(request_bu, surface)` pairs, in class order.
+    pub fn surfaces(&self) -> impl Iterator<Item = (f64, &Lut2d)> + '_ {
+        self.luts.iter().map(|(rq, lut)| (*rq, lut))
+    }
+
     /// The soft accept/reject value in `[-1, 1]`, served from the class
     /// surface when `request_bu` matches a tabulated class and from the
     /// compiled engine otherwise.
@@ -320,6 +331,24 @@ impl Flc2Lut {
         // to the compiled controller.
         let mut scratch = self.scratch.borrow_mut();
         self.exact.compiled.infer_into(&[cv, rq, cs], &mut scratch)[0].clamp(-1.0, 1.0)
+    }
+}
+
+/// The `(Cv, Cs)` line function of request class `rq`: the compiled
+/// engine's decision values at `Cv = cv` along the given counter states,
+/// clamped to `[-1, 1]` as [`Flc2::decision_value`] clamps them.
+fn class_line<'a>(
+    compiled: &'a CompiledEngine,
+    scratch: &'a mut Scratch,
+    rq: f64,
+) -> impl FnMut(f64, &[f64], &mut [f64]) + 'a {
+    move |cv, counter_states, out| {
+        // Inputs in declaration order: Cv, Rq, Cs.
+        let cs = VarId::from_index(2);
+        compiled.infer_line(&[cv, rq, 0.0], cs, counter_states, out, scratch);
+        for v in out {
+            *v = v.clamp(-1.0, 1.0);
+        }
     }
 }
 

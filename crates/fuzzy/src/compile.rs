@@ -17,10 +17,11 @@
 //! * rules that form a grid — an AND of exactly one plain (non-negated)
 //!   clause per input variable, in any order — are indexed by their
 //!   term tuple.  The execute path walks only the tuples of the non-zero
-//!   input terms and fires the rules filed there; every other rule is on
-//!   a short list fired on every call.  The paper's triangles and
+//!   input terms, carrying the running `min` of their degrees down the
+//!   walk, and fires the rules filed there with it; every other rule is
+//!   on a short list folded on every call.  The paper's triangles and
 //!   trapezoids give a crisp input at most two non-zero terms per
-//!   variable, so its 63-rule FRB1 folds at most 8 rules per call instead
+//!   variable, so its 63-rule FRB1 fires at most 8 rules per call instead
 //!   of scanning 63;
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
@@ -32,7 +33,15 @@
 //!   the skipped samples are zeros, so the result keeps its bits;
 //! * all working memory lives in a caller-owned [`Scratch`], so the
 //!   steady-state path [`CompiledEngine::infer_into`] performs **zero heap
-//!   allocations** (asserted by a counting-allocator test).
+//!   allocations** (asserted by a counting-allocator test);
+//! * [`CompiledEngine::infer_line`] evaluates a *line* — one input free,
+//!   the others fixed — and `infer_into` is a line of one point on the
+//!   same code path.  The fixed inputs are fuzzified once per line; a
+//!   point whose per-term heights equal the previous point's, bit for
+//!   bit, repeats its outputs without aggregating or defuzzifying; and
+//!   the centroids of up to four other points are summed side by side.  Tabulating the paper's FLC2 ([`crate::Lut2d`], three refined
+//!   class surfaces) takes 1,809,557 engine points in 72,810 lines, and
+//!   608,462 of them (34 %) skip aggregation and the centroid.
 //!
 //! The compiled path is *bit-identical* to the interpreted one: for the
 //! same inputs, `infer_into` produces exactly the `f64` bits that
@@ -42,11 +51,21 @@
 //!
 //! The rule grid keeps those bits.  A grid rule whose tuple is not walked
 //! has a zero-degree clause, so the AND fold would stop there and return
-//! `+0.0` — the value an unreached rule is given.  Every reached rule is
-//! folded by the same code as before, and the per-term maximum that
-//! collects the fired heights is order-independent (heights are finite
-//! and positive), so visiting rules in tuple order instead of rule-base
-//! order changes no bit.
+//! `+0.0` — the value an unreached rule is given.  A reached rule's AND
+//! fold is the `min` over one non-zero degree per input; the walk's
+//! running `min` is over the same degrees in another order, and `min` of
+//! the same non-zero values gives the same bits in any order.  The
+//! per-term maximum that collects the fired heights is order-independent
+//! too (heights are finite and positive), so visiting rules in tuple
+//! order instead of rule-base order changes no bit.
+//!
+//! The line evaluator keeps them as well.  Aggregation and the centroid
+//! read nothing but the term heights, so equal heights give the previous
+//! point's bits; the memo never outlives one call, so a scratch handed
+//! to another engine of the same shape cannot return a stale result.  A
+//! lane sums its own set in the order `infer_into` does, over the hull of
+//! all lanes' windows: the extra samples are `+0.0`, which leave both
+//! sums unchanged for the reason the windowed centroid may skip them.
 //!
 //! # Quick example
 //!
@@ -165,20 +184,29 @@ pub struct Scratch {
     /// Per-rule firing strength, in rule-base order.
     strengths: Vec<f64>,
     /// Per input, a run of its non-zero terms as pre-multiplied rule-grid
-    /// offsets (`term * stride`) ended by [`END_OF_RUN`].  Input `v`'s run
-    /// starts at its first term slot plus `v`: one slot per term and one
-    /// for the end marker.
-    active: Vec<u32>,
-    /// Maximum firing strength per output term.
+    /// offsets (`term * stride`) with their degrees, ended by
+    /// [`END_OF_RUN`].  Input `v`'s run starts at its first term slot plus
+    /// `v`: one slot per term and one for the end marker.
+    active: Vec<(u32, f64)>,
+    /// Maximum firing strength per output term, then the previous point's
+    /// within one line (never read across calls).
     term_strengths: Vec<f64>,
-    /// Aggregated output sets, one `resolution`-sized window per output.
+    /// Aggregated output sets, one `resolution`-sized window per output
+    /// and lane: lane `l`'s window of output `o` is window `l * outputs +
+    /// o`.  A fresh scratch has one lane; the first
+    /// [`CompiledEngine::infer_line`] call widens it to [`LANES`].
     aggregated: Vec<f64>,
-    /// Per output, the `[lo, hi)` sample range outside which that output's
-    /// `aggregated` window is known to be all zero.  Only this range is
-    /// cleared before the next inference.
+    /// Per window of `aggregated`, the `[lo, hi)` sample range outside
+    /// which it is known to be all zero.  Only this range is cleared
+    /// before the window is aggregated again.
     dirty: Vec<(usize, usize)>,
-    /// Crisp result per output variable.
+    /// The lane holding the most recent inference's aggregated sets.
+    last_lane: usize,
+    /// Crisp result per output variable and lane, laid out like `dirty`;
+    /// lane 0 ends up holding the most recent inference's.
     crisp: Vec<f64>,
+    /// Output variables.
+    outputs: usize,
     /// Samples per aggregated output window (copied from the engine so the
     /// accessors below cannot be fed a stale resolution).
     resolution: usize,
@@ -197,7 +225,8 @@ impl Scratch {
     /// recent inference.
     #[must_use]
     pub fn aggregated(&self, out: VarId) -> &[f64] {
-        &self.aggregated[out.index() * self.resolution..(out.index() + 1) * self.resolution]
+        let window = self.last_lane * self.outputs + out.index();
+        &self.aggregated[window * self.resolution..(window + 1) * self.resolution]
     }
 }
 
@@ -464,11 +493,13 @@ impl CompiledEngine {
         Scratch {
             fuzzified: vec![0.0; self.mfs.len()],
             strengths: vec![0.0; self.rule_connectives.len()],
-            active: vec![END_OF_RUN; self.mfs.len() + self.input_bounds.len()],
-            term_strengths: vec![0.0; self.output_term_names.len()],
+            active: vec![(END_OF_RUN, 0.0); self.mfs.len() + self.input_bounds.len()],
+            term_strengths: vec![0.0; 2 * self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
             dirty: vec![(0, 0); self.output_bounds.len()],
+            last_lane: 0,
             crisp: vec![0.0; self.output_bounds.len()],
+            outputs: self.output_bounds.len(),
             resolution: self.resolution,
         }
     }
@@ -479,7 +510,8 @@ impl CompiledEngine {
     /// This is the steady-state hot path: after [`CompiledEngine::scratch`]
     /// has been allocated, **no heap allocation happens here**, and for any
     /// inputs inside the declared universes the results are bit-identical
-    /// to [`MamdaniEngine::infer`] followed by the centroid.
+    /// to [`MamdaniEngine::infer`] followed by the centroid.  It is a line
+    /// of one point (see [`CompiledEngine::infer_line`]).
     ///
     /// Out-of-universe inputs are clamped (as [`LinguisticVariable::fuzzify`]
     /// does); a NaN input yields zero membership everywhere, so the affected
@@ -489,6 +521,63 @@ impl CompiledEngine {
     /// Panics when `inputs` does not match the declared arity or `scratch`
     /// was created for a different engine shape.
     pub fn infer_into<'s>(&self, inputs: &[f64], scratch: &'s mut Scratch) -> &'s [f64] {
+        self.check_call(inputs, scratch);
+        self.run_line(inputs, 0, &inputs[..1], scratch, |_, _| {});
+        &scratch.crisp[..self.output_bounds.len()]
+    }
+
+    /// Run inference at every point of a line: input `free` takes each
+    /// value of `ys` in turn while every other input keeps its value in
+    /// `inputs` (the value at `free` is ignored).  Point `k`'s crisp
+    /// outputs land in `out[k * outputs..(k + 1) * outputs]`.
+    ///
+    /// Every point gets the bits [`CompiledEngine::infer_into`] gives it,
+    /// for less work: the fixed inputs are fuzzified once per line, and a
+    /// point whose per-term heights equal the previous point's, bit for
+    /// bit, repeats that point's crisp values instead of aggregating and
+    /// defuzzifying again (the memo never outlives the call).  The centroids
+    /// of up to four points are summed side by side, each in its own
+    /// order.  After a non-empty line `scratch` holds the last point's
+    /// firing strengths and aggregated sets.  The first line a scratch
+    /// serves widens it to four aggregation windows per output; after
+    /// that no heap allocation happens here.
+    ///
+    /// # Panics
+    /// Panics like [`CompiledEngine::infer_into`], and when `free` is not
+    /// an input or `out.len() != ys.len() * self.output_count()`.
+    pub fn infer_line(
+        &self,
+        inputs: &[f64],
+        free: VarId,
+        ys: &[f64],
+        out: &mut [f64],
+        scratch: &mut Scratch,
+    ) {
+        self.check_call(inputs, scratch);
+        let n = self.output_bounds.len();
+        assert!(
+            free.index() < inputs.len(),
+            "free input {} out of range",
+            free.index()
+        );
+        assert_eq!(
+            out.len(),
+            ys.len() * n,
+            "a line of {} points needs {} output slots",
+            ys.len(),
+            ys.len() * n
+        );
+        if scratch.dirty.len() < LANES * n {
+            scratch.aggregated.resize(LANES * n * self.resolution, 0.0);
+            scratch.dirty.resize(LANES * n, (0, 0));
+            scratch.crisp.resize(LANES * n, 0.0);
+        }
+        self.run_line(inputs, free.index(), ys, scratch, |k, crisp| {
+            out[k * n..(k + 1) * n].copy_from_slice(crisp);
+        });
+    }
+
+    fn check_call(&self, inputs: &[f64], scratch: &Scratch) {
         assert_eq!(
             inputs.len(),
             self.input_bounds.len(),
@@ -500,60 +589,192 @@ impl CompiledEngine {
             scratch.fuzzified.len() == self.mfs.len()
                 && scratch.strengths.len() == self.rule_connectives.len()
                 && scratch.active.len() == self.mfs.len() + self.input_bounds.len()
-                && scratch.term_strengths.len() == self.output_term_names.len()
-                && scratch.aggregated.len() == self.output_bounds.len() * self.resolution
-                && scratch.crisp.len() == self.output_bounds.len()
+                && scratch.term_strengths.len() == 2 * self.output_term_names.len()
+                && scratch.outputs == self.output_bounds.len()
+                && [1, LANES]
+                    .map(|lanes| lanes * self.output_bounds.len())
+                    .contains(&scratch.dirty.len())
+                && scratch.crisp.len() == scratch.dirty.len()
+                && scratch.aggregated.len() == scratch.dirty.len() * self.resolution
                 && scratch.resolution == self.resolution,
             "scratch was created for a different engine shape"
         );
-
-        // Fuzzify every input once (clamped into its universe, exactly as
-        // LinguisticVariable::fuzzify does), noting each input's non-zero
-        // terms as rule-grid offsets.
-        for (i, (&raw, &(lo, hi))) in inputs.iter().zip(&self.input_bounds).enumerate() {
-            let x = raw.clamp(lo, hi);
-            let start = self.input_term_offsets[i] as usize;
-            let end = self.input_term_offsets[i + 1] as usize;
-            let stride = self.grid.strides[i];
-            let mut active = start + i;
-            for t in start..end {
-                let mu = self.mfs[t].membership(x);
-                scratch.fuzzified[t] = mu;
-                // Branch-free compaction (which terms are non-zero varies
-                // call to call): always write, advance only on non-zero.
-                // `active <= t + i`, so the write stays in this input's run.
-                scratch.active[active] = as_u32(t - start) * stride;
-                active += usize::from(mu != 0.0);
-            }
-            scratch.active[active] = END_OF_RUN;
-        }
-
-        // Max aggregation commutes with clipping, so instead of one array
-        // pass per fired *rule* we take the max strength per consequent
-        // *term* and do one array pass per fired term — exact (max and min
-        // are monotone), and typically 2–4x fewer passes for the paper's
-        // 63-rule FRB1.  Only the rules the non-zero terms reach are
-        // folded; the rest keep the `+0.0` their fold would return.
-        scratch.strengths.fill(0.0);
-        scratch.term_strengths.fill(0.0);
-        if !self.grid.rules.is_empty() {
-            self.fire_grid(0, 0, scratch);
-        }
-        for &r in &self.grid.scan {
-            self.fire(r as usize, scratch);
-        }
-        for out in 0..self.output_bounds.len() {
-            let (lo, hi) = self.aggregate_max(out, scratch);
-            scratch.crisp[out] = self.defuzzify_output(out, &scratch.aggregated, lo, hi);
-        }
-        &scratch.crisp
     }
 
-    /// Fold rule `r` into `scratch.strengths` and raise the heights of its
-    /// consequent terms in `scratch.term_strengths`.
+    /// The execute path of [`CompiledEngine::infer_into`] and
+    /// [`CompiledEngine::infer_line`]: fuzzify every input but `free`, then
+    /// per point of `ys` fuzzify `free` and fire the reached rules.  A
+    /// point whose term heights equal the previous point's repeats its
+    /// outputs; any other takes the next lane, where its outputs are
+    /// aggregated, and the lanes' centroids are summed together once every
+    /// lane is taken or the line ends.  `emit(k, crisp)` receives point
+    /// `k`'s outputs, in point order.
+    fn run_line(
+        &self,
+        inputs: &[f64],
+        free: usize,
+        ys: &[f64],
+        scratch: &mut Scratch,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) {
+        for (i, &raw) in inputs.iter().enumerate() {
+            if i != free {
+                self.fuzzify(i, raw, scratch);
+            }
+        }
+        let terms = self.output_term_names.len();
+        let lane_count = if scratch.dirty.len() == self.output_bounds.len() {
+            1
+        } else {
+            LANES
+        };
+        // Points awaiting their centroids: `taken` lanes, the first
+        // holding point `first`, each followed by `repeats[l]` points with
+        // the same heights.
+        let mut taken = 0;
+        let mut first = 0;
+        let mut repeats = [0usize; LANES];
+        for (k, &y) in ys.iter().enumerate() {
+            self.fuzzify(free, y, scratch);
+            // Max aggregation commutes with clipping, so instead of one
+            // array pass per fired *rule* we take the max strength per
+            // consequent *term* and do one array pass per fired term —
+            // exact (max and min are monotone), and typically 2–4x fewer
+            // passes for the paper's 63-rule FRB1.  Only the rules the
+            // non-zero terms reach are folded; the rest keep the `+0.0`
+            // their fold would return.
+            let (heights, prev) = scratch.term_strengths.split_at_mut(terms);
+            prev.copy_from_slice(heights);
+            heights.fill(0.0);
+            scratch.strengths.fill(0.0);
+            if !self.grid.rules.is_empty() {
+                self.fire_grid(0, 0, 1.0, scratch);
+            }
+            for &r in &self.grid.scan {
+                let strength = self.firing_strength(r as usize, &scratch.fuzzified);
+                self.raise(r as usize, strength, scratch);
+            }
+            // Aggregation and the centroid are functions of the term
+            // heights alone, so equal heights give equal outputs.  (Past
+            // the first point a lane is always taken.)
+            let (heights, prev) = scratch.term_strengths.split_at(terms);
+            if k > 0 && same_bits(heights, prev) {
+                repeats[taken - 1] += 1;
+                continue;
+            }
+            if taken == lane_count {
+                self.flush(taken, first, &repeats, scratch, &mut emit);
+                taken = 0;
+                repeats = [0; LANES];
+            }
+            if taken == 0 {
+                first = k;
+            }
+            for out in 0..self.output_bounds.len() {
+                self.aggregate_max(out, taken, scratch);
+            }
+            taken += 1;
+        }
+        if taken > 0 {
+            self.flush(taken, first, &repeats, scratch, &mut emit);
+        }
+    }
+
+    /// Defuzzify every output of the first `taken` lanes, the centroids of
+    /// several lanes summed side by side, and emit the awaiting points
+    /// from point `first` on: each lane's point, then its repeats.
+    fn flush(
+        &self,
+        taken: usize,
+        first: usize,
+        repeats: &[usize; LANES],
+        scratch: &mut Scratch,
+        emit: &mut impl FnMut(usize, &[f64]),
+    ) {
+        let (outs, n) = (self.output_bounds.len(), self.resolution);
+        for out in 0..outs {
+            let xs = &self.xs[out * n..(out + 1) * n];
+            let (min, max) = self.output_bounds[out];
+            // The lanes with a non-empty set, and the hull of their hulls.
+            let mut live = [0usize; LANES];
+            let mut count = 0;
+            let (mut lo, mut hi) = (n, 0);
+            for lane in 0..taken {
+                let w = lane * outs + out;
+                let (l, h) = scratch.dirty[w];
+                if scratch.aggregated[w * n..(w + 1) * n][l..h]
+                    .iter()
+                    .all(|&d| d == 0.0)
+                {
+                    scratch.crisp[w] = self.empty_defaults[out];
+                    continue;
+                }
+                live[count] = lane;
+                count += 1;
+                lo = lo.min(l);
+                hi = hi.max(h);
+            }
+            let window = |lane: usize| {
+                let w = lane * outs + out;
+                &scratch.aggregated[w * n..(w + 1) * n]
+            };
+            match count {
+                0 => {}
+                1 => {
+                    let crisp = centroid_window(window(live[0]), xs, lo, hi, min, max);
+                    scratch.crisp[live[0] * outs + out] = crisp;
+                }
+                _ => {
+                    // Unused slots repeat the first live lane; their sums
+                    // are dropped.
+                    let sets = std::array::from_fn(|i| window(live[if i < count { i } else { 0 }]));
+                    let crisp = centroid_lanes(sets, xs, lo, hi, min, max);
+                    for (&lane, c) in live[..count].iter().zip(crisp) {
+                        scratch.crisp[lane * outs + out] = c;
+                    }
+                }
+            }
+        }
+        let mut k = first;
+        for (lane, &repeat) in repeats[..taken].iter().enumerate() {
+            let crisp = &scratch.crisp[lane * outs..(lane + 1) * outs];
+            for _ in 0..=repeat {
+                emit(k, crisp);
+                k += 1;
+            }
+        }
+        let last = taken - 1;
+        scratch.last_lane = last;
+        scratch.crisp.copy_within(last * outs..(last + 1) * outs, 0);
+    }
+
+    /// Fuzzify input `i` at `raw` (clamped into its universe, exactly as
+    /// LinguisticVariable::fuzzify does), noting its non-zero terms and
+    /// their degrees as rule-grid offsets.
     #[inline]
-    fn fire(&self, r: usize, scratch: &mut Scratch) {
-        let strength = self.firing_strength(r, &scratch.fuzzified);
+    fn fuzzify(&self, i: usize, raw: f64, scratch: &mut Scratch) {
+        let (lo, hi) = self.input_bounds[i];
+        let x = raw.clamp(lo, hi);
+        let start = self.input_term_offsets[i] as usize;
+        let end = self.input_term_offsets[i + 1] as usize;
+        let stride = self.grid.strides[i];
+        let mut active = start + i;
+        for t in start..end {
+            let mu = self.mfs[t].membership(x);
+            scratch.fuzzified[t] = mu;
+            // Branch-free compaction (which terms are non-zero varies
+            // call to call): always write, advance only on non-zero.
+            // `active <= t + i`, so the write stays in this input's run.
+            scratch.active[active] = (as_u32(t - start) * stride, mu);
+            active += usize::from(mu != 0.0);
+        }
+        scratch.active[active] = (END_OF_RUN, 0.0);
+    }
+
+    /// Record `strength` as rule `r`'s firing strength and raise the
+    /// heights of its consequent terms in `scratch.term_strengths`.
+    #[inline]
+    fn raise(&self, r: usize, strength: f64, scratch: &mut Scratch) {
         scratch.strengths[r] = strength;
         if strength == 0.0 {
             return;
@@ -566,23 +787,29 @@ impl CompiledEngine {
     }
 
     /// Fire every grid rule filed under a tuple of non-zero input terms:
-    /// for each non-zero term of input `v`, add its offset to `cell` and
-    /// walk the remaining inputs (call with `v = 0`, `cell = 0`).
-    fn fire_grid(&self, v: usize, cell: usize, scratch: &mut Scratch) {
+    /// for each non-zero term of input `v`, add its offset to `cell`, fold
+    /// its degree into the running minimum `strength` and walk the
+    /// remaining inputs (call with `v = 0`, `cell = 0`, `strength = 1.0`).
+    ///
+    /// A leaf's `strength` is the minimum over one non-zero degree per
+    /// input, which is the AND fold of every rule filed there: `min` over
+    /// the same non-zero degrees gives the same bits in any order.
+    fn fire_grid(&self, v: usize, cell: usize, strength: f64, scratch: &mut Scratch) {
         let mut at = self.input_term_offsets[v] as usize + v;
         loop {
-            let offset = scratch.active[at];
+            let (offset, degree) = scratch.active[at];
             if offset == END_OF_RUN {
                 return;
             }
             let cell = cell + offset as usize;
+            let strength = strength.min(degree);
             if v + 1 < self.input_bounds.len() {
-                self.fire_grid(v + 1, cell, scratch);
+                self.fire_grid(v + 1, cell, strength, scratch);
             } else {
                 let lo = self.grid.cell_offsets[cell] as usize;
                 let hi = self.grid.cell_offsets[cell + 1] as usize;
                 for &r in &self.grid.rules[lo..hi] {
-                    self.fire(r as usize, scratch);
+                    self.raise(r as usize, strength, scratch);
                 }
             }
             at += 1;
@@ -590,15 +817,16 @@ impl CompiledEngine {
     }
 
     /// Max-aggregate the fired terms of output `out` (heights already in
-    /// `scratch.term_strengths`) and return the `[lo, hi)` hull of their
-    /// supports, outside which the aggregated set is zero.
+    /// `scratch.term_strengths`) into lane `lane`, recording the `[lo, hi)`
+    /// hull of their supports, outside which the aggregated set is zero.
     ///
     /// Each term only touches its own support: beyond it every sample is
     /// zero, and `max(a, 0)` leaves a non-negative `a` unchanged.
-    fn aggregate_max(&self, out: usize, scratch: &mut Scratch) -> (usize, usize) {
+    fn aggregate_max(&self, out: usize, lane: usize, scratch: &mut Scratch) {
         let n = self.resolution;
-        let agg = &mut scratch.aggregated[out * n..(out + 1) * n];
-        let (prev_lo, prev_hi) = scratch.dirty[out];
+        let w = lane * self.output_bounds.len() + out;
+        let agg = &mut scratch.aggregated[w * n..(w + 1) * n];
+        let (prev_lo, prev_hi) = scratch.dirty[w];
         agg[prev_lo..prev_hi].fill(0.0);
         let (mut lo, mut hi) = (n, 0);
         let term_lo = self.output_term_offsets[out] as usize;
@@ -622,23 +850,7 @@ impl CompiledEngine {
                 *a = if *a < clipped { clipped } else { *a };
             }
         }
-        let hull = if lo < hi { (lo, hi) } else { (0, 0) };
-        scratch.dirty[out] = hull;
-        hull
-    }
-
-    /// Defuzzify output `out` of `aggregated`, whose samples outside
-    /// `[lo, hi)` are all zero.  The empty-set check and the centroid only
-    /// visit that range.
-    fn defuzzify_output(&self, out: usize, aggregated: &[f64], lo: usize, hi: usize) -> f64 {
-        let n = self.resolution;
-        let agg = &aggregated[out * n..(out + 1) * n];
-        if agg[lo..hi].iter().all(|&d| d == 0.0) {
-            return self.empty_defaults[out];
-        }
-        let xs = &self.xs[out * n..(out + 1) * n];
-        let (min, max) = self.output_bounds[out];
-        centroid_window(agg, xs, lo, hi, min, max)
+        scratch.dirty[w] = if lo < hi { (lo, hi) } else { (0, 0) };
     }
 
     /// Convenience wrapper over [`CompiledEngine::infer_into`] that
@@ -698,6 +910,10 @@ impl CompiledEngine {
         }
     }
 }
+
+/// Points whose centroids [`CompiledEngine::infer_line`] sums side by
+/// side.
+const LANES: usize = 4;
 
 /// Ends an input's run in [`Scratch`]'s active-term list (no cell offset
 /// reaches it: offsets stay below [`MAX_GRID_CELLS`]).
@@ -821,6 +1037,11 @@ impl MamdaniEngine {
     }
 }
 
+/// `true` when `a` and `b` hold the same bits, element by element.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 fn as_u32(n: usize) -> u32 {
     u32::try_from(n).expect("compiled engine index spaces fit in u32")
 }
@@ -856,6 +1077,58 @@ fn centroid_window(degrees: &[f64], xs: &[f64], lo: usize, hi: usize, min: f64, 
     } else {
         num / den
     }
+}
+
+/// [`centroid_window`] of [`LANES`] aggregated sets at once, each of
+/// whose samples outside `[lo, hi)` are zero.
+///
+/// Lane `l` gets the bits `centroid_window(sets[l], ..)` gives it over any
+/// narrower window holding its non-zero samples: the extra samples are
+/// `+0.0`, which leave both sums unchanged (see [`centroid_window`]).  The
+/// lanes' sums are independent, so their additions overlap instead of
+/// waiting on one another.
+fn centroid_lanes(
+    sets: [&[f64]; LANES],
+    xs: &[f64],
+    lo: usize,
+    hi: usize,
+    min: f64,
+    max: f64,
+) -> [f64; LANES] {
+    let n = xs.len();
+    let mut num = [0.0; LANES];
+    let mut den = [0.0; LANES];
+    // The end points' half weights.
+    let half = |num: &mut [f64; LANES], den: &mut [f64; LANES], i: usize| {
+        for (l, set) in sets.iter().enumerate() {
+            num[l] += 0.5 * set[i] * xs[i];
+            den[l] += 0.5 * set[i];
+        }
+    };
+    if lo == 0 {
+        half(&mut num, &mut den, 0);
+    }
+    let (a, b) = (lo.max(1), hi.min(n - 1));
+    if a < b {
+        let [s0, s1, s2, s3] = sets.map(|s| &s[a..b]);
+        let lanes = s0.iter().zip(s1).zip(s2).zip(s3);
+        for (&x, (((&m0, &m1), &m2), &m3)) in xs[a..b].iter().zip(lanes) {
+            for (l, mu) in [m0, m1, m2, m3].into_iter().enumerate() {
+                num[l] += mu * x;
+                den[l] += mu;
+            }
+        }
+    }
+    if hi == n {
+        half(&mut num, &mut den, n - 1);
+    }
+    std::array::from_fn(|l| {
+        if den[l] == 0.0 {
+            0.5 * (min + max)
+        } else {
+            num[l] / den[l]
+        }
+    })
 }
 
 /// The `[lo, hi)` range outside which every sample is zero; `(0, 0)` when

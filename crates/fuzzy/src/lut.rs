@@ -7,6 +7,14 @@
 //! bilinear interpolation over four table cells — a handful of multiplies,
 //! independent of rule count and resolution.
 //!
+//! Tabulation evaluates the generating function a *line* at a time: one
+//! call `f(x, ys, out)` writes `f(x, ys[k])` into `out[k]` for a whole
+//! column of points that share their `x`.  A compiled engine serves a
+//! line with [`CompiledEngine::infer_line`], which fuzzifies the fixed
+//! input once and skips aggregation and defuzzification wherever a point
+//! fires the same term heights as the one before it; the work is ordered
+//! into long columns for that reason.
+//!
 //! Two tabulation modes are provided:
 //!
 //! * [`Lut2d::tabulate`] / [`Lut2d::tabulate_fn`] — a plain uniform
@@ -61,8 +69,11 @@
 //! assert!((lut.lookup(0.8, 0.7) - exact).abs() <= lut.max_error() + 1e-12);
 //! ```
 
-use crate::compile::CompiledEngine;
+use crate::compile::{CompiledEngine, Scratch, VarId};
 use crate::error::{FuzzyError, Result};
+
+/// One block of [`Lut2d::sample_blocks`]: `(cell, (nx, ny), samples)`.
+type SampleBlock<'a> = (Option<(usize, usize)>, (usize, usize), &'a [f64]);
 
 /// Sentinel in the patch index: "this cell has no refinement patch".
 const NO_PATCH: u32 = u32::MAX;
@@ -84,9 +95,10 @@ struct Patch {
 /// A quantised 2-input policy surface with bilinear interpolation.
 ///
 /// Built with [`Lut2d::tabulate`] (from a 2-input, 1-output
-/// [`CompiledEngine`]) or [`Lut2d::tabulate_fn`] (from any
-/// `f(x, y) -> f64`, e.g. a wider controller with some inputs pinned);
-/// the `*_refined` variants add local patches until a target error is met.
+/// [`CompiledEngine`]) or [`Lut2d::tabulate_fn`] (from any line function
+/// `f(x, ys, out)` that writes `f(x, ys[k])` into `out[k]`, e.g. a wider
+/// controller with some inputs pinned); the `*_refined` variants add local
+/// patches until a target error is met.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lut2d {
     x_min: f64,
@@ -109,9 +121,15 @@ impl Lut2d {
     pub fn tabulate(engine: &CompiledEngine, nx: usize, ny: usize) -> Result<Self> {
         let ((x_min, x_max), (y_min, y_max)) = engine_bounds(engine)?;
         let mut scratch = engine.scratch();
-        Self::tabulate_fn(x_min, x_max, y_min, y_max, nx, ny, |x, y| {
-            engine.infer_into(&[x, y], &mut scratch)[0]
-        })
+        Self::tabulate_fn(
+            x_min,
+            x_max,
+            y_min,
+            y_max,
+            nx,
+            ny,
+            engine_line(engine, &mut scratch),
+        )
     }
 
     /// Tabulate a compiled engine on a uniform base grid, then refine every
@@ -133,15 +151,17 @@ impl Lut2d {
             base,
             target_error,
             max_patch_nodes,
-            |x, y| engine.infer_into(&[x, y], &mut scratch)[0],
+            engine_line(engine, &mut scratch),
         )
     }
 
     /// Tabulate an arbitrary 2-input function on a uniform `nx × ny` grid
     /// over `[x_min, x_max] × [y_min, y_max]`.
     ///
-    /// `f` is evaluated `nx * ny` times to fill the table, then once per
-    /// interior cell midpoint to measure [`Lut2d::max_error`].
+    /// `f(x, ys, out)` writes `f(x, ys[k])` into `out[k]`.  It is called
+    /// once per grid column (`nx` lines of `ny` points) to fill the table,
+    /// then once per column of cells at their midpoints to measure
+    /// [`Lut2d::max_error`].
     pub fn tabulate_fn(
         x_min: f64,
         x_max: f64,
@@ -149,14 +169,17 @@ impl Lut2d {
         y_max: f64,
         nx: usize,
         ny: usize,
-        mut f: impl FnMut(f64, f64) -> f64,
+        mut f: impl FnMut(f64, &[f64], &mut [f64]),
     ) -> Result<Self> {
         let mut lut = Self::base_grid(x_min, x_max, y_min, y_max, nx, ny, &mut f)?;
+        let ys: Vec<f64> = (0..ny - 1).map(|j| lut.cell_midpoint(0, j).1).collect();
+        let mut exact = vec![0.0; ny - 1];
         let mut max_error = 0.0f64;
         for i in 0..nx - 1 {
-            for j in 0..ny - 1 {
-                let (mx, my) = lut.cell_midpoint(i, j);
-                max_error = max_error.max((lut.lookup(mx, my) - f(mx, my)).abs());
+            let mx = lut.cell_midpoint(i, 0).0;
+            f(mx, &ys, &mut exact);
+            for (&my, &e) in ys.iter().zip(&exact) {
+                max_error = max_error.max((lut.lookup(mx, my) - e).abs());
             }
         }
         lut.max_error = max_error;
@@ -172,6 +195,10 @@ impl Lut2d {
     /// error shrinks linearly with sample spacing) and verified at every
     /// sub-cell midpoint, doubling until the target or the cap is met, so
     /// [`Lut2d::max_error`] reflects the final refined table.
+    ///
+    /// `f` is the line function of [`Lut2d::tabulate_fn`].  The work runs
+    /// in columns: the base grid, then every cell's 3x3 probes, then each
+    /// refined cell's patch samples and their verification.
     #[allow(clippy::too_many_arguments)]
     pub fn tabulate_fn_refined(
         x_min: f64,
@@ -181,7 +208,7 @@ impl Lut2d {
         (nx, ny): (usize, usize),
         target_error: f64,
         max_patch_nodes: usize,
-        mut f: impl FnMut(f64, f64) -> f64,
+        mut f: impl FnMut(f64, &[f64], &mut [f64]),
     ) -> Result<Self> {
         if !(target_error.is_finite() && target_error > 0.0) {
             return Err(FuzzyError::InvalidLut {
@@ -191,16 +218,13 @@ impl Lut2d {
         let max_patch_nodes = max_patch_nodes.clamp(3, 1025);
         let mut lut = Self::base_grid(x_min, x_max, y_min, y_max, nx, ny, &mut f)?;
         lut.patch_index = vec![NO_PATCH; (nx - 1) * (ny - 1)];
+        let cell_errors = lut.probe_cells(&mut f);
+        let mut line = LineBuffers::default();
 
         let mut max_error = 0.0f64;
         for i in 0..nx - 1 {
             for j in 0..ny - 1 {
-                // Probe a 3x3 interior lattice, not just the midpoint: the
-                // kink bands of Mamdani surfaces are narrow, and a kink
-                // skirting a cell corner leaves the midpoint nearly exact
-                // while the off-centre error is an order of magnitude
-                // larger.
-                let cell_error = lut.probe_cell(i, j, &mut f);
+                let cell_error = cell_errors[lut.patch_slot(i, j)];
                 if cell_error <= target_error {
                     max_error = max_error.max(cell_error);
                     continue;
@@ -216,8 +240,8 @@ impl Lut2d {
                 let mut sub_y =
                     patch_nodes_for(ey.max(cell_error * 0.25) / target_error).min(max_patch_nodes);
                 let patch_error = loop {
-                    let patch = lut.sample_patch(i, j, sub_x, sub_y, &mut f);
-                    let err = lut.verify_patch(i, j, &patch, &mut f);
+                    let patch = lut.sample_patch(i, j, sub_x, sub_y, &mut line, &mut f);
+                    let err = lut.verify_patch(i, j, &patch, &mut line, &mut f);
                     let keep = err <= target_error
                         || (sub_x >= max_patch_nodes && sub_y >= max_patch_nodes);
                     if keep {
@@ -244,7 +268,7 @@ impl Lut2d {
         y_max: f64,
         nx: usize,
         ny: usize,
-        f: &mut impl FnMut(f64, f64) -> f64,
+        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
     ) -> Result<Self> {
         if !(x_min.is_finite() && x_max.is_finite() && y_min.is_finite() && y_max.is_finite())
             || x_min >= x_max
@@ -262,13 +286,13 @@ impl Lut2d {
                 reason: format!("grid must be at least 2 x 2, got {nx} x {ny}"),
             });
         }
-        let mut values = Vec::with_capacity(nx * ny);
-        for i in 0..nx {
+        let ys: Vec<f64> = (0..ny)
+            .map(|j| y_min + (y_max - y_min) * (j as f64) / ((ny - 1) as f64))
+            .collect();
+        let mut values = vec![0.0; nx * ny];
+        for (i, column) in values.chunks_exact_mut(ny).enumerate() {
             let x = x_min + (x_max - x_min) * (i as f64) / ((nx - 1) as f64);
-            for j in 0..ny {
-                let y = y_min + (y_max - y_min) * (j as f64) / ((ny - 1) as f64);
-                values.push(f(x, y));
-            }
+            f(x, &ys, column);
         }
         Ok(Self {
             x_min,
@@ -288,25 +312,28 @@ impl Lut2d {
     /// coordinates are clamped into the tabulated rectangle.
     #[must_use]
     pub fn lookup(&self, x: f64, y: f64) -> f64 {
-        let tx = grid_pos(x, self.x_min, self.x_max, self.nx);
-        let ty = grid_pos(y, self.y_min, self.y_max, self.ny);
-        let ix = (tx.floor() as usize).min(self.nx - 2);
-        let iy = (ty.floor() as usize).min(self.ny - 2);
-        let fx = tx - ix as f64;
-        let fy = ty - iy as f64;
+        self.lookup_at(self.x_pos(x), self.y_pos(y))
+    }
+
+    /// [`Lut2d::lookup`] at the base-cell positions of `x` and `y`.
+    fn lookup_at(&self, (ix, fx): (usize, f64), (iy, fy): (usize, f64)) -> f64 {
         if !self.patches.is_empty() {
             let pidx = self.patch_index[ix * (self.ny - 1) + iy];
             if pidx != NO_PATCH {
                 return self.patches[pidx as usize].lookup(fx, fy);
             }
         }
-        let v00 = self.values[ix * self.ny + iy];
-        let v01 = self.values[ix * self.ny + iy + 1];
-        let v10 = self.values[(ix + 1) * self.ny + iy];
-        let v11 = self.values[(ix + 1) * self.ny + iy + 1];
-        let v0 = v00 + (v01 - v00) * fy;
-        let v1 = v10 + (v11 - v10) * fy;
-        v0 + (v1 - v0) * fx
+        bilinear(&self.values, self.ny, (ix, fx), (iy, fy))
+    }
+
+    /// The base cell along x holding `x`, and `x`'s fraction across it.
+    fn x_pos(&self, x: f64) -> (usize, f64) {
+        node_pos(grid_pos(x, self.x_min, self.x_max, self.nx), self.nx)
+    }
+
+    /// The base cell along y holding `y`, and `y`'s fraction across it.
+    fn y_pos(&self, y: f64) -> (usize, f64) {
+        node_pos(grid_pos(y, self.y_min, self.y_max, self.ny), self.ny)
     }
 
     /// The largest interpolation error measured at (sub-)cell midpoints
@@ -342,6 +369,29 @@ impl Lut2d {
             + self.patch_index.len() * std::mem::size_of::<u32>()
     }
 
+    /// Every stored sample block, to pin a tabulation bit for bit: the
+    /// base grid first, then each patch in base-cell order.  A block is
+    /// `(cell, (nx, ny), samples)`: `cell` is the patch's base cell
+    /// (`None` for the base grid) and `samples` are row-major,
+    /// `samples[ix * ny + iy]`.
+    pub fn sample_blocks(&self) -> impl Iterator<Item = SampleBlock<'_>> {
+        let base = (None, (self.nx, self.ny), self.values.as_slice());
+        let patches = self
+            .patch_index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p != NO_PATCH)
+            .map(move |(slot, &p)| {
+                let patch = &self.patches[p as usize];
+                (
+                    Some((slot / (self.ny - 1), slot % (self.ny - 1))),
+                    (patch.nx as usize, patch.ny as usize),
+                    patch.values.as_slice(),
+                )
+            });
+        std::iter::once(base).chain(patches)
+    }
+
     fn patch_slot(&self, ix: usize, iy: usize) -> usize {
         ix * (self.ny - 1) + iy
     }
@@ -354,57 +404,96 @@ impl Lut2d {
         )
     }
 
-    /// Worst interpolation error of base cell `(ix, iy)` over a 3x3
-    /// interior probe lattice.
-    fn probe_cell(&self, ix: usize, iy: usize, f: &mut impl FnMut(f64, f64) -> f64) -> f64 {
-        let (x0, y0, wx, wy) = self.cell_rect(ix, iy);
-        let mut worst = 0.0f64;
-        for pu in [0.25, 0.5, 0.75] {
-            for pv in [0.25, 0.5, 0.75] {
+    /// Worst interpolation error of every base cell over a 3x3 interior
+    /// probe lattice, indexed by patch slot.
+    ///
+    /// A 3x3 lattice, not just the midpoint: the kink bands of Mamdani
+    /// surfaces are narrow, and a kink skirting a cell corner leaves the
+    /// midpoint nearly exact while the off-centre error is an order of
+    /// magnitude larger.  The probes sit strictly inside their cell, so
+    /// they read its base samples only and can all run before any patch
+    /// exists: one line per lattice column, three probes per cell up it.
+    /// Every line shares its `y` coordinates, so their cell positions are
+    /// computed once.
+    fn probe_cells(&self, f: &mut impl FnMut(f64, &[f64], &mut [f64])) -> Vec<f64> {
+        const LATTICE: [f64; 3] = [0.25, 0.5, 0.75];
+        let cells_y = self.ny - 1;
+        let ys: Vec<f64> = (0..cells_y)
+            .flat_map(|j| {
+                let (_, y0, _, wy) = self.cell_rect(0, j);
+                LATTICE.map(|pv| y0 + wy * pv)
+            })
+            .collect();
+        let y_pos: Vec<(usize, f64)> = ys.iter().map(|&y| self.y_pos(y)).collect();
+        let mut exact = vec![0.0; ys.len()];
+        let mut errors = vec![0.0f64; (self.nx - 1) * cells_y];
+        for i in 0..self.nx - 1 {
+            let (x0, _, wx, _) = self.cell_rect(i, 0);
+            for pu in LATTICE {
                 let x = x0 + wx * pu;
-                let y = y0 + wy * pv;
-                worst = worst.max((self.lookup(x, y) - f(x, y)).abs());
+                f(x, &ys, &mut exact);
+                let x_pos = self.x_pos(x);
+                let cells = errors[i * cells_y..(i + 1) * cells_y].iter_mut();
+                let probes = y_pos.chunks_exact(3).zip(exact.chunks_exact(3));
+                for (worst, (y_pos, exact)) in cells.zip(probes) {
+                    for (&y_pos, &e) in y_pos.iter().zip(exact) {
+                        *worst = worst.max((self.lookup_at(x_pos, y_pos) - e).abs());
+                    }
+                }
             }
         }
-        worst
+        errors
     }
 
     /// Pure-axis interpolation errors of base cell `(ix, iy)`: probing the
     /// midpoints of the cell's four edges isolates the error of each axis
     /// (an edge lies on a node line of the other axis, so interpolation
-    /// there is 1-D).
+    /// there is 1-D).  Edge probes may read a neighbour's patch, so they
+    /// run in cell order with the patches of the earlier cells in place.
     fn probe_cell_axes(
         &self,
         ix: usize,
         iy: usize,
-        f: &mut impl FnMut(f64, f64) -> f64,
+        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
     ) -> (f64, f64) {
         let (x0, y0, wx, wy) = self.cell_rect(ix, iy);
-        let err = |x: f64, y: f64, f: &mut dyn FnMut(f64, f64) -> f64| {
-            (self.lookup(x, y) - f(x, y)).abs()
-        };
-        let ex = err(x0 + 0.5 * wx, y0, f).max(err(x0 + 0.5 * wx, y0 + wy, f));
-        let ey = err(x0, y0 + 0.5 * wy, f).max(err(x0 + wx, y0 + 0.5 * wy, f));
-        (ex, ey)
+        let [bottom, top] = self.line_errors(x0 + 0.5 * wx, [y0, y0 + wy], f);
+        let [left] = self.line_errors(x0, [y0 + 0.5 * wy], f);
+        let [right] = self.line_errors(x0 + wx, [y0 + 0.5 * wy], f);
+        (bottom.max(top), left.max(right))
     }
 
-    /// Sample an `nx × ny` patch over base cell `(ix, iy)`.
+    /// Interpolation error at each point `(x, ys[k])`.
+    fn line_errors<const N: usize>(
+        &self,
+        x: f64,
+        ys: [f64; N],
+        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
+    ) -> [f64; N] {
+        let mut exact = [0.0; N];
+        f(x, &ys, &mut exact);
+        std::array::from_fn(|k| (self.lookup(x, ys[k]) - exact[k]).abs())
+    }
+
+    /// Sample an `nx × ny` patch over base cell `(ix, iy)`, a column at a
+    /// time.
     fn sample_patch(
         &self,
         ix: usize,
         iy: usize,
         nx: usize,
         ny: usize,
-        f: &mut impl FnMut(f64, f64) -> f64,
+        line: &mut LineBuffers,
+        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
     ) -> Patch {
         let (x0, y0, wx, wy) = self.cell_rect(ix, iy);
-        let mut values = Vec::with_capacity(nx * ny);
-        for sx in 0..nx {
+        line.ys.clear();
+        line.ys
+            .extend((0..ny).map(|sy| y0 + wy * (sy as f64) / ((ny - 1) as f64)));
+        let mut values = vec![0.0; nx * ny];
+        for (sx, column) in values.chunks_exact_mut(ny).enumerate() {
             let x = x0 + wx * (sx as f64) / ((nx - 1) as f64);
-            for sy in 0..ny {
-                let y = y0 + wy * (sy as f64) / ((ny - 1) as f64);
-                values.push(f(x, y));
-            }
+            f(x, &line.ys, column);
         }
         Patch {
             nx: nx as u32,
@@ -413,24 +502,39 @@ impl Lut2d {
         }
     }
 
-    /// Worst interpolation error of `patch` at its sub-cell midpoints.
+    /// Worst interpolation error of `patch` at its sub-cell midpoints, a
+    /// column of sub-cells at a time.
     fn verify_patch(
         &self,
         ix: usize,
         iy: usize,
         patch: &Patch,
-        f: &mut impl FnMut(f64, f64) -> f64,
+        line: &mut LineBuffers,
+        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
     ) -> f64 {
         let (x0, y0, wx, wy) = self.cell_rect(ix, iy);
         let (nx, ny) = (patch.nx as usize, patch.ny as usize);
+        let LineBuffers {
+            ys,
+            positions,
+            values,
+        } = line;
+        ys.clear();
+        positions.clear();
+        for sy in 0..ny - 1 {
+            let v = (sy as f64 + 0.5) / ((ny - 1) as f64);
+            ys.push(y0 + wy * v);
+            positions.push(node_pos(v * ((ny - 1) as f64), ny));
+        }
+        values.clear();
+        values.resize(ny - 1, 0.0);
         let mut worst = 0.0f64;
         for sx in 0..nx - 1 {
             let u = (sx as f64 + 0.5) / ((nx - 1) as f64);
-            for sy in 0..ny - 1 {
-                let v = (sy as f64 + 0.5) / ((ny - 1) as f64);
-                let approx = patch.lookup(u, v);
-                let exact = f(x0 + wx * u, y0 + wy * v);
-                worst = worst.max((approx - exact).abs());
+            f(x0 + wx * u, ys, values);
+            let u_pos = node_pos(u * ((nx - 1) as f64), nx);
+            for (&v_pos, &e) in positions.iter().zip(values.iter()) {
+                worst = worst.max((patch.lookup_at(u_pos, v_pos) - e).abs());
             }
         }
         worst
@@ -449,24 +553,58 @@ impl Lut2d {
     }
 }
 
+/// Buffers reused by every patch line of a refined tabulation: a line's
+/// `y` coordinates, their positions in the patch, and the function's
+/// values.
+#[derive(Default)]
+struct LineBuffers {
+    ys: Vec<f64>,
+    positions: Vec<(usize, f64)>,
+    values: Vec<f64>,
+}
+
 impl Patch {
     /// Bilinear lookup at fractional cell coordinates `(u, v) ∈ [0, 1]²`.
     fn lookup(&self, u: f64, v: f64) -> f64 {
         let (nx, ny) = (self.nx as usize, self.ny as usize);
-        let su = u * ((nx - 1) as f64);
-        let sv = v * ((ny - 1) as f64);
-        let ix = (su.floor() as usize).min(nx - 2);
-        let iy = (sv.floor() as usize).min(ny - 2);
-        let fx = su - ix as f64;
-        let fy = sv - iy as f64;
-        let v00 = self.values[ix * ny + iy];
-        let v01 = self.values[ix * ny + iy + 1];
-        let v10 = self.values[(ix + 1) * ny + iy];
-        let v11 = self.values[(ix + 1) * ny + iy + 1];
-        let a = v00 + (v01 - v00) * fy;
-        let b = v10 + (v11 - v10) * fy;
-        a + (b - a) * fx
+        self.lookup_at(
+            node_pos(u * ((nx - 1) as f64), nx),
+            node_pos(v * ((ny - 1) as f64), ny),
+        )
     }
+
+    /// [`Patch::lookup`] at the sub-cell positions of `u` and `v`.
+    fn lookup_at(&self, x: (usize, f64), y: (usize, f64)) -> f64 {
+        bilinear(&self.values, self.ny as usize, x, y)
+    }
+}
+
+/// Bilinear interpolation inside cell `(ix, iy)` of the row-major grid
+/// `values` (`ny` nodes per row), at fractions `fx`, `fy` across it.
+fn bilinear(values: &[f64], ny: usize, (ix, fx): (usize, f64), (iy, fy): (usize, f64)) -> f64 {
+    let v00 = values[ix * ny + iy];
+    let v01 = values[ix * ny + iy + 1];
+    let v10 = values[(ix + 1) * ny + iy];
+    let v11 = values[(ix + 1) * ny + iy + 1];
+    let v0 = v00 + (v01 - v00) * fy;
+    let v1 = v10 + (v11 - v10) * fy;
+    v0 + (v1 - v0) * fx
+}
+
+/// The cell holding fractional grid coordinate `t` on an `n`-node axis
+/// (the last cell for `t = n - 1`), and `t`'s fraction across it.
+fn node_pos(t: f64, n: usize) -> (usize, f64) {
+    let i = (t.floor() as usize).min(n - 2);
+    (i, t - i as f64)
+}
+
+/// The line function of a 2-input, 1-output `engine`: `x` is input 0 and
+/// `ys` run along input 1.
+fn engine_line<'a>(
+    engine: &'a CompiledEngine,
+    scratch: &'a mut Scratch,
+) -> impl FnMut(f64, &[f64], &mut [f64]) + 'a {
+    move |x, ys, out| engine.infer_line(&[x, 0.0], VarId::from_index(1), ys, out, scratch)
 }
 
 fn engine_bounds(engine: &CompiledEngine) -> Result<((f64, f64), (f64, f64))> {
@@ -480,8 +618,8 @@ fn engine_bounds(engine: &CompiledEngine) -> Result<((f64, f64), (f64, f64))> {
         });
     }
     Ok((
-        engine.input_bounds(crate::VarId::from_index(0)),
-        engine.input_bounds(crate::VarId::from_index(1)),
+        engine.input_bounds(VarId::from_index(0)),
+        engine.input_bounds(VarId::from_index(1)),
     ))
 }
 
@@ -507,6 +645,15 @@ mod tests {
     use super::*;
     use crate::variable::LinguisticVariable;
     use crate::MamdaniEngine;
+
+    /// The line function of a plain point function.
+    fn pointwise(g: impl Fn(f64, f64) -> f64) -> impl Fn(f64, &[f64], &mut [f64]) {
+        move |x, ys, out| {
+            for (o, &y) in out.iter_mut().zip(ys) {
+                *o = g(x, y);
+            }
+        }
+    }
 
     fn two_input_engine() -> CompiledEngine {
         let x = LinguisticVariable::builder("x", 0.0, 10.0)
@@ -565,21 +712,21 @@ mod tests {
 
     #[test]
     fn tabulate_fn_rejects_degenerate_grids() {
-        let f = |x: f64, y: f64| x + y;
-        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 1, 8, f).is_err());
-        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 8, 1, f).is_err());
-        assert!(Lut2d::tabulate_fn(1.0, 1.0, 0.0, 1.0, 8, 8, f).is_err());
-        assert!(Lut2d::tabulate_fn(f64::NAN, 1.0, 0.0, 1.0, 8, 8, f).is_err());
-        assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), 0.0, 65, f).is_err());
-        assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), f64::NAN, 65, f).is_err());
+        let f = pointwise(|x, y| x + y);
+        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 1, 8, &f).is_err());
+        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 8, 1, &f).is_err());
+        assert!(Lut2d::tabulate_fn(1.0, 1.0, 0.0, 1.0, 8, 8, &f).is_err());
+        assert!(Lut2d::tabulate_fn(f64::NAN, 1.0, 0.0, 1.0, 8, 8, &f).is_err());
+        assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), 0.0, 65, &f).is_err());
+        assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), f64::NAN, 65, &f).is_err());
     }
 
     #[test]
     fn bilinear_is_exact_for_bilinear_functions() {
         // f(x, y) = 2x + 3y + xy is reproduced exactly by bilinear
         // interpolation, so the measured error is (numerically) zero.
-        let lut = Lut2d::tabulate_fn(0.0, 4.0, -1.0, 1.0, 9, 9, |x, y| 2.0 * x + 3.0 * y + x * y)
-            .unwrap();
+        let f = pointwise(|x, y| 2.0 * x + 3.0 * y + x * y);
+        let lut = Lut2d::tabulate_fn(0.0, 4.0, -1.0, 1.0, 9, 9, f).unwrap();
         assert!(lut.max_error() < 1e-12, "error {}", lut.max_error());
         for (x, y) in [(0.0, -1.0), (1.3, 0.2), (4.0, 1.0), (2.71, -0.9)] {
             let exact = 2.0 * x + 3.0 * y + x * y;
@@ -675,7 +822,7 @@ mod tests {
 
     #[test]
     fn metadata_accessors() {
-        let lut = Lut2d::tabulate_fn(0.0, 1.0, 0.0, 2.0, 5, 9, |x, y| x * y).unwrap();
+        let lut = Lut2d::tabulate_fn(0.0, 1.0, 0.0, 2.0, 5, 9, pointwise(|x, y| x * y)).unwrap();
         assert_eq!(lut.resolution(), (5, 9));
         assert_eq!(lut.patch_count(), 0);
         assert_eq!(lut.bounds(), ((0.0, 1.0), (0.0, 2.0)));

@@ -14,6 +14,10 @@
 //! * the same engine with one extra input that no rule mentions, for every
 //!   input including NaN: there no rule is indexable, so that engine runs
 //!   the plain scan over all rules.
+//!
+//! The same engines also check [`CompiledEngine::infer_line`] against
+//! per-point `infer_into` on random lines through NaN, ±inf and runs of
+//! points with repeated term heights, after every point of the line.
 
 use fuzzy::prelude::*;
 use fuzzy::rule::Consequent;
@@ -269,12 +273,102 @@ fn check_case(seed: u64) {
     }
 }
 
+/// The next point of a line after `prev`: mostly a fresh coordinate, but
+/// often one with the same term heights as `prev` (the same value, or
+/// another value past the same universe edge) so that the line evaluator
+/// repeats a point's outputs between points that change them.
+fn next_on_line(prev: f64, s: &mut Stream) -> f64 {
+    match s.below(6) {
+        0 => prev,
+        1 if prev <= UNIVERSE.0 => s.uniform(-8.0, UNIVERSE.0),
+        1 if prev >= UNIVERSE.1 => s.uniform(UNIVERSE.1, 18.0),
+        _ => coordinate(s),
+    }
+}
+
+/// `infer_line` equals `infer_into` point by point: crisp bits after the
+/// whole line, and firing strengths and aggregated sets after every
+/// prefix of it (the state a line leaves is its last point's).  One line
+/// scratch serves every line, so no result may leak from one call into
+/// the next.
+fn check_lines(seed: u64) {
+    let case = random_case(seed);
+    let compiled = case.engine.compile().unwrap();
+    let mut line_scratch = compiled.scratch();
+    let mut point_scratch = compiled.scratch();
+    let mut s = Stream(seed ^ 0x11E);
+    let (n, outs) = (compiled.input_count(), compiled.output_count());
+    for _ in 0..6 {
+        let fixed: Vec<f64> = (0..n).map(|_| coordinate(&mut s)).collect();
+        let free = s.below(n);
+        let mut ys = vec![coordinate(&mut s)];
+        for _ in 0..s.below(32) {
+            let prev = ys[ys.len() - 1];
+            ys.push(next_on_line(prev, &mut s));
+        }
+        let mut out = vec![0.0; ys.len() * outs];
+        for k in 0..ys.len() {
+            let line = &ys[..=k];
+            let got = &mut out[..line.len() * outs];
+            compiled.infer_line(
+                &fixed,
+                VarId::from_index(free),
+                line,
+                got,
+                &mut line_scratch,
+            );
+            let mut x = fixed.clone();
+            x[free] = ys[k];
+            let crisp = compiled.infer_into(&x, &mut point_scratch);
+            let context = format!("seed {seed}, free input {free} of {fixed:?}, line {line:?}");
+            for o in 0..outs {
+                assert_eq!(
+                    got[k * outs + o].to_bits(),
+                    crisp[o].to_bits(),
+                    "crisp, {context}"
+                );
+            }
+            assert_eq!(
+                line_scratch.firing_strengths(),
+                point_scratch.firing_strengths(),
+                "strengths, {context}"
+            );
+            for o in 0..outs {
+                let id = VarId::from_index(o);
+                assert_eq!(
+                    line_scratch.aggregated(id),
+                    point_scratch.aggregated(id),
+                    "aggregated, {context}"
+                );
+            }
+        }
+        // The full line's crisp outputs, point by point.
+        for (k, &y) in ys.iter().enumerate() {
+            let mut x = fixed.clone();
+            x[free] = y;
+            let crisp = compiled.infer_into(&x, &mut point_scratch);
+            for o in 0..outs {
+                assert_eq!(
+                    out[k * outs + o].to_bits(),
+                    crisp[o].to_bits(),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn rule_grid_matches_the_full_scan(seed in any::<u64>()) {
         check_case(seed);
+    }
+
+    #[test]
+    fn line_inference_matches_point_inference(seed in any::<u64>()) {
+        check_lines(seed);
     }
 }
 
