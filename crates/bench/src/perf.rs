@@ -786,6 +786,20 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
     let iters: u64 = 50_000;
     let mut cases = Vec::new();
 
+    // --- controller construction: what a sweep pays per cell --------------
+    // Timed first, before any other case builds an engine or tabulates a
+    // LUT: a construction case allocates on every iteration, so it would
+    // otherwise read whatever heap state the earlier cases leave behind.
+    cases.push(time_case("controller/facs-p build", iters, || {
+        FacsPController::paper_default().config().capacity_bu
+    }));
+    cases.push(time_case("controller/facs build", iters, || {
+        FacsController::paper_default().config().capacity_bu
+    }));
+    cases.push(time_case("controller/scc build", iters, || {
+        f64::from(scc::SccAdmission::default().config().cell_capacity)
+    }));
+
     // --- fuzzy layer: one FLC1 inference, each execution model ----------
     let flc1 = Flc1::paper_default().expect("paper parameters are valid");
     let engine = flc1.engine().clone();
@@ -928,17 +942,6 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             score
         },
     ));
-
-    // --- controller construction: what a sweep pays per cell --------------
-    cases.push(time_case("controller/facs-p build", iters, || {
-        FacsPController::paper_default().config().capacity_bu
-    }));
-    cases.push(time_case("controller/facs build", iters, || {
-        FacsController::paper_default().config().capacity_bu
-    }));
-    cases.push(time_case("controller/scc build", iters, || {
-        f64::from(scc::SccAdmission::default().config().cell_capacity)
-    }));
 
     // --- batch path: one tick's arrivals in one decide_batch pass -------
     let batch: Vec<AdmissionRequest> = (0..32)

@@ -100,12 +100,15 @@ impl FacsController {
     }
 
     /// Install a pre-built LUT backend (e.g. a custom resolution, or one
-    /// shared across controller instances).  The LUT must have been
-    /// tabulated for the same station capacity.
-    #[must_use]
-    pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Self {
+    /// shared across controller instances).
+    ///
+    /// Fails when the LUT was tabulated for another station capacity than
+    /// this controller's FLC2: its counter-state axis would clamp at the
+    /// wrong capacity.
+    pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Result<Self> {
+        check_lut_capacity(&lut, &self.flc2)?;
         self.lut = Some(lut);
-        self
+        Ok(self)
     }
 
     /// The paper-default controller behind the [`AdmissionController`]
@@ -256,12 +259,15 @@ impl FacsPController {
     }
 
     /// Install a pre-built LUT backend (e.g. a custom resolution, or one
-    /// shared across controller instances).  The LUT must have been
-    /// tabulated for the same station capacity.
-    #[must_use]
-    pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Self {
+    /// shared across controller instances).
+    ///
+    /// Fails when the LUT was tabulated for another station capacity than
+    /// this controller's FLC2: its counter-state axis would clamp at the
+    /// wrong capacity.
+    pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Result<Self> {
+        check_lut_capacity(&lut, &self.flc2)?;
         self.lut = Some(lut);
-        self
+        Ok(self)
     }
 
     /// The paper-default controller with the LUT decision backend.
@@ -275,7 +281,9 @@ impl FacsPController {
     /// Never panics: the paper parameters are statically valid.
     #[must_use]
     pub fn paper_default_lut() -> Self {
-        Self::paper_default().with_lut_backend(Flc2Lut::paper_shared())
+        Self::paper_default()
+            .with_lut_backend(Flc2Lut::paper_shared())
+            .expect("the shared LUT is tabulated for the paper capacity")
     }
 
     /// The paper-default controller behind the [`AdmissionController`]
@@ -351,6 +359,21 @@ impl AdmissionController for FacsPController {
         } else {
             AdmissionDecision::reject(score)
         }
+    }
+}
+
+/// Refuse a LUT tabulated for another station capacity than `flc2`'s.
+fn check_lut_capacity(lut: &Flc2Lut, flc2: &Flc2) -> Result<()> {
+    if lut.capacity_bu() == flc2.capacity_bu() {
+        Ok(())
+    } else {
+        Err(fuzzy::FuzzyError::InvalidLut {
+            reason: format!(
+                "tabulated for {} BU, but the controller's station holds {} BU",
+                lut.capacity_bu(),
+                flc2.capacity_bu()
+            ),
+        })
     }
 }
 
@@ -551,12 +574,41 @@ mod tests {
         };
         let mut p = FacsPController::paper_default();
         assert_eq!(p.name(), "facs-p");
-        p = p.with_lut_backend(coarse());
+        p = p.with_lut_backend(coarse()).unwrap();
         assert_eq!(p.name(), "facs-p-lut");
         let mut f = FacsController::paper_default();
         assert_eq!(f.name(), "facs");
-        f = f.with_lut_backend(coarse());
+        f = f.with_lut_backend(coarse()).unwrap();
         assert_eq!(f.name(), "facs-lut");
+    }
+
+    #[test]
+    fn lut_backend_must_match_the_station_capacity() {
+        let lut = |capacity_bu| {
+            crate::flc2::Flc2::with_capacity(capacity_bu)
+                .unwrap()
+                .compile_lut_with_resolution((17, 17))
+                .unwrap()
+        };
+        let large_p = || {
+            FacsPController::new(FacsPConfig {
+                capacity_bu: 80.0,
+                ..FacsPConfig::default()
+            })
+            .unwrap()
+        };
+        assert!(matches!(
+            large_p().with_lut_backend(lut(40.0)),
+            Err(fuzzy::FuzzyError::InvalidLut { .. })
+        ));
+        let large = FacsController::new(FacsConfig {
+            capacity_bu: 80.0,
+            ..FacsConfig::default()
+        })
+        .unwrap();
+        assert!(large.with_lut_backend(lut(40.0)).is_err());
+        // A LUT tabulated for 80 BU fits the 80-BU controller.
+        assert!(large_p().with_lut_backend(lut(80.0)).is_ok());
     }
 
     #[test]

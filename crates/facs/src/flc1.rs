@@ -15,7 +15,7 @@ use crate::frb1::{frb1_lookup, frb1_rules};
 use crate::params::PaperParams;
 use fuzzy::compile::{CompiledEngine, Scratch};
 use fuzzy::engine::MamdaniEngine;
-use fuzzy::rule::{Antecedent, Connective, Consequent, Rule};
+use fuzzy::rule::Rule;
 use fuzzy::Result;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -91,7 +91,7 @@ impl Flc1 {
                 .input(PaperParams::service_request_variable()?)
                 .output(PaperParams::correction_value_output()?)
                 .build()?;
-            for rule in frb1_rules()? {
+            for rule in frb1_rules() {
                 engine.add_rule(rule)?;
             }
             SharedEngine::compile(engine, 0.5)
@@ -165,7 +165,7 @@ impl DistanceFlc1 {
                 .input(PaperParams::distance_variable()?)
                 .output(PaperParams::correction_value_output()?)
                 .build()?;
-            for rule in distance_frb_rules()? {
+            for rule in distance_frb_rules() {
                 engine.add_rule(rule)?;
             }
             SharedEngine::compile(engine, 0.5)
@@ -208,7 +208,8 @@ impl DistanceFlc1 {
 
 /// The reconstructed 63-rule table of the distance-based FLC1:
 /// `Near -> Table 1's Me column`, `Middle -> Bi`, `Far -> Sm`.
-pub fn distance_frb_rules() -> Result<Vec<Rule>> {
+#[must_use]
+pub fn distance_frb_rules() -> Vec<Rule> {
     let mut rules = Vec::with_capacity(63);
     let mapping = [("Ne", "Me"), ("Md", "Bi"), ("Fr", "Sm")];
     let mut index = 0usize;
@@ -216,22 +217,14 @@ pub fn distance_frb_rules() -> Result<Vec<Rule>> {
         for an in ["B1", "L1", "L2", "St", "R1", "R2", "B2"] {
             for (di, sr_column) in mapping {
                 let cv = frb1_lookup(sp, an, sr_column).expect("Table 1 covers the full grid");
-                let rule = Rule::new(
-                    vec![
-                        Antecedent::is("Sp", sp),
-                        Antecedent::is("An", an),
-                        Antecedent::is("Di", di),
-                    ],
-                    Connective::And,
-                    vec![Consequent::is("Cv", cv)],
-                )?
-                .with_label(format!("FRB1-D rule {index}"));
+                let rule = Rule::row(&[("Sp", sp), ("An", an), ("Di", di)], "Cv", cv)
+                    .with_label(format!("FRB1-D rule {index}"));
                 rules.push(rule);
                 index += 1;
             }
         }
     }
-    Ok(rules)
+    rules
 }
 
 fn clamp_or(value: f64, lo: f64, hi: f64, fallback: f64) -> f64 {
@@ -344,7 +337,7 @@ mod tests {
 
     #[test]
     fn distance_rules_cover_the_grid() {
-        let rules = distance_frb_rules().unwrap();
+        let rules = distance_frb_rules();
         assert_eq!(rules.len(), 63);
         let inputs = [
             PaperParams::speed_variable().unwrap(),

@@ -67,7 +67,7 @@ impl Flc2 {
                 .input(PaperParams::counter_state_variable(capacity_bu)?)
                 .output(PaperParams::accept_reject_output()?)
                 .build()?;
-            for rule in frb2_rules()? {
+            for rule in frb2_rules() {
                 engine.add_rule(rule)?;
             }
             SharedEngine::compile(engine, 0.0)

@@ -5,8 +5,7 @@
 //! (`B1`/`L1`/`L2`/`St`/`R1`/`R2`/`B2`) and Service-request term
 //! (`Sm`/`Me`/`Bi`) to one of the nine Correction-value terms `Cv1`..`Cv9`.
 
-use fuzzy::rule::{Antecedent, Connective, Consequent, Rule};
-use fuzzy::Result;
+use fuzzy::rule::Rule;
 
 /// One row of Table 1: `(Sp, An, Sr, Cv)`.
 pub type Frb1Row = (&'static str, &'static str, &'static str, &'static str);
@@ -79,21 +78,14 @@ pub const FRB1_TABLE: [Frb1Row; 63] = [
 ];
 
 /// Build the 63 FRB1 rules ready to be added to FLC1's engine.
-pub fn frb1_rules() -> Result<Vec<Rule>> {
+#[must_use]
+pub fn frb1_rules() -> Vec<Rule> {
     FRB1_TABLE
         .iter()
         .enumerate()
-        .map(|(i, (sp, an, sr, cv))| {
-            Rule::new(
-                vec![
-                    Antecedent::is("Sp", *sp),
-                    Antecedent::is("An", *an),
-                    Antecedent::is("Sr", *sr),
-                ],
-                Connective::And,
-                vec![Consequent::is("Cv", *cv)],
-            )
-            .map(|r| r.with_label(format!("FRB1 rule {i}")))
+        .map(|(i, &(sp, an, sr, cv))| {
+            Rule::row(&[("Sp", sp), ("An", an), ("Sr", sr)], "Cv", cv)
+                .with_label(format!("FRB1 rule {i}"))
         })
         .collect()
 }
@@ -131,7 +123,7 @@ mod tests {
             PaperParams::angle_variable().unwrap(),
             PaperParams::service_request_variable().unwrap(),
         ];
-        let rb = RuleBase::from_rules(frb1_rules().unwrap());
+        let rb = RuleBase::from_rules(frb1_rules());
         assert!(rb.uncovered_combinations(&inputs).is_empty());
     }
 
@@ -143,7 +135,7 @@ mod tests {
             PaperParams::service_request_variable().unwrap(),
         ];
         let outputs = [PaperParams::correction_value_output().unwrap()];
-        for rule in frb1_rules().unwrap() {
+        for rule in frb1_rules() {
             rule.validate(&inputs, &outputs).unwrap();
         }
     }
@@ -194,7 +186,7 @@ mod tests {
 
     #[test]
     fn rules_carry_row_labels() {
-        let rules = frb1_rules().unwrap();
+        let rules = frb1_rules();
         assert_eq!(rules.len(), 63);
         assert_eq!(rules[10].label(), Some("FRB1 rule 10"));
     }

@@ -5,8 +5,7 @@
 //! Request term (`Tx`/`Vo`/`Vi`) and Counter-state term (`Sa`/`Md`/`Fu`) to
 //! one of the five soft decisions `R` / `WR` / `NRNA` / `WA` / `A`.
 
-use fuzzy::rule::{Antecedent, Connective, Consequent, Rule};
-use fuzzy::Result;
+use fuzzy::rule::Rule;
 
 /// One row of Table 2: `(Cv, Rq, Cs, A/R)`.
 pub type Frb2Row = (&'static str, &'static str, &'static str, &'static str);
@@ -43,21 +42,14 @@ pub const FRB2_TABLE: [Frb2Row; 27] = [
 ];
 
 /// Build the 27 FRB2 rules ready to be added to FLC2's engine.
-pub fn frb2_rules() -> Result<Vec<Rule>> {
+#[must_use]
+pub fn frb2_rules() -> Vec<Rule> {
     FRB2_TABLE
         .iter()
         .enumerate()
-        .map(|(i, (cv, rq, cs, ar))| {
-            Rule::new(
-                vec![
-                    Antecedent::is("Cv", *cv),
-                    Antecedent::is("Rq", *rq),
-                    Antecedent::is("Cs", *cs),
-                ],
-                Connective::And,
-                vec![Consequent::is("AR", *ar)],
-            )
-            .map(|r| r.with_label(format!("FRB2 rule {i}")))
+        .map(|(i, &(cv, rq, cs, ar))| {
+            Rule::row(&[("Cv", cv), ("Rq", rq), ("Cs", cs)], "AR", ar)
+                .with_label(format!("FRB2 rule {i}"))
         })
         .collect()
 }
@@ -94,7 +86,7 @@ mod tests {
             PaperParams::request_variable().unwrap(),
             PaperParams::counter_state_variable(40.0).unwrap(),
         ];
-        let rb = RuleBase::from_rules(frb2_rules().unwrap());
+        let rb = RuleBase::from_rules(frb2_rules());
         assert!(rb.uncovered_combinations(&inputs).is_empty());
     }
 
@@ -106,7 +98,7 @@ mod tests {
             PaperParams::counter_state_variable(40.0).unwrap(),
         ];
         let outputs = [PaperParams::accept_reject_output().unwrap()];
-        for rule in frb2_rules().unwrap() {
+        for rule in frb2_rules() {
             rule.validate(&inputs, &outputs).unwrap();
         }
     }
@@ -167,7 +159,7 @@ mod tests {
 
     #[test]
     fn rules_carry_row_labels() {
-        let rules = frb2_rules().unwrap();
+        let rules = frb2_rules();
         assert_eq!(rules.len(), 27);
         assert_eq!(rules[26].label(), Some("FRB2 rule 26"));
     }

@@ -34,25 +34,6 @@ fn paper_controllers_share_one_engine() {
 }
 
 #[test]
-fn paper_rule_bases_are_fully_indexed() {
-    // Every rule of FRB1, the distance FRB and FRB2 is an AND of one term
-    // per input, so the compiled engines fire only the rules their
-    // non-zero input terms reach; a table edit that breaks that shape
-    // would silently fall back to scanning.
-    let flc1 = Flc1::paper_default().unwrap();
-    let distance = DistanceFlc1::paper_default().unwrap();
-    let flc2 = Flc2::paper_default().unwrap();
-    for (name, compiled, rules) in [
-        ("FRB1", flc1.compiled(), 63),
-        ("distance FRB", distance.compiled(), 63),
-        ("FRB2", flc2.compiled(), 27),
-    ] {
-        assert_eq!(compiled.rule_count(), rules, "{name}");
-        assert_eq!(compiled.indexed_rule_count(), rules, "{name}");
-    }
-}
-
-#[test]
 fn other_capacities_get_their_own_counter_state_terms() {
     let counter_state_max = |flc2: &Flc2| flc2.engine().inputs()[2].max();
     let paper = Flc2::paper_default().unwrap();

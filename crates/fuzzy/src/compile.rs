@@ -11,18 +11,15 @@
 //!
 //! * names are interned into dense [`VarId`] / [`TermId`] handles resolved
 //!   once at compile time — the execute path never touches a string;
-//! * the rule base is flattened into index arrays (antecedent slots into a
-//!   flat fuzzification buffer, consequent slots into flat output-term
-//!   tables);
-//! * rules that form a grid — an AND of exactly one plain (non-negated)
-//!   clause per input variable, in any order — are indexed by their
-//!   term tuple.  The execute path walks only the tuples of the non-zero
+//! * every rule is a row of an AND table — one clause per input, one
+//!   consequent — so the rule base becomes a *rule grid*: one cell per
+//!   input-term tuple, holding that tuple's rule and its output term, or
+//!   nothing.  The execute path walks only the tuples of the non-zero
 //!   input terms, carrying the running `min` of their degrees down the
-//!   walk, and fires the rules filed there with it; every other rule is
-//!   on a short list folded on every call.  The paper's triangles and
-//!   trapezoids give a crisp input at most two non-zero terms per
-//!   variable, so its 63-rule FRB1 fires at most 8 rules per call instead
-//!   of scanning 63;
+//!   walk, and fires the rule in each cell it reaches with it.  The
+//!   paper's triangles and trapezoids give a crisp input at most two
+//!   non-zero terms per variable, so its 63-rule FRB1 fires at most 8
+//!   rules per call instead of scanning 63;
 //! * every consequent term's membership function is pre-sampled on the
 //!   engine's output grid, so aggregation is `min`/`max` over arrays with
 //!   no membership evaluation;
@@ -49,15 +46,14 @@
 //! what lets the FACS controllers switch to the compiled path without
 //! moving a single simulation result.
 //!
-//! The rule grid keeps those bits.  A grid rule whose tuple is not walked
-//! has a zero-degree clause, so the AND fold would stop there and return
-//! `+0.0` — the value an unreached rule is given.  A reached rule's AND
-//! fold is the `min` over one non-zero degree per input; the walk's
-//! running `min` is over the same degrees in another order, and `min` of
-//! the same non-zero values gives the same bits in any order.  The
-//! per-term maximum that collects the fired heights is order-independent
-//! too (heights are finite and positive), so visiting rules in tuple
-//! order instead of rule-base order changes no bit.
+//! The rule grid keeps those bits.  A rule whose tuple is not walked has a
+//! zero-degree clause, so its AND fold is `+0.0` — the value an unreached
+//! rule is given.  A reached rule's AND fold is the `min` over one
+//! non-zero degree per input; the walk's running `min` is over the same
+//! degrees, and `min` of the same non-zero values gives the same bits in
+//! any order.  The per-term maximum that collects the fired heights is
+//! order-independent too (heights are finite and positive), so visiting
+//! rules in tuple order instead of rule-base order changes no bit.
 //!
 //! The line evaluator keeps them as well.  Aggregation and the centroid
 //! read nothing but the term heights, so equal heights give the previous
@@ -87,8 +83,8 @@
 //!     .output(fan)
 //!     .build()
 //!     .unwrap();
-//! engine.add_rule_str("IF temperature IS Hot THEN fan IS Fast").unwrap();
-//! engine.add_rule_str("IF temperature IS Cold THEN fan IS Slow").unwrap();
+//! engine.add_rule(Rule::row(&[("temperature", "Hot")], "fan", "Fast")).unwrap();
+//! engine.add_rule(Rule::row(&[("temperature", "Cold")], "fan", "Slow")).unwrap();
 //!
 //! // Compile once, then run the allocation-free hot path.
 //! let compiled = engine.compile().unwrap();
@@ -104,9 +100,8 @@
 use crate::engine::MamdaniEngine;
 use crate::error::{FuzzyError, Result};
 use crate::membership::MembershipFunction;
-use crate::norms::complement;
-use crate::rule::Connective;
-use crate::{clamp_degree, variable::LinguisticVariable};
+use crate::rule::Clause;
+use crate::variable::LinguisticVariable;
 
 /// Interned handle to a variable of a [`CompiledEngine`].
 ///
@@ -155,21 +150,6 @@ impl TermId {
     }
 }
 
-/// One lowered antecedent clause: a slot into the flat fuzzification buffer
-/// plus the negation flag.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CompiledAntecedent {
-    slot: u32,
-    negated: bool,
-}
-
-/// One lowered consequent clause: output index and flat output-term index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CompiledConsequent {
-    out: u32,
-    flat_term: u32,
-}
-
 /// Reusable working memory for [`CompiledEngine::infer_into`].
 ///
 /// Create one with [`CompiledEngine::scratch`] and reuse it across calls;
@@ -178,9 +158,6 @@ struct CompiledConsequent {
 /// checked on every call).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scratch {
-    /// Membership degree of every input term, flattened in declaration
-    /// order.
-    fuzzified: Vec<f64>,
     /// Per-rule firing strength, in rule-base order.
     strengths: Vec<f64>,
     /// Per input, a run of its non-zero terms as pre-multiplied rule-grid
@@ -239,18 +216,20 @@ pub struct CompiledEngine {
     // --- inputs -----------------------------------------------------------
     input_names: Vec<String>,
     input_bounds: Vec<(f64, f64)>,
-    /// `inputs + 1` offsets into `mfs` / `Scratch::fuzzified`.
+    /// `inputs + 1` offsets into `mfs`.
     input_term_offsets: Vec<u32>,
     input_term_names: Vec<String>,
     /// Every input term's membership function, flattened.
     mfs: Vec<MembershipFunction>,
     // --- rules ------------------------------------------------------------
-    rule_connectives: Vec<Connective>,
-    rule_ante_offsets: Vec<u32>,
-    antecedents: Vec<CompiledAntecedent>,
-    rule_cons_offsets: Vec<u32>,
-    consequents: Vec<CompiledConsequent>,
-    grid: RuleGrid,
+    /// Rules in the rule base.
+    rule_count: usize,
+    /// Per input, the place value of its term index in a cell number: a
+    /// tuple's cell is `sum(term[v] * strides[v])`, last input fastest.
+    strides: Vec<u32>,
+    /// The rule grid: per cell, its rule and that rule's flat output term,
+    /// or [`EMPTY_CELL`].
+    cells: Vec<Cell>,
     // --- outputs ----------------------------------------------------------
     output_names: Vec<String>,
     output_bounds: Vec<(f64, f64)>,
@@ -276,9 +255,11 @@ pub struct CompiledEngine {
 impl CompiledEngine {
     /// Lower `engine` into its compiled form.
     ///
-    /// Fails when the engine has no rules, or when a rule references an
-    /// unknown variable or term (rules added through the engine API are
-    /// always valid; this guards hand-built rule bases).
+    /// Fails when the engine has no rules, when its rule table has more
+    /// than 65,536 cells (the product of the input term counts) or more
+    /// than 16 inputs, or when a rule is not a row of the table (rules added through
+    /// [`MamdaniEngine::add_rule`] always are; this guards deserialized
+    /// engines).
     pub fn compile(engine: &MamdaniEngine) -> Result<Self> {
         if engine.rules().is_empty() {
             return Err(FuzzyError::EmptyEngine { missing: "rules" });
@@ -328,70 +309,57 @@ impl CompiledEngine {
             empty_defaults.push(0.5 * (min + max));
         }
 
-        let find_var = |vars: &[LinguisticVariable], name: &str| -> Result<usize> {
-            vars.iter()
-                .position(|v| v.name() == name)
-                .ok_or_else(|| FuzzyError::UnknownVariable {
-                    name: name.to_string(),
-                })
+        let mut strides = vec![0usize; inputs.len()];
+        let mut cell_count = 1usize;
+        for (v, var) in inputs.iter().enumerate().rev() {
+            strides[v] = cell_count;
+            cell_count = cell_count.saturating_mul(var.term_count());
+        }
+        if cell_count > MAX_GRID_CELLS || inputs.len() > MAX_GRID_INPUTS {
+            return Err(FuzzyError::TableTooLarge {
+                cells: cell_count,
+                inputs: inputs.len(),
+            });
+        }
+        let term = |var: &LinguisticVariable, clause: &Clause| {
+            var.term_index(&clause.term)
+                .expect("a validated rule names known terms")
         };
-
-        let mut rule_connectives = Vec::with_capacity(engine.rules().len());
-        let mut rule_ante_offsets = vec![0u32];
-        let mut antecedents = Vec::new();
-        let mut rule_cons_offsets = vec![0u32];
-        let mut consequents = Vec::new();
-        for rule in engine.rules().rules() {
-            rule_connectives.push(rule.connective());
-            for a in rule.antecedents() {
-                let var_idx = find_var(inputs, &a.variable)?;
-                let term_idx =
-                    inputs[var_idx]
-                        .term_index(&a.term)
-                        .ok_or_else(|| FuzzyError::UnknownTerm {
-                            variable: a.variable.clone(),
-                            term: a.term.clone(),
-                        })?;
-                antecedents.push(CompiledAntecedent {
-                    slot: input_term_offsets[var_idx] + as_u32(term_idx),
-                    negated: a.negated,
+        let mut cells = vec![EMPTY_CELL; cell_count];
+        for (r, rule) in engine.rules().rules().iter().enumerate() {
+            rule.validate(inputs, outputs)?;
+            let cell: usize = inputs
+                .iter()
+                .zip(rule.antecedents())
+                .zip(&strides)
+                .map(|((var, clause), stride)| term(var, clause) * stride)
+                .sum();
+            if cells[cell].rule != EMPTY_CELL.rule {
+                return Err(FuzzyError::InvalidRule {
+                    rule: rule.to_string(),
+                    reason: "its input terms already have a rule".into(),
                 });
             }
-            rule_ante_offsets.push(as_u32(antecedents.len()));
-            for c in rule.consequents() {
-                let out_idx = find_var(outputs, &c.variable)?;
-                let term_idx = outputs[out_idx].term_index(&c.term).ok_or_else(|| {
-                    FuzzyError::UnknownTerm {
-                        variable: c.variable.clone(),
-                        term: c.term.clone(),
-                    }
-                })?;
-                consequents.push(CompiledConsequent {
-                    out: as_u32(out_idx),
-                    flat_term: output_term_offsets[out_idx] + as_u32(term_idx),
-                });
-            }
-            rule_cons_offsets.push(as_u32(consequents.len()));
+            let c = rule.consequent();
+            let out = outputs
+                .iter()
+                .position(|o| o.name() == c.variable)
+                .expect("a validated rule names a known output");
+            cells[cell] = Cell {
+                rule: as_u32(r),
+                flat_term: output_term_offsets[out] + as_u32(term(&outputs[out], c)),
+            };
         }
 
-        let grid = RuleGrid::build(
-            &input_term_offsets,
-            &rule_connectives,
-            &rule_ante_offsets,
-            &antecedents,
-        );
         Ok(Self {
             input_names: inputs.iter().map(|v| v.name().to_string()).collect(),
             input_bounds: inputs.iter().map(|v| (v.min(), v.max())).collect(),
             input_term_offsets,
             input_term_names,
             mfs,
-            rule_connectives,
-            rule_ante_offsets,
-            antecedents,
-            rule_cons_offsets,
-            consequents,
-            grid,
+            rule_count: engine.rules().len(),
+            strides: strides.into_iter().map(as_u32).collect(),
+            cells,
             output_names: outputs.iter().map(|v| v.name().to_string()).collect(),
             output_bounds: outputs.iter().map(|v| (v.min(), v.max())).collect(),
             output_term_offsets,
@@ -419,15 +387,7 @@ impl CompiledEngine {
     /// Number of compiled rules.
     #[must_use]
     pub fn rule_count(&self) -> usize {
-        self.rule_connectives.len()
-    }
-
-    /// Number of rules filed in the rule grid — the rules an inference
-    /// fires only when every one of their input terms is non-zero.  The
-    /// remaining rules are fired on every call.
-    #[must_use]
-    pub fn indexed_rule_count(&self) -> usize {
-        self.grid.rules.len()
+        self.rule_count
     }
 
     /// The engine's output sampling resolution.
@@ -491,8 +451,7 @@ impl CompiledEngine {
     #[must_use]
     pub fn scratch(&self) -> Scratch {
         Scratch {
-            fuzzified: vec![0.0; self.mfs.len()],
-            strengths: vec![0.0; self.rule_connectives.len()],
+            strengths: vec![0.0; self.rule_count],
             active: vec![(END_OF_RUN, 0.0); self.mfs.len() + self.input_bounds.len()],
             term_strengths: vec![0.0; 2 * self.output_term_names.len()],
             aggregated: vec![0.0; self.output_bounds.len() * self.resolution],
@@ -586,8 +545,7 @@ impl CompiledEngine {
             inputs.len()
         );
         assert!(
-            scratch.fuzzified.len() == self.mfs.len()
-                && scratch.strengths.len() == self.rule_connectives.len()
+            scratch.strengths.len() == self.rule_count
                 && scratch.active.len() == self.mfs.len() + self.input_bounds.len()
                 && scratch.term_strengths.len() == 2 * self.output_term_names.len()
                 && scratch.outputs == self.output_bounds.len()
@@ -641,19 +599,13 @@ impl CompiledEngine {
             // consequent *term* and do one array pass per fired term —
             // exact (max and min are monotone), and typically 2–4x fewer
             // passes for the paper's 63-rule FRB1.  Only the rules the
-            // non-zero terms reach are folded; the rest keep the `+0.0`
-            // their fold would return.
+            // non-zero terms reach are fired; the rest keep the `+0.0`
+            // their AND fold would return.
             let (heights, prev) = scratch.term_strengths.split_at_mut(terms);
             prev.copy_from_slice(heights);
             heights.fill(0.0);
             scratch.strengths.fill(0.0);
-            if !self.grid.rules.is_empty() {
-                self.fire_grid(0, 0, 1.0, scratch);
-            }
-            for &r in &self.grid.scan {
-                let strength = self.firing_strength(r as usize, &scratch.fuzzified);
-                self.raise(r as usize, strength, scratch);
-            }
+            self.fire_grid(0, 0, 1.0, scratch);
             // Aggregation and the centroid are functions of the term
             // heights alone, so equal heights give equal outputs.  (Past
             // the first point a lane is always taken.)
@@ -757,11 +709,10 @@ impl CompiledEngine {
         let x = raw.clamp(lo, hi);
         let start = self.input_term_offsets[i] as usize;
         let end = self.input_term_offsets[i + 1] as usize;
-        let stride = self.grid.strides[i];
+        let stride = self.strides[i];
         let mut active = start + i;
         for t in start..end {
             let mu = self.mfs[t].membership(x);
-            scratch.fuzzified[t] = mu;
             // Branch-free compaction (which terms are non-zero varies
             // call to call): always write, advance only on non-zero.
             // `active <= t + i`, so the write stays in this input's run.
@@ -771,29 +722,17 @@ impl CompiledEngine {
         scratch.active[active] = (END_OF_RUN, 0.0);
     }
 
-    /// Record `strength` as rule `r`'s firing strength and raise the
-    /// heights of its consequent terms in `scratch.term_strengths`.
-    #[inline]
-    fn raise(&self, r: usize, strength: f64, scratch: &mut Scratch) {
-        scratch.strengths[r] = strength;
-        if strength == 0.0 {
-            return;
-        }
-        let height = clamp_degree(strength);
-        for c in self.cons_range(r) {
-            let flat = self.consequents[c].flat_term as usize;
-            scratch.term_strengths[flat] = scratch.term_strengths[flat].max(height);
-        }
-    }
-
-    /// Fire every grid rule filed under a tuple of non-zero input terms:
-    /// for each non-zero term of input `v`, add its offset to `cell`, fold
-    /// its degree into the running minimum `strength` and walk the
-    /// remaining inputs (call with `v = 0`, `cell = 0`, `strength = 1.0`).
+    /// Fire the rule of every cell whose tuple has only non-zero input
+    /// terms: for each non-zero term of input `v`, add its offset to
+    /// `cell`, fold its degree into the running minimum `strength` and
+    /// walk the remaining inputs (call with `v = 0`, `cell = 0`,
+    /// `strength = 1.0`).  A fired rule records its strength and raises
+    /// its output term's height in `scratch.term_strengths`.
     ///
     /// A leaf's `strength` is the minimum over one non-zero degree per
-    /// input, which is the AND fold of every rule filed there: `min` over
-    /// the same non-zero degrees gives the same bits in any order.
+    /// input, which is the AND fold of the rule there: `min` over the same
+    /// non-zero degrees gives the same bits in any order.  It lies in
+    /// `(0, 1]`, so it is the clipping height unchanged.
     fn fire_grid(&self, v: usize, cell: usize, strength: f64, scratch: &mut Scratch) {
         let mut at = self.input_term_offsets[v] as usize + v;
         loop {
@@ -806,10 +745,11 @@ impl CompiledEngine {
             if v + 1 < self.input_bounds.len() {
                 self.fire_grid(v + 1, cell, strength, scratch);
             } else {
-                let lo = self.grid.cell_offsets[cell] as usize;
-                let hi = self.grid.cell_offsets[cell + 1] as usize;
-                for &r in &self.grid.rules[lo..hi] {
-                    self.raise(r as usize, strength, scratch);
+                let Cell { rule, flat_term } = self.cells[cell];
+                if rule != EMPTY_CELL.rule {
+                    scratch.strengths[rule as usize] = strength;
+                    let height = &mut scratch.term_strengths[flat_term as usize];
+                    *height = height.max(strength);
                 }
             }
             at += 1;
@@ -860,55 +800,6 @@ impl CompiledEngine {
         let mut scratch = self.scratch();
         self.infer_into(inputs, &mut scratch).to_vec()
     }
-
-    #[inline]
-    fn cons_range(&self, rule: usize) -> std::ops::Range<usize> {
-        self.rule_cons_offsets[rule] as usize..self.rule_cons_offsets[rule + 1] as usize
-    }
-
-    /// Incremental min (AND) or max (OR) fold matching the interpreted
-    /// engine bit for bit.
-    ///
-    /// Folds stop early at the absorbing element (`min(0, x) = 0`,
-    /// `max(1, x) = 1`).  The rule grid relies on the AND case: a grid
-    /// rule with a zero-degree clause folds to `+0.0`, so it need not be
-    /// folded at all.  Membership degrees are already clamped, so plain
-    /// `min`/`max` need no clamping.
-    #[inline]
-    fn firing_strength(&self, rule: usize, fuzzified: &[f64]) -> f64 {
-        let lo = self.rule_ante_offsets[rule] as usize;
-        let hi = self.rule_ante_offsets[rule + 1] as usize;
-        let degrees = self.antecedents[lo..hi].iter().map(|a| {
-            let mu = fuzzified[a.slot as usize];
-            if a.negated {
-                complement(mu)
-            } else {
-                mu
-            }
-        });
-        match self.rule_connectives[rule] {
-            Connective::And => {
-                let mut acc: f64 = 1.0;
-                for mu in degrees {
-                    acc = acc.min(mu);
-                    if acc == 0.0 {
-                        return 0.0;
-                    }
-                }
-                acc
-            }
-            Connective::Or => {
-                let mut acc: f64 = 0.0;
-                for mu in degrees {
-                    acc = acc.max(mu);
-                    if acc == 1.0 {
-                        return 1.0;
-                    }
-                }
-                acc
-            }
-        }
-    }
 }
 
 /// Points whose centroids [`CompiledEngine::infer_line`] sums side by
@@ -919,114 +810,27 @@ const LANES: usize = 4;
 /// reaches it: offsets stay below [`MAX_GRID_CELLS`]).
 const END_OF_RUN: u32 = u32::MAX;
 
-/// Largest rule grid (product of the input term counts) that is indexed;
-/// a larger engine keeps every rule on the scan list rather than allocate
-/// an offset table of mostly empty cells.
-const MAX_GRID_CELLS: usize = 1 << 16;
+/// Largest rule table (product of the input term counts) an engine may
+/// compile to: the grid holds one cell per input-term tuple.
+pub(crate) const MAX_GRID_CELLS: usize = 1 << 16;
 
-/// Most inputs an indexed engine may have: the grid walk recurses once
+/// Most inputs an engine may compile with: the grid walk recurses once
 /// per input.
-const MAX_GRID_INPUTS: usize = 16;
+pub(crate) const MAX_GRID_INPUTS: usize = 16;
 
-/// The rule base indexed by input-term tuple.
-///
-/// A rule is *indexable* when its connective is AND and it has exactly one
-/// non-negated clause per input variable.  Its cell is the mixed-radix
-/// number of its term tuple (`sum(term[v] * strides[v])`, last input
-/// fastest); a cell may hold several rules or none.  Every other rule is
-/// on `scan`.
-#[derive(Debug, Clone, PartialEq)]
-struct RuleGrid {
-    /// Per input, the place value of its term index in a cell number.
-    strides: Vec<u32>,
-    /// `cells + 1` offsets into `rules` (empty when nothing is indexed).
-    cell_offsets: Vec<u32>,
-    /// Indexed rules grouped by cell, in rule-base order within a cell.
-    rules: Vec<u32>,
-    /// The rules that are not indexable, in rule-base order.
-    scan: Vec<u32>,
+/// One cell of the rule grid: the rule filed under its tuple and that
+/// rule's flat output term.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cell {
+    rule: u32,
+    flat_term: u32,
 }
 
-impl RuleGrid {
-    fn build(
-        input_term_offsets: &[u32],
-        connectives: &[Connective],
-        ante_offsets: &[u32],
-        antecedents: &[CompiledAntecedent],
-    ) -> Self {
-        let n = input_term_offsets.len() - 1;
-        let counts: Vec<usize> = input_term_offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .collect();
-        let mut strides = vec![0u32; n];
-        let mut cells = 1usize;
-        for v in (0..n).rev() {
-            strides[v] = u32::try_from(cells).unwrap_or(u32::MAX);
-            cells = cells.saturating_mul(counts[v]);
-        }
-        let indexable = cells <= MAX_GRID_CELLS && n <= MAX_GRID_INPUTS;
-        if !indexable {
-            strides.fill(0);
-        }
-        let mut keyed: Vec<(usize, u32)> = Vec::new();
-        let mut scan = Vec::new();
-        let mut seen = vec![false; n];
-        for (r, &connective) in connectives.iter().enumerate() {
-            let clauses = &antecedents[ante_offsets[r] as usize..ante_offsets[r + 1] as usize];
-            let cell = if indexable && connective == Connective::And && clauses.len() == n {
-                grid_cell(clauses, input_term_offsets, &strides, &mut seen)
-            } else {
-                None
-            };
-            match cell {
-                Some(c) => keyed.push((c, as_u32(r))),
-                None => scan.push(as_u32(r)),
-            }
-        }
-        let mut cell_offsets = Vec::new();
-        if !keyed.is_empty() {
-            // Stable sort: rule-base order within a cell.
-            keyed.sort_by_key(|&(c, _)| c);
-            cell_offsets = vec![0u32; cells + 1];
-            for &(c, _) in &keyed {
-                cell_offsets[c + 1] += 1;
-            }
-            for c in 0..cells {
-                cell_offsets[c + 1] += cell_offsets[c];
-            }
-        }
-        Self {
-            strides,
-            cell_offsets,
-            rules: keyed.into_iter().map(|(_, r)| r).collect(),
-            scan,
-        }
-    }
-}
-
-/// The grid cell of a rule's `n` clauses, or `None` unless they test every
-/// one of the `n` inputs once, none negated.
-fn grid_cell(
-    clauses: &[CompiledAntecedent],
-    input_term_offsets: &[u32],
-    strides: &[u32],
-    seen: &mut [bool],
-) -> Option<usize> {
-    seen.fill(false);
-    let mut cell = 0usize;
-    for a in clauses {
-        // Terms are flattened in declaration order, so a slot belongs to
-        // the last input whose first slot is at or below it.
-        let v = input_term_offsets.partition_point(|&o| o <= a.slot) - 1;
-        if a.negated || seen[v] {
-            return None;
-        }
-        seen[v] = true;
-        cell += (a.slot - input_term_offsets[v]) as usize * strides[v] as usize;
-    }
-    Some(cell)
-}
+/// A cell no rule is filed under.
+const EMPTY_CELL: Cell = Cell {
+    rule: u32::MAX,
+    flat_term: 0,
+};
 
 impl MamdaniEngine {
     /// Lower this engine into an allocation-free [`CompiledEngine`] (the
@@ -1146,6 +950,7 @@ fn support_of(samples: &[f64]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::Rule;
     use crate::variable::LinguisticVariable;
 
     fn fan_engine() -> MamdaniEngine {
@@ -1156,8 +961,8 @@ mod tests {
             .build()
             .unwrap();
         let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
-            .triangle("Dry", 0.0, 0.0, 50.0)
-            .triangle("Humid", 50.0, 100.0, 100.0)
+            .triangle("Dry", 0.0, 0.0, 60.0)
+            .triangle("Humid", 40.0, 100.0, 100.0)
             .build()
             .unwrap();
         let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
@@ -1172,14 +977,21 @@ mod tests {
             .output(fan)
             .build()
             .unwrap();
-        e.add_rules_str([
-            "IF temperature IS Hot AND humidity IS Humid THEN fan IS Fast",
-            "IF temperature IS Hot AND humidity IS Dry THEN fan IS Medium",
-            "IF temperature IS Warm THEN fan IS Medium",
-            "IF temperature IS Cold THEN fan IS Slow",
-            "IF temperature IS NOT Cold OR humidity IS Humid THEN fan IS Medium",
-        ])
-        .unwrap();
+        // (Cold, Humid) is an empty cell.
+        for (t, h, fan) in [
+            ("Hot", "Humid", "Fast"),
+            ("Hot", "Dry", "Medium"),
+            ("Warm", "Dry", "Medium"),
+            ("Warm", "Humid", "Medium"),
+            ("Cold", "Dry", "Slow"),
+        ] {
+            e.add_rule(Rule::row(
+                &[("temperature", t), ("humidity", h)],
+                "fan",
+                fan,
+            ))
+            .unwrap();
+        }
         e
     }
 
@@ -1197,6 +1009,56 @@ mod tests {
         assert!(matches!(
             e.compile(),
             Err(FuzzyError::EmptyEngine { missing: "rules" })
+        ));
+    }
+
+    #[test]
+    fn compile_refuses_a_table_over_the_cell_cap() {
+        // 64 x 64 x 16 cells compile; 64 x 64 x 17 do not.
+        let var = |name: &str, terms: usize| {
+            let mut b = LinguisticVariable::builder(name, 0.0, 1.0);
+            for t in 0..terms {
+                b = b.triangle(&format!("t{t}"), 0.0, 0.5, 1.0);
+            }
+            b.build().unwrap()
+        };
+        let engine = |terms: usize| {
+            let mut e = MamdaniEngine::builder()
+                .input(var("a", 64))
+                .input(var("b", 64))
+                .input(var("c", terms))
+                .output(var("o", 1))
+                .build()
+                .unwrap();
+            e.add_rule(Rule::row(
+                &[("a", "t0"), ("b", "t7"), ("c", "t3")],
+                "o",
+                "t0",
+            ))
+            .unwrap();
+            e
+        };
+        assert!(engine(16).compile().is_ok());
+        assert!(matches!(
+            engine(17).compile(),
+            Err(FuzzyError::TableTooLarge {
+                cells: 69_632,
+                inputs: 3
+            })
+        ));
+        // Seventeen one-term inputs: one cell, but too deep a walk.
+        let mut b = MamdaniEngine::builder().output(var("o", 1));
+        let mut row = Vec::new();
+        let names: Vec<String> = (0..=MAX_GRID_INPUTS).map(|i| format!("in{i}")).collect();
+        for name in &names {
+            b = b.input(var(name, 1));
+            row.push((name.as_str(), "t0"));
+        }
+        let mut e = b.build().unwrap();
+        e.add_rule(Rule::row(&row, "o", "t0")).unwrap();
+        assert!(matches!(
+            e.compile(),
+            Err(FuzzyError::TableTooLarge { cells: 1, .. })
         ));
     }
 
@@ -1229,7 +1091,9 @@ mod tests {
             for h in 0..=20 {
                 let inputs = [f64::from(t), f64::from(h) * 5.0];
                 let compiled = c.infer_into(&inputs, &mut scratch)[0];
-                let interpreted = e.infer(&inputs).unwrap().crisp("fan").unwrap();
+                // The empty (Cold, Humid) cell leaves some points with
+                // nothing fired: both paths report the universe midpoint.
+                let interpreted = e.infer(&inputs).unwrap().crisp_or("fan", 50.0);
                 assert_eq!(
                     compiled.to_bits(),
                     interpreted.to_bits(),
@@ -1273,7 +1137,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = MamdaniEngine::builder().input(t).output(o).build().unwrap();
-        e.add_rule_str("IF t IS high THEN o IS yes").unwrap();
+        e.add_rule(Rule::row(&[("t", "high")], "o", "yes")).unwrap();
         let mut c = e.compile().unwrap();
         let mut scratch = c.scratch();
         // Default fallback: the universe midpoint.
@@ -1306,7 +1170,7 @@ mod tests {
             .build()
             .unwrap();
         let mut other = MamdaniEngine::builder().input(t).output(o).build().unwrap();
-        other.add_rule_str("IF t IS x THEN o IS y").unwrap();
+        other.add_rule(Rule::row(&[("t", "x")], "o", "y")).unwrap();
         let mut foreign = other.compile().unwrap().scratch();
         let _ = c.infer_into(&[1.0, 1.0], &mut foreign);
     }

@@ -2,14 +2,13 @@
 //!
 //! [`MamdaniEngine`] ties together linguistic variables and a rule base
 //! under the classical Mamdani operators — minimum for AND, maximum for
-//! OR and for aggregation, clipping implication and centroid
+//! aggregation, clipping implication and centroid
 //! defuzzification — the "fuzzifier / inference engine / fuzzy rule base
 //! / defuzzifier" structure of Fig. 2 in the paper.
 
 use crate::defuzz;
 use crate::error::{FuzzyError, Result};
-use crate::norms::complement;
-use crate::rule::{Connective, Rule, RuleBase};
+use crate::rule::{Rule, RuleBase};
 use crate::set::FuzzySet;
 use crate::variable::LinguisticVariable;
 use crate::DEFAULT_RESOLUTION;
@@ -17,9 +16,10 @@ use serde::{Deserialize, Serialize};
 
 /// A complete Mamdani fuzzy controller.
 ///
-/// Build one with [`MamdaniEngine::builder`], add rules (programmatically or
-/// from text), then call [`MamdaniEngine::infer`] with one crisp value per
-/// declared input variable, in declaration order.
+/// Build one with [`MamdaniEngine::builder`], add the rows of its rule
+/// table with [`MamdaniEngine::add_rule`], then call
+/// [`MamdaniEngine::infer`] with one crisp value per declared input
+/// variable, in declaration order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MamdaniEngine {
     inputs: Vec<LinguisticVariable>,
@@ -59,24 +59,26 @@ impl MamdaniEngine {
         self.resolution
     }
 
-    /// Add an already-validated rule.
+    /// Add one row of the rule table.
+    ///
+    /// The rule must test every input once, in declaration order, with
+    /// one of its terms, and assign one term of one output (see
+    /// [`Rule::validate`]); its term tuple must not have a rule yet.
+    /// Cells left without a rule are fine: nothing fires there.
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
         rule.validate(&self.inputs, &self.outputs)?;
-        self.rules.push(rule);
-        Ok(())
-    }
-
-    /// Parse, validate and add a textual rule.
-    pub fn add_rule_str(&mut self, text: &str) -> Result<()> {
-        let rule = Rule::parse(text)?;
-        self.add_rule(rule)
-    }
-
-    /// Add many textual rules; stops at the first error.
-    pub fn add_rules_str<'a>(&mut self, texts: impl IntoIterator<Item = &'a str>) -> Result<()> {
-        for t in texts {
-            self.add_rule_str(t)?;
+        if let Some(earlier) = self
+            .rules
+            .rules()
+            .iter()
+            .find(|r| r.antecedents() == rule.antecedents())
+        {
+            return Err(FuzzyError::InvalidRule {
+                rule: rule.to_string(),
+                reason: format!("its input terms already have the rule `{earlier}`"),
+            });
         }
+        self.rules.push(rule);
         Ok(())
     }
 
@@ -131,24 +133,22 @@ impl MamdaniEngine {
             if strength == 0.0 {
                 continue;
             }
-            for consequent in rule.consequents() {
-                let (out_idx, out_var) = self
-                    .outputs
-                    .iter()
-                    .enumerate()
-                    .find(|(_, o)| o.name() == consequent.variable)
-                    .ok_or_else(|| FuzzyError::UnknownVariable {
-                        name: consequent.variable.clone(),
-                    })?;
-                let term =
-                    out_var
-                        .term(&consequent.term)
-                        .ok_or_else(|| FuzzyError::UnknownTerm {
-                            variable: consequent.variable.clone(),
-                            term: consequent.term.clone(),
-                        })?;
-                aggregated[out_idx].aggregate_clipped(term.membership_function(), strength);
-            }
+            let consequent = rule.consequent();
+            let (out_idx, out_var) = self
+                .outputs
+                .iter()
+                .enumerate()
+                .find(|(_, o)| o.name() == consequent.variable)
+                .ok_or_else(|| FuzzyError::UnknownVariable {
+                    name: consequent.variable.clone(),
+                })?;
+            let term = out_var
+                .term(&consequent.term)
+                .ok_or_else(|| FuzzyError::UnknownTerm {
+                    variable: consequent.variable.clone(),
+                    term: consequent.term.clone(),
+                })?;
+            aggregated[out_idx].aggregate_clipped(term.membership_function(), strength);
         }
 
         Ok(InferenceOutput {
@@ -171,7 +171,8 @@ impl MamdaniEngine {
         out.crisp(self.outputs[0].name())
     }
 
-    /// Firing strength of a rule given pre-fuzzified inputs.
+    /// Firing strength of a rule given pre-fuzzified inputs: the AND
+    /// (minimum) of its clauses' degrees.
     fn firing_strength(&self, rule: &Rule, fuzzified: &[Vec<f64>]) -> Result<f64> {
         let mut degrees = Vec::with_capacity(rule.antecedents().len());
         for a in rule.antecedents() {
@@ -189,18 +190,11 @@ impl MamdaniEngine {
                     variable: a.variable.clone(),
                     term: a.term.clone(),
                 })?;
-            let mut mu = fuzzified[var_idx][term_idx];
-            if a.negated {
-                mu = complement(mu);
-            }
-            degrees.push(mu);
+            degrees.push(fuzzified[var_idx][term_idx]);
         }
-        // Degrees are already in [0, 1], so the plain `min`/`max` folds
-        // need no clamping.
-        Ok(match rule.connective() {
-            Connective::And => degrees.iter().fold(1.0, |acc, &d| acc.min(d)),
-            Connective::Or => degrees.iter().fold(0.0, |acc, &d| acc.max(d)),
-        })
+        // Degrees are already in [0, 1], so the plain `min` fold needs no
+        // clamping.
+        Ok(degrees.iter().fold(1.0, |acc, &d| acc.min(d)))
     }
 }
 
@@ -320,8 +314,8 @@ mod tests {
             .build()
             .unwrap();
         let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
-            .triangle("Dry", 0.0, 0.0, 50.0)
-            .triangle("Humid", 50.0, 100.0, 100.0)
+            .triangle("Dry", 0.0, 0.0, 60.0)
+            .triangle("Humid", 40.0, 100.0, 100.0)
             .build()
             .unwrap();
         let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
@@ -336,13 +330,21 @@ mod tests {
             .output(fan)
             .build()
             .unwrap();
-        e.add_rules_str([
-            "IF temperature IS Hot AND humidity IS Humid THEN fan IS Fast",
-            "IF temperature IS Hot AND humidity IS Dry THEN fan IS Medium",
-            "IF temperature IS Warm THEN fan IS Medium",
-            "IF temperature IS Cold THEN fan IS Slow",
-        ])
-        .unwrap();
+        for (t, h, fan) in [
+            ("Hot", "Humid", "Fast"),
+            ("Hot", "Dry", "Medium"),
+            ("Warm", "Dry", "Medium"),
+            ("Warm", "Humid", "Medium"),
+            ("Cold", "Dry", "Slow"),
+            ("Cold", "Humid", "Slow"),
+        ] {
+            e.add_rule(Rule::row(
+                &[("temperature", t), ("humidity", h)],
+                "fan",
+                fan,
+            ))
+            .unwrap();
+        }
         e
     }
 
@@ -432,26 +434,139 @@ mod tests {
     fn firing_strengths_are_reported_per_rule() {
         let e = fan_engine();
         let out = e.infer(&[38.0, 90.0]).unwrap();
-        assert_eq!(out.firing_strengths().len(), 4);
+        assert_eq!(out.firing_strengths().len(), 6);
         assert!(out.firing_strengths()[0] > 0.5); // Hot & Humid
-        assert_eq!(out.firing_strengths()[3], 0.0); // Cold does not fire
+        assert_eq!(out.firing_strengths()[5], 0.0); // Cold does not fire
     }
 
     #[test]
     fn add_rule_validates_names() {
         let mut e = fan_engine();
+        let row = |t, h, fan| Rule::row(&[("temperature", t), ("humidity", h)], "fan", fan);
         assert!(matches!(
-            e.add_rule_str("IF pressure IS High THEN fan IS Fast"),
+            e.add_rule(Rule::row(
+                &[("pressure", "High"), ("humidity", "Dry")],
+                "fan",
+                "Fast"
+            )),
             Err(FuzzyError::UnknownVariable { .. })
         ));
         assert!(matches!(
-            e.add_rule_str("IF temperature IS Boiling THEN fan IS Fast"),
+            e.add_rule(row("Boiling", "Dry", "Fast")),
             Err(FuzzyError::UnknownTerm { .. })
         ));
         assert!(matches!(
-            e.add_rule_str("IF temperature IS Hot THEN fan IS Ludicrous"),
+            e.add_rule(row("Hot", "Dry", "Ludicrous")),
             Err(FuzzyError::UnknownTerm { .. })
         ));
+        assert!(matches!(
+            e.add_rule(Rule::row(
+                &[("temperature", "Hot"), ("humidity", "Dry")],
+                "noise",
+                "Slow"
+            )),
+            Err(FuzzyError::UnknownVariable { .. })
+        ));
+        assert_eq!(e.rules().len(), 6);
+    }
+
+    /// `add_rule` takes rows only: one clause per input, in declaration
+    /// order, one consequent, and one rule per term tuple.
+    #[test]
+    fn add_rule_refuses_anything_but_a_new_row() {
+        let temperature = LinguisticVariable::builder("temperature", 0.0, 40.0)
+            .triangle("Cold", 0.0, 0.0, 40.0)
+            .triangle("Hot", 0.0, 40.0, 40.0)
+            .build()
+            .unwrap();
+        let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
+            .triangle("Dry", 0.0, 0.0, 100.0)
+            .triangle("Humid", 0.0, 100.0, 100.0)
+            .build()
+            .unwrap();
+        let level = |name: &str| {
+            LinguisticVariable::builder(name, 0.0, 1.0)
+                .triangle("Low", 0.0, 0.0, 1.0)
+                .triangle("High", 0.0, 1.0, 1.0)
+                .build()
+                .unwrap()
+        };
+        let mut e = MamdaniEngine::builder()
+            .input(temperature)
+            .input(humidity)
+            .output(level("fan"))
+            .output(level("heater"))
+            .build()
+            .unwrap();
+        e.add_rule(Rule::row(
+            &[("temperature", "Hot"), ("humidity", "Humid")],
+            "fan",
+            "High",
+        ))
+        .unwrap();
+        // An empty cell is no error: (Cold, Dry) keeps no rule.
+        e.add_rule(Rule::row(
+            &[("temperature", "Cold"), ("humidity", "Humid")],
+            "heater",
+            "Low",
+        ))
+        .unwrap();
+        let refused = [
+            // A missing input.
+            Rule::row(&[("temperature", "Hot")], "fan", "High"),
+            // A repeated input.
+            Rule::row(
+                &[("temperature", "Hot"), ("temperature", "Cold")],
+                "fan",
+                "High",
+            ),
+            // Clauses out of declaration order.
+            Rule::row(
+                &[("humidity", "Dry"), ("temperature", "Hot")],
+                "fan",
+                "High",
+            ),
+            // One clause too many.
+            Rule::row(
+                &[
+                    ("temperature", "Hot"),
+                    ("humidity", "Dry"),
+                    ("humidity", "Dry"),
+                ],
+                "fan",
+                "High",
+            ),
+            // A second consequent for (Hot, Humid), on the other output.
+            Rule::row(
+                &[("temperature", "Hot"), ("humidity", "Humid")],
+                "heater",
+                "Low",
+            ),
+            // A duplicate tuple: (Hot, Humid) again, same output.
+            Rule::row(
+                &[("temperature", "Hot"), ("humidity", "Humid")],
+                "fan",
+                "Low",
+            ),
+        ];
+        for rule in refused {
+            let text = rule.to_string();
+            let err = e.add_rule(rule).unwrap_err();
+            assert!(
+                matches!(err, FuzzyError::InvalidRule { .. }),
+                "{text}: {err}"
+            );
+        }
+        // An unknown term is refused with its own error.
+        assert!(matches!(
+            e.add_rule(Rule::row(
+                &[("temperature", "Warm"), ("humidity", "Dry")],
+                "fan",
+                "High"
+            )),
+            Err(FuzzyError::UnknownTerm { .. })
+        ));
+        assert_eq!(e.rules().len(), 2);
     }
 
     #[test]
@@ -474,32 +589,5 @@ mod tests {
             Err(FuzzyError::UnknownOutput { .. })
         ));
         assert_eq!(out.crisp_or("nonexistent", -7.0), -7.0);
-    }
-
-    #[test]
-    fn or_connective_fires_when_any_clause_holds() {
-        let temperature = LinguisticVariable::builder("t", 0.0, 40.0)
-            .triangle("Cold", 0.0, 0.0, 20.0)
-            .triangle("Hot", 20.0, 40.0, 40.0)
-            .build()
-            .unwrap();
-        let alarm = LinguisticVariable::builder("alarm", 0.0, 1.0)
-            .triangle("Off", 0.0, 0.0, 0.6)
-            .triangle("On", 0.4, 1.0, 1.0)
-            .build()
-            .unwrap();
-        let mut e = MamdaniEngine::builder()
-            .input(temperature)
-            .output(alarm)
-            .build()
-            .unwrap();
-        e.add_rule_str("IF t IS Cold OR t IS Hot THEN alarm IS On")
-            .unwrap();
-        e.add_rule_str("IF t IS NOT Cold AND t IS NOT Hot THEN alarm IS Off")
-            .unwrap();
-        let extreme = e.infer_single(&[39.0]).unwrap();
-        let mild = e.infer_single(&[20.0]).unwrap();
-        assert!(extreme > 0.6, "extreme = {extreme}");
-        assert!(mild < 0.4, "mild = {mild}");
     }
 }

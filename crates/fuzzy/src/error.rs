@@ -1,5 +1,6 @@
 //! Error types for the fuzzy-logic library.
 
+use crate::compile::{MAX_GRID_CELLS, MAX_GRID_INPUTS};
 use std::fmt;
 
 /// Convenience alias used throughout the crate.
@@ -43,12 +44,22 @@ pub enum FuzzyError {
         /// The term name that failed to resolve.
         term: String,
     },
-    /// A textual rule could not be parsed.
-    RuleParse {
-        /// The offending rule text.
-        text: String,
-        /// Description of the parse failure.
+    /// A rule is not one row of the engine's table: one clause per input
+    /// in declaration order and one consequent, on a term tuple that has
+    /// no other rule.
+    InvalidRule {
+        /// The offending rule, as displayed.
+        rule: String,
+        /// What makes it not a row.
         reason: String,
+    },
+    /// The engine's rule table has more cells (the product of the input
+    /// term counts) or more inputs than a compiled engine indexes.
+    TableTooLarge {
+        /// Cells of the table (saturated at `usize::MAX`).
+        cells: usize,
+        /// Declared inputs.
+        inputs: usize,
     },
     /// `infer` was called with the wrong number of crisp inputs.
     InputArity {
@@ -107,9 +118,14 @@ impl fmt::Display for FuzzyError {
             FuzzyError::UnknownTerm { variable, term } => {
                 write!(f, "variable `{variable}` has no term named `{term}`")
             }
-            FuzzyError::RuleParse { text, reason } => {
-                write!(f, "could not parse rule `{text}`: {reason}")
+            FuzzyError::InvalidRule { rule, reason } => {
+                write!(f, "rule `{rule}` is not a table row: {reason}")
             }
+            FuzzyError::TableTooLarge { cells, inputs } => write!(
+                f,
+                "a rule table of {cells} cells over {inputs} inputs is too large to compile \
+                 (at most {MAX_GRID_CELLS} cells and {MAX_GRID_INPUTS} inputs)"
+            ),
             FuzzyError::InputArity { expected, got } => {
                 write!(f, "expected {expected} crisp inputs, got {got}")
             }

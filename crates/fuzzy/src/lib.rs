@@ -16,11 +16,12 @@
 //!    membership degrees of linguistic *terms* (e.g. speed 35 km/h is
 //!    `Middle` with degree 0.83 and `Slow` with degree 0.17);
 //! 2. a **fuzzy rule base** — a [`RuleBase`] of IF/THEN [`Rule`]s over those
-//!    terms;
+//!    terms, each one row of a complete AND table like the paper's FRB1
+//!    and FRB2: one term per input, one output term ([`Rule::row`]);
 //! 3. an **inference engine** — [`MamdaniEngine`] evaluates every rule
-//!    (AND as the minimum, OR as the maximum, `IS NOT` as the complement),
-//!    clips the consequent membership function at the rule's firing
-//!    strength and aggregates the clipped sets with the maximum;
+//!    (AND as the minimum), clips the consequent membership function at
+//!    the rule's firing strength and aggregates the clipped sets with the
+//!    maximum;
 //! 4. a **defuzzifier** — the centroid ([`defuzz::centroid`]) collapses
 //!    the aggregated output set back to a crisp number.
 //!
@@ -47,8 +48,8 @@
 //!     .output(fan)
 //!     .build()
 //!     .unwrap();
-//! engine.add_rule_str("IF temperature IS Hot THEN fan IS Fast").unwrap();
-//! engine.add_rule_str("IF temperature IS Cold THEN fan IS Slow").unwrap();
+//! engine.add_rule(Rule::row(&[("temperature", "Hot")], "fan", "Fast")).unwrap();
+//! engine.add_rule(Rule::row(&[("temperature", "Cold")], "fan", "Slow")).unwrap();
 //!
 //! let out = engine.infer(&[35.0]).unwrap();
 //! assert!(out.crisp("fan").unwrap() > 60.0);
@@ -83,7 +84,6 @@ pub mod engine;
 pub mod error;
 pub mod lut;
 pub mod membership;
-pub mod norms;
 pub mod rule;
 pub mod set;
 pub mod variable;
@@ -93,7 +93,7 @@ pub use engine::{EngineBuilder, InferenceOutput, MamdaniEngine};
 pub use error::{FuzzyError, Result};
 pub use lut::Lut2d;
 pub use membership::MembershipFunction;
-pub use rule::{Antecedent, Connective, Rule, RuleBase};
+pub use rule::{Clause, Rule, RuleBase};
 pub use set::FuzzySet;
 pub use variable::{LinguisticVariable, Term, VariableBuilder};
 
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::error::{FuzzyError, Result};
     pub use crate::lut::Lut2d;
     pub use crate::membership::MembershipFunction;
-    pub use crate::rule::{Antecedent, Connective, Rule, RuleBase};
+    pub use crate::rule::{Clause, Rule, RuleBase};
     pub use crate::set::FuzzySet;
     pub use crate::variable::{LinguisticVariable, Term, VariableBuilder};
 }
@@ -165,10 +165,10 @@ mod tests {
             .build()
             .unwrap();
         engine
-            .add_rule_str("IF temperature IS Hot THEN fan IS Fast")
+            .add_rule(Rule::row(&[("temperature", "Hot")], "fan", "Fast"))
             .unwrap();
         engine
-            .add_rule_str("IF temperature IS Cold THEN fan IS Slow")
+            .add_rule(Rule::row(&[("temperature", "Cold")], "fan", "Slow"))
             .unwrap();
         let out = engine.infer(&[35.0]).unwrap();
         assert!(out.crisp("fan").unwrap() > 60.0);

@@ -60,8 +60,15 @@
 //!     .output(out)
 //!     .build()
 //!     .unwrap();
-//! engine.add_rule_str("IF x IS hi AND y IS hi THEN out IS yes").unwrap();
-//! engine.add_rule_str("IF x IS lo OR y IS lo THEN out IS no").unwrap();
+//! // Yes when both inputs are high, no otherwise.
+//! for (x, y, out) in [
+//!     ("hi", "hi", "yes"),
+//!     ("hi", "lo", "no"),
+//!     ("lo", "hi", "no"),
+//!     ("lo", "lo", "no"),
+//! ] {
+//!     engine.add_rule(Rule::row(&[("x", x), ("y", y)], "out", out)).unwrap();
+//! }
 //!
 //! let compiled = engine.compile().unwrap();
 //! let lut = Lut2d::tabulate(&compiled, 129, 129).unwrap();
@@ -644,7 +651,7 @@ fn grid_pos(v: f64, min: f64, max: f64, n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::variable::LinguisticVariable;
-    use crate::MamdaniEngine;
+    use crate::{MamdaniEngine, Rule};
 
     /// The line function of a plain point function.
     fn pointwise(g: impl Fn(f64, f64) -> f64) -> impl Fn(f64, &[f64], &mut [f64]) {
@@ -677,11 +684,15 @@ mod tests {
             .output(out)
             .build()
             .unwrap();
-        e.add_rules_str([
-            "IF x IS hi AND y IS pos THEN out IS yes",
-            "IF x IS lo OR y IS neg THEN out IS no",
-        ])
-        .unwrap();
+        for (x, y, out) in [
+            ("hi", "pos", "yes"),
+            ("hi", "neg", "no"),
+            ("lo", "pos", "no"),
+            ("lo", "neg", "no"),
+        ] {
+            e.add_rule(Rule::row(&[("x", x), ("y", y)], "out", out))
+                .unwrap();
+        }
         e.compile().unwrap()
     }
 
@@ -703,7 +714,8 @@ mod tests {
             .output(out)
             .build()
             .unwrap();
-        e.add_rule_str("IF a IS t THEN o IS t").unwrap();
+        e.add_rule(Rule::row(&[("a", "t"), ("a", "t"), ("a", "t")], "o", "t"))
+            .unwrap();
         assert!(matches!(
             Lut2d::tabulate(&e.compile().unwrap(), 16, 16),
             Err(FuzzyError::InvalidLut { .. })

@@ -4,6 +4,50 @@ use fuzzy::defuzz::centroid;
 use fuzzy::prelude::*;
 use proptest::prelude::*;
 
+/// Two inputs, one output; "Warm -> Medium" and "Cold -> Slow" hold for
+/// either humidity term, one row each.
+fn fan_engine() -> MamdaniEngine {
+    let temperature = LinguisticVariable::builder("temperature", 0.0, 40.0)
+        .triangle("Cold", 0.0, 0.0, 20.0)
+        .triangle("Warm", 10.0, 20.0, 30.0)
+        .triangle("Hot", 20.0, 40.0, 40.0)
+        .build()
+        .unwrap();
+    let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
+        .triangle("Dry", 0.0, 0.0, 50.0)
+        .triangle("Humid", 50.0, 100.0, 100.0)
+        .build()
+        .unwrap();
+    let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
+        .triangle("Slow", 0.0, 0.0, 50.0)
+        .triangle("Medium", 25.0, 50.0, 75.0)
+        .triangle("Fast", 50.0, 100.0, 100.0)
+        .build()
+        .unwrap();
+    let mut e = MamdaniEngine::builder()
+        .input(temperature)
+        .input(humidity)
+        .output(fan)
+        .build()
+        .unwrap();
+    for (t, h, fan) in [
+        ("Hot", "Humid", "Fast"),
+        ("Hot", "Dry", "Medium"),
+        ("Warm", "Humid", "Medium"),
+        ("Warm", "Dry", "Medium"),
+        ("Cold", "Humid", "Slow"),
+        ("Cold", "Dry", "Slow"),
+    ] {
+        e.add_rule(Rule::row(
+            &[("temperature", t), ("humidity", h)],
+            "fan",
+            fan,
+        ))
+        .unwrap();
+    }
+    e
+}
+
 fn sorted3() -> impl Strategy<Value = (f64, f64, f64)> {
     (-1000.0f64..1000.0, 0.001f64..500.0, 0.001f64..500.0)
         .prop_map(|(b, w0, w1)| (b - w0, b, b + w1))
@@ -94,59 +138,10 @@ proptest! {
 
     #[test]
     fn engine_output_always_within_output_universe(t in 0.0f64..40.0, h in 0.0f64..100.0) {
-        let temperature = LinguisticVariable::builder("temperature", 0.0, 40.0)
-            .triangle("Cold", 0.0, 0.0, 20.0)
-            .triangle("Warm", 10.0, 20.0, 30.0)
-            .triangle("Hot", 20.0, 40.0, 40.0)
-            .build()
-            .unwrap();
-        let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
-            .triangle("Dry", 0.0, 0.0, 50.0)
-            .triangle("Humid", 50.0, 100.0, 100.0)
-            .build()
-            .unwrap();
-        let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
-            .triangle("Slow", 0.0, 0.0, 50.0)
-            .triangle("Medium", 25.0, 50.0, 75.0)
-            .triangle("Fast", 50.0, 100.0, 100.0)
-            .build()
-            .unwrap();
-        let mut e = MamdaniEngine::builder()
-            .input(temperature)
-            .input(humidity)
-            .output(fan)
-            .build()
-            .unwrap();
-        e.add_rules_str([
-            "IF temperature IS Hot AND humidity IS Humid THEN fan IS Fast",
-            "IF temperature IS Hot AND humidity IS Dry THEN fan IS Medium",
-            "IF temperature IS Warm THEN fan IS Medium",
-            "IF temperature IS Cold THEN fan IS Slow",
-        ]).unwrap();
+        let e = fan_engine();
         let out = e.infer(&[t, h]).unwrap();
         let fan_speed = out.crisp_or("fan", 50.0);
         prop_assert!((0.0..=100.0).contains(&fan_speed));
-    }
-
-    #[test]
-    fn rule_display_parse_roundtrip(
-        var_idx in 0usize..3,
-        term_idx in 0usize..3,
-        out_idx in 0usize..3,
-        negated in proptest::bool::ANY,
-    ) {
-        let vars = ["Sp", "An", "Sr"];
-        let terms = ["Low", "Mid", "High"];
-        let outs = ["Cv1", "Cv5", "Cv9"];
-        let a = if negated {
-            Antecedent::is_not(vars[var_idx], terms[term_idx])
-        } else {
-            Antecedent::is(vars[var_idx], terms[term_idx])
-        };
-        let rule = Rule::new(vec![a], Connective::And,
-            vec![fuzzy::rule::Consequent::is("Cv", outs[out_idx])]).unwrap();
-        let reparsed = Rule::parse(&rule.to_string()).unwrap();
-        prop_assert_eq!(rule, reparsed);
     }
 
     #[test]
@@ -154,35 +149,7 @@ proptest! {
         t in 0.0f64..=40.0,
         h in 0.0f64..=100.0,
     ) {
-        let temperature = LinguisticVariable::builder("temperature", 0.0, 40.0)
-            .triangle("Cold", 0.0, 0.0, 20.0)
-            .triangle("Warm", 10.0, 20.0, 30.0)
-            .triangle("Hot", 20.0, 40.0, 40.0)
-            .build()
-            .unwrap();
-        let humidity = LinguisticVariable::builder("humidity", 0.0, 100.0)
-            .triangle("Dry", 0.0, 0.0, 50.0)
-            .triangle("Humid", 50.0, 100.0, 100.0)
-            .build()
-            .unwrap();
-        let fan = LinguisticVariable::builder("fan", 0.0, 100.0)
-            .triangle("Slow", 0.0, 0.0, 50.0)
-            .triangle("Medium", 25.0, 50.0, 75.0)
-            .triangle("Fast", 50.0, 100.0, 100.0)
-            .build()
-            .unwrap();
-        let mut e = MamdaniEngine::builder()
-            .input(temperature)
-            .input(humidity)
-            .output(fan)
-            .build()
-            .unwrap();
-        e.add_rules_str([
-            "IF temperature IS Hot AND humidity IS Humid THEN fan IS Fast",
-            "IF temperature IS Hot AND humidity IS Dry THEN fan IS Medium",
-            "IF temperature IS Warm THEN fan IS Medium",
-            "IF temperature IS Cold THEN fan IS Slow",
-        ]).unwrap();
+        let e = fan_engine();
         let compiled = e.compile().unwrap();
         let mut scratch = compiled.scratch();
         let fast = compiled.infer_into(&[t, h], &mut scratch)[0];

@@ -1,26 +1,19 @@
-//! The rule-grid index of [`CompiledEngine`] against the full rule scan.
+//! The rule grid of [`CompiledEngine`] against the interpreted engine's
+//! full rule scan.
 //!
-//! The compiled engine files every AND rule with exactly one plain clause
-//! per input under its term tuple and, per inference, fires only the rules
-//! the non-zero input terms reach; every other rule is fired on every
-//! call.  These tests build random engines that mix both kinds — OR rules,
-//! `NOT` clauses, rules missing a variable or testing one twice, duplicate
-//! tuples, empty cells and clauses out of declaration order — and check,
-//! on one reused scratch, that the crisp bits, the firing strengths and
-//! the aggregated sets equal:
-//!
-//! * the interpreted engine, for finite inputs (±inf is compared at the
-//!   universe edge it clamps to);
-//! * the same engine with one extra input that no rule mentions, for every
-//!   input including NaN: there no rule is indexable, so that engine runs
-//!   the plain scan over all rules.
+//! The compiled engine files every rule under its term tuple and, per
+//! inference, fires only the rules the non-zero input terms reach.  These
+//! tests build random tables — random term counts, empty cells, rules
+//! added out of tuple order — and check, on one reused scratch, that the
+//! crisp bits, the firing strengths and the aggregated sets equal the
+//! interpreted engine's for finite inputs (±inf is compared at the
+//! universe edge it clamps to), and that a NaN input fires nothing.
 //!
 //! The same engines also check [`CompiledEngine::infer_line`] against
 //! per-point `infer_into` on random lines through NaN, ±inf and runs of
 //! points with repeated term heights, after every point of the line.
 
 use fuzzy::prelude::*;
-use fuzzy::rule::Consequent;
 use proptest::prelude::*;
 
 /// splitmix64: a small deterministic stream for building engines.
@@ -74,122 +67,60 @@ fn random_variable(name: &str, terms: usize, s: &mut Stream) -> LinguisticVariab
     b.build().unwrap()
 }
 
-/// A random engine and the number of its rules that are indexable.
-struct Case {
-    engine: MamdaniEngine,
-    /// The same variables and rules plus one unreferenced input (last).
-    padded: MamdaniEngine,
-    indexable: usize,
-}
-
-fn random_case(seed: u64) -> Case {
+/// A random engine: one to three inputs of one to four terms each, one or
+/// two outputs, and a row on about three of every four cells of the table,
+/// added in a shuffled order so that rule-base order is not tuple order.
+fn random_engine(seed: u64) -> MamdaniEngine {
     let mut s = Stream(seed);
     let n_inputs = 1 + s.below(3);
-    let term_counts: Vec<usize> = (0..n_inputs).map(|_| 1 + s.below(4)).collect();
-    let inputs: Vec<LinguisticVariable> = term_counts
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| random_variable(&format!("in{i}"), k, &mut s))
+    let inputs: Vec<LinguisticVariable> = (0..n_inputs)
+        .map(|i| random_variable(&format!("in{i}"), 1 + s.below(4), &mut s))
         .collect();
     let n_outputs = 1 + s.below(2);
     let outputs: Vec<LinguisticVariable> = (0..n_outputs)
         .map(|o| random_variable(&format!("out{o}"), 1 + s.below(3), &mut s))
         .collect();
-    let pad = LinguisticVariable::builder("pad", 0.0, 1.0)
-        .triangle("any", 0.0, 0.5, 1.0)
-        .build()
-        .unwrap();
 
-    let clause = |v: usize, s: &mut Stream| {
-        Antecedent::is(format!("in{v}"), format!("t{}", s.below(term_counts[v])))
-    };
-    let mut rules: Vec<Rule> = Vec::new();
-    let mut indexable = 0;
-    for _ in 0..1 + s.below(24) {
-        let mut order: Vec<usize> = (0..n_inputs).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, s.below(i + 1));
-        }
-        let grid_clauses =
-            |s: &mut Stream| -> Vec<Antecedent> { order.iter().map(|&v| clause(v, s)).collect() };
-        let (antecedents, connective, is_grid) = match s.below(8) {
-            // A grid rule, clauses in a shuffled order.
-            0..=2 => (grid_clauses(&mut s), Connective::And, true),
-            // A duplicate of an earlier rule's clauses (same cell).
-            3 if !rules.is_empty() => {
-                let earlier = &rules[s.below(rules.len())];
-                let grid = earlier.connective() == Connective::And
-                    && earlier.antecedents().len() == n_inputs
-                    && earlier.antecedents().iter().all(|a| !a.negated)
-                    && (0..n_inputs).all(|v| {
-                        let name = format!("in{v}");
-                        earlier.antecedents().iter().any(|a| a.variable == name)
-                    });
-                (earlier.antecedents().to_vec(), earlier.connective(), grid)
-            }
-            // One clause negated.
-            4 => {
-                let mut a = grid_clauses(&mut s);
-                let i = s.below(a.len());
-                a[i].negated = true;
-                (a, Connective::And, false)
-            }
-            // OR of the grid clauses (a single clause is still an OR).
-            5 => (grid_clauses(&mut s), Connective::Or, false),
-            // A variable missing: drop one clause (or, with one input,
-            // test it twice so the rule still is not a grid rule).
-            6 => {
-                let mut a = grid_clauses(&mut s);
-                if a.len() > 1 {
-                    a.remove(s.below(a.len()));
-                } else {
-                    a.push(clause(0, &mut s));
-                }
-                (a, Connective::And, false)
-            }
-            // One variable tested twice in place of another.
-            _ => {
-                let mut a = grid_clauses(&mut s);
-                let v = order[s.below(n_inputs)];
-                let i = s.below(a.len());
-                a[i] = clause(v, &mut s);
-                let grid = (0..n_inputs).all(|v| {
-                    let name = format!("in{v}");
-                    a.iter().filter(|c| c.variable == name).count() == 1
-                });
-                (a, Connective::And, grid)
-            }
-        };
-        let mut consequents = Vec::new();
-        for (o, out) in outputs.iter().enumerate() {
-            if consequents.is_empty() || s.below(2) == 0 {
-                let term = out.terms()[s.below(out.term_count())].name();
-                consequents.push(Consequent::is(format!("out{o}"), term));
-            }
-        }
-        indexable += usize::from(is_grid);
-        rules.push(Rule::new(antecedents, connective, consequents).unwrap());
+    let mut b = MamdaniEngine::builder().resolution(41);
+    for v in &inputs {
+        b = b.input(v.clone());
     }
+    for v in &outputs {
+        b = b.output(v.clone());
+    }
+    let mut e = b.build().unwrap();
 
-    let build = |extra: Option<&LinguisticVariable>| {
-        let mut b = MamdaniEngine::builder().resolution(41);
-        for v in inputs.iter().chain(extra) {
-            b = b.input(v.clone());
-        }
-        for v in &outputs {
-            b = b.output(v.clone());
-        }
-        let mut e = b.build().unwrap();
-        for r in &rules {
-            e.add_rule(r.clone()).unwrap();
-        }
-        e
-    };
-    Case {
-        engine: build(None),
-        padded: build(Some(&pad)),
-        indexable,
+    let mut tuples: Vec<Vec<usize>> = vec![Vec::new()];
+    for v in &inputs {
+        tuples = tuples
+            .into_iter()
+            .flat_map(|t| {
+                (0..v.term_count()).map(move |term| {
+                    let mut t = t.clone();
+                    t.push(term);
+                    t
+                })
+            })
+            .collect();
     }
+    for i in (1..tuples.len()).rev() {
+        tuples.swap(i, s.below(i + 1));
+    }
+    for (k, tuple) in tuples.iter().enumerate() {
+        let last_chance = k + 1 == tuples.len() && e.rules().is_empty();
+        if s.below(4) == 0 && !last_chance {
+            continue;
+        }
+        let clauses: Vec<(&str, &str)> = inputs
+            .iter()
+            .zip(tuple)
+            .map(|(v, &t)| (v.name(), v.terms()[t].name()))
+            .collect();
+        let out = &outputs[s.below(n_outputs)];
+        let term = out.terms()[s.below(out.term_count())].name();
+        e.add_rule(Rule::row(&clauses, out.name(), term)).unwrap();
+    }
+    e
 }
 
 /// An input coordinate: inside the universe (mostly), on an edge, outside
@@ -208,51 +139,41 @@ fn coordinate(s: &mut Stream) -> f64 {
 }
 
 fn check_case(seed: u64) {
-    let case = random_case(seed);
-    let compiled = case.engine.compile().unwrap();
-    let scan = case.padded.compile().unwrap();
-    assert_eq!(
-        compiled.indexed_rule_count(),
-        case.indexable,
-        "seed {seed}: rules {:?}",
-        case.engine.rules().rules()
-    );
-    assert_eq!(scan.indexed_rule_count(), 0, "seed {seed}");
+    let engine = random_engine(seed);
+    let compiled = engine.compile().unwrap();
+    assert_eq!(compiled.rule_count(), engine.rules().len());
     let mut scratch = compiled.scratch();
-    let mut scan_scratch = scan.scratch();
     let mut s = Stream(seed ^ 0x1D);
     let n = compiled.input_count();
     for _ in 0..48 {
         let x: Vec<f64> = (0..n).map(|_| coordinate(&mut s)).collect();
         let crisp = compiled.infer_into(&x, &mut scratch).to_vec();
-        let mut padded_x = x.clone();
-        padded_x.push(0.5);
-        let scan_crisp = scan.infer_into(&padded_x, &mut scan_scratch).to_vec();
         let context = format!("seed {seed} at {x:?}");
+        if x.iter().any(|v| v.is_nan()) {
+            // A NaN input has no non-zero term, so no rule fires and
+            // every output reports its empty default.
+            assert!(
+                scratch.firing_strengths().iter().all(|&f| f == 0.0),
+                "strengths, {context}"
+            );
+            for (o, out) in engine.outputs().iter().enumerate() {
+                let midpoint = 0.5 * (out.min() + out.max());
+                assert_eq!(crisp[o].to_bits(), midpoint.to_bits(), "crisp, {context}");
+                let set = scratch.aggregated(VarId::from_index(o));
+                assert!(set.iter().all(|&d| d == 0.0), "aggregated, {context}");
+            }
+            continue;
+        }
+        // The interpreted engine rejects infinities; the compiled one
+        // clamps them to the universe edge.
+        let clamped: Vec<f64> = x.iter().map(|v| v.clamp(UNIVERSE.0, UNIVERSE.1)).collect();
+        let reference = engine.infer(&clamped).unwrap();
         assert_eq!(
             scratch.firing_strengths(),
-            scan_scratch.firing_strengths(),
-            "strengths vs scan, {context}"
+            reference.firing_strengths(),
+            "strengths vs interpreted, {context}"
         );
-        for (o, out) in case.engine.outputs().iter().enumerate() {
-            let id = VarId::from_index(o);
-            assert_eq!(
-                crisp[o].to_bits(),
-                scan_crisp[o].to_bits(),
-                "crisp vs scan, {context}"
-            );
-            assert_eq!(
-                scratch.aggregated(id),
-                scan_scratch.aggregated(id),
-                "aggregated vs scan, {context}"
-            );
-            if x.iter().any(|v| v.is_nan()) {
-                continue;
-            }
-            // The interpreted engine rejects infinities; the compiled one
-            // clamps them to the universe edge.
-            let clamped: Vec<f64> = x.iter().map(|v| v.clamp(UNIVERSE.0, UNIVERSE.1)).collect();
-            let reference = case.engine.infer(&clamped).unwrap();
+        for (o, out) in engine.outputs().iter().enumerate() {
             let midpoint = 0.5 * (out.min() + out.max());
             assert_eq!(
                 crisp[o].to_bits(),
@@ -260,14 +181,9 @@ fn check_case(seed: u64) {
                 "crisp vs interpreted, {context}"
             );
             assert_eq!(
-                scratch.aggregated(id),
+                scratch.aggregated(VarId::from_index(o)),
                 reference.aggregated(out.name()).unwrap().degrees(),
                 "aggregated vs interpreted, {context}"
-            );
-            assert_eq!(
-                scratch.firing_strengths(),
-                reference.firing_strengths(),
-                "strengths vs interpreted, {context}"
             );
         }
     }
@@ -292,8 +208,7 @@ fn next_on_line(prev: f64, s: &mut Stream) -> f64 {
 /// scratch serves every line, so no result may leak from one call into
 /// the next.
 fn check_lines(seed: u64) {
-    let case = random_case(seed);
-    let compiled = case.engine.compile().unwrap();
+    let compiled = random_engine(seed).compile().unwrap();
     let mut line_scratch = compiled.scratch();
     let mut point_scratch = compiled.scratch();
     let mut s = Stream(seed ^ 0x11E);
@@ -369,62 +284,5 @@ proptest! {
     #[test]
     fn line_inference_matches_point_inference(seed in any::<u64>()) {
         check_lines(seed);
-    }
-}
-
-/// Two inputs of three terms each; `rules` decides which rules are grid
-/// rules.
-fn two_by_three(rules: &[&str]) -> MamdaniEngine {
-    let var = |name: &str| {
-        LinguisticVariable::builder(name, 0.0, 10.0)
-            .triangle("lo", 0.0, 0.0, 5.0)
-            .triangle("md", 0.0, 5.0, 10.0)
-            .triangle("hi", 5.0, 10.0, 10.0)
-            .build()
-            .unwrap()
-    };
-    let mut e = MamdaniEngine::builder()
-        .input(var("a"))
-        .input(var("b"))
-        .output(var("o"))
-        .build()
-        .unwrap();
-    e.add_rules_str(rules.iter().copied()).unwrap();
-    e
-}
-
-#[test]
-fn indexability_follows_the_rule_shape() {
-    let e = two_by_three(&[
-        "IF a IS lo AND b IS hi THEN o IS lo",
-        // Out of declaration order: still a grid rule.
-        "IF b IS md AND a IS hi THEN o IS md",
-        // Same cell as the first rule.
-        "IF a IS lo AND b IS hi THEN o IS hi",
-        "IF a IS lo OR b IS hi THEN o IS lo",
-        "IF a IS NOT lo AND b IS hi THEN o IS lo",
-        "IF a IS md THEN o IS md",
-        "IF a IS md AND a IS lo THEN o IS md",
-    ]);
-    let c = e.compile().unwrap();
-    assert_eq!(c.rule_count(), 7);
-    assert_eq!(c.indexed_rule_count(), 3);
-}
-
-#[test]
-fn an_engine_without_grid_rules_scans_every_rule() {
-    let e = two_by_three(&[
-        "IF a IS lo OR b IS hi THEN o IS lo",
-        "IF a IS md THEN o IS md",
-        "IF a IS NOT hi AND b IS lo THEN o IS hi",
-    ]);
-    let c = e.compile().unwrap();
-    assert_eq!(c.indexed_rule_count(), 0);
-    let mut scratch = c.scratch();
-    for x in [[1.0, 9.0], [5.0, 5.0], [10.0, 0.0], [3.0, 7.5]] {
-        let crisp = c.infer_into(&x, &mut scratch)[0];
-        let reference = e.infer(&x).unwrap();
-        assert_eq!(crisp.to_bits(), reference.crisp_or("o", 5.0).to_bits());
-        assert_eq!(scratch.firing_strengths(), reference.firing_strengths());
     }
 }

@@ -15,7 +15,8 @@ use proptest::prelude::*;
 
 /// Two inputs, two outputs.  Output `o` has terms touching sample 0
 /// (`low`), sample n-1 (`high`), the interior only (`mid`, `spike`) and
-/// every sample (`bump`); output `p` lives on a negative universe.
+/// every sample (`bump`); output `p` lives on a negative universe and
+/// takes the rows where `b` is `zero`.
 fn edge_engine(resolution: usize) -> MamdaniEngine {
     let a = LinguisticVariable::builder("a", 0.0, 1.0)
         .triangle("lo", 0.0, 0.0, 0.5)
@@ -24,8 +25,9 @@ fn edge_engine(resolution: usize) -> MamdaniEngine {
         .build()
         .unwrap();
     let b = LinguisticVariable::builder("b", -5.0, 5.0)
-        .trapezoid("neg", -5.0, -5.0, -4.0, 1.0)
-        .trapezoid("pos", -1.0, 4.0, 5.0, 5.0)
+        .trapezoid("neg", -5.0, -5.0, -4.0, -1.0)
+        .triangle("zero", -2.0, 0.0, 2.0)
+        .trapezoid("pos", 1.0, 4.0, 5.0, 5.0)
         .build()
         .unwrap();
     let o = LinguisticVariable::builder("o", 0.0, 10.0)
@@ -49,16 +51,20 @@ fn edge_engine(resolution: usize) -> MamdaniEngine {
         .resolution(resolution)
         .build()
         .unwrap();
-    e.add_rules_str([
-        "IF a IS lo AND b IS neg THEN o IS low",
-        "IF a IS md THEN o IS mid",
-        "IF a IS md AND b IS pos THEN o IS spike",
-        "IF a IS hi AND b IS pos THEN o IS high AND p IS right",
-        "IF a IS NOT md OR b IS neg THEN p IS left",
-        "IF a IS hi AND b IS neg THEN o IS bump",
-        "IF a IS lo OR b IS pos THEN o IS low",
-    ])
-    .unwrap();
+    for (a, b, out, term) in [
+        ("lo", "neg", "o", "low"),
+        ("lo", "zero", "p", "left"),
+        ("lo", "pos", "o", "mid"),
+        ("md", "neg", "o", "high"),
+        ("md", "zero", "p", "right"),
+        ("md", "pos", "o", "spike"),
+        ("hi", "neg", "o", "bump"),
+        ("hi", "zero", "p", "left"),
+        ("hi", "pos", "o", "high"),
+    ] {
+        e.add_rule(Rule::row(&[("a", a), ("b", b)], out, term))
+            .unwrap();
+    }
     e
 }
 
@@ -76,18 +82,17 @@ fn full_width_reference(engine: &MamdaniEngine, strengths: &[f64]) -> Vec<(Fuzzy
         if strength == 0.0 {
             continue;
         }
-        for c in rule.consequents() {
-            let out = engine
-                .outputs()
-                .iter()
-                .position(|o| o.name() == c.variable)
-                .unwrap();
-            let mf = engine.outputs()[out]
-                .term(&c.term)
-                .unwrap()
-                .membership_function();
-            sets[out].aggregate_clipped(mf, strength);
-        }
+        let c = rule.consequent();
+        let out = engine
+            .outputs()
+            .iter()
+            .position(|o| o.name() == c.variable)
+            .unwrap();
+        let mf = engine.outputs()[out]
+            .term(&c.term)
+            .unwrap()
+            .membership_function();
+        sets[out].aggregate_clipped(mf, strength);
     }
     sets.into_iter()
         .map(|set| {
@@ -173,11 +178,12 @@ proptest! {
 #[test]
 fn end_point_terms_fire_alone_and_together() {
     // Inputs that fire only the sample-0 term, only the sample-(n-1) term,
-    // and both ends at once, on a scratch reused across all of them.
+    // both ends at once, the full-support term and only `p`, on a scratch
+    // reused across all of them.
     let inputs = [
         [0.0, -5.0],
         [1.0, 5.0],
-        [0.0, 5.0],
+        [0.3, -5.0],
         [1.0, -5.0],
         [0.5, 0.0],
         [0.0, -5.0],
@@ -194,11 +200,9 @@ fn nothing_fired_gives_the_empty_default_after_a_firing_inference() {
     let mut scratch = compiled.scratch();
     let fired = compiled.infer_into(&[0.9, 3.0], &mut scratch)[0];
     assert_ne!(fired, 5.0);
-    // NaN zeroes every membership of both inputs; the `NOT md` rule still
-    // fires for `p`, but nothing reaches `o`.
-    let empty = compiled
-        .infer_into(&[f64::NAN, f64::NAN], &mut scratch)
-        .to_vec();
+    // `b` at zero reaches only the `zero` rows, which fire `p`; nothing
+    // reaches `o`.
+    let empty = compiled.infer_into(&[0.9, 0.0], &mut scratch).to_vec();
     assert_eq!(empty[0], 5.0);
     assert!(scratch
         .aggregated(VarId::from_index(0))
@@ -208,4 +212,9 @@ fn nothing_fired_gives_the_empty_default_after_a_firing_inference() {
         .aggregated(VarId::from_index(1))
         .iter()
         .any(|&d| d > 0.0));
+    // NaN zeroes every membership: nothing fires at all.
+    let none = compiled
+        .infer_into(&[f64::NAN, f64::NAN], &mut scratch)
+        .to_vec();
+    assert_eq!(none, [5.0, -15.0]);
 }

@@ -80,8 +80,10 @@ fn paper_shaped_engine() -> MamdaniEngine {
                     _ => "mid",
                 };
                 engine
-                    .add_rule_str(&format!(
-                        "IF speed IS {sp} AND angle IS {an} AND request IS {rq} THEN score IS {out}"
+                    .add_rule(Rule::row(
+                        &[("speed", sp), ("angle", an), ("request", rq)],
+                        "score",
+                        out,
                     ))
                     .unwrap();
             }

@@ -142,13 +142,20 @@ fn custom_fuzzy_controller_plugs_into_the_simulator() {
         .output(decision)
         .build()
         .unwrap();
-    engine
-        .add_rules_str([
-            "IF load IS low THEN decision IS yes",
-            "IF load IS high AND size IS large THEN decision IS no",
-            "IF load IS high AND size IS small THEN decision IS no",
-        ])
-        .unwrap();
+    for (load, size, decision) in [
+        ("low", "small", "yes"),
+        ("low", "large", "yes"),
+        ("high", "large", "no"),
+        ("high", "small", "no"),
+    ] {
+        engine
+            .add_rule(Rule::row(
+                &[("load", load), ("size", size)],
+                "decision",
+                decision,
+            ))
+            .unwrap();
+    }
 
     let mut controller = TinyFuzzyCac { engine };
     let mut sim = Simulator::new(SimConfig::paper_default().with_seed(55));
