@@ -18,7 +18,6 @@
 
 use cellsim::sim::{SimConfig, Simulator};
 use cellsim::traffic::TrafficConfig;
-use cellsim::MobilityModel;
 use serde::{Deserialize, Serialize};
 use sweep::{ControllerSpec, LoadMode, RunReport, ScenarioSpec, SweepRunner};
 
@@ -168,7 +167,6 @@ pub fn figure_scenario(
         traffic,
         traffic_model: cellsim::TrafficModel::Poisson,
         fault_plan: cellsim::FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: controllers.to_vec(),
         load_mode: LoadMode::RequestsPerWindow {

@@ -20,8 +20,9 @@
 //!
 //! * [`geometry`] — hexagonal cell grid, cell ids, neighbour rings and
 //!   Euclidean positions.
-//! * [`mobility`] — user kinematic state (position, speed, heading), the
-//!   angle-to-base-station computation used by FLC1, and mobility models.
+//! * [`mobility`] — user kinematic state (position, speed, heading) and
+//!   the angle-to-base-station computation used by FLC1; a user keeps the
+//!   speed and heading it spawned with.
 //! * [`traffic`] — service classes, bandwidth units, the paper's traffic mix
 //!   and Poisson/exponential call generators, plus the bursty arrival
 //!   models (trace replay, MMPP, correlated groups) in [`traffic::model`].
@@ -70,7 +71,7 @@ pub use event::{Event, EventKind, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use geometry::{CellGrid, CellId, CellIdx, Point};
 pub use metrics::{ClassMetrics, Metrics, StatAccumulator, SummaryStats};
-pub use mobility::{MobilityModel, UserState};
+pub use mobility::UserState;
 pub use rng::SimRng;
 pub use shard::{BoxedController, MergeKey, ShardConfig, ShardReport, ShardedSimulator};
 pub use sim::{

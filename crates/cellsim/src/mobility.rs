@@ -1,11 +1,13 @@
-//! User kinematics and mobility models.
+//! User kinematics.
 //!
 //! FLC1's inputs are the user's *speed* and the *angle* between the user's
 //! heading and the direction toward the serving base station: a user heading
 //! straight at the base station has angle 0°, one heading directly away has
 //! ±180° (the paper's `B1`/`B2` terms).  [`UserState`] carries the kinematic
-//! state and computes that angle; [`MobilityModel`] advances the state over
-//! time for the multi-cell scenarios.
+//! state and computes that angle.  A user keeps the speed and heading it
+//! was spawned with ([`spawn_uniform`]) for the whole call: FLC1 reads them
+//! once per admission request, and the engines schedule the next handoff
+//! from them by straight-line motion ([`UserState::time_to_exit`]).
 
 use crate::geometry::{normalize_angle, Point};
 use crate::rng::SimRng;
@@ -114,80 +116,6 @@ impl Default for UserState {
     }
 }
 
-/// A mobility model advances a [`UserState`] over a time step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum MobilityModel {
-    /// Constant speed and heading (the paper's implicit model: prediction is
-    /// easier the faster the user moves because the heading is stable).
-    ConstantVelocity,
-    /// Random-direction: at every step the heading changes by a uniformly
-    /// distributed perturbation whose magnitude *decreases with speed*,
-    /// matching the paper's observation that fast users cannot change
-    /// direction easily.
-    RandomDirection {
-        /// Maximum heading change (degrees) per step for a stationary user.
-        max_turn_deg: f64,
-    },
-    /// Gauss–Markov: heading and speed revert to a mean with tunable memory.
-    GaussMarkov {
-        /// Memory parameter `alpha` in `[0, 1]`; 1 = fully deterministic.
-        alpha: f64,
-        /// Mean speed the process reverts to (km/h).
-        mean_speed_kmh: f64,
-        /// Standard deviation of the speed perturbation (km/h).
-        speed_sigma: f64,
-        /// Standard deviation of the heading perturbation (degrees).
-        heading_sigma_deg: f64,
-    },
-}
-
-impl MobilityModel {
-    /// The paper-faithful default: the lower the speed, the more the heading
-    /// wanders (30° maximum turn per step when stationary).
-    #[must_use]
-    pub fn paper_default() -> Self {
-        MobilityModel::RandomDirection { max_turn_deg: 30.0 }
-    }
-
-    /// Advance `state` by `dt` seconds.
-    pub fn step(&self, state: &UserState, dt: SimTime, rng: &mut SimRng) -> UserState {
-        let moved = state.advanced(dt);
-        match *self {
-            MobilityModel::ConstantVelocity => moved,
-            MobilityModel::RandomDirection { max_turn_deg } => {
-                // Faster users turn less: scale the turn budget by
-                // (1 - speed / 120) clamped to [0.05, 1].
-                let agility = (1.0 - state.speed_kmh / 120.0).clamp(0.05, 1.0);
-                let turn = rng.uniform(-max_turn_deg, max_turn_deg) * agility;
-                UserState::new(moved.position, moved.speed_kmh, moved.heading_deg + turn)
-            }
-            MobilityModel::GaussMarkov {
-                alpha,
-                mean_speed_kmh,
-                speed_sigma,
-                heading_sigma_deg,
-            } => {
-                let alpha = alpha.clamp(0.0, 1.0);
-                let root = (1.0 - alpha * alpha).max(0.0).sqrt();
-                let speed = alpha * moved.speed_kmh
-                    + (1.0 - alpha) * mean_speed_kmh
-                    + root * rng.normal(0.0, speed_sigma);
-                let heading = alpha * moved.heading_deg
-                    + (1.0 - alpha) * moved.heading_deg
-                    + root * rng.normal(0.0, heading_sigma_deg);
-                UserState::new(moved.position, speed.max(0.0), heading)
-            }
-        }
-    }
-}
-
-impl Default for MobilityModel {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 /// Spawn a user uniformly inside a disc of radius `radius_m` around
 /// `center`, with speed and heading drawn uniformly from the given ranges.
 pub fn spawn_uniform(
@@ -290,59 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_velocity_keeps_heading() {
-        let mut rng = SimRng::new(1);
-        let s = UserState::new(Point::new(0.0, 0.0), 60.0, 30.0);
-        let s2 = MobilityModel::ConstantVelocity.step(&s, 5.0, &mut rng);
-        assert_eq!(s2.heading_deg, 30.0);
-        assert_eq!(s2.speed_kmh, 60.0);
-        assert!(s2.position.distance(&s.position) > 0.0);
-    }
-
-    #[test]
-    fn random_direction_fast_users_turn_less() {
-        let model = MobilityModel::paper_default();
-        let steps = 400;
-        let mut turn_slow = 0.0;
-        let mut turn_fast = 0.0;
-        let mut rng = SimRng::new(2);
-        let mut slow = UserState::new(Point::default(), 4.0, 0.0);
-        let mut fast = UserState::new(Point::default(), 110.0, 0.0);
-        for _ in 0..steps {
-            let s2 = model.step(&slow, 1.0, &mut rng);
-            turn_slow += (s2.heading_deg - slow.heading_deg)
-                .abs()
-                .min(360.0 - (s2.heading_deg - slow.heading_deg).abs());
-            slow = s2;
-            let f2 = model.step(&fast, 1.0, &mut rng);
-            turn_fast += (f2.heading_deg - fast.heading_deg)
-                .abs()
-                .min(360.0 - (f2.heading_deg - fast.heading_deg).abs());
-            fast = f2;
-        }
-        assert!(
-            turn_fast < turn_slow * 0.5,
-            "fast users should turn much less: fast {turn_fast:.1} vs slow {turn_slow:.1}"
-        );
-    }
-
-    #[test]
-    fn gauss_markov_reverts_toward_mean_speed() {
-        let model = MobilityModel::GaussMarkov {
-            alpha: 0.5,
-            mean_speed_kmh: 60.0,
-            speed_sigma: 1.0,
-            heading_sigma_deg: 1.0,
-        };
-        let mut rng = SimRng::new(3);
-        let mut s = UserState::new(Point::default(), 0.0, 0.0);
-        for _ in 0..50 {
-            s = model.step(&s, 1.0, &mut rng);
-        }
-        assert!((s.speed_kmh - 60.0).abs() < 20.0, "speed {}", s.speed_kmh);
-    }
-
-    #[test]
     fn spawn_uniform_is_inside_disc() {
         let mut rng = SimRng::new(4);
         let center = Point::new(100.0, -50.0);
@@ -352,10 +227,5 @@ mod tests {
             assert!(u.speed_kmh >= 0.0 && u.speed_kmh <= 120.0);
             assert!(u.heading_deg > -180.0 - 1e-9 && u.heading_deg <= 180.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn default_model_is_paper_default() {
-        assert_eq!(MobilityModel::default(), MobilityModel::paper_default());
     }
 }

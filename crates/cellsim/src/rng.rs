@@ -116,14 +116,6 @@ impl SimRng {
         }
         weights.len() - 1
     }
-
-    /// A normally distributed value via Box–Muller (mean `mu`, std `sigma`).
-    pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        let u1: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = self.rng.gen::<f64>();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mu + sigma * z
-    }
 }
 
 #[cfg(test)]
@@ -249,16 +241,5 @@ mod tests {
         assert_eq!(rng.weighted_choice(&[0.0, 0.0]), 0);
         assert_eq!(rng.weighted_choice(&[0.0, 5.0]), 1);
         assert_eq!(rng.weighted_choice(&[f64::NAN, 1.0]), 1);
-    }
-
-    #[test]
-    fn normal_mean_and_spread() {
-        let mut rng = SimRng::new(10);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(50.0, 10.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 50.0).abs() < 0.5);
-        assert!((var.sqrt() - 10.0).abs() < 0.5);
     }
 }

@@ -5,7 +5,7 @@
 //! per-cell admission controllers, user slab and event heap.  Time advances
 //! in fixed-length **epochs**: within an epoch every shard runs the same
 //! four-stream event loop as the sequential [`crate::sim::Simulator`]
-//! (scheduled faults / the epoch's arrivals / computed mobility ticks /
+//! (scheduled faults / the epoch's arrivals / computed sample ticks /
 //! run-time event heap) over its own cells, completely independently of
 //! the other shards.  Both engines apply every per-cell transition
 //! through the shared [`crate::cell`] core.
@@ -140,7 +140,8 @@ pub struct ShardReport {
     /// epoch boundary.
     pub peak_concurrent_users: u64,
     /// Arrivals, departures, handoffs and barrier-merge admissions
-    /// processed (mobility ticks are counted by `utilization_samples`).
+    /// processed (utilisation-sample ticks are counted by
+    /// `utilization_samples`).
     pub events_processed: u64,
     /// Number of epochs executed (empty stretches are skipped).
     pub epochs: u64,
@@ -578,7 +579,7 @@ impl<R: Recorder> ShardedSimulator<R> {
     }
 
     /// Events processed by the last run (arrivals, departures, handoffs
-    /// and barrier-merge admissions; mobility-tick samples excluded).
+    /// and barrier-merge admissions; utilisation-sample ticks excluded).
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.merge_events + self.shards.iter().map(|s| s.events_processed).sum::<u64>()

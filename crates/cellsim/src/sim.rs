@@ -9,15 +9,14 @@
 //!   connections against the (single-cell) base station, the workload shape
 //!   of every figure in the paper's evaluation;
 //! * [`Simulator::run_poisson`] — a full discrete-event run with Poisson
-//!   arrivals, departures, user mobility and handoffs across a multi-cell
-//!   grid (used by the examples that go beyond the paper's single cell).
+//!   arrivals, departures and handoffs across a multi-cell grid (used by
+//!   the examples that go beyond the paper's single cell).
 
 use crate::cell::Cells;
 use crate::event::{next_stream, EventKind, EventQueue, Stream};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::geometry::{CellGrid, CellId, CellIdx};
 use crate::metrics::Metrics;
-use crate::mobility::MobilityModel;
 use crate::station::BaseStation;
 use crate::telem::{self, DefaultRecorder};
 use crate::traffic::{
@@ -273,8 +272,6 @@ pub struct SimConfig {
     /// timeline for faults to act on.
     #[serde(default)]
     pub fault_plan: FaultPlan,
-    /// Mobility model used for admitted users in multi-cell runs.
-    pub mobility: MobilityModel,
     /// RNG seed.
     pub seed: u64,
     /// Interval between utilisation samples (seconds); 0 disables sampling.
@@ -293,7 +290,6 @@ impl SimConfig {
             traffic: TrafficConfig::paper_default(),
             traffic_model: TrafficModel::Poisson,
             fault_plan: FaultPlan::new(),
-            mobility: MobilityModel::paper_default(),
             seed: 0xFAC5,
             utilization_sample_interval_s: 0.0,
         }
@@ -345,13 +341,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_cell_radius(mut self, radius_m: f64) -> Self {
         self.cell_radius_m = radius_m.max(1.0);
-        self
-    }
-
-    /// Override the mobility model.
-    #[must_use]
-    pub fn with_mobility(mut self, mobility: MobilityModel) -> Self {
-        self.mobility = mobility;
         self
     }
 
@@ -634,12 +623,13 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Run a full Poisson-arrival discrete-event simulation for
-    /// `total_requests` arrivals (multi-cell aware: admitted users move
-    /// according to the mobility model and hand off between cells).
+    /// `total_requests` arrivals (multi-cell aware: an admitted user keeps
+    /// the speed and heading it spawned with and hands off when that
+    /// straight-line path leaves its cell before the call ends).
     ///
     /// Arrivals are drawn one at a time from an [`ArrivalStream`]
     /// (time-sorted by construction, the same stream the sharded engine
-    /// reads), mobility ticks are computed on the fly, and only the
+    /// reads), utilisation-sample ticks are computed on the fly, and only the
     /// *run-time* events — departures and handoffs — live in the heap,
     /// which therefore stays at the size of the concurrent-call
     /// population instead of the whole workload.
@@ -681,11 +671,11 @@ impl<R: Recorder> Simulator<R> {
                 .filter(|f| (f.cell as usize) < cells),
         );
 
-        // Mobility-tick stream: the same `t += interval` accumulation the
-        // scheduling loop used, so sample times are bit-identical.  Ticks
-        // fire up to the last arrival; the stream's horizon is a lower
-        // bound on it that decides the tick stream exactly (see
-        // [`ArrivalStream`]).
+        // Utilisation-sample tick stream: the same `t += interval`
+        // accumulation the scheduling loop used, so sample times are
+        // bit-identical.  Ticks fire up to the last arrival; the stream's
+        // horizon is a lower bound on it that decides the tick stream
+        // exactly (see [`ArrivalStream`]).
         let tick_interval = self.config.utilization_sample_interval_s;
         let mut next_tick = 0.0;
 

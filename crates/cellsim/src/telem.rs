@@ -45,7 +45,7 @@ pub mod counter {
     pub const EVENT_DEPARTURE: CounterId = CounterId(1);
     /// Handoff events processed.
     pub const EVENT_HANDOFF: CounterId = CounterId(2);
-    /// Mobility/utilisation-sampling ticks processed.
+    /// Utilisation-sample ticks processed (exported as `mobility_tick`).
     pub const EVENT_MOBILITY_TICK: CounterId = CounterId(3);
     /// First of the 12 admission-decision counters (class × kind ×
     /// outcome); see [`super::admission_counter`].
@@ -151,6 +151,8 @@ pub static SCHEMA: Schema = Schema {
         MetricDef {
             name: "sim_events_total",
             help: "Events processed by the run_poisson loop, by kind",
+            // Counts utilisation-sample ticks; the label keeps its old
+            // name because perfbench reads it.
             labels: &[("kind", "mobility_tick")],
         },
         admission_metric(0, false, false),

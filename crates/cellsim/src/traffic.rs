@@ -653,8 +653,8 @@ fn trace_overrides(entry: model::TraceEntry, duration: model::DurationPolicy) ->
 ///
 /// # The tick horizon
 ///
-/// Mobility ticks fire while `tick <= t_last`, the time of the run's last
-/// arrival, which is unknown until the stream is drained.
+/// Utilisation-sample ticks fire while `tick <= t_last`, the time of the
+/// run's last arrival, which is unknown until the stream is drained.
 /// [`ArrivalStream::horizon`] returns `t_last` once drained and the
 /// lookahead's time before that, a lower bound.  The bound decides the
 /// tick stream exactly as `t_last` would:

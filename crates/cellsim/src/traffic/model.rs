@@ -244,7 +244,7 @@ pub enum DurationPolicy {
 ///
 /// The trace supplies the inter-arrival gap, the recorded duration and
 /// the service class of every call; speed, angle and handoff flags are
-/// still drawn from the traffic config so mobility behaves normally.
+/// still drawn from the traffic config, as for every other model.
 /// See `docs/TRAFFIC_MODELS.md` for the on-disk text format parsed by
 /// [`parse_trace`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

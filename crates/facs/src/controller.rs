@@ -26,25 +26,14 @@ use serde::{Deserialize, Serialize};
 pub struct FacsConfig {
     /// Base-station capacity the counter-state terms are scaled to (BU).
     pub capacity_bu: f64,
-    /// Crisp acceptance threshold on the defuzzified A/R value: the request
-    /// is admitted when `A/R > accept_threshold`.  The paper's soft
-    /// decision is collapsed with a threshold of 0 ("weak accept" or
-    /// better admits).
-    pub accept_threshold: f64,
-    /// Distance assumed when a request carries no distance measurement
-    /// (metres).
-    pub default_distance_m: f64,
 }
 
 impl FacsConfig {
-    /// The paper's configuration (40 BU, threshold 0, mid-cell default
-    /// distance).
+    /// The paper's configuration (40 BU).
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
             capacity_bu: PaperParams::CAPACITY_BU,
-            accept_threshold: 0.0,
-            default_distance_m: PaperParams::DISTANCE_MAX_M / 2.0,
         }
     }
 }
@@ -89,18 +78,14 @@ impl FacsController {
     /// Switch the FLC2 stage to the LUT backend (pre-tabulated per-class
     /// `(Cv, Cs)` surfaces at the default refined settings).  Decisions
     /// then track the compiled path within the *measured*
-    /// [`Flc2Lut::max_error`] (see its docs for the probe basis — coarse
-    /// *uniform* tabulations installed via
-    /// [`with_lut_backend`](Self::with_lut_backend) can exceed their
-    /// midpoint-measured number near kink bands);
-    /// the controller reports itself as `facs-lut`.
+    /// [`Flc2Lut::max_error`]; the controller reports itself as `facs-lut`.
     pub fn with_lut(mut self) -> Result<Self> {
         self.lut = Some(self.flc2.compile_lut()?);
         Ok(self)
     }
 
-    /// Install a pre-built LUT backend (e.g. a custom resolution, or one
-    /// shared across controller instances).
+    /// Install a pre-built LUT backend (e.g. custom refinement settings, or
+    /// one shared across controller instances).
     ///
     /// Fails when the LUT was tabulated for another station capacity than
     /// this controller's FLC2: its counter-state axis would clamp at the
@@ -134,7 +119,9 @@ impl FacsController {
     /// the station state (exposed for tests).
     #[must_use]
     pub fn decision_value(&self, request: &AdmissionRequest, station: &BaseStation) -> f64 {
-        let distance = request.distance_m.unwrap_or(self.config.default_distance_m);
+        let distance = request
+            .distance_m
+            .unwrap_or(PaperParams::DEFAULT_DISTANCE_M);
         let cv = self
             .flc1
             .correction_value(request.speed_kmh, request.angle_deg, distance);
@@ -158,7 +145,7 @@ impl AdmissionController for FacsController {
 
     fn decide(&mut self, request: &AdmissionRequest, station: &BaseStation) -> AdmissionDecision {
         let score = self.decision_value(request, station);
-        if score > self.config.accept_threshold {
+        if score > PaperParams::ACCEPT_THRESHOLD {
             AdmissionDecision::accept(score)
         } else {
             AdmissionDecision::reject(score)
@@ -171,8 +158,6 @@ impl AdmissionController for FacsController {
 pub struct FacsPConfig {
     /// Base-station capacity the counter-state terms are scaled to (BU).
     pub capacity_bu: f64,
-    /// Crisp acceptance threshold on the defuzzified A/R value.
-    pub accept_threshold: f64,
     /// The on-going-connection priority policy.
     pub priority: PriorityPolicy,
     /// Default priority assigned to requesting connections (the paper's
@@ -186,7 +171,6 @@ impl FacsPConfig {
     pub fn paper_default() -> Self {
         Self {
             capacity_bu: PaperParams::CAPACITY_BU,
-            accept_threshold: 0.0,
             priority: PriorityPolicy::paper_default(),
             request_priority: RequestPriority::Normal,
         }
@@ -248,18 +232,14 @@ impl FacsPController {
     /// Switch the FLC2 stage to the LUT backend (pre-tabulated per-class
     /// `(Cv, Cs)` surfaces at the default refined settings).  Decisions
     /// then track the compiled path within the *measured*
-    /// [`Flc2Lut::max_error`] (see its docs for the probe basis — coarse
-    /// *uniform* tabulations installed via
-    /// [`with_lut_backend`](Self::with_lut_backend) can exceed their
-    /// midpoint-measured number near kink bands);
-    /// the controller reports itself as `facs-p-lut`.
+    /// [`Flc2Lut::max_error`]; the controller reports itself as `facs-p-lut`.
     pub fn with_lut(mut self) -> Result<Self> {
         self.lut = Some(self.flc2.compile_lut()?);
         Ok(self)
     }
 
-    /// Install a pre-built LUT backend (e.g. a custom resolution, or one
-    /// shared across controller instances).
+    /// Install a pre-built LUT backend (e.g. custom refinement settings, or
+    /// one shared across controller instances).
     ///
     /// Fails when the LUT was tabulated for another station capacity than
     /// this controller's FLC2: its counter-state axis would clamp at the
@@ -354,7 +334,7 @@ impl AdmissionController for FacsPController {
 
     fn decide(&mut self, request: &AdmissionRequest, station: &BaseStation) -> AdmissionDecision {
         let score = self.decision_value(request, station);
-        if score > self.config.accept_threshold {
+        if score > PaperParams::ACCEPT_THRESHOLD {
             AdmissionDecision::accept(score)
         } else {
             AdmissionDecision::reject(score)
@@ -509,7 +489,7 @@ mod tests {
         ] {
             let req = request(7, class, speed, angle, false);
             let d = facsp.decide(&req, &station);
-            assert_eq!(d.accept, d.score > facsp.config().accept_threshold);
+            assert_eq!(d.accept, d.score > PaperParams::ACCEPT_THRESHOLD);
         }
     }
 
@@ -565,30 +545,23 @@ mod tests {
 
     #[test]
     fn lut_backend_reports_distinct_names() {
-        // A coarse injected backend keeps this name-only test cheap.
-        let coarse = || {
-            crate::flc2::Flc2::paper_default()
-                .unwrap()
-                .compile_lut_with_resolution((17, 17))
-                .unwrap()
-        };
         let mut p = FacsPController::paper_default();
         assert_eq!(p.name(), "facs-p");
-        p = p.with_lut_backend(coarse()).unwrap();
+        p = p.with_lut_backend(Flc2Lut::paper_shared()).unwrap();
         assert_eq!(p.name(), "facs-p-lut");
         let mut f = FacsController::paper_default();
         assert_eq!(f.name(), "facs");
-        f = f.with_lut_backend(coarse()).unwrap();
+        f = f.with_lut_backend(Flc2Lut::paper_shared()).unwrap();
         assert_eq!(f.name(), "facs-lut");
     }
 
     #[test]
     fn lut_backend_must_match_the_station_capacity() {
+        // A coarse table without patches (a target no cell exceeds) keeps
+        // this capacity-only test cheap.
         let lut = |capacity_bu| {
-            crate::flc2::Flc2::with_capacity(capacity_bu)
-                .unwrap()
-                .compile_lut_with_resolution((17, 17))
-                .unwrap()
+            let flc2 = crate::flc2::Flc2::with_capacity(capacity_bu).unwrap();
+            Flc2Lut::tabulate_refined(&flc2, (17, 17), f64::MAX, 3).unwrap()
         };
         let large_p = || {
             FacsPController::new(FacsPConfig {
@@ -601,11 +574,7 @@ mod tests {
             large_p().with_lut_backend(lut(40.0)),
             Err(fuzzy::FuzzyError::InvalidLut { .. })
         ));
-        let large = FacsController::new(FacsConfig {
-            capacity_bu: 80.0,
-            ..FacsConfig::default()
-        })
-        .unwrap();
+        let large = FacsController::new(FacsConfig { capacity_bu: 80.0 }).unwrap();
         assert!(large.with_lut_backend(lut(40.0)).is_err());
         // A LUT tabulated for 80 BU fits the 80-BU controller.
         assert!(large_p().with_lut_backend(lut(80.0)).is_ok());

@@ -111,11 +111,6 @@ impl Flc2 {
         )
     }
 
-    /// Pre-tabulate on a plain uniform `(Cv, Cs)` grid (no refinement).
-    pub fn compile_lut_with_resolution(&self, resolution: (usize, usize)) -> Result<Flc2Lut> {
-        Flc2Lut::tabulate(self, resolution)
-    }
-
     /// Compute the soft accept/reject value in `[-1, 1]`.
     ///
     /// * `correction_value` — FLC1's output, clamped to `[0, 1]`.
@@ -167,13 +162,9 @@ impl Flc2 {
 ///
 /// The approximation error is measured at tabulation time:
 /// [`Flc2Lut::max_error`] is the worst [`Lut2d::max_error`] across the
-/// class surfaces (`< 1e-3` at the default settings; pinned by a test).
-/// Note the measurement basis: refined tabulations probe a 3x3 lattice
-/// per base cell plus every patch sub-cell midpoint, while plain uniform
-/// tabulations probe cell midpoints only — near the surface's kink bands
-/// a coarse uniform table's true error can exceed its midpoint-measured
-/// number, so size uniform grids generously or prefer the refined
-/// default.
+/// class surfaces (`< 1e-3` at the default settings; pinned by a test),
+/// probed on a 3x3 lattice per base cell plus every patch sub-cell
+/// midpoint.
 ///
 /// The class surfaces and the exact fallback engine are stored behind
 /// [`Arc`]s, so cloning an `Flc2Lut` (e.g. to share one tabulation across
@@ -192,22 +183,6 @@ pub struct Flc2Lut {
 }
 
 impl Flc2Lut {
-    /// Tabulate `flc2` for the paper's three request classes on plain
-    /// uniform `(Cv, Cs)` grids of the given resolution.
-    pub fn tabulate(flc2: &Flc2, (n_cv, n_cs): (usize, usize)) -> Result<Self> {
-        Self::build(flc2, |compiled, scratch, rq| {
-            Lut2d::tabulate_fn(
-                0.0,
-                1.0,
-                0.0,
-                flc2.capacity_bu,
-                n_cv,
-                n_cs,
-                class_line(compiled, scratch, rq),
-            )
-        })
-    }
-
     /// Tabulate `flc2` for the paper's three request classes on a uniform
     /// base grid with local refinement down to `target_error` (see
     /// [`Lut2d::tabulate_fn_refined`]).
@@ -217,8 +192,11 @@ impl Flc2Lut {
         target_error: f64,
         max_patch_nodes: usize,
     ) -> Result<Self> {
-        Self::build(flc2, |compiled, scratch, rq| {
-            Lut2d::tabulate_fn_refined(
+        let compiled = flc2.compiled();
+        let mut scratch = compiled.scratch();
+        let mut luts = Vec::with_capacity(3);
+        for rq in [1.0, 5.0, 10.0] {
+            let lut = Lut2d::tabulate_fn_refined(
                 0.0,
                 1.0,
                 0.0,
@@ -226,8 +204,15 @@ impl Flc2Lut {
                 base,
                 target_error,
                 max_patch_nodes,
-                class_line(compiled, scratch, rq),
-            )
+                class_line(compiled, &mut scratch, rq),
+            )?;
+            luts.push((rq, lut));
+        }
+        Ok(Self {
+            luts: luts.into(),
+            exact: Arc::clone(&flc2.shared),
+            scratch: RefCell::new(scratch),
+            capacity_bu: flc2.capacity_bu,
         })
     }
 
@@ -254,24 +239,6 @@ impl Flc2Lut {
             scratch: exact.scratch(),
             capacity_bu: *capacity_bu,
         }
-    }
-
-    fn build(
-        flc2: &Flc2,
-        mut tabulate_class: impl FnMut(&CompiledEngine, &mut Scratch, f64) -> Result<Lut2d>,
-    ) -> Result<Self> {
-        let mut luts = Vec::with_capacity(3);
-        let compiled = flc2.compiled();
-        let mut scratch = compiled.scratch();
-        for rq in [1.0, 5.0, 10.0] {
-            luts.push((rq, tabulate_class(compiled, &mut scratch, rq)?));
-        }
-        Ok(Self {
-            luts: luts.into(),
-            exact: Arc::clone(&flc2.shared),
-            scratch: RefCell::new(scratch),
-            capacity_bu: flc2.capacity_bu,
-        })
     }
 
     /// The capacity (BU) the tabulated counter-state axis spans.

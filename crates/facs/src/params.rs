@@ -63,6 +63,16 @@ impl PaperParams {
     /// simulator's default cell.
     pub const DISTANCE_MAX_M: f64 = 1000.0;
 
+    /// Distance FACS assumes when a request carries no distance
+    /// measurement (metres): mid-cell.
+    pub const DEFAULT_DISTANCE_M: f64 = Self::DISTANCE_MAX_M / 2.0;
+
+    /// Crisp acceptance threshold on FLC2's defuzzified A/R value: a
+    /// request is admitted when `A/R > ACCEPT_THRESHOLD`.  The paper's soft
+    /// decision collapses with a threshold of 0 ("weak accept" or better
+    /// admits).
+    pub const ACCEPT_THRESHOLD: f64 = 0.0;
+
     /// FLC1 input: user Speed `Sp` over `[0, 120]` km/h with terms
     /// Slow / Middle / Fast (Fig. 5(a)).
     pub fn speed_variable() -> Result<LinguisticVariable> {

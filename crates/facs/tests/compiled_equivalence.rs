@@ -3,7 +3,7 @@
 //! engine across a dense input grid, and the LUT backend must stay within
 //! its measured error bound (`< 1e-3` at the default resolution).
 
-use facs::{DistanceFlc1, Flc1, Flc2, PaperParams};
+use facs::{DistanceFlc1, Flc1, Flc2, Flc2Lut, PaperParams};
 
 /// Compare two decision paths bit for bit and report the first divergence.
 fn assert_bit_identical(a: f64, b: f64, context: &str) {
@@ -160,7 +160,7 @@ fn lut_error_is_bounded() {
 #[test]
 fn lut_falls_back_to_exact_for_untabulated_classes() {
     let flc2 = Flc2::paper_default().unwrap();
-    let lut = flc2.compile_lut_with_resolution((65, 65)).unwrap();
+    let lut = Flc2Lut::paper_shared();
     assert_eq!(lut.tabulated_classes(), vec![1.0, 5.0, 10.0]);
     // 3.3 BU is no paper class: the LUT must defer to the compiled engine.
     let exact = flc2.decision_value(0.6, 3.3, 17.0);

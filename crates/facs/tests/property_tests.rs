@@ -6,7 +6,7 @@ use cellsim::geometry::{CellId, Point};
 use cellsim::sim::AdmissionRequest;
 use cellsim::station::BaseStation;
 use cellsim::traffic::ServiceClass;
-use facs::{FacsController, FacsPController, Flc1, Flc2, PriorityPolicy};
+use facs::{FacsController, FacsPController, Flc1, Flc2, PaperParams, PriorityPolicy};
 use proptest::prelude::*;
 
 fn class_from_index(i: usize) -> ServiceClass {
@@ -124,9 +124,9 @@ proptest! {
         let mut facs = facs;
         let mut facsp = facsp;
         let d1 = cellsim::AdmissionController::decide(&mut facs, &req, &station);
-        prop_assert_eq!(d1.accept, d1.score > facs.config().accept_threshold);
+        prop_assert_eq!(d1.accept, d1.score > PaperParams::ACCEPT_THRESHOLD);
         let d2 = cellsim::AdmissionController::decide(&mut facsp, &req, &station);
-        prop_assert_eq!(d2.accept, d2.score > facsp.config().accept_threshold);
+        prop_assert_eq!(d2.accept, d2.score > PaperParams::ACCEPT_THRESHOLD);
     }
 
     #[test]

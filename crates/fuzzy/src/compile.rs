@@ -97,7 +97,7 @@
 //! assert_eq!(crisp[0].to_bits(), reference.to_bits());
 //! ```
 
-use crate::engine::MamdaniEngine;
+use crate::engine::{check_distinct_names, MamdaniEngine};
 use crate::error::{FuzzyError, Result};
 use crate::membership::MembershipFunction;
 use crate::rule::Clause;
@@ -255,11 +255,12 @@ pub struct CompiledEngine {
 impl CompiledEngine {
     /// Lower `engine` into its compiled form.
     ///
-    /// Fails when the engine has no rules, when its rule table has more
-    /// than 65,536 cells (the product of the input term counts) or more
-    /// than 16 inputs, or when a rule is not a row of the table (rules added through
-    /// [`MamdaniEngine::add_rule`] always are; this guards deserialized
-    /// engines).
+    /// Fails when the engine has no rules, when two inputs or two outputs
+    /// share a name, when its rule table has more than 65,536 cells (the
+    /// product of the input term counts) or more than 16 inputs, or when a
+    /// rule is not a row of the table (engines built through
+    /// [`MamdaniEngine::builder`] and [`MamdaniEngine::add_rule`] never
+    /// fail the name and row checks; they guard deserialized engines).
     pub fn compile(engine: &MamdaniEngine) -> Result<Self> {
         if engine.rules().is_empty() {
             return Err(FuzzyError::EmptyEngine { missing: "rules" });
@@ -267,6 +268,7 @@ impl CompiledEngine {
         let resolution = engine.resolution();
         let inputs = engine.inputs();
         let outputs = engine.outputs();
+        check_distinct_names(inputs, outputs)?;
 
         let mut input_term_offsets = Vec::with_capacity(inputs.len() + 1);
         let mut input_term_names = Vec::new();

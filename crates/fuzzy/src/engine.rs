@@ -293,6 +293,7 @@ impl EngineBuilder {
         if self.outputs.is_empty() {
             return Err(FuzzyError::EmptyEngine { missing: "outputs" });
         }
+        check_distinct_names(&self.inputs, &self.outputs)?;
         Ok(MamdaniEngine {
             inputs: self.inputs,
             outputs: self.outputs,
@@ -300,6 +301,26 @@ impl EngineBuilder {
             resolution: self.resolution.unwrap_or(DEFAULT_RESOLUTION),
         })
     }
+}
+
+/// Refuse two inputs, or two outputs, with the same name.  The
+/// interpreted engine resolves a clause's variable by name (the first
+/// match) while the compiled one reads clauses by position, so a shared
+/// name would make the two disagree.
+pub(crate) fn check_distinct_names(
+    inputs: &[LinguisticVariable],
+    outputs: &[LinguisticVariable],
+) -> Result<()> {
+    for side in [inputs, outputs] {
+        for (i, var) in side.iter().enumerate() {
+            if side[..i].iter().any(|earlier| earlier.name() == var.name()) {
+                return Err(FuzzyError::DuplicateVariable {
+                    name: var.name().to_string(),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -362,6 +383,41 @@ mod tests {
             MamdaniEngine::builder().input(v).build(),
             Err(FuzzyError::EmptyEngine { missing: "outputs" })
         ));
+    }
+
+    #[test]
+    fn duplicate_variable_names_are_refused() {
+        let var = |name: &str| {
+            LinguisticVariable::builder(name, 0.0, 1.0)
+                .triangle("t", 0.0, 0.5, 1.0)
+                .build()
+                .unwrap()
+        };
+        let duplicate = |name: &str| FuzzyError::DuplicateVariable { name: name.into() };
+        let built = |inputs: &[&str], outputs: &[&str]| {
+            let mut b = MamdaniEngine::builder();
+            for name in inputs {
+                b = b.input(var(name));
+            }
+            for name in outputs {
+                b = b.output(var(name));
+            }
+            b.build().err()
+        };
+        assert_eq!(built(&["a", "b", "a"], &["o"]), Some(duplicate("a")));
+        assert_eq!(built(&["a"], &["o", "o"]), Some(duplicate("o")));
+        // Each side resolves its own names, so an input may share an
+        // output's name.
+        assert_eq!(built(&["x"], &["x"]), None);
+        // `compile` checks again, for engines that never went through the
+        // builder (a deserialized one, say).
+        let engine = MamdaniEngine {
+            inputs: vec![var("a"), var("a")],
+            outputs: vec![var("o")],
+            rules: RuleBase::from_rules(vec![Rule::row(&[("a", "t"), ("a", "t")], "o", "t")]),
+            resolution: DEFAULT_RESOLUTION,
+        };
+        assert_eq!(engine.compile().err(), Some(duplicate("a")));
     }
 
     #[test]

@@ -32,6 +32,12 @@ pub enum FuzzyError {
         /// Description of what is wrong with the term set.
         reason: String,
     },
+    /// Two inputs, or two outputs, of an engine share a name: rules name
+    /// their variables, so the name would resolve to either.
+    DuplicateVariable {
+        /// The shared name.
+        name: String,
+    },
     /// A rule references a variable that the engine does not know about.
     UnknownVariable {
         /// The variable name that failed to resolve.
@@ -111,6 +117,12 @@ impl fmt::Display for FuzzyError {
             ),
             FuzzyError::InvalidTerms { variable, reason } => {
                 write!(f, "invalid term set for `{variable}`: {reason}")
+            }
+            FuzzyError::DuplicateVariable { name } => {
+                write!(
+                    f,
+                    "two variables on one side of the engine are named `{name}`"
+                )
             }
             FuzzyError::UnknownVariable { name } => {
                 write!(f, "unknown linguistic variable `{name}`")

@@ -15,23 +15,20 @@
 //! fires the same term heights as the one before it; the work is ordered
 //! into long columns for that reason.
 //!
-//! Two tabulation modes are provided:
-//!
-//! * [`Lut2d::tabulate`] / [`Lut2d::tabulate_fn`] — a plain uniform
-//!   `nx × ny` grid.
-//! * [`Lut2d::tabulate_refined`] / [`Lut2d::tabulate_fn_refined`] — a
-//!   uniform base grid plus dense *local patches* in exactly the cells
-//!   whose probed error exceeds a target.  Mamdani decision surfaces are
-//!   smooth almost everywhere but carry narrow kink bands (where the set
-//!   of firing rules changes); uniform grids must pay the kink density
-//!   everywhere, while the two-level table pays it only along the bands —
-//!   orders of magnitude less memory and tabulation work for the same
-//!   error bound.
+//! [`Lut2d::tabulate_refined`] (from a compiled engine) and
+//! [`Lut2d::tabulate_fn_refined`] (from a line function) build a uniform
+//! base grid plus dense *local patches* in exactly the cells whose probed
+//! error exceeds a target.  Mamdani decision surfaces are smooth almost
+//! everywhere but carry narrow kink bands (where the set of firing rules
+//! changes); a uniform grid must pay the kink density everywhere, while
+//! the two-level table pays it only along the bands — orders of magnitude
+//! less memory and tabulation work for the same error bound.  A target no
+//! cell exceeds leaves the base grid unpatched.
 //!
 //! Tabulation *measures* its own accuracy: the generating function is
-//! re-evaluated at every (sub-)cell midpoint — the point of maximal
-//! distance from the supporting samples — and the largest deviation is
-//! kept as [`Lut2d::max_error`].  Callers pick grid density / error target
+//! re-evaluated on a 3x3 probe lattice inside every base cell and at every
+//! patch sub-cell midpoint, and the largest deviation is kept as
+//! [`Lut2d::max_error`].  Callers pick grid density / error target
 //! against that number instead of guessing.
 //!
 //! # Quick example
@@ -71,7 +68,7 @@
 //! }
 //!
 //! let compiled = engine.compile().unwrap();
-//! let lut = Lut2d::tabulate(&compiled, 129, 129).unwrap();
+//! let lut = Lut2d::tabulate_refined(&compiled, (33, 33), 1e-3, 65).unwrap();
 //! let exact = compiled.infer(&[0.8, 0.7])[0];
 //! assert!((lut.lookup(0.8, 0.7) - exact).abs() <= lut.max_error() + 1e-12);
 //! ```
@@ -101,11 +98,11 @@ struct Patch {
 
 /// A quantised 2-input policy surface with bilinear interpolation.
 ///
-/// Built with [`Lut2d::tabulate`] (from a 2-input, 1-output
-/// [`CompiledEngine`]) or [`Lut2d::tabulate_fn`] (from any line function
-/// `f(x, ys, out)` that writes `f(x, ys[k])` into `out[k]`, e.g. a wider
-/// controller with some inputs pinned); the `*_refined` variants add local
-/// patches until a target error is met.
+/// Built with [`Lut2d::tabulate_refined`] (from a 2-input, 1-output
+/// [`CompiledEngine`]) or [`Lut2d::tabulate_fn_refined`] (from any line
+/// function `f(x, ys, out)` that writes `f(x, ys[k])` into `out[k]`, e.g. a
+/// wider controller with some inputs pinned); both add local patches until
+/// a target error is met.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lut2d {
     x_min: f64,
@@ -116,29 +113,13 @@ pub struct Lut2d {
     ny: usize,
     /// Row-major `nx * ny` base samples: `values[ix * ny + iy]`.
     values: Vec<f64>,
-    /// `(nx-1) * (ny-1)` patch slots (empty when tabulated uniformly).
+    /// `(nx-1) * (ny-1)` patch slots.
     patch_index: Vec<u32>,
     patches: Vec<Patch>,
     max_error: f64,
 }
 
 impl Lut2d {
-    /// Tabulate a compiled engine with exactly two inputs and one output on
-    /// a uniform `nx × ny` grid spanning the inputs' universes.
-    pub fn tabulate(engine: &CompiledEngine, nx: usize, ny: usize) -> Result<Self> {
-        let ((x_min, x_max), (y_min, y_max)) = engine_bounds(engine)?;
-        let mut scratch = engine.scratch();
-        Self::tabulate_fn(
-            x_min,
-            x_max,
-            y_min,
-            y_max,
-            nx,
-            ny,
-            engine_line(engine, &mut scratch),
-        )
-    }
-
     /// Tabulate a compiled engine on a uniform base grid, then refine every
     /// cell whose probed error exceeds `target_error` with a dense local
     /// patch (up to `max_patch_nodes` nodes per side).
@@ -162,37 +143,6 @@ impl Lut2d {
         )
     }
 
-    /// Tabulate an arbitrary 2-input function on a uniform `nx × ny` grid
-    /// over `[x_min, x_max] × [y_min, y_max]`.
-    ///
-    /// `f(x, ys, out)` writes `f(x, ys[k])` into `out[k]`.  It is called
-    /// once per grid column (`nx` lines of `ny` points) to fill the table,
-    /// then once per column of cells at their midpoints to measure
-    /// [`Lut2d::max_error`].
-    pub fn tabulate_fn(
-        x_min: f64,
-        x_max: f64,
-        y_min: f64,
-        y_max: f64,
-        nx: usize,
-        ny: usize,
-        mut f: impl FnMut(f64, &[f64], &mut [f64]),
-    ) -> Result<Self> {
-        let mut lut = Self::base_grid(x_min, x_max, y_min, y_max, nx, ny, &mut f)?;
-        let ys: Vec<f64> = (0..ny - 1).map(|j| lut.cell_midpoint(0, j).1).collect();
-        let mut exact = vec![0.0; ny - 1];
-        let mut max_error = 0.0f64;
-        for i in 0..nx - 1 {
-            let mx = lut.cell_midpoint(i, 0).0;
-            f(mx, &ys, &mut exact);
-            for (&my, &e) in ys.iter().zip(&exact) {
-                max_error = max_error.max((lut.lookup(mx, my) - e).abs());
-            }
-        }
-        lut.max_error = max_error;
-        Ok(lut)
-    }
-
     /// Tabulate an arbitrary 2-input function on a uniform base grid and
     /// refine until every probed midpoint error is at or below
     /// `target_error` (or the per-cell patch density cap
@@ -203,7 +153,7 @@ impl Lut2d {
     /// sub-cell midpoint, doubling until the target or the cap is met, so
     /// [`Lut2d::max_error`] reflects the final refined table.
     ///
-    /// `f` is the line function of [`Lut2d::tabulate_fn`].  The work runs
+    /// `f(x, ys, out)` writes `f(x, ys[k])` into `out[k]`.  The work runs
     /// in columns: the base grid, then every cell's 3x3 probes, then each
     /// refined cell's patch samples and their verification.
     #[allow(clippy::too_many_arguments)]
@@ -222,9 +172,43 @@ impl Lut2d {
                 reason: format!("target error must be positive, got {target_error}"),
             });
         }
+        if !(x_min.is_finite() && x_max.is_finite() && y_min.is_finite() && y_max.is_finite())
+            || x_min >= x_max
+            || y_min >= y_max
+        {
+            return Err(FuzzyError::InvalidLut {
+                reason: format!(
+                    "bounds must be finite, non-degenerate intervals, got \
+                     [{x_min}, {x_max}] x [{y_min}, {y_max}]"
+                ),
+            });
+        }
+        if nx < 2 || ny < 2 {
+            return Err(FuzzyError::InvalidLut {
+                reason: format!("grid must be at least 2 x 2, got {nx} x {ny}"),
+            });
+        }
         let max_patch_nodes = max_patch_nodes.clamp(3, 1025);
-        let mut lut = Self::base_grid(x_min, x_max, y_min, y_max, nx, ny, &mut f)?;
-        lut.patch_index = vec![NO_PATCH; (nx - 1) * (ny - 1)];
+        let ys: Vec<f64> = (0..ny)
+            .map(|j| y_min + (y_max - y_min) * (j as f64) / ((ny - 1) as f64))
+            .collect();
+        let mut values = vec![0.0; nx * ny];
+        for (i, column) in values.chunks_exact_mut(ny).enumerate() {
+            let x = x_min + (x_max - x_min) * (i as f64) / ((nx - 1) as f64);
+            f(x, &ys, column);
+        }
+        let mut lut = Self {
+            x_min,
+            x_max,
+            y_min,
+            y_max,
+            nx,
+            ny,
+            values,
+            patch_index: vec![NO_PATCH; (nx - 1) * (ny - 1)],
+            patches: Vec::new(),
+            max_error: 0.0,
+        };
         let cell_errors = lut.probe_cells(&mut f);
         let mut line = LineBuffers::default();
 
@@ -267,54 +251,6 @@ impl Lut2d {
         Ok(lut)
     }
 
-    /// Shared constructor: fill the uniform base grid (no error pass).
-    fn base_grid(
-        x_min: f64,
-        x_max: f64,
-        y_min: f64,
-        y_max: f64,
-        nx: usize,
-        ny: usize,
-        f: &mut impl FnMut(f64, &[f64], &mut [f64]),
-    ) -> Result<Self> {
-        if !(x_min.is_finite() && x_max.is_finite() && y_min.is_finite() && y_max.is_finite())
-            || x_min >= x_max
-            || y_min >= y_max
-        {
-            return Err(FuzzyError::InvalidLut {
-                reason: format!(
-                    "bounds must be finite, non-degenerate intervals, got \
-                     [{x_min}, {x_max}] x [{y_min}, {y_max}]"
-                ),
-            });
-        }
-        if nx < 2 || ny < 2 {
-            return Err(FuzzyError::InvalidLut {
-                reason: format!("grid must be at least 2 x 2, got {nx} x {ny}"),
-            });
-        }
-        let ys: Vec<f64> = (0..ny)
-            .map(|j| y_min + (y_max - y_min) * (j as f64) / ((ny - 1) as f64))
-            .collect();
-        let mut values = vec![0.0; nx * ny];
-        for (i, column) in values.chunks_exact_mut(ny).enumerate() {
-            let x = x_min + (x_max - x_min) * (i as f64) / ((nx - 1) as f64);
-            f(x, &ys, column);
-        }
-        Ok(Self {
-            x_min,
-            x_max,
-            y_min,
-            y_max,
-            nx,
-            ny,
-            values,
-            patch_index: Vec::new(),
-            patches: Vec::new(),
-            max_error: 0.0,
-        })
-    }
-
     /// Bilinear interpolation of the tabulated surface at `(x, y)`;
     /// coordinates are clamped into the tabulated rectangle.
     #[must_use]
@@ -324,11 +260,9 @@ impl Lut2d {
 
     /// [`Lut2d::lookup`] at the base-cell positions of `x` and `y`.
     fn lookup_at(&self, (ix, fx): (usize, f64), (iy, fy): (usize, f64)) -> f64 {
-        if !self.patches.is_empty() {
-            let pidx = self.patch_index[ix * (self.ny - 1) + iy];
-            if pidx != NO_PATCH {
-                return self.patches[pidx as usize].lookup(fx, fy);
-            }
+        let pidx = self.patch_index[self.patch_slot(ix, iy)];
+        if pidx != NO_PATCH {
+            return self.patches[pidx as usize].lookup(fx, fy);
         }
         bilinear(&self.values, self.ny, (ix, fx), (iy, fy))
     }
@@ -343,8 +277,9 @@ impl Lut2d {
         node_pos(grid_pos(y, self.y_min, self.y_max, self.ny), self.ny)
     }
 
-    /// The largest interpolation error measured at (sub-)cell midpoints
-    /// during tabulation.
+    /// The largest interpolation error measured during tabulation: over
+    /// each unpatched base cell's 3x3 probe lattice and each patch's
+    /// sub-cell midpoints.
     #[must_use]
     pub fn max_error(&self) -> f64 {
         self.max_error
@@ -356,7 +291,7 @@ impl Lut2d {
         (self.nx, self.ny)
     }
 
-    /// Number of refined cells (0 for uniform tabulations).
+    /// Number of refined cells (0 when no base cell exceeded the target).
     #[must_use]
     pub fn patch_count(&self) -> usize {
         self.patches.len()
@@ -401,14 +336,6 @@ impl Lut2d {
 
     fn patch_slot(&self, ix: usize, iy: usize) -> usize {
         ix * (self.ny - 1) + iy
-    }
-
-    /// Midpoint of base cell `(ix, iy)` in domain coordinates.
-    fn cell_midpoint(&self, ix: usize, iy: usize) -> (f64, f64) {
-        (
-            self.x_min + (self.x_max - self.x_min) * (ix as f64 + 0.5) / ((self.nx - 1) as f64),
-            self.y_min + (self.y_max - self.y_min) * (iy as f64 + 0.5) / ((self.ny - 1) as f64),
-        )
     }
 
     /// Worst interpolation error of every base cell over a 3x3 interior
@@ -696,28 +623,32 @@ mod tests {
         e.compile().unwrap()
     }
 
+    /// An `n × n` table without patches: the refined entry point with a
+    /// target no cell exceeds.
+    fn unpatched(engine: &CompiledEngine, n: usize) -> Lut2d {
+        Lut2d::tabulate_refined(engine, (n, n), f64::MAX, 3).unwrap()
+    }
+
     #[test]
     fn tabulate_rejects_wrong_shapes() {
         // 3-input engine.
-        let a = LinguisticVariable::builder("a", 0.0, 1.0)
-            .triangle("t", 0.0, 0.5, 1.0)
-            .build()
-            .unwrap();
-        let out = LinguisticVariable::builder("o", 0.0, 1.0)
-            .triangle("t", 0.0, 0.5, 1.0)
-            .build()
-            .unwrap();
+        let var = |name: &str| {
+            LinguisticVariable::builder(name, 0.0, 1.0)
+                .triangle("t", 0.0, 0.5, 1.0)
+                .build()
+                .unwrap()
+        };
         let mut e = MamdaniEngine::builder()
-            .input(a.clone())
-            .input(a.clone())
-            .input(a)
-            .output(out)
+            .input(var("a"))
+            .input(var("b"))
+            .input(var("c"))
+            .output(var("o"))
             .build()
             .unwrap();
-        e.add_rule(Rule::row(&[("a", "t"), ("a", "t"), ("a", "t")], "o", "t"))
+        e.add_rule(Rule::row(&[("a", "t"), ("b", "t"), ("c", "t")], "o", "t"))
             .unwrap();
         assert!(matches!(
-            Lut2d::tabulate(&e.compile().unwrap(), 16, 16),
+            Lut2d::tabulate_refined(&e.compile().unwrap(), (16, 16), 1e-3, 65),
             Err(FuzzyError::InvalidLut { .. })
         ));
     }
@@ -725,10 +656,13 @@ mod tests {
     #[test]
     fn tabulate_fn_rejects_degenerate_grids() {
         let f = pointwise(|x, y| x + y);
-        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 1, 8, &f).is_err());
-        assert!(Lut2d::tabulate_fn(0.0, 1.0, 0.0, 1.0, 8, 1, &f).is_err());
-        assert!(Lut2d::tabulate_fn(1.0, 1.0, 0.0, 1.0, 8, 8, &f).is_err());
-        assert!(Lut2d::tabulate_fn(f64::NAN, 1.0, 0.0, 1.0, 8, 8, &f).is_err());
+        let table = |x_min, x_max, grid| {
+            Lut2d::tabulate_fn_refined(x_min, x_max, 0.0, 1.0, grid, f64::MAX, 3, &f)
+        };
+        assert!(table(0.0, 1.0, (1, 8)).is_err());
+        assert!(table(0.0, 1.0, (8, 1)).is_err());
+        assert!(table(1.0, 1.0, (8, 8)).is_err());
+        assert!(table(f64::NAN, 1.0, (8, 8)).is_err());
         assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), 0.0, 65, &f).is_err());
         assert!(Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 1.0, (8, 8), f64::NAN, 65, &f).is_err());
     }
@@ -738,7 +672,8 @@ mod tests {
         // f(x, y) = 2x + 3y + xy is reproduced exactly by bilinear
         // interpolation, so the measured error is (numerically) zero.
         let f = pointwise(|x, y| 2.0 * x + 3.0 * y + x * y);
-        let lut = Lut2d::tabulate_fn(0.0, 4.0, -1.0, 1.0, 9, 9, f).unwrap();
+        let lut = Lut2d::tabulate_fn_refined(0.0, 4.0, -1.0, 1.0, (9, 9), 1e-9, 65, f).unwrap();
+        assert_eq!(lut.patch_count(), 0);
         assert!(lut.max_error() < 1e-12, "error {}", lut.max_error());
         for (x, y) in [(0.0, -1.0), (1.3, 0.2), (4.0, 1.0), (2.71, -0.9)] {
             let exact = 2.0 * x + 3.0 * y + x * y;
@@ -749,7 +684,7 @@ mod tests {
     #[test]
     fn lookup_matches_samples_at_grid_points() {
         let compiled = two_input_engine();
-        let lut = Lut2d::tabulate(&compiled, 33, 33).unwrap();
+        let lut = unpatched(&compiled, 33);
         let mut scratch = compiled.scratch();
         for i in 0..33 {
             for j in 0..33 {
@@ -768,8 +703,8 @@ mod tests {
     #[test]
     fn error_shrinks_with_resolution() {
         let compiled = two_input_engine();
-        let coarse = Lut2d::tabulate(&compiled, 9, 9).unwrap();
-        let fine = Lut2d::tabulate(&compiled, 129, 129).unwrap();
+        let coarse = unpatched(&compiled, 9);
+        let fine = unpatched(&compiled, 129);
         assert!(fine.max_error() < coarse.max_error());
         assert!(fine.max_error() < 1e-2);
     }
@@ -810,7 +745,7 @@ mod tests {
         let refined = Lut2d::tabulate_refined(&compiled, (33, 33), 5.0e-4, 129).unwrap();
         // A uniform grid spending at least as much memory...
         let n = ((refined.sample_bytes() / 8) as f64).sqrt().ceil() as usize;
-        let uniform = Lut2d::tabulate(&compiled, n, n).unwrap();
+        let uniform = unpatched(&compiled, n);
         assert!(
             refined.max_error() < uniform.max_error(),
             "refined {} vs uniform {} ({}x{} = {} bytes vs {} bytes)",
@@ -826,7 +761,7 @@ mod tests {
     #[test]
     fn lookup_clamps_out_of_range_queries() {
         let compiled = two_input_engine();
-        let lut = Lut2d::tabulate(&compiled, 17, 17).unwrap();
+        let lut = unpatched(&compiled, 17);
         assert_eq!(lut.lookup(-100.0, 0.0), lut.lookup(0.0, 0.0));
         assert_eq!(lut.lookup(100.0, 100.0), lut.lookup(10.0, 5.0));
         assert_eq!(lut.lookup(f64::NAN, 0.0), lut.lookup(0.0, 0.0));
@@ -834,11 +769,13 @@ mod tests {
 
     #[test]
     fn metadata_accessors() {
-        let lut = Lut2d::tabulate_fn(0.0, 1.0, 0.0, 2.0, 5, 9, pointwise(|x, y| x * y)).unwrap();
+        let f = pointwise(|x, y| x * y);
+        let lut = Lut2d::tabulate_fn_refined(0.0, 1.0, 0.0, 2.0, (5, 9), f64::MAX, 3, f).unwrap();
         assert_eq!(lut.resolution(), (5, 9));
         assert_eq!(lut.patch_count(), 0);
         assert_eq!(lut.bounds(), ((0.0, 1.0), (0.0, 2.0)));
-        assert_eq!(lut.sample_bytes(), 5 * 9 * 8);
+        // Base samples, then one `u32` patch slot per base cell.
+        assert_eq!(lut.sample_bytes(), 5 * 9 * 8 + 4 * 8 * 4);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! simulator can express is one JSON file away:
 //!
 //! * [`ScenarioSpec`] — a serde-serializable description of a full
-//!   experiment: grid size, cell radius and capacity, traffic mix, mobility
-//!   and speed/angle ranges, controller choices, load axis, replication
-//!   count and base seed;
+//!   experiment: grid size, cell radius and capacity, traffic mix,
+//!   speed/angle ranges, controller choices, load axis, replication count
+//!   and base seed;
 //! * [`scenarios`] — a built-in library of six ready-to-run specs
 //!   (`paper-default`, `highway-handoff`, `downtown-hotspot`,
 //!   `flash-crowd`, `mixed-multimedia`, and the metro-scale `metro`);

@@ -11,7 +11,7 @@ use crate::spec::{ControllerSpec, LoadMode, ScenarioSpec};
 use cellsim::traffic::{
     GroupConfig, MmppConfig, TraceConfig, TrafficConfig, TrafficMix, TrafficModel,
 };
-use cellsim::{FaultPlan, MobilityModel};
+use cellsim::FaultPlan;
 
 /// Names of all built-in scenarios, in presentation order.
 #[must_use]
@@ -76,7 +76,6 @@ fn paper_default() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![
             ControllerSpec::FacsP,
@@ -113,7 +112,6 @@ fn highway_handoff() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::ConstantVelocity,
         utilization_sample_interval_s: 60.0,
         controllers: vec![
             ControllerSpec::FacsP,
@@ -129,13 +127,12 @@ fn highway_handoff() -> ScenarioSpec {
 }
 
 /// A dense urban core: a 7-cell cluster of small cells, slow (pedestrian)
-/// users whose heading wanders, and sustained overload — the regime where
-/// direction prediction is hardest for the FLC1 cascade.
+/// users and sustained overload — the regime where FLC1 rates direction
+/// prediction lowest, since it trusts a slow user's heading least.
 fn downtown_hotspot() -> ScenarioSpec {
     ScenarioSpec {
         name: "downtown-hotspot".to_string(),
-        description: "7-cell downtown cluster, 0-15 km/h pedestrians with wandering \
-                      headings, sustained overload"
+        description: "7-cell downtown cluster, 0-15 km/h pedestrians, sustained overload"
             .to_string(),
         grid_radius_cells: 1,
         cell_radius_m: 250.0,
@@ -149,7 +146,6 @@ fn downtown_hotspot() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::RandomDirection { max_turn_deg: 60.0 },
         utilization_sample_interval_s: 60.0,
         controllers: vec![
             ControllerSpec::FacsP,
@@ -183,7 +179,6 @@ fn flash_crowd() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![
             ControllerSpec::FacsP,
@@ -220,7 +215,6 @@ fn mixed_multimedia() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![
             ControllerSpec::FacsP,
@@ -271,7 +265,6 @@ fn metro() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::ConstantVelocity,
         utilization_sample_interval_s: 60.0,
         controllers: vec![
             ControllerSpec::AlwaysAccept,
@@ -345,7 +338,6 @@ fn burst_trace() -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Trace(trace),
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![
             ControllerSpec::FacsP,

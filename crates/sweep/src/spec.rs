@@ -2,9 +2,9 @@
 //!
 //! A [`ScenarioSpec`] captures *everything* a full experiment needs — the
 //! network (grid size, cell radius, station capacity), the workload
-//! (traffic mix, mobility ranges, load axis), the admission controllers to
-//! compare, and the statistical design (replication count, base seed) — as
-//! one serde-serializable value.  A spec can therefore live in a JSON file,
+//! (traffic mix, speed and angle ranges, load axis), the admission
+//! controllers to compare, and the statistical design (replication count,
+//! base seed) — as one serde-serializable value.  A spec can therefore live in a JSON file,
 //! be shipped to another machine, and reproduce the exact same numbers,
 //! because every random draw of every replication is derived from the
 //! spec's `base_seed` by a fixed rule ([`ScenarioSpec::seed_for`]).
@@ -12,7 +12,7 @@
 use cellsim::shard::BoxedController;
 use cellsim::sim::{AlwaysAccept, CapacityThreshold, SimConfig};
 use cellsim::traffic::{TrafficConfig, TrafficModel};
-use cellsim::{Bandwidth, FaultPlan, MobilityModel};
+use cellsim::{Bandwidth, FaultPlan};
 use facs::{FacsController, FacsPController};
 use scc::SccAdmission;
 use serde::{Deserialize, Serialize};
@@ -179,8 +179,6 @@ pub struct ScenarioSpec {
     /// exact same experiment.
     #[serde(default)]
     pub fault_plan: FaultPlan,
-    /// Mobility model for admitted users in multi-cell runs.
-    pub mobility: MobilityModel,
     /// Interval between utilisation samples (seconds); 0 disables sampling.
     pub utilization_sample_interval_s: f64,
     /// The controllers to compare.  Every controller sees the identical
@@ -278,7 +276,6 @@ impl ScenarioSpec {
             .with_traffic(traffic)
             .with_traffic_model(self.traffic_model.clone())
             .with_fault_plan(self.fault_plan.clone())
-            .with_mobility(self.mobility.clone())
             .with_utilization_sampling(self.utilization_sample_interval_s)
             .with_seed(self.seed_for(controller, load_index, replication))
     }
@@ -405,6 +402,36 @@ mod tests {
             .to_string(),
             "threshold(0.80/1.00)"
         );
+    }
+
+    #[test]
+    fn specs_with_a_mobility_field_still_load() {
+        // `downtown-hotspot` as `to_json()` wrote it while specs carried a
+        // `mobility` field that no engine read.  The field is ignored, and
+        // only the description (which promised wandering headings) moved.
+        let old = ScenarioSpec::from_json(include_str!(
+            "../tests/data/downtown-hotspot-with-mobility.json"
+        ))
+        .unwrap();
+        let current = builtin("downtown-hotspot").unwrap();
+        assert!(old.description.contains("wandering headings"));
+        assert_eq!(
+            ScenarioSpec {
+                description: current.description.clone(),
+                ..old.clone()
+            },
+            current
+        );
+        for controller in &current.controllers {
+            for load_index in 0..current.load_points.len() {
+                for rep in 0..current.replications {
+                    assert_eq!(
+                        old.sim_config(controller, load_index, rep),
+                        current.sim_config(controller, load_index, rep)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ fn main() {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![
             ControllerSpec::FacsP,

@@ -33,7 +33,6 @@ fn hotspot_spec(video_share: f64) -> ScenarioSpec {
         },
         traffic_model: TrafficModel::Poisson,
         fault_plan: FaultPlan::new(),
-        mobility: MobilityModel::paper_default(),
         utilization_sample_interval_s: 0.0,
         controllers: vec![ControllerSpec::FacsP],
         load_mode: LoadMode::TotalRequests,

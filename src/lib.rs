@@ -51,10 +51,10 @@ pub mod prelude {
     pub use cellsim::{
         AdmissionController, AdmissionDecision, AdmissionRequest, AlwaysAccept, BaseStation,
         BoxedController, CallRequest, CapacityThreshold, CellGrid, CellId, DurationPolicy,
-        FaultEvent, FaultKind, FaultPlan, GroupConfig, Metrics, MmppConfig, MobilityModel, Point,
-        ServiceClass, ShardConfig, ShardReport, ShardedSimulator, SimConfig, SimReport, SimRng,
-        Simulator, StatAccumulator, SummaryStats, TraceConfig, TrafficGenerator, TrafficMix,
-        TrafficModel, UserState,
+        FaultEvent, FaultKind, FaultPlan, GroupConfig, Metrics, MmppConfig, Point, ServiceClass,
+        ShardConfig, ShardReport, ShardedSimulator, SimConfig, SimReport, SimRng, Simulator,
+        StatAccumulator, SummaryStats, TraceConfig, TrafficGenerator, TrafficMix, TrafficModel,
+        UserState,
     };
     pub use facs::{
         DifferentiatedService, FacsConfig, FacsController, FacsPConfig, FacsPController, Flc1,

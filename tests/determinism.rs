@@ -51,8 +51,8 @@ fn poisson_multicell_runs_are_reproducible() {
     assert_eq!(run(), run());
 }
 
-/// A full multi-cell `run_poisson` — mobility, handoffs, utilisation
-/// sampling — must reproduce the *entire* report (every counter, every
+/// A full multi-cell `run_poisson` — handoffs, utilisation sampling —
+/// must reproduce the *entire* report (every counter, every
 /// sample) from its seed, not just the headline numbers.
 #[test]
 fn poisson_multicell_full_reports_are_identical() {
