@@ -1054,6 +1054,46 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             ev.time
         },
     ));
+    // The same hold model in the metro run's regime: sixteen shard queues
+    // of 62.5k pending events each (a metro shard's peak), far more than
+    // the caches hold together, served round-robin one epoch at a time
+    // (256 events: a shard's departures in a 5 s epoch at 1200 s mean
+    // holds), each event rescheduled a 1200 s mean hold later.
+    const METRO_QUEUES: usize = 16;
+    const METRO_PENDING: u32 = 62_500;
+    const EPOCH_EVENTS: u32 = 256;
+    let mut metro_queues: Vec<EventQueue> = (0..METRO_QUEUES)
+        .map(|_| {
+            let mut queue = EventQueue::new();
+            for call in 0..METRO_PENDING {
+                let kind = EventKind::Departure {
+                    cell: CellIdx(call % 128),
+                    connection_id: u64::from(call),
+                    user: Some(user),
+                };
+                queue.schedule(hold_rng.exponential(1_200.0), kind);
+            }
+            queue
+        })
+        .collect();
+    let (mut shard, mut served) = (0usize, 0u32);
+    cases.push(time_case(
+        "event/queue pop+schedule (metro hold, 16 queues)",
+        iters * 10,
+        || {
+            let queue = &mut metro_queues[shard];
+            let ev = queue.pop().expect("the hold model never drains");
+            queue.schedule(ev.time + 1_200.0 * steps[step & 4_095], ev.kind);
+            step += 1;
+            served += 1;
+            if served == EPOCH_EVENTS {
+                served = 0;
+                shard = (shard + 1) % METRO_QUEUES;
+            }
+            ev.time
+        },
+    ));
+    drop(metro_queues);
     // A metro station holding 600 calls: admit the next id, release the
     // oldest, so every iteration is two index lookups and two updates.
     const LIVE: u64 = 600;

@@ -12,16 +12,32 @@
 //! queued: both engines merge them in as the other three of four event
 //! streams, arrivals drawn from a [`crate::traffic::ArrivalStream`].
 //!
-//! [`EventQueue`] is an implicit 4-ary min-heap over one `Vec<Event>`.  A
-//! metro run keeps tens of thousands of events pending per shard, and
-//! sixteen shards' heaps together are far larger than the caches, so
-//! every level a pop descends costs one dependent cache miss.
-//! Four children per node halve the depth of a binary heap (8 levels
-//! instead of 16 at 62k events), the four children of a node sit next to
-//! each other in memory, and sift-down stops as soon as the displaced
-//! last element fits instead of sinking to a leaf first.  The backing
-//! vector keeps its capacity across [`EventQueue::clear`], so a warmed-up
-//! simulator schedules and pops events without allocating.
+//! [`EventQueue`] is a calendar queue (Brown, CACM 1988).  A metro run
+//! keeps tens of thousands of events pending per shard, and sixteen
+//! shards' queues together are far larger than the caches, so a single
+//! heap over every pending event pays one dependent cache miss per level
+//! a pop descends.  The calendar files each event in a fixed-width time
+//! bucket instead and orders only the bucket about to fire:
+//!
+//! - the **near** heap, a 4-ary min-heap holding exactly the events of the
+//!   earliest non-empty bucket, small enough to stay in cache;
+//! - the **ring**, one append-only slot per 4 s bucket for the 1024
+//!   buckets starting at the bucket of the last popped event (the clock);
+//!   slots store events in fixed-size blocks drawn from one per-queue
+//!   pool, so a sparse bucket wastes less than a block;
+//! - the **overflow** heap, a 4-ary min-heap for events past the ring.
+//!
+//! A pop takes the near heap's root; when the near heap empties, the next
+//! non-empty ring slot (or the overflow heap's earliest bucket) is loaded
+//! into it.  Every event in the ring or the overflow heap is in a later
+//! bucket than every near event, and bucket order is time order, so pops
+//! follow `(time, sequence)` exactly as one heap over all events would.
+//! A queue of fewer than 64 events, such as a single-cell sweep run's,
+//! is just the near heap over every event; it spreads into buckets when
+//! it reaches 64, and collapses back when it empties.
+//! Storage — both heaps' vectors and the block pool — is kept
+//! across [`EventQueue::clear`], so a warmed-up simulator schedules and
+//! pops events without allocating.
 
 use crate::geometry::CellIdx;
 use crate::slab::SlotId;
@@ -29,8 +45,46 @@ use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
-/// Children per node of the [`EventQueue`] heap.
+/// Children per node of the near and overflow heaps.
 const ARITY: usize = 4;
+
+/// Calendar bucket width in seconds.  A power of two, so a time's bucket
+/// is one exact multiply and a truncation.
+const BUCKET_WIDTH_S: f64 = 4.0;
+
+/// Buckets the ring spans ahead of the clock (4096 s of simulated time,
+/// several mean holding times of a metro call).  A power of two, so a
+/// bucket's slot is a mask.
+const RING_SLOTS: usize = 1024;
+
+/// The largest bucket index: times past it share the last bucket, and
+/// `bucket + RING_SLOTS` never overflows.
+const LAST_BUCKET: u64 = u64::MAX - RING_SLOTS as u64;
+
+/// Events per block of ring storage.  A filled slot wastes the unused
+/// rest of its last block, and each block costs a 4-byte link: four
+/// events per block kept a metro run's peak memory lowest (measured
+/// against two and eight).
+const BLOCK_EVENTS: usize = 4;
+
+/// Pending events below which the queue is one plain 4-ary heap, the
+/// near heap, with no buckets: small heaps stay in cache, and filing
+/// and loading buckets would cost more than it saves.  The sweep's
+/// single-cell runs never leave this mode.
+const SPREAD_AT: usize = 64;
+
+/// The `near_bucket` of a queue below [`SPREAD_AT`] events: the near
+/// heap holds every pending event.
+const WHOLE: u64 = u64::MAX;
+
+/// The null block index.
+const NIL: u32 = u32::MAX;
+
+/// The calendar bucket of a queued time (`+0.0` or positive finite).
+#[inline]
+fn bucket_of(time: SimTime) -> u64 {
+    ((time * (1.0 / BUCKET_WIDTH_S)) as u64).min(LAST_BUCKET)
+}
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,12 +157,251 @@ fn precedes(a: &Event, b: &Event) -> bool {
     (a.time.to_bits(), a.sequence) < (b.time.to_bits(), b.sequence)
 }
 
-/// A time-ordered event queue: an implicit 4-ary min-heap.
+/// An implicit 4-ary min-heap over `(time bits, sequence)`: the near and
+/// overflow parts of an [`EventQueue`].
 #[derive(Debug, Clone, Default)]
-pub struct EventQueue {
+struct Heap {
     /// Heap order: the children of node `i` are `ARITY * i + 1 ..=
     /// ARITY * i + ARITY`, and no child fires before its parent.
-    heap: Vec<Event>,
+    events: Vec<Event>,
+}
+
+impl Heap {
+    fn push(&mut self, ev: Event) {
+        self.events.push(ev);
+        self.sift_up(self.events.len() - 1, ev);
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        let last = self.events.pop()?;
+        if self.events.is_empty() {
+            return Some(last);
+        }
+        let first = self.events[0];
+        self.sift_down(last);
+        Some(first)
+    }
+
+    fn peek(&self) -> Option<&Event> {
+        self.events.first()
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Move `ev`, just written at `pos`, up past every parent it fires
+    /// before, shifting those parents down into the hole.
+    fn sift_up(&mut self, mut pos: usize, ev: Event) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if !precedes(&ev, &self.events[parent]) {
+                break;
+            }
+            self.events[pos] = self.events[parent];
+            pos = parent;
+        }
+        self.events[pos] = ev;
+    }
+
+    /// Refill the root hole with `ev` (the former last element): move the
+    /// earliest child up while it fires before `ev`, and stop at the first
+    /// level where `ev` fits.
+    fn sift_down(&mut self, ev: Event) {
+        let len = self.events.len();
+        let mut pos = 0;
+        loop {
+            let first_child = ARITY * pos + 1;
+            if first_child >= len {
+                break;
+            }
+            let children = &self.events[first_child..len.min(first_child + ARITY)];
+            let mut best = 0;
+            for (i, child) in children.iter().enumerate().skip(1) {
+                if precedes(child, &children[best]) {
+                    best = i;
+                }
+            }
+            let child = children[best];
+            if !precedes(&child, &ev) {
+                break;
+            }
+            self.events[pos] = child;
+            pos = first_child + best;
+        }
+        self.events[pos] = ev;
+    }
+}
+
+/// The filler of a fresh block's unused entries (never read).
+const VACANT: Event = Event {
+    time: 0.0,
+    sequence: 0,
+    kind: EventKind::Departure {
+        cell: CellIdx(0),
+        connection_id: 0,
+        user: None,
+    },
+};
+
+/// One ring slot: a chain of blocks holding `len` events, all of one
+/// bucket, in insertion order (the near heap orders them on loading).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The ring of bucket slots and the pool of blocks they draw from.
+/// Drained blocks are recycled through a free list, so the pool holds
+/// about as many blocks as the ring's peak needs, and every slot wastes
+/// less than one block: far less slack than one growable vector per
+/// bucket.  The pool grows by `push`, so its spare capacity is never
+/// written and costs no resident memory.
+#[derive(Debug, Clone)]
+struct Ring {
+    slots: Box<[Slot; RING_SLOTS]>,
+    /// The pool's blocks, `BLOCK_EVENTS` events each.
+    events: Vec<Event>,
+    /// Each block's successor in its slot's chain or in the free list.
+    next: Vec<u32>,
+    /// Head of the free-block list.
+    free: u32,
+    /// Events in all slots.
+    len: usize,
+}
+
+impl Default for Ring {
+    fn default() -> Self {
+        let empty = Slot {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        };
+        Self {
+            slots: Box::new([empty; RING_SLOTS]),
+            events: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
+}
+
+impl Ring {
+    fn slot(bucket: u64) -> usize {
+        bucket as usize & (RING_SLOTS - 1)
+    }
+
+    /// The events of block `index`.
+    fn block(&self, index: u32) -> &[Event] {
+        let start = index as usize * BLOCK_EVENTS;
+        &self.events[start..start + BLOCK_EVENTS]
+    }
+
+    /// A block for a slot's chain: a recycled one, else a fresh one.
+    fn alloc(&mut self) -> u32 {
+        if self.free != NIL {
+            let index = self.free;
+            self.free = self.next[index as usize];
+            return index;
+        }
+        let index = u32::try_from(self.next.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("event queue block pool exhausted");
+        self.next.push(NIL);
+        self.events.extend_from_slice(&[VACANT; BLOCK_EVENTS]);
+        index
+    }
+
+    /// Append `ev`, whose bucket is `bucket`, to that bucket's slot.
+    fn append(&mut self, bucket: u64, ev: Event) {
+        let s = Self::slot(bucket);
+        let fill = self.slots[s].len as usize % BLOCK_EVENTS;
+        if fill == 0 {
+            let index = self.alloc();
+            if self.slots[s].len == 0 {
+                self.slots[s].head = index;
+            } else {
+                self.next[self.slots[s].tail as usize] = index;
+            }
+            self.slots[s].tail = index;
+        }
+        self.events[self.slots[s].tail as usize * BLOCK_EVENTS + fill] = ev;
+        self.slots[s].len += 1;
+        self.len += 1;
+    }
+
+    fn is_filled(&self, bucket: u64) -> bool {
+        self.slots[Self::slot(bucket)].len > 0
+    }
+
+    /// Move every event of `bucket`'s slot into `heap` and recycle the
+    /// slot's blocks.
+    fn drain_into(&mut self, bucket: u64, heap: &mut Heap) {
+        let Slot { head, tail, len } = self.slots[Self::slot(bucket)];
+        if len == 0 {
+            return;
+        }
+        let mut left = len as usize;
+        let mut index = head;
+        loop {
+            let n = left.min(BLOCK_EVENTS);
+            for &ev in &self.block(index)[..n] {
+                heap.push(ev);
+            }
+            left -= n;
+            if left == 0 {
+                break;
+            }
+            index = self.next[index as usize];
+        }
+        self.next[tail as usize] = self.free;
+        self.free = head;
+        self.slots[Self::slot(bucket)].len = 0;
+        self.len -= len as usize;
+    }
+
+    /// Empty every slot and the pool, keeping the pool's storage.  Free
+    /// when the ring is already empty.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            for slot in self.slots.iter_mut() {
+                slot.len = 0;
+            }
+            self.len = 0;
+        }
+        self.events.clear();
+        self.next.clear();
+        self.free = NIL;
+    }
+}
+
+/// A time-ordered event queue: a calendar of fixed-width time buckets
+/// whose earliest bucket is ordered by a small near heap (see the module
+/// documentation).
+#[derive(Debug, Clone, Default)]
+pub struct EventQueue {
+    /// Exactly the pending events of bucket `near_bucket`, or every
+    /// pending event when `near_bucket` is [`WHOLE`]; non-empty whenever
+    /// the queue is.
+    near: Heap,
+    /// The events of buckets `near_bucket + 1 .. clock + RING_SLOTS`.
+    ring: Ring,
+    /// The events of buckets from `clock + RING_SLOTS` on (all after
+    /// `near_bucket`).
+    overflow: Heap,
+    /// The ring's first bucket: the bucket of the last event popped
+    /// outside whole-heap mode, or an earlier one after a spread or a
+    /// schedule into the past; never after `near_bucket`.
+    clock: u64,
+    near_bucket: u64,
     next_sequence: u64,
 }
 
@@ -134,98 +427,207 @@ impl EventQueue {
             kind,
         };
         self.next_sequence += 1;
-        self.heap.push(ev);
-        self.sift_up(self.heap.len() - 1, ev);
+        if self.near_bucket == WHOLE || self.near.is_empty() {
+            self.near_bucket = WHOLE;
+            self.near.push(ev);
+            if self.near.len() >= SPREAD_AT {
+                self.spread();
+            }
+        } else {
+            self.schedule_in_calendar(ev);
+        }
+    }
+
+    /// [`Self::schedule`] outside whole-heap mode.  This and the other
+    /// calendar paths stay out of line, so that the whole-heap `schedule`
+    /// and `pop` inline as small as a plain heap's (measured faster on
+    /// the single-cell engine).
+    #[inline(never)]
+    fn schedule_in_calendar(&mut self, ev: Event) {
+        let bucket = bucket_of(ev.time);
+        if bucket > self.near_bucket {
+            self.file(bucket, ev);
+            return;
+        }
+        if bucket < self.near_bucket {
+            if bucket < self.clock {
+                self.rewind(bucket);
+            }
+            self.demote();
+            self.near_bucket = bucket;
+        }
+        self.near.push(ev);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some(last);
+        let ev = self.near.pop()?;
+        if self.near_bucket != WHOLE {
+            if self.clock != self.near_bucket {
+                self.advance_clock();
+            }
+            if self.near.is_empty() {
+                self.refill();
+            }
         }
-        let first = self.heap[0];
-        self.sift_down(last);
-        Some(first)
+        Some(ev)
     }
 
     /// Peek at the earliest event without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<&Event> {
-        self.heap.first()
+        self.near.peek()
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near.len() + self.ring.len + self.overflow.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.near.is_empty()
     }
 
     /// Ensure room for at least `additional` more events without further
-    /// growth reallocations.
+    /// growth reallocations, wherever they are filed.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.near.events.reserve(additional);
+        self.overflow.events.reserve(additional);
+        // Each slot wastes less than one block, so this many blocks hold
+        // every event the ring could then contain.
+        let blocks = (self.ring.len + additional).div_ceil(BLOCK_EVENTS) + RING_SLOTS;
+        let ring = &mut self.ring;
+        ring.next.reserve(blocks.saturating_sub(ring.next.len()));
+        ring.events
+            .reserve((blocks * BLOCK_EVENTS).saturating_sub(ring.events.len()));
     }
 
-    /// Capacity of the backing heap.
+    /// Events the retained storage holds: both heaps' capacities plus the
+    /// ring's block pool.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.near.events.capacity() + self.overflow.events.capacity() + self.ring.events.capacity()
     }
 
     /// Remove every pending event, keeping the backing storage, and reset
     /// the sequence counter.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.near.events.clear();
+        self.overflow.events.clear();
+        self.ring.clear();
+        self.clock = 0;
+        self.near_bucket = 0;
         self.next_sequence = 0;
     }
 
-    /// Move `ev`, just written at `pos`, up past every parent it fires
-    /// before, shifting those parents down into the hole.
-    fn sift_up(&mut self, mut pos: usize, ev: Event) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if !precedes(&ev, &self.heap[parent]) {
-                break;
+    /// The whole-queue heap reached [`SPREAD_AT`] events: keep its
+    /// earliest bucket in the near heap and file the rest in the calendar.
+    /// The clock is the bucket of the last pop in calendar mode, or that
+    /// earliest bucket if it is earlier (a whole heap pops without
+    /// moving the clock).
+    #[inline(never)]
+    fn spread(&mut self) {
+        let first = self.near.peek().expect("a full near heap has a root");
+        self.near_bucket = bucket_of(first.time);
+        self.clock = self.clock.min(self.near_bucket);
+        let mut kept = 0;
+        for i in 0..self.near.len() {
+            let ev = self.near.events[i];
+            let bucket = bucket_of(ev.time);
+            if bucket == self.near_bucket {
+                self.near.events[kept] = ev;
+                kept += 1;
+            } else {
+                self.file(bucket, ev);
             }
-            self.heap[pos] = self.heap[parent];
-            pos = parent;
         }
-        self.heap[pos] = ev;
+        self.near.events.truncate(kept);
+        // A sorted array is a heap.
+        self.near
+            .events
+            .sort_unstable_by_key(|ev| (ev.time.to_bits(), ev.sequence));
     }
 
-    /// Refill the root hole with `ev` (the former last element): move the
-    /// earliest child up while it fires before `ev`, and stop at the first
-    /// level where `ev` fits.
-    fn sift_down(&mut self, ev: Event) {
-        let len = self.heap.len();
-        let mut pos = 0;
-        loop {
-            let first_child = ARITY * pos + 1;
-            if first_child >= len {
-                break;
-            }
-            let children = &self.heap[first_child..len.min(first_child + ARITY)];
-            let mut best = 0;
-            for (i, child) in children.iter().enumerate().skip(1) {
-                if precedes(child, &children[best]) {
-                    best = i;
-                }
-            }
-            let child = children[best];
-            if !precedes(&child, &ev) {
-                break;
-            }
-            self.heap[pos] = child;
-            pos = first_child + best;
+    /// File `ev` of a bucket after the near bucket: in the ring if the
+    /// bucket is in its span, else in the overflow heap.
+    fn file(&mut self, bucket: u64, ev: Event) {
+        if bucket - self.clock < RING_SLOTS as u64 {
+            self.ring.append(bucket, ev);
+        } else {
+            self.overflow.push(ev);
         }
-        self.heap[pos] = ev;
+    }
+
+    /// Before an earlier event becomes the near bucket: file the near
+    /// events back under their own, now later, bucket.
+    #[inline(never)]
+    fn demote(&mut self) {
+        let mut near = std::mem::take(&mut self.near.events);
+        for ev in near.drain(..) {
+            self.file(self.near_bucket, ev);
+        }
+        self.near.events = near;
+    }
+
+    /// Move the clock back to `bucket`, before the last pop: the ring's
+    /// span ends earlier, so the slots past its new end spill into the
+    /// overflow heap.  The engines never schedule into the past; this
+    /// path only keeps every `schedule` correct.
+    #[inline(never)]
+    fn rewind(&mut self, bucket: u64) {
+        let end = self.clock + RING_SLOTS as u64;
+        for later in (bucket + RING_SLOTS as u64).max(self.near_bucket + 1)..end {
+            self.ring.drain_into(later, &mut self.overflow);
+        }
+        self.clock = bucket;
+    }
+
+    /// The popped event was the first of a later bucket than the clock:
+    /// the clock moves to it, and the ring's span moves along, taking in
+    /// the overflow events it now covers.
+    #[inline(never)]
+    fn advance_clock(&mut self) {
+        self.clock = self.near_bucket;
+        while let Some(ev) = self.overflow.peek() {
+            let bucket = bucket_of(ev.time);
+            if bucket - self.clock >= RING_SLOTS as u64 {
+                break;
+            }
+            debug_assert!(
+                bucket > self.near_bucket,
+                "overflow is after the near bucket"
+            );
+            let ev = self.overflow.pop().expect("peeked above");
+            self.ring.append(bucket, ev);
+        }
+    }
+
+    /// The near heap emptied: load the next non-empty bucket into it,
+    /// from the ring if it holds any event, else from the overflow heap.
+    #[inline(never)]
+    fn refill(&mut self) {
+        if self.ring.len > 0 {
+            let end = self.clock + RING_SLOTS as u64;
+            let bucket = (self.near_bucket + 1..end)
+                .find(|&b| self.ring.is_filled(b))
+                .expect("a non-empty ring has a filled slot in its span");
+            self.near_bucket = bucket;
+            self.ring.drain_into(bucket, &mut self.near);
+        } else if let Some(first) = self.overflow.peek() {
+            let bucket = bucket_of(first.time);
+            self.near_bucket = bucket;
+            while self
+                .overflow
+                .peek()
+                .is_some_and(|ev| bucket_of(ev.time) == bucket)
+            {
+                let ev = self.overflow.pop().expect("peeked above");
+                self.near.push(ev);
+            }
+        }
     }
 }
 
@@ -378,6 +780,97 @@ mod tests {
             assert!(precedes(&prev, &next), "{prev:?} then {next:?}");
             prev = next;
         }
+    }
+
+    /// Check where every pending event is filed: the near heap holds one
+    /// bucket, the ring its later buckets within the span, the overflow
+    /// heap the rest.
+    fn assert_calendar(q: &EventQueue) {
+        assert!(
+            !q.near.is_empty() || (q.ring.len == 0 && q.overflow.is_empty()),
+            "a non-empty queue has a non-empty near heap"
+        );
+        if q.near_bucket == WHOLE {
+            assert!(q.near.len() < SPREAD_AT && q.ring.len == 0 && q.overflow.is_empty());
+            return;
+        }
+        assert!(q.clock <= q.near_bucket);
+        for ev in &q.near.events {
+            assert_eq!(bucket_of(ev.time), q.near_bucket, "near holds one bucket");
+        }
+        let mut ring_len = 0;
+        for (s, slot) in q.ring.slots.iter().enumerate() {
+            let mut left = slot.len as usize;
+            ring_len += left;
+            let mut index = slot.head;
+            while left > 0 {
+                for ev in &q.ring.block(index)[..left.min(BLOCK_EVENTS)] {
+                    let bucket = bucket_of(ev.time);
+                    assert_eq!(Ring::slot(bucket), s);
+                    assert!(bucket > q.near_bucket && bucket - q.clock < RING_SLOTS as u64);
+                }
+                left = left.saturating_sub(BLOCK_EVENTS);
+                index = q.ring.next[index as usize];
+            }
+        }
+        assert_eq!(ring_len, q.ring.len);
+        for ev in &q.overflow.events {
+            let bucket = bucket_of(ev.time);
+            assert!(bucket > q.near_bucket && bucket - q.clock >= RING_SLOTS as u64);
+        }
+    }
+
+    #[test]
+    fn small_queues_are_one_heap_until_they_spread() {
+        let mut q = EventQueue::new();
+        for i in 0..SPREAD_AT as u64 - 1 {
+            q.schedule((i * 7_919 % 10_007) as f64, departure(i));
+        }
+        assert_eq!(q.near_bucket, WHOLE);
+        assert_calendar(&q);
+        q.schedule(5_000.0, departure(99));
+        assert_ne!(q.near_bucket, WHOLE, "the 64th event spreads the heap");
+        assert!(q.ring.len > 0 && !q.overflow.is_empty());
+        assert_calendar(&q);
+        let mut prev = q.pop().unwrap();
+        while let Some(next) = q.pop() {
+            assert!(precedes(&prev, &next), "{prev:?} then {next:?}");
+            assert_calendar(&q);
+            prev = next;
+        }
+        q.schedule(1.0, departure(1));
+        assert_eq!(q.near_bucket, WHOLE, "an emptied queue is one heap again");
+    }
+
+    #[test]
+    fn events_are_filed_by_bucket_under_metro_holds() {
+        // Holds with a 1200 s mean after the last pop, and now and then a
+        // time before the last pop: most events land in the ring, a few
+        // past it, and the near heap never holds more than one bucket.
+        let mut q = EventQueue::new();
+        let mut rng = crate::rng::SimRng::new(7);
+        let mut last_pop = 0.0;
+        for step in 0..30_000u64 {
+            if rng.uniform(0.0, 1.0) < if q.len() < 2_000 { 0.7 } else { 0.5 } {
+                let time = if step % 64 == 0 {
+                    last_pop - rng.uniform(0.0, 3_000.0)
+                } else {
+                    last_pop + rng.exponential(1200.0)
+                };
+                q.schedule(time, departure(step));
+            } else if let Some(ev) = q.pop() {
+                last_pop = ev.time;
+            }
+            if step % 97 == 0 {
+                assert_calendar(&q);
+            }
+        }
+        assert!(
+            q.ring.len > 1_000 && !q.overflow.is_empty(),
+            "{} in the ring",
+            q.ring.len
+        );
+        assert_calendar(&q);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! [`ShardedSimulator`] partitions the [`CellGrid`] into contiguous
 //! [`CellIdx`] ranges — *shards* — each owning its cells' base stations,
-//! per-cell admission controllers, user slab and event heap.  Time advances
+//! per-cell admission controllers, user slab and event queue.  Time advances
 //! in fixed-length **epochs**: within an epoch every shard runs the same
 //! four-stream event loop as the sequential [`crate::sim::Simulator`]
 //! (scheduled faults / the epoch's arrivals / computed sample ticks /
-//! run-time event heap) over its own cells, completely independently of
+//! run-time event queue) over its own cells, completely independently of
 //! the other shards.  Both engines apply every per-cell transition
 //! through the shared [`crate::cell`] core.
 //!
@@ -18,7 +18,7 @@
 //! queue ordered by `(time, connection id)` (see [`MergeKey`]) and replayed
 //! sequentially against the target cells; cascaded handoffs and departures
 //! that land before the epoch boundary are folded into the same ordered
-//! queue, and anything later is scheduled into the owning shard's heap for
+//! queue, and anything later is scheduled into the owning shard's event queue for
 //! a future epoch.
 //!
 //! # Determinism contract
@@ -329,7 +329,7 @@ impl<R: Recorder> Shard<R> {
     }
 
     /// The stream whose next event fires first in this shard — fault
-    /// stream, arrival stream, tick stream or event heap — with its time.
+    /// stream, arrival stream, tick stream or event queue — with its time.
     fn next_stream(
         &self,
         epoch: &[(CallRequest, u32)],
@@ -346,7 +346,7 @@ impl<R: Recorder> Shard<R> {
     }
 
     /// Run this shard's four-stream loop (faults, arrivals, ticks, event
-    /// heap) up to (exclusive) `epoch_end`, merging the streams in the
+    /// queue) up to (exclusive) `epoch_end`, merging the streams in the
     /// sequential engine's order.  Handoff *admissions* are never
     /// performed here — the source side is applied locally and the
     /// admission is queued on `outbox` for the barrier merge.
@@ -846,7 +846,7 @@ impl<R: Recorder> ShardedSimulator<R> {
 
     /// Target side of a handoff: offer it at the target cell and route
     /// the admitted call's follow-up events — into the merge queue if
-    /// before `epoch_end`, into the owning shard's heap otherwise.
+    /// before `epoch_end`, into the owning shard's event queue otherwise.
     fn apply_admit(
         &mut self,
         handoff: &Handoff,

@@ -469,7 +469,7 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Re-arm the simulator for a fresh run under `config`, reusing every
-    /// internal buffer (stations, user slab, event heap, arrival and
+    /// internal buffer (stations, user slab, event queue, arrival and
     /// scratch vectors).  Equivalent to `*self = Simulator::new(config)` —
     /// a reset simulator produces bit-identical results to a freshly
     /// built one (asserted by tests) — but without re-allocating, which
@@ -630,7 +630,7 @@ impl<R: Recorder> Simulator<R> {
     /// Arrivals are drawn one at a time from an [`ArrivalStream`]
     /// (time-sorted by construction, the same stream the sharded engine
     /// reads), utilisation-sample ticks are computed on the fly, and only the
-    /// *run-time* events — departures and handoffs — live in the heap,
+    /// *run-time* events — departures and handoffs — live in the queue,
     /// which therefore stays at the size of the concurrent-call
     /// population instead of the whole workload.
     /// Scheduled faults from [`SimConfig::fault_plan`] form a fourth

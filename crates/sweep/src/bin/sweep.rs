@@ -43,12 +43,14 @@ struct Args {
     quiet: bool,
 }
 
-fn usage() -> &'static str {
-    "usage: sweep (--scenario NAME | --spec PATH.json | --all | --list | --print-spec NAME)\n\
-     \x20      [--quick] [--threads N] [--seed N] [--json PATH] [--csv PATH]\n\
-     \x20      [--telemetry PATH(.prom|.json)] [--trace PATH] [--quiet]\n\
-     built-in scenarios: paper-default, highway-handoff, downtown-hotspot, \
-     flash-crowd, mixed-multimedia, metro"
+fn usage() -> String {
+    format!(
+        "usage: sweep (--scenario NAME | --spec PATH.json | --all | --list | --print-spec NAME)\n\
+         \x20      [--quick] [--threads N] [--seed N] [--json PATH] [--csv PATH]\n\
+         \x20      [--telemetry PATH(.prom|.json)] [--trace PATH] [--quiet]\n\
+         built-in scenarios: {}",
+        builtin_names().join(", ")
+    )
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -130,7 +132,7 @@ fn load_specs(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
             )
         });
     }
-    Err(usage().to_string())
+    Err(usage())
 }
 
 /// Load a `--trace` file into a replayable traffic model.
@@ -300,6 +302,14 @@ mod tests {
             "./report-flash-crowd"
         );
         assert_eq!(output_path("report", "x", true), "report-x");
+    }
+
+    #[test]
+    fn usage_names_every_builtin_scenario() {
+        let text = usage();
+        for name in builtin_names() {
+            assert!(text.contains(name), "usage omits `{name}`:\n{text}");
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   experiment: grid size, cell radius and capacity, traffic mix,
 //!   speed/angle ranges, controller choices, load axis, replication count
 //!   and base seed;
-//! * [`scenarios`] — a built-in library of six ready-to-run specs
-//!   (`paper-default`, `highway-handoff`, `downtown-hotspot`,
-//!   `flash-crowd`, `mixed-multimedia`, and the metro-scale `metro`);
+//! * [`scenarios`] — a built-in library of ready-to-run specs, named by
+//!   [`builtin_names`]: the paper's `paper-default`, `highway-handoff`,
+//!   `downtown-hotspot`, `flash-crowd` and `mixed-multimedia`, the
+//!   metro-scale `metro`, the bursty `burst-mmpp`, `burst-trace` and
+//!   `burst-groups`, and the fault-injection `outage-wave`;
 //! * [`SweepRunner`] — fans the spec's `(controller, load, replication)`
 //!   grid out across `std::thread` workers; per-replication seeds are
 //!   derived from the base seed and aggregation order is fixed, so reports
