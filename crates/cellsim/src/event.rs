@@ -32,9 +32,8 @@
 //! into it.  Every event in the ring or the overflow heap is in a later
 //! bucket than every near event, and bucket order is time order, so pops
 //! follow `(time, sequence)` exactly as one heap over all events would.
-//! A queue of fewer than 64 events, such as a single-cell sweep run's,
-//! is just the near heap over every event; it spreads into buckets when
-//! it reaches 64, and collapses back when it empties.
+//! The paths that run once per bucket or less, rather than once per
+//! event, stay out of line, so that `schedule` and `pop` stay small.
 //! Storage — both heaps' vectors and the block pool — is kept
 //! across [`EventQueue::clear`], so a warmed-up simulator schedules and
 //! pops events without allocating.
@@ -66,16 +65,6 @@ const LAST_BUCKET: u64 = u64::MAX - RING_SLOTS as u64;
 /// events per block kept a metro run's peak memory lowest (measured
 /// against two and eight).
 const BLOCK_EVENTS: usize = 4;
-
-/// Pending events below which the queue is one plain 4-ary heap, the
-/// near heap, with no buckets: small heaps stay in cache, and filing
-/// and loading buckets would cost more than it saves.  The sweep's
-/// single-cell runs never leave this mode.
-const SPREAD_AT: usize = 64;
-
-/// The `near_bucket` of a queue below [`SPREAD_AT`] events: the near
-/// heap holds every pending event.
-const WHOLE: u64 = u64::MAX;
 
 /// The null block index.
 const NIL: u32 = u32::MAX;
@@ -388,18 +377,17 @@ impl Ring {
 /// documentation).
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
-    /// Exactly the pending events of bucket `near_bucket`, or every
-    /// pending event when `near_bucket` is [`WHOLE`]; non-empty whenever
-    /// the queue is.
+    /// Exactly the pending events of bucket `near_bucket`; non-empty
+    /// whenever the queue is.
     near: Heap,
     /// The events of buckets `near_bucket + 1 .. clock + RING_SLOTS`.
     ring: Ring,
     /// The events of buckets from `clock + RING_SLOTS` on (all after
     /// `near_bucket`).
     overflow: Heap,
-    /// The ring's first bucket: the bucket of the last event popped
-    /// outside whole-heap mode, or an earlier one after a spread or a
-    /// schedule into the past; never after `near_bucket`.
+    /// The ring's first bucket: the bucket of the last event popped, or
+    /// an earlier one after a schedule into the past; never after
+    /// `near_bucket`.
     clock: u64,
     near_bucket: u64,
     next_sequence: u64,
@@ -427,29 +415,17 @@ impl EventQueue {
             kind,
         };
         self.next_sequence += 1;
-        if self.near_bucket == WHOLE || self.near.is_empty() {
-            self.near_bucket = WHOLE;
-            self.near.push(ev);
-            if self.near.len() >= SPREAD_AT {
-                self.spread();
-            }
-        } else {
-            self.schedule_in_calendar(ev);
-        }
-    }
-
-    /// [`Self::schedule`] outside whole-heap mode.  This and the other
-    /// calendar paths stay out of line, so that the whole-heap `schedule`
-    /// and `pop` inline as small as a plain heap's (measured faster on
-    /// the single-cell engine).
-    #[inline(never)]
-    fn schedule_in_calendar(&mut self, ev: Event) {
-        let bucket = bucket_of(ev.time);
-        if bucket > self.near_bucket {
+        let bucket = bucket_of(time);
+        if self.near.is_empty() {
+            // Nothing else is pending: the event's bucket becomes the near
+            // bucket, and the clock stays at the last pop unless the event
+            // is earlier still.
+            self.clock = self.clock.min(bucket);
+            self.near_bucket = bucket;
+        } else if bucket > self.near_bucket {
             self.file(bucket, ev);
             return;
-        }
-        if bucket < self.near_bucket {
+        } else if bucket < self.near_bucket {
             if bucket < self.clock {
                 self.rewind(bucket);
             }
@@ -462,13 +438,11 @@ impl EventQueue {
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
         let ev = self.near.pop()?;
-        if self.near_bucket != WHOLE {
-            if self.clock != self.near_bucket {
-                self.advance_clock();
-            }
-            if self.near.is_empty() {
-                self.refill();
-            }
+        if self.clock != self.near_bucket {
+            self.advance_clock();
+        }
+        if self.near.is_empty() {
+            self.refill();
         }
         Some(ev)
     }
@@ -492,13 +466,17 @@ impl EventQueue {
     }
 
     /// Ensure room for at least `additional` more events without further
-    /// growth reallocations, wherever they are filed.
+    /// growth reallocations, wherever they are filed.  Pending events move
+    /// between the near heap, the ring and the overflow heap, so each part
+    /// is sized for every event the queue would then hold.
     pub fn reserve(&mut self, additional: usize) {
-        self.near.events.reserve(additional);
-        self.overflow.events.reserve(additional);
+        let total = self.len() + additional;
+        for heap in [&mut self.near, &mut self.overflow] {
+            heap.events.reserve(total.saturating_sub(heap.events.len()));
+        }
         // Each slot wastes less than one block, so this many blocks hold
         // every event the ring could then contain.
-        let blocks = (self.ring.len + additional).div_ceil(BLOCK_EVENTS) + RING_SLOTS;
+        let blocks = total.div_ceil(BLOCK_EVENTS) + RING_SLOTS;
         let ring = &mut self.ring;
         ring.next.reserve(blocks.saturating_sub(ring.next.len()));
         ring.events
@@ -521,34 +499,6 @@ impl EventQueue {
         self.clock = 0;
         self.near_bucket = 0;
         self.next_sequence = 0;
-    }
-
-    /// The whole-queue heap reached [`SPREAD_AT`] events: keep its
-    /// earliest bucket in the near heap and file the rest in the calendar.
-    /// The clock is the bucket of the last pop in calendar mode, or that
-    /// earliest bucket if it is earlier (a whole heap pops without
-    /// moving the clock).
-    #[inline(never)]
-    fn spread(&mut self) {
-        let first = self.near.peek().expect("a full near heap has a root");
-        self.near_bucket = bucket_of(first.time);
-        self.clock = self.clock.min(self.near_bucket);
-        let mut kept = 0;
-        for i in 0..self.near.len() {
-            let ev = self.near.events[i];
-            let bucket = bucket_of(ev.time);
-            if bucket == self.near_bucket {
-                self.near.events[kept] = ev;
-                kept += 1;
-            } else {
-                self.file(bucket, ev);
-            }
-        }
-        self.near.events.truncate(kept);
-        // A sorted array is a heap.
-        self.near
-            .events
-            .sort_unstable_by_key(|ev| (ev.time.to_bits(), ev.sequence));
     }
 
     /// File `ev` of a bucket after the near bucket: in the ring if the
@@ -790,10 +740,6 @@ mod tests {
             !q.near.is_empty() || (q.ring.len == 0 && q.overflow.is_empty()),
             "a non-empty queue has a non-empty near heap"
         );
-        if q.near_bucket == WHOLE {
-            assert!(q.near.len() < SPREAD_AT && q.ring.len == 0 && q.overflow.is_empty());
-            return;
-        }
         assert!(q.clock <= q.near_bucket);
         for ev in &q.near.events {
             assert_eq!(bucket_of(ev.time), q.near_bucket, "near holds one bucket");
@@ -818,28 +764,6 @@ mod tests {
             let bucket = bucket_of(ev.time);
             assert!(bucket > q.near_bucket && bucket - q.clock >= RING_SLOTS as u64);
         }
-    }
-
-    #[test]
-    fn small_queues_are_one_heap_until_they_spread() {
-        let mut q = EventQueue::new();
-        for i in 0..SPREAD_AT as u64 - 1 {
-            q.schedule((i * 7_919 % 10_007) as f64, departure(i));
-        }
-        assert_eq!(q.near_bucket, WHOLE);
-        assert_calendar(&q);
-        q.schedule(5_000.0, departure(99));
-        assert_ne!(q.near_bucket, WHOLE, "the 64th event spreads the heap");
-        assert!(q.ring.len > 0 && !q.overflow.is_empty());
-        assert_calendar(&q);
-        let mut prev = q.pop().unwrap();
-        while let Some(next) = q.pop() {
-            assert!(precedes(&prev, &next), "{prev:?} then {next:?}");
-            assert_calendar(&q);
-            prev = next;
-        }
-        q.schedule(1.0, departure(1));
-        assert_eq!(q.near_bucket, WHOLE, "an emptied queue is one heap again");
     }
 
     #[test]
@@ -871,6 +795,39 @@ mod tests {
             q.ring.len
         );
         assert_calendar(&q);
+    }
+
+    #[test]
+    fn reserve_covers_events_moving_between_parts() {
+        // Every event starts past the ring, half of them in one bucket:
+        // popping moves them all into the ring and that bucket into the
+        // near heap, and the rescheduled ones land anywhere.
+        let mut q = EventQueue::new();
+        let mut rng = crate::rng::SimRng::new(11);
+        for i in 0..20_000u64 {
+            let time = if i % 2 == 0 {
+                6_000.0
+            } else {
+                rng.uniform(5_000.0, 8_000.0)
+            };
+            q.schedule(time, departure(i));
+        }
+        assert_eq!(q.ring.len, 0);
+        q.reserve(5_000);
+        let (near, overflow) = (q.near.events.capacity(), q.overflow.events.capacity());
+        let (pool, links) = (q.ring.events.capacity(), q.ring.next.capacity());
+        let mut last_pop = 0.0;
+        for i in 0..25_000u64 {
+            if i % 5 == 0 {
+                q.schedule(last_pop + rng.exponential(1200.0), departure(i));
+            } else {
+                last_pop = q.pop().expect("pending").time;
+            }
+        }
+        assert_eq!(q.near.events.capacity(), near);
+        assert_eq!(q.overflow.events.capacity(), overflow);
+        assert_eq!(q.ring.events.capacity(), pool);
+        assert_eq!(q.ring.next.capacity(), links);
     }
 
     #[test]
