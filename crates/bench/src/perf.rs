@@ -4,8 +4,8 @@
 //! compile/execute split — the string-keyed interpreted engine, the
 //! compiled allocation-free engine, the LUT backend, the end-to-end
 //! `decide` / `decide_batch` of every controller and the cost of building
-//! one (what a sweep pays per cell), the event heap and the metro
-//! station's id index, and the engines end to end — and [`PerfReport`]
+//! one (what a sweep pays per cell), the event heap, the metro station by
+//! id and by position, and the engines end to end — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
 //! writes.  CI runs the quick mode and fails when the artifact is empty or
 //! malformed, so the perf trajectory of the hot path is tracked across
@@ -1094,8 +1094,9 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         },
     ));
     drop(metro_queues);
-    // A metro station holding 600 calls: admit the next id, release the
-    // oldest, so every iteration is two index lookups and two updates.
+    // A metro station holding 600 calls, addressed by id as `admitd`
+    // addresses it: admit the next id, release the oldest, so every
+    // iteration is two index lookups and two updates.
     const LIVE: u64 = 600;
     let mut metro_station = BaseStation::new(CellId::origin(), Point::default(), 2_000);
     for id in 0..LIVE {
@@ -1114,6 +1115,45 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             let released = metro_station
                 .release(next_id - LIVE)
                 .expect("the oldest call is live");
+            next_id += 1;
+            f64::from(released.bandwidth)
+        },
+    ));
+    // The same station addressed by position, as the engines address it:
+    // release a random live call, fix the position of the call the swap
+    // moved, and admit a new call for the freed owner.
+    let mut metro_station = BaseStation::new(CellId::origin(), Point::default(), 2_000);
+    let mut calls: Vec<(u64, u32)> = (0..LIVE as u32)
+        .map(|owner| {
+            let id = u64::from(owner);
+            let position = metro_station
+                .admit_owned(owner, id, ServiceClass::Text, 1, 0.0, 1e9, false)
+                .expect("2000 BU hold 600 text calls");
+            (id, position)
+        })
+        .collect();
+    let picks: Vec<u32> = (0..4_096)
+        .map(|_| hold_rng.uniform_u32(0, LIVE as u32 - 1))
+        .collect();
+    let mut next_id = LIVE;
+    let mut step = 0usize;
+    cases.push(time_case(
+        "station/2000-BU admit+release (by position)",
+        iters * 10,
+        || {
+            let owner = picks[step & 4_095];
+            step += 1;
+            let (id, position) = calls[owner as usize];
+            let (released, moved) = metro_station
+                .release_at(position, id)
+                .expect("every owner's call is live");
+            if let Some(moved) = moved {
+                calls[moved as usize].1 = position;
+            }
+            let position = metro_station
+                .admit_owned(owner, next_id, ServiceClass::Text, 1, 0.0, 1e9, false)
+                .expect("one call below capacity");
+            calls[owner as usize] = (next_id, position);
             next_id += 1;
             f64::from(released.bandwidth)
         },
@@ -1259,6 +1299,7 @@ mod tests {
             "controller/scc admit+release cycle",
             "event/queue pop+schedule (65536 pending)",
             "station/2000-BU admit+release",
+            "station/2000-BU admit+release (by position)",
             "lut/flc2 tabulate_refined (paper default)",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");

@@ -3,10 +3,9 @@
 //!
 //! * **Station level** — [`offer`] (capacity screen, one `decide`, then
 //!   admit), [`release`] and [`release_expired`], which the `admitd`
-//!   server calls, plus `transfer_out` (handoffs) and `apply_fault`
-//!   (capacity faults and outage force-drops), act on one
-//!   [`BaseStation`] and the [`AdmissionController`] serving it, and
-//!   count nothing.
+//!   server calls, plus `apply_fault` (capacity faults and outage
+//!   force-drops), act on one [`BaseStation`] and the
+//!   [`AdmissionController`] serving it, and count nothing.
 //! * **Engine level** — `Cells` owns a contiguous run of stations with
 //!   the users, [`Metrics`] and telemetry they share, and adds the
 //!   counting, the spawn kinematics of new calls and the geometry of
@@ -14,6 +13,14 @@
 //!   [`crate::shard::ShardedSimulator`] call it; a transition that
 //!   admits a call hands its follow-up events to a `schedule` closure, so
 //!   the engine decides where they go.
+//!
+//! A tracked call (one with a user, on a multi-cell grid) is found without
+//! a search: its user's slab entry is tagged with the call's position in
+//! its station, the station records the user's slot as the call's owner,
+//! and the departure and handoff events carry the slot.  A removal that
+//! moves another call into the hole reports that call's owner, whose tag
+//! `Cells` then rewrites.  Untracked calls (the single cell, the batch
+//! workload) are found by id.
 //!
 //! The functions on the per-event path are `#[inline(always)]`: left to
 //! the inliner they stay out of line in the engines' event loops, and an
@@ -51,24 +58,37 @@ pub fn offer<C: AdmissionController + ?Sized>(
     controller: &mut C,
     request: &AdmissionRequest,
 ) -> AdmissionDecision {
+    offer_for(station, controller, request, None).0
+}
+
+/// [`offer`], admitting an accepted call by id ([`BaseStation::admit`])
+/// without an `owner`, and by position ([`BaseStation::admit_owned`]) for
+/// one; the decision, and the call's position if it was admitted.
+#[inline(always)]
+fn offer_for<C: AdmissionController + ?Sized>(
+    station: &mut BaseStation,
+    controller: &mut C,
+    request: &AdmissionRequest,
+    owner: Option<u32>,
+) -> (AdmissionDecision, Option<u32>) {
     if !station.can_fit(request.bandwidth) {
-        return AdmissionDecision::reject(-1.0);
+        return (AdmissionDecision::reject(-1.0), None);
     }
     let decision = controller.decide(request, station);
-    if decision.accept {
-        station
-            .admit(
-                request.id,
-                request.class,
-                request.bandwidth,
-                request.time,
-                request.holding_time,
-                request.is_handoff,
-            )
-            .expect("admission checked via can_fit");
-        controller.on_admitted(request, station);
+    if !decision.accept {
+        return (decision, None);
     }
-    decision
+    let (id, class, bandwidth) = (request.id, request.class, request.bandwidth);
+    let (time, holding, handoff) = (request.time, request.holding_time, request.is_handoff);
+    let admitted = match owner {
+        None => station
+            .admit(id, class, bandwidth, time, holding, handoff)
+            .map(|()| station.active_connections() as u32 - 1),
+        Some(owner) => station.admit_owned(owner, id, class, bandwidth, time, holding, handoff),
+    };
+    let position = admitted.expect("admission checked via can_fit");
+    controller.on_admitted(request, station);
+    (decision, Some(position))
 }
 
 /// Complete connection `connection_id` at `station`, telling the
@@ -96,18 +116,6 @@ pub fn release_expired<C: AdmissionController + ?Sized>(
     for connection in expired.iter() {
         controller.on_released(connection.id, station);
     }
-}
-
-/// Move connection `connection_id` out of `station` for a handoff,
-/// telling the controller; `None` if the station does not carry it.
-pub(crate) fn transfer_out<C: AdmissionController + ?Sized>(
-    station: &mut BaseStation,
-    controller: &mut C,
-    connection_id: u64,
-) -> Option<ActiveConnection> {
-    let connection = station.transfer_out(connection_id).ok()?;
-    controller.on_released(connection_id, station);
-    Some(connection)
 }
 
 /// Set `station`'s capacity for a fault of `kind` relative to `nominal`;
@@ -210,18 +218,22 @@ impl<R: Recorder> Cells<R> {
         (cell.0 - self.start) as usize
     }
 
-    /// [`offer`] with its counting; `true` if the call was admitted.
+    /// [`offer`] with its counting, by position for an `owner` (see
+    /// [`BaseStation::admit_owned`]); the call's position if it was
+    /// admitted.
     #[inline(always)]
     pub(crate) fn offer<C: AdmissionController + ?Sized>(
         &mut self,
         controller: &mut C,
         cell: CellIdx,
         request: &AdmissionRequest,
-    ) -> bool {
+        owner: Option<u32>,
+    ) -> Option<u32> {
         self.metrics
             .record_offered(request.class, request.is_handoff);
         let local = self.local(cell);
-        let accepted = offer(&mut self.stations[local], controller, request).accept;
+        let (_, position) = offer_for(&mut self.stations[local], controller, request, owner);
+        let accepted = position.is_some();
         if accepted {
             self.metrics
                 .record_accepted(request.class, request.bandwidth, request.is_handoff);
@@ -235,16 +247,19 @@ impl<R: Recorder> Cells<R> {
                 1,
             );
         }
-        accepted
+        position
     }
 
     /// [`release_expired`] at `cell`, counting the calls as completed.
+    /// Only the batch workload expires calls, and it tracks none, so no
+    /// tag can go stale here.
     pub(crate) fn expire<C: AdmissionController + ?Sized>(
         &mut self,
         controller: &mut C,
         cell: CellIdx,
         now: SimTime,
     ) {
+        debug_assert!(self.users.is_empty(), "expiry would move tracked calls");
         let local = self.local(cell);
         release_expired(
             &mut self.stations[local],
@@ -257,11 +272,12 @@ impl<R: Recorder> Cells<R> {
         }
     }
 
-    /// A departure: [`release`] the call at `cell`, counting it as
-    /// completed, and free its user's slot even if the call is gone (it
-    /// was dropped by an outage).  A handoff re-issues the slot, so the
+    /// A departure of the call `connection_id` at `cell`, counted as
+    /// completed.  A tracked call is released at the position its user's
+    /// slot is tagged with, and the slot is freed even if the call is gone
+    /// (an outage dropped it).  A handoff re-issues the slot, so the
     /// departure left behind in the old cell carries a stale handle that
-    /// misses.
+    /// misses and does nothing.  An untracked call is released by id.
     #[inline(always)]
     pub(crate) fn depart<C: AdmissionController + ?Sized>(
         &mut self,
@@ -271,12 +287,53 @@ impl<R: Recorder> Cells<R> {
         user: Option<SlotId>,
     ) {
         let local = self.local(cell);
-        if let Some(connection) = release(&mut self.stations[local], controller, connection_id) {
+        let connection = match user {
+            None => {
+                debug_assert!(
+                    self.users.is_empty(),
+                    "a release by id would move tracked calls"
+                );
+                release(&mut self.stations[local], controller, connection_id)
+            }
+            Some(slot) => {
+                let Some(position) = self.users.tag(slot) else {
+                    return;
+                };
+                self.users.remove(slot);
+                self.remove_at(controller, local, position, connection_id, false)
+            }
+        };
+        if let Some(connection) = connection {
             self.metrics.record_completed(connection.class);
         }
-        if let Some(slot) = user {
-            self.users.remove(slot);
+    }
+
+    /// Complete (`transfer: false`) or hand off (`transfer: true`) the
+    /// call at `position` of station `local` if it is `connection_id`,
+    /// telling the controller, and re-tag the user of the call the removal
+    /// moved.  `None` if the call is no longer there (an outage dropped
+    /// it).
+    #[inline(always)]
+    fn remove_at<C: AdmissionController + ?Sized>(
+        &mut self,
+        controller: &mut C,
+        local: usize,
+        position: u32,
+        connection_id: u64,
+        transfer: bool,
+    ) -> Option<ActiveConnection> {
+        let station = &mut self.stations[local];
+        let removed = if transfer {
+            station.transfer_out_at(position, connection_id)
+        } else {
+            station.release_at(position, connection_id)
+        };
+        let (connection, moved) = removed.ok()?;
+        controller.on_released(connection_id, station);
+        if let Some(owner) = moved {
+            self.users.set_tag(owner as usize, position);
         }
+        Some(connection)
     }
 
     /// [`apply_fault`] at the fault's cell, counting each force-dropped
@@ -318,15 +375,26 @@ impl<R: Recorder> Cells<R> {
     ) {
         let (user, distance) = spawn(grid, &self.rng, cell, call);
         let request = AdmissionRequest::from_call(call, grid.cell_id(cell)).with_distance(distance);
-        if self.offer(controller, cell, &request) {
+        let owner = user.map(|_| self.users.vacant_index());
+        if let Some(position) = self.offer(controller, cell, &request, owner) {
             let departure_at = now + call.holding_time;
-            self.admitted(grid, cell, call.id, user, now, departure_at, schedule);
+            self.admitted(
+                grid,
+                cell,
+                position,
+                call.id,
+                user,
+                now,
+                departure_at,
+                schedule,
+            );
         }
     }
 
-    /// The source side of a handoff at `now`: [`transfer_out`] the call
-    /// from `from` and take its user out of the slab.  `None` if the call
-    /// is no longer at `from`.
+    /// The source side of a handoff at `now`: transfer the call out of
+    /// `from`, at the position its user's slot is tagged with, and take
+    /// the user out of the slab.  `None`, with the user left for the
+    /// departure to free, if the call is no longer at `from`.
     #[inline(always)]
     pub(crate) fn hand_out<C: AdmissionController + ?Sized>(
         &mut self,
@@ -338,7 +406,8 @@ impl<R: Recorder> Cells<R> {
         now: SimTime,
     ) -> Option<Handoff> {
         let local = self.local(from);
-        let connection = transfer_out(&mut self.stations[local], controller, connection_id)?;
+        let position = self.users.tag(slot)?;
+        let connection = self.remove_at(controller, local, position, connection_id, true)?;
         let user = self.users.remove(slot)?;
         Some(Handoff {
             time: now,
@@ -387,30 +456,42 @@ impl<R: Recorder> Cells<R> {
             distance_m: Some(user.distance_to(&center)),
             is_handoff: true,
         };
-        if self.offer(controller, to, &request) {
-            self.admitted(grid, to, connection_id, Some(user), time, ends_at, schedule);
+        let owner = self.users.vacant_index();
+        if let Some(position) = self.offer(controller, to, &request, Some(owner)) {
+            self.admitted(
+                grid,
+                to,
+                position,
+                connection_id,
+                Some(user),
+                time,
+                ends_at,
+                schedule,
+            );
         } else {
             self.metrics.record_dropped(class);
         }
     }
 
-    /// Track the user (if any) of a call admitted to `cell` at `now`, and
-    /// pass its follow-up events to `schedule`, in order: the departure,
-    /// then the handoff if the user exits the cell first.  The engine's
-    /// `schedule` decides where they go.
+    /// Track the user (if any) of a call admitted to `cell` at `now` at
+    /// `position`, and pass its follow-up events to `schedule`, in order:
+    /// the departure, then the handoff if the user exits the cell first.
+    /// The engine's `schedule` decides where they go.  A tracked call was
+    /// admitted for the slot the user now takes.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn admitted(
         &mut self,
         grid: &CellGrid,
         cell: CellIdx,
+        position: u32,
         connection_id: u64,
         user: Option<UserState>,
         now: SimTime,
         departure_at: SimTime,
         mut schedule: impl FnMut(SimTime, EventKind),
     ) {
-        let slot = user.map(|user| self.users.insert(user));
+        let slot = user.map(|user| self.users.insert_tagged(user, position));
         if R::ENABLED {
             self.recorder
                 .high_water(telem::gauge::SLAB_USERS, self.users.len() as u64);
@@ -476,16 +557,13 @@ fn next_handoff(
     now: SimTime,
     departure_at: SimTime,
 ) -> Option<(SimTime, CellIdx)> {
-    let cell = grid.cell_id(cell);
-    let exit_in = user.time_to_exit(&grid.center_of(&cell), grid.cell_radius_m())?;
+    let center = grid.center_of(&grid.cell_id(cell));
+    let exit_in = user.time_to_exit(&center, grid.cell_radius_m())?;
     let at = now + exit_in;
     if at >= departure_at {
         return None;
     }
-    let target = grid.next_cell_along(&cell, user.heading_deg)?;
-    let to = grid
-        .index_of(&target)
-        .expect("next_cell_along only returns grid cells");
+    let to = grid.next_cell_from(cell, user.heading_deg)?;
     Some((at, to))
 }
 
@@ -579,9 +657,51 @@ mod tests {
 
     /// Admit `call(id)` to cell 0 with a tracked user; the user's slot.
     fn admit_moving(cells: &mut Cells<NoopRecorder>, c: &mut Recording, id: u64) -> SlotId {
-        assert!(cells.offer(c, CellIdx(0), &call(id)));
+        let owner = cells.users.vacant_index();
+        let position = cells.offer(c, CellIdx(0), &call(id), Some(owner));
         let user = UserState::new(Point::new(0.0, 0.0), 50.0, 0.0);
-        cells.users.insert(user)
+        let slot = cells.users.insert_tagged(user, position.expect("admitted"));
+        assert_eq!(slot.index(), owner as usize);
+        slot
+    }
+
+    /// Every owned call's owner is a live user slot tagged with the
+    /// call's position.
+    fn assert_tags_in_step(cells: &Cells<NoopRecorder>) {
+        for station in &cells.stations {
+            for (position, &owner) in station.owners().iter().enumerate() {
+                if owner != crate::station::NO_OWNER {
+                    let (slot, _) = cells
+                        .users
+                        .iter()
+                        .find(|(slot, _)| slot.index() == owner as usize)
+                        .expect("an owner is a live slot");
+                    assert_eq!(cells.users.tag(slot), Some(position as u32));
+                }
+            }
+        }
+    }
+
+    /// Hand the call `id` with user `slot` from `from` to `to` at `now`;
+    /// its new slot and the departure `hand_in` scheduled.
+    fn hand_over(
+        cells: &mut Cells<NoopRecorder>,
+        grid: &CellGrid,
+        c: &mut Recording,
+        (id, slot): (u64, SlotId),
+        (from, to): (u32, u32),
+        now: SimTime,
+    ) -> SlotId {
+        let handoff = cells.hand_out(c, CellIdx(from), CellIdx(to), id, slot, now);
+        let handoff = handoff.expect("the call is at the source");
+        let mut departure = None;
+        cells.hand_in(c, grid, &handoff, |_, kind| {
+            if let EventKind::Departure { user, .. } = kind {
+                departure = user;
+            }
+        });
+        assert_tags_in_step(cells);
+        departure.expect("accepted, so a departure was scheduled")
     }
 
     #[test]
@@ -592,7 +712,7 @@ mod tests {
             bandwidth: 11,
             ..call(1)
         };
-        assert!(!cells.offer(&mut c, CellIdx(0), &request));
+        assert!(cells.offer(&mut c, CellIdx(0), &request, None).is_none());
         assert_eq!(c.hooks, []);
         assert_eq!(counters(&cells), [1, 0, 1, 0, 0, 0, 0, 0, 0]);
     }
@@ -604,7 +724,7 @@ mod tests {
             reject: true,
             ..Recording::default()
         };
-        assert!(!cells.offer(&mut c, CellIdx(0), &call(1)));
+        assert!(cells.offer(&mut c, CellIdx(0), &call(1), None).is_none());
         assert_eq!(c.hooks, [Hook::Decide(1)]);
         assert_eq!(cells.stations[0].occupied(), 0);
         assert_eq!(counters(&cells), [1, 0, 1, 0, 0, 0, 0, 0, 0]);
@@ -614,7 +734,7 @@ mod tests {
     fn an_accept_admits_and_fires_on_admitted_once() {
         let (_, mut cells) = world();
         let mut c = Recording::default();
-        assert!(cells.offer(&mut c, CellIdx(0), &call(1)));
+        assert_eq!(cells.offer(&mut c, CellIdx(0), &call(1), None), Some(0));
         assert_eq!(c.hooks, [Hook::Decide(1), Hook::Admitted(1)]);
         assert_eq!(cells.stations[0].occupied(), 5);
         assert_eq!(counters(&cells), [1, 1, 0, 0, 0, 0, 0, 0, 0]);
@@ -624,7 +744,7 @@ mod tests {
     fn an_expiry_releases_the_call_as_completed() {
         let (_, mut cells) = world();
         let mut c = Recording::default();
-        cells.offer(&mut c, CellIdx(0), &call(1));
+        cells.offer(&mut c, CellIdx(0), &call(1), None);
         cells.expire(&mut c, CellIdx(0), 59.0);
         assert_eq!(c.hooks.len(), 2, "nothing expires before the call ends");
         cells.expire(&mut c, CellIdx(0), 60.0);
@@ -691,6 +811,82 @@ mod tests {
         assert_eq!(c.hooks[5..], [Hook::Released(1)]);
         assert!(cells.users.is_empty());
         assert_eq!(counters(&cells), [2, 2, 0, 1, 0, 0, 1, 1, 0]);
+    }
+
+    #[test]
+    fn a_stale_departure_leaves_the_call_now_at_its_old_position_alone() {
+        let (_, mut cells) = world();
+        let mut c = Recording::default();
+        let old = admit_moving(&mut cells, &mut c, 1);
+        let fault = |kind| FaultEvent {
+            time: 10.0,
+            cell: 0,
+            kind,
+        };
+        cells.fault(&mut c, &fault(FaultKind::Outage));
+        cells.fault(&mut c, &fault(FaultKind::Recovery));
+        // A new call takes position 0, where the dropped call was.
+        let new = admit_moving(&mut cells, &mut c, 2);
+        assert_eq!(cells.users.tag(old), cells.users.tag(new));
+        let hooks = c.hooks.len();
+        // The dropped call's handoff and departure both miss the new call.
+        assert!(cells
+            .hand_out(&mut c, CellIdx(0), CellIdx(1), 1, old, 20.0)
+            .is_none());
+        cells.depart(&mut c, CellIdx(0), 1, Some(old));
+        assert_eq!(c.hooks.len(), hooks, "no hook fired");
+        assert_eq!(
+            cells.stations[0]
+                .connections()
+                .map(|c| c.id)
+                .collect::<Vec<_>>(),
+            [2]
+        );
+        assert_eq!(
+            cells.users.len(),
+            1,
+            "only the dropped call's slot was freed"
+        );
+        assert_tags_in_step(&cells);
+        cells.depart(&mut c, CellIdx(0), 2, Some(new));
+        assert_eq!(c.hooks[hooks..], [Hook::Released(2)]);
+        assert!(cells.users.is_empty());
+        assert_eq!(counters(&cells), [2, 2, 0, 1, 1, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn a_handed_back_call_completes_exactly_once() {
+        // The call leaves cell 0 and comes back, so two departures of it
+        // are queued at cell 0 for its end: the one left behind, with a
+        // stale slot, and the fresh one.  Either order completes it once.
+        for stale_first in [true, false] {
+            let (grid, mut cells) = world();
+            let mut c = Recording::default();
+            // A bystander behind the call, so its hand-out moves another.
+            let s1 = admit_moving(&mut cells, &mut c, 1);
+            let bystander = admit_moving(&mut cells, &mut c, 10);
+            let s2 = hand_over(&mut cells, &grid, &mut c, (1, s1), (0, 1), 2.0);
+            let s3 = hand_over(&mut cells, &grid, &mut c, (1, s2), (1, 0), 4.0);
+            let released =
+                |c: &Recording| c.hooks.iter().filter(|&&h| h == Hook::Released(1)).count();
+            assert_eq!(released(&c), 2, "one release per hand-out");
+            let departures = [(0, s1), (1, s2), (0, s3)];
+            let order: Vec<_> = if stale_first {
+                departures.to_vec()
+            } else {
+                departures.iter().rev().copied().collect()
+            };
+            for (cell, slot) in order {
+                cells.depart(&mut c, CellIdx(cell), 1, Some(slot));
+                assert_tags_in_step(&cells);
+            }
+            assert_eq!(released(&c), 3, "completed once");
+            assert_eq!(counters(&cells)[3], 1);
+            cells.depart(&mut c, CellIdx(0), 10, Some(bystander));
+            assert!(cells.users.is_empty());
+            assert!(cells.stations.iter().all(|s| s.active_connections() == 0));
+            assert_eq!(counters(&cells), [4, 4, 0, 2, 0, 0, 2, 2, 0]);
+        }
     }
 
     #[test]

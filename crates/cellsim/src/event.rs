@@ -465,31 +465,6 @@ impl EventQueue {
         self.near.is_empty()
     }
 
-    /// Ensure room for at least `additional` more events without further
-    /// growth reallocations, wherever they are filed.  Pending events move
-    /// between the near heap, the ring and the overflow heap, so each part
-    /// is sized for every event the queue would then hold.
-    pub fn reserve(&mut self, additional: usize) {
-        let total = self.len() + additional;
-        for heap in [&mut self.near, &mut self.overflow] {
-            heap.events.reserve(total.saturating_sub(heap.events.len()));
-        }
-        // Each slot wastes less than one block, so this many blocks hold
-        // every event the ring could then contain.
-        let blocks = total.div_ceil(BLOCK_EVENTS) + RING_SLOTS;
-        let ring = &mut self.ring;
-        ring.next.reserve(blocks.saturating_sub(ring.next.len()));
-        ring.events
-            .reserve((blocks * BLOCK_EVENTS).saturating_sub(ring.events.len()));
-    }
-
-    /// Events the retained storage holds: both heaps' capacities plus the
-    /// ring's block pool.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.near.events.capacity() + self.overflow.events.capacity() + self.ring.events.capacity()
-    }
-
     /// Remove every pending event, keeping the backing storage, and reset
     /// the sequence counter.
     pub fn clear(&mut self) {
@@ -798,48 +773,18 @@ mod tests {
     }
 
     #[test]
-    fn reserve_covers_events_moving_between_parts() {
-        // Every event starts past the ring, half of them in one bucket:
-        // popping moves them all into the ring and that bucket into the
-        // near heap, and the rescheduled ones land anywhere.
-        let mut q = EventQueue::new();
-        let mut rng = crate::rng::SimRng::new(11);
-        for i in 0..20_000u64 {
-            let time = if i % 2 == 0 {
-                6_000.0
-            } else {
-                rng.uniform(5_000.0, 8_000.0)
-            };
-            q.schedule(time, departure(i));
-        }
-        assert_eq!(q.ring.len, 0);
-        q.reserve(5_000);
-        let (near, overflow) = (q.near.events.capacity(), q.overflow.events.capacity());
-        let (pool, links) = (q.ring.events.capacity(), q.ring.next.capacity());
-        let mut last_pop = 0.0;
-        for i in 0..25_000u64 {
-            if i % 5 == 0 {
-                q.schedule(last_pop + rng.exponential(1200.0), departure(i));
-            } else {
-                last_pop = q.pop().expect("pending").time;
-            }
-        }
-        assert_eq!(q.near.events.capacity(), near);
-        assert_eq!(q.overflow.events.capacity(), overflow);
-        assert_eq!(q.ring.events.capacity(), pool);
-        assert_eq!(q.ring.next.capacity(), links);
-    }
-
-    #[test]
     fn clear_empties_queue_and_keeps_capacity() {
         let mut q = EventQueue::new();
         for i in 0..64 {
             q.schedule(f64::from(i), departure(1));
         }
-        let cap = q.capacity();
+        let capacity = |q: &EventQueue| {
+            q.near.events.capacity() + q.overflow.events.capacity() + q.ring.events.capacity()
+        };
+        let cap = capacity(&q);
         q.clear();
         assert!(q.is_empty());
-        assert!(q.capacity() >= cap, "clear must keep the backing storage");
+        assert!(capacity(&q) >= cap, "clear must keep the backing storage");
         // Sequence numbers restart, so replays are bit-identical.
         q.schedule(1.0, departure(1));
         assert_eq!(q.pop().unwrap().sequence, 0);

@@ -7,8 +7,14 @@
 //! rings ("bordering" and "non-bordering" neighbours in the paper's
 //! terminology), which are provided by [`CellGrid::ring`] and
 //! [`CellGrid::cluster`].
+//!
+//! Each grid also keeps a neighbour table: for every cell, the dense
+//! indices of its in-grid neighbours and the bearings to their centres,
+//! computed once on first use, so choosing a handoff target
+//! ([`CellGrid::next_cell_from`]) costs no trigonometry and no search.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A point in the 2-D plane, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -130,16 +136,55 @@ impl std::fmt::Display for CellId {
     }
 }
 
+/// A cell's in-grid neighbours, in [`CellId::DIRECTIONS`] order: their
+/// dense indices and the bearings from the cell's centre to theirs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Neighbours {
+    len: usize,
+    cells: [u32; 6],
+    bearings: [f64; 6],
+}
+
+impl Neighbours {
+    /// The neighbour whose bearing is closest to `heading_deg`; the first
+    /// in direction order on a tie.
+    #[inline]
+    fn pick(&self, heading_deg: f64) -> Option<CellIdx> {
+        let mut best: Option<(f64, u32)> = None;
+        for (&cell, &bearing) in self.cells.iter().zip(&self.bearings).take(self.len) {
+            let diff = angle_difference(heading_deg, bearing).abs();
+            match best {
+                Some((d, _)) if d <= diff => {}
+                _ => best = Some((diff, cell)),
+            }
+        }
+        best.map(|(_, cell)| CellIdx(cell))
+    }
+}
+
 /// A finite hexagonal cell layout centred on [`CellId::origin`].
 ///
 /// The grid is a "hexagon of hexagons": all cells within `radius_cells` hex
 /// steps of the origin.  `radius_cells = 0` is the single-cell layout used
 /// by the paper's experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellGrid {
     radius_cells: u32,
     cell_radius_m: f64,
     cells: Vec<CellId>,
+    /// Every cell's [`Neighbours`], in dense order, built on first use.
+    /// Derived state: serde skips it and equality ignores it.
+    #[serde(skip)]
+    neighbours: OnceLock<Vec<Neighbours>>,
+}
+
+impl PartialEq for CellGrid {
+    fn eq(&self, other: &Self) -> bool {
+        // The neighbour table is a function of the rest.
+        self.radius_cells == other.radius_cells
+            && self.cell_radius_m == other.cell_radius_m
+            && self.cells == other.cells
+    }
 }
 
 impl CellGrid {
@@ -162,7 +207,35 @@ impl CellGrid {
             radius_cells,
             cell_radius_m,
             cells,
+            neighbours: OnceLock::new(),
         }
+    }
+
+    /// The neighbour table, built on first use: grids that never pick a
+    /// handoff target (a Shadow Cluster controller builds one per cell)
+    /// never pay its trigonometry.
+    fn neighbour_table(&self) -> &[Neighbours] {
+        self.neighbours
+            .get_or_init(|| self.cells.iter().map(|c| self.neighbours_of(c)).collect())
+    }
+
+    /// The in-grid neighbours of `cell` (which need not be in the grid).
+    fn neighbours_of(&self, cell: &CellId) -> Neighbours {
+        let center = self.center_of(cell);
+        let mut row = Neighbours {
+            len: 0,
+            cells: [0; 6],
+            bearings: [0.0; 6],
+        };
+        for n in cell.neighbors() {
+            let Some(idx) = self.index_of(&n) else {
+                continue;
+            };
+            row.cells[row.len] = idx.0;
+            row.bearings[row.len] = center.bearing_to(&self.center_of(&n));
+            row.len += 1;
+        }
+        row
     }
 
     /// The single-cell layout used by the paper's evaluation.
@@ -300,23 +373,26 @@ impl CellGrid {
 
     /// The neighbour cell a user moving from `from_cell` with heading
     /// `heading_deg` (counter-clockwise from +x) is most likely to enter
-    /// next, or `None` if that neighbour is outside the grid.
+    /// next: the in-grid neighbour whose centre's bearing is closest to the
+    /// heading, or `None` if `from_cell` has no neighbour in the grid.
     #[must_use]
     pub fn next_cell_along(&self, from_cell: &CellId, heading_deg: f64) -> Option<CellId> {
-        let from_center = self.center_of(from_cell);
-        let mut best: Option<(f64, CellId)> = None;
-        for n in from_cell.neighbors() {
-            if !self.contains(&n) {
-                continue;
-            }
-            let bearing = from_center.bearing_to(&self.center_of(&n));
-            let diff = angle_difference(heading_deg, bearing).abs();
-            match best {
-                Some((d, _)) if d <= diff => {}
-                _ => best = Some((diff, n)),
-            }
-        }
-        best.map(|(_, c)| c)
+        let next = match self.index_of(from_cell) {
+            Some(idx) => self.next_cell_from(idx, heading_deg),
+            None => self.neighbours_of(from_cell).pick(heading_deg),
+        };
+        next.map(|idx| self.cell_id(idx))
+    }
+
+    /// [`CellGrid::next_cell_along`] for the grid cell at dense index
+    /// `from`, read from the neighbour table.
+    ///
+    /// # Panics
+    /// Panics when `from` is out of range for this grid.
+    #[must_use]
+    #[inline]
+    pub fn next_cell_from(&self, from: CellIdx, heading_deg: f64) -> Option<CellIdx> {
+        self.neighbour_table()[from.index()].pick(heading_deg)
     }
 }
 
@@ -339,7 +415,10 @@ pub fn normalize_angle(mut deg: f64) -> f64 {
     if !deg.is_finite() {
         return 0.0;
     }
-    deg %= 360.0;
+    // `deg % 360.0` is `deg` itself below one turn; skip the libm call.
+    if deg.abs() >= 360.0 {
+        deg %= 360.0;
+    }
     if deg > 180.0 {
         deg -= 360.0;
     } else if deg <= -180.0 {
@@ -504,6 +583,134 @@ mod tests {
         // Single-cell grid has no neighbours at all.
         let single = CellGrid::single_cell(500.0);
         assert!(single.next_cell_along(&CellId::origin(), 0.0).is_none());
+    }
+
+    /// The bearing loop `next_cell_along` ran before the neighbour table.
+    fn next_cell_by_bearing_loop(g: &CellGrid, from: &CellId, heading_deg: f64) -> Option<CellId> {
+        let from_center = g.center_of(from);
+        let mut best: Option<(f64, CellId)> = None;
+        for n in from.neighbors() {
+            if !g.contains(&n) {
+                continue;
+            }
+            let bearing = from_center.bearing_to(&g.center_of(&n));
+            let diff = angle_difference(heading_deg, bearing).abs();
+            match best {
+                Some((d, _)) if d <= diff => {}
+                _ => best = Some((diff, n)),
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    #[test]
+    fn neighbour_table_picks_what_the_bearing_loop_picked() {
+        let g = CellGrid::new(26, 500.0);
+        assert_eq!(g.len(), 2107);
+        let mut headings = Vec::new();
+        for (i, cell) in g.cells().iter().enumerate() {
+            let center = g.center_of(cell);
+            // Every 0.5°, and each neighbour's exact bearing and the floats
+            // one ulp either side of it (where ties flip).
+            headings.clear();
+            headings.extend((0..=720).map(|k| -180.0 + 0.5 * f64::from(k)));
+            for n in cell.neighbors().iter().filter(|n| g.contains(n)) {
+                let b = center.bearing_to(&g.center_of(n));
+                let (below, above) = if b == 0.0 {
+                    (-f64::from_bits(1), f64::from_bits(1))
+                } else {
+                    (
+                        f64::from_bits(b.to_bits() - 1),
+                        f64::from_bits(b.to_bits() + 1),
+                    )
+                };
+                headings.extend([below, b, above]);
+            }
+            for &h in &headings {
+                let want = next_cell_by_bearing_loop(&g, cell, h);
+                let got = g
+                    .next_cell_from(CellIdx(i as u32), h)
+                    .map(|idx| g.cell_id(idx));
+                assert_eq!(got, want, "from {cell} at heading {h:?}");
+                assert_eq!(
+                    g.next_cell_along(cell, h),
+                    want,
+                    "from {cell} at heading {h:?}"
+                );
+            }
+        }
+        // Cells outside the grid still pick among their in-grid neighbours.
+        for (cell, h) in [(CellId::new(27, 0), 180.0), (CellId::new(40, 0), 0.0)] {
+            assert_eq!(
+                g.next_cell_along(&cell, h),
+                next_cell_by_bearing_loop(&g, &cell, h)
+            );
+        }
+    }
+
+    #[test]
+    fn the_neighbour_table_is_built_on_first_use_and_stays_off_the_wire() {
+        let g = CellGrid::new(3, 250.0);
+        let json = serde_json::to_string(&g).unwrap();
+        assert!(
+            !json.contains("neighbours"),
+            "derived state stays off the wire"
+        );
+        let back: CellGrid = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, g);
+        assert!(back.neighbours.get().is_none());
+        assert!(
+            CellGrid::new(3, 250.0).neighbours.get().is_none(),
+            "built on first use"
+        );
+        for i in 0..g.len() as u32 {
+            for h in [-179.5, -90.0, 0.0, 33.0, 180.0] {
+                assert_eq!(
+                    back.next_cell_from(CellIdx(i), h),
+                    g.next_cell_from(CellIdx(i), h)
+                );
+            }
+        }
+        assert_eq!(back.neighbours.get(), g.neighbours.get());
+    }
+
+    #[test]
+    fn normalisation_below_one_turn_is_exact() {
+        // What `deg %= 360.0` returned for every input, as the fast path
+        // must.
+        let fmod = |mut deg: f64| {
+            deg %= 360.0;
+            if deg > 180.0 {
+                deg -= 360.0;
+            } else if deg <= -180.0 {
+                deg += 360.0;
+            }
+            deg
+        };
+        let mut x = 1u64;
+        for k in 0..100_000 {
+            x = crate::rng::mix64(x);
+            let deg = match k % 4 {
+                0 => (x >> 11) as f64 / (1u64 << 53) as f64 * 1440.0 - 720.0,
+                1 => f64::from_bits(360f64.to_bits() - (x % 4)),
+                2 => -f64::from_bits(360f64.to_bits() - (x % 4)),
+                _ => (x % 2001) as f64 * 0.5 - 500.0,
+            };
+            assert_eq!(
+                normalize_angle(deg).to_bits(),
+                fmod(deg).to_bits(),
+                "{deg:?}"
+            );
+        }
+        for deg in [
+            0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, 1e300, -1e-300,
+        ] {
+            assert_eq!(
+                normalize_angle(deg).to_bits(),
+                fmod(deg).to_bits(),
+                "{deg:?}"
+            );
+        }
     }
 
     #[test]

@@ -1067,6 +1067,38 @@ mod tests {
     }
 
     #[test]
+    fn metro_sized_stations_build_no_id_index() {
+        // 2000-BU stations, each carrying hundreds of calls, with
+        // handoffs and outages: every call is found through its slot.
+        let mut config = multi_cell_config(0x1D)
+            .with_capacity(2000)
+            .with_traffic(TrafficConfig {
+                mean_interarrival_s: 0.02,
+                mean_holding_s: 200.0,
+                min_speed_kmh: 30.0,
+                max_speed_kmh: 120.0,
+                ..TrafficConfig::paper_default()
+            });
+        config.fault_plan = (0..12).fold(crate::fault::FaultPlan::new(), |plan, i| {
+            plan.with_outage(i % 19, 30.0 + 40.0 * f64::from(i), 5.0)
+        });
+        let requests = 25_000;
+        for sharding in [ShardConfig::solo(), ShardConfig::new(4).with_threads(2)] {
+            let mut sim = ShardedSimulator::new(config.clone(), sharding);
+            let report = sim.run_poisson(&mut always, requests);
+            assert!(report.peak_concurrent_users > 19 * 200, "{report:?}");
+            assert!(report.handoffs_offered > 1_000 && report.dropped_by_outage > 0);
+            for shard in &sim.shards {
+                assert!(shard.cells.stations.iter().all(|s| !s.id_index_built()));
+            }
+        }
+        let mut seq = Simulator::new(config);
+        let report = seq.run_poisson(&mut AlwaysAccept, requests);
+        assert!(report.metrics.handoffs().0 > 1_000);
+        assert!(seq.stations().iter().all(|s| !s.id_index_built()));
+    }
+
+    #[test]
     fn shard_count_is_clamped_to_the_grid() {
         let sim = ShardedSimulator::new(
             SimConfig::paper_default(),

@@ -618,7 +618,7 @@ impl<R: Recorder> Simulator<R> {
                 .uniform(0.0, self.grid.cell_radius_m())
                 .max(0.0);
             let request = AdmissionRequest::from_call(call, cell).with_distance(distance);
-            self.cells.offer(controller, idx, &request);
+            self.cells.offer(controller, idx, &request, None);
         }
     }
 

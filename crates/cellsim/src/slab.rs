@@ -10,6 +10,11 @@
 //! makes stale handles — e.g. a departure event whose connection already
 //! handed off and completed elsewhere — miss safely instead of aliasing a
 //! recycled slot.
+//!
+//! Each slot also carries a caller-defined `u32` *tag* beside its value
+//! (the engines keep a call's position in its station there).  The tag
+//! sits in the alignment padding after the generation, so for 8-byte
+//! aligned values it costs no memory.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +42,7 @@ impl SlotId {
 #[derive(Debug, Clone)]
 struct Entry<T> {
     generation: u32,
+    tag: u32,
     value: Option<T>,
 }
 
@@ -83,21 +89,39 @@ impl<T> Slab<T> {
         self.entries.capacity()
     }
 
-    /// Insert a value, reusing a freed slot when one exists.
+    /// The slot index the next insertion will use.
+    #[must_use]
+    pub fn vacant_index(&self) -> u32 {
+        match self.free.last() {
+            Some(&index) => index,
+            None => u32::try_from(self.entries.len()).expect("slab exceeds u32::MAX slots"),
+        }
+    }
+
+    /// Insert a value with tag 0, reusing a freed slot when one exists.
     pub fn insert(&mut self, value: T) -> SlotId {
+        self.insert_tagged(value, 0)
+    }
+
+    /// Insert a value with `tag`, reusing a freed slot when one exists;
+    /// the handle's index is [`Slab::vacant_index`] as it was before the
+    /// call.
+    pub fn insert_tagged(&mut self, value: T, tag: u32) -> SlotId {
         self.len += 1;
         if let Some(index) = self.free.pop() {
             let entry = &mut self.entries[index as usize];
             debug_assert!(entry.value.is_none(), "free list pointed at a live slot");
+            entry.tag = tag;
             entry.value = Some(value);
             SlotId {
                 index,
                 generation: entry.generation,
             }
         } else {
-            let index = u32::try_from(self.entries.len()).expect("slab exceeds u32::MAX slots");
+            let index = self.vacant_index();
             self.entries.push(Entry {
                 generation: 0,
+                tag,
                 value: Some(value),
             });
             SlotId {
@@ -105,6 +129,26 @@ impl<T> Slab<T> {
                 generation: 0,
             }
         }
+    }
+
+    /// The tag of the value behind `id`, if the handle is still current.
+    #[must_use]
+    pub fn tag(&self, id: SlotId) -> Option<u32> {
+        let entry = self.entries.get(id.index())?;
+        (entry.generation == id.generation && entry.value.is_some()).then_some(entry.tag)
+    }
+
+    /// Set the tag of the live value in slot `index` (a [`SlotId::index`]
+    /// its owner recorded).
+    ///
+    /// # Panics
+    ///
+    /// If `index` is past every slot; in debug builds also if the slot is
+    /// free.
+    pub fn set_tag(&mut self, index: usize, tag: u32) {
+        let entry = &mut self.entries[index];
+        debug_assert!(entry.value.is_some(), "tagging a free slot");
+        entry.tag = tag;
     }
 
     /// The value behind `id`, if the handle is still current.
@@ -221,6 +265,34 @@ mod tests {
         let reborn = slab.insert(7);
         assert_eq!(slab.get(reborn), Some(&7));
         assert!(reborn.index() < 16, "clear feeds the free list");
+    }
+
+    #[test]
+    fn tags_follow_their_slot_and_stale_handles_miss_them() {
+        let mut slab = Slab::new();
+        assert_eq!(slab.vacant_index(), 0);
+        let a = slab.insert_tagged("a", 7);
+        let b = slab.insert("b");
+        assert_eq!((slab.tag(a), slab.tag(b)), (Some(7), Some(0)));
+        slab.set_tag(b.index(), 9);
+        assert_eq!(slab.tag(b), Some(9));
+        slab.remove(a);
+        assert_eq!(slab.tag(a), None, "a freed slot's tag is gone");
+        assert_eq!(
+            slab.vacant_index() as usize,
+            a.index(),
+            "the freed slot is next"
+        );
+        let c = slab.insert_tagged("c", 3);
+        assert_eq!(c.index(), a.index());
+        assert_eq!((slab.tag(a), slab.tag(c)), (None, Some(3)));
+        assert_eq!(slab.vacant_index(), 2);
+    }
+
+    #[test]
+    fn user_entries_stay_48_bytes() {
+        // The tag fills the padding after the generation.
+        assert_eq!(std::mem::size_of::<Entry<crate::mobility::UserState>>(), 48);
     }
 
     #[test]

@@ -12,27 +12,44 @@
 //! The station itself never refuses an admission on policy grounds; that is
 //! the controller's job.  It only enforces the physical capacity limit.
 //!
-//! Active connections live in a dense `Vec` rather than a `HashMap`: a
-//! station carries at most `capacity / min_request` connections (≈ 40 for
-//! the paper's cell), so a linear scan over one cache line beats hashing,
+//! Active connections live in a dense `Vec` rather than a `HashMap`:
 //! iteration order is deterministic by construction, and steady-state
 //! admit/release cycles reuse the vector's capacity instead of allocating.
-//! Metro-scale stations (capacity beyond [`INDEX_LINEAR_SCAN_MAX`] BU) can
-//! hold hundreds of concurrent connections, where the linear scan turns
-//! O(n) per lookup; those stations additionally keep a lazily maintained
-//! id → position hash index beside the dense vector.  The index never
-//! affects observable behaviour — iteration still walks the vector — and
-//! it self-heals (rebuilds from the vector) whenever it is out of sync,
-//! e.g. right after deserialisation.
+//! A connection is found in one of two ways.
+//!
+//! * **By position.**  The simulation engines know where each call sits:
+//!   [`BaseStation::admit_owned`] returns the position and records an
+//!   *owner* word for the call (the engines use the slot of the call's
+//!   user), and [`BaseStation::release_at`] /
+//!   [`BaseStation::transfer_out_at`] remove the call at a position after
+//!   checking its id there.  A removal `swap_remove`s, so it reports the
+//!   owner of the call it moved into the hole, and the caller updates its
+//!   record of that call's position.  No search, no hash.
+//! * **By id.**  Callers that hold nothing but an id — `admitd`'s frames,
+//!   and the single-cell engine's untracked departures — use
+//!   [`BaseStation::admit`], [`BaseStation::release`] and friends.  At or
+//!   below [`INDEX_LINEAR_SCAN_MAX`] BU (≈ 40 connections on the paper's
+//!   cell) these scan the vector, which beats hashing.  Above it, the
+//!   first id-addressed *mutation* builds an id → position hash index from
+//!   the vector, and every later mutation keeps it in step; reads by id
+//!   ([`BaseStation::connection`]) use it once built and scan before.  A
+//!   station addressed only by position therefore never builds it.  The
+//!   index never affects observable behaviour — iteration still walks the
+//!   vector — and it is rebuilt the same way after deserialisation,
+//!   [`BaseStation::reset_for_run`], or a capacity change to or below the
+//!   threshold.
+//!
+//! Owners are bookkeeping for position-tracking callers: they are not
+//! serialised, and a station whose calls were all admitted by id keeps
+//! none.
 //!
 //! The index hashes ids with the SplitMix64 finalizer ([`mix64`]) rather
-//! than `std`'s SipHash: a metro run looks an id up on every arrival,
-//! departure and barrier-merge step, and the finalizer is a handful of
-//! multiplies.  It still avalanches, which matters because `admitd`
-//! clients choose their own connection ids — ids spaced by a power of two
-//! must not share buckets — and each station mixes a random key into
-//! every id, so a client cannot compute ids that collide either.  Nothing
-//! reads the map's iteration order, so the key never shows in any output.
+//! than `std`'s SipHash: the finalizer is a handful of multiplies.  It
+//! still avalanches, which matters because `admitd` clients choose their
+//! own connection ids — ids spaced by a power of two must not share
+//! buckets — and each station mixes a random key into every id, so a
+//! client cannot compute ids that collide either.  Nothing reads the map's
+//! iteration order, so the key never shows in any output.
 
 use crate::geometry::{CellId, Point};
 use crate::rng::mix64;
@@ -44,11 +61,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 
-/// Largest capacity (BU) for which connection lookup stays a plain linear
+/// Largest capacity (BU) for which lookup by id stays a plain linear
 /// scan.  The paper's 40-BU cell sits far below this; metro cells
 /// (≈ 2000 BU, several hundred concurrent connections) sit far above, and
-/// get the hash index.
+/// build the hash index on their first id-addressed mutation.
 pub const INDEX_LINEAR_SCAN_MAX: Bandwidth = 128;
+
+/// The owner of a connection admitted by id ([`BaseStation::admit`]), or
+/// admitted by [`BaseStation::admit_owned`] for nobody.
+pub const NO_OWNER: u32 = u32::MAX;
 
 /// Hasher of the station index: each `u64` written (the id) is xored into
 /// the state, which starts at the station's key, and mixed with [`mix64`].
@@ -170,23 +191,31 @@ pub struct BaseStation {
     position: Point,
     capacity: Bandwidth,
     connections: Vec<ActiveConnection>,
+    /// The owner of each connection, in step with `connections`, or empty
+    /// while every owner is [`NO_OWNER`].  Bookkeeping for callers that
+    /// track positions: skipped on the wire and excluded from equality.
+    #[serde(skip)]
+    owners: Vec<u32>,
     rtc: Bandwidth,
     nrtc: Bandwidth,
     total_admitted: u64,
     total_released: u64,
     total_dropped: u64,
-    /// id → position in `connections`, kept only for high-capacity
-    /// stations.  Pure acceleration state: skipped on the wire, excluded
-    /// from equality, rebuilt on demand when `index.len()` disagrees with
-    /// `connections.len()`.
+    /// id → position in `connections`, in step with it while `indexed`.
+    /// Pure acceleration state: skipped on the wire, excluded from
+    /// equality.
     #[serde(skip)]
     index: IdIndex,
+    /// `true` once an id-addressed mutation built `index` (only above
+    /// [`INDEX_LINEAR_SCAN_MAX`] BU).
+    #[serde(skip)]
+    indexed: bool,
 }
 
 impl PartialEq for BaseStation {
     fn eq(&self, other: &Self) -> bool {
-        // The hash index is derived state; two stations are equal iff
-        // their observable state matches (a freshly deserialised station
+        // The hash index and the owners are bookkeeping; two stations are
+        // equal iff their observable state matches (a freshly deserialised station
         // compares equal to the live one it was serialised from).
         self.cell == other.cell
             && self.position == other.position
@@ -209,12 +238,14 @@ impl BaseStation {
             position,
             capacity,
             connections: Vec::new(),
+            owners: Vec::new(),
             rtc: 0,
             nrtc: 0,
             total_admitted: 0,
             total_released: 0,
             total_dropped: 0,
             index: IdIndex::default(),
+            indexed: false,
         }
     }
 
@@ -226,12 +257,14 @@ impl BaseStation {
     pub fn reset_for_run(&mut self, capacity: Bandwidth) {
         self.capacity = capacity;
         self.connections.clear();
+        self.owners.clear();
         self.rtc = 0;
         self.nrtc = 0;
         self.total_admitted = 0;
         self.total_released = 0;
         self.total_dropped = 0;
         self.index.clear();
+        self.indexed = false;
     }
 
     /// The paper's single 40-BU base station at the origin.
@@ -249,10 +282,10 @@ impl BaseStation {
     pub fn set_capacity(&mut self, capacity: Bandwidth) {
         self.capacity = capacity;
         if !self.uses_index() {
-            // Dropping below the index threshold invalidates the index
-            // wholesale; clearing it now keeps the synced-length
-            // invariant simple for the scan path.
+            // At or below the threshold lookups scan; a later rise
+            // rebuilds the index on the next id-addressed mutation.
             self.index.clear();
+            self.indexed = false;
         }
     }
 
@@ -266,6 +299,7 @@ impl BaseStation {
         out.clear();
         self.total_dropped += self.connections.len() as u64;
         out.append(&mut self.connections);
+        self.owners.clear();
         self.rtc = 0;
         self.nrtc = 0;
         self.index.clear();
@@ -347,29 +381,16 @@ impl BaseStation {
         self.position_of(id).map(|pos| &self.connections[pos])
     }
 
-    /// `true` when this station maintains the id → position hash index.
+    /// `true` when id-addressed access to this station builds the
+    /// id → position hash index.
     fn uses_index(&self) -> bool {
         self.capacity > INDEX_LINEAR_SCAN_MAX
     }
 
-    /// `true` when the hash index is present and in sync with the dense
-    /// vector.  Every index-maintaining mutation preserves
-    /// `index.len() == connections.len()`, so a length mismatch is the
-    /// one-and-only signal of a stale index (deserialisation, or a
-    /// capacity change that newly crossed the threshold).
-    fn index_is_synced(&self) -> bool {
-        self.index.len() == self.connections.len()
-    }
-
-    /// Repair the hash index before an index-maintaining mutation.
-    fn sync_index(&mut self) {
-        if !self.uses_index() {
-            if !self.index.is_empty() {
-                self.index.clear();
-            }
-            return;
-        }
-        if self.index_is_synced() {
+    /// Before an id-addressed mutation: build the hash index if this
+    /// station keeps one and has not built it yet.
+    fn index_for_id_access(&mut self) {
+        if self.indexed || !self.uses_index() {
             return;
         }
         self.index.clear();
@@ -377,26 +398,36 @@ impl BaseStation {
         for (pos, conn) in self.connections.iter().enumerate() {
             self.index.insert(conn.id, pos as u32);
         }
+        self.indexed = true;
     }
 
     fn position_of(&self, id: u64) -> Option<usize> {
-        if self.uses_index() && self.index_is_synced() {
+        if self.indexed {
             return self.index.get(&id).map(|&pos| pos as usize);
         }
         self.connections.iter().position(|c| c.id == id)
     }
 
-    /// Bookkeeping shared by every `swap_remove` on `connections`: drop
-    /// `id` from the index and re-point the entry of whichever connection
-    /// was swapped into `pos` (if any).
-    fn index_remove(&mut self, id: u64, pos: usize) {
-        if !self.uses_index() {
-            return;
+    /// `swap_remove` the connection at `pos`, keeping the owners, the
+    /// index and the counters in step; the connection, and the owner of
+    /// the connection moved into `pos` ([`NO_OWNER`] if none moved).  Every
+    /// removal goes through here.
+    fn swap_take(&mut self, pos: usize) -> (ActiveConnection, u32) {
+        let conn = self.connections.swap_remove(pos);
+        let moved = if self.owners.is_empty() {
+            NO_OWNER
+        } else {
+            self.owners.swap_remove(pos);
+            self.owners.get(pos).copied().unwrap_or(NO_OWNER)
+        };
+        if self.indexed {
+            self.index.remove(&conn.id);
+            if let Some(moved) = self.connections.get(pos) {
+                self.index.insert(moved.id, pos as u32);
+            }
         }
-        self.index.remove(&id);
-        if let Some(moved) = self.connections.get(pos) {
-            self.index.insert(moved.id, pos as u32);
-        }
+        self.subtract(&conn);
+        (conn, moved)
     }
 
     /// `true` if a request for `bandwidth` BU physically fits right now.
@@ -423,7 +454,8 @@ impl BaseStation {
         self.total_dropped
     }
 
-    /// Admit a connection, reserving its bandwidth.
+    /// Admit a connection, reserving its bandwidth.  Id-addressed: it
+    /// refuses an id already active here.
     pub fn admit(
         &mut self,
         id: u64,
@@ -433,23 +465,62 @@ impl BaseStation {
         holding_time: SimTime,
         was_handoff: bool,
     ) -> Result<(), StationError> {
-        self.sync_index();
+        self.index_for_id_access();
         if self.position_of(id).is_some() {
             return Err(StationError::DuplicateConnection { id });
         }
+        self.admit_owned(
+            NO_OWNER,
+            id,
+            class,
+            bandwidth,
+            now,
+            holding_time,
+            was_handoff,
+        )
+        .map(drop)
+    }
+
+    /// Admit a connection for `owner`, reserving its bandwidth; its
+    /// position, until a removal reports that it moved.  Position-addressed:
+    /// the caller vouches that `id` is not active here (the engines' call
+    /// ids are unique), so nothing is searched and no index is built.
+    #[allow(clippy::too_many_arguments)]
+    pub fn admit_owned(
+        &mut self,
+        owner: u32,
+        id: u64,
+        class: ServiceClass,
+        bandwidth: Bandwidth,
+        now: SimTime,
+        holding_time: SimTime,
+        was_handoff: bool,
+    ) -> Result<u32, StationError> {
+        debug_assert!(
+            !self.indexed || !self.index.contains_key(&id),
+            "connection {id} is already active"
+        );
         if !self.can_fit(bandwidth) {
             return Err(StationError::InsufficientCapacity {
                 requested: bandwidth,
                 available: self.available(),
             });
         }
+        let position =
+            u32::try_from(self.connections.len()).expect("station exceeds u32::MAX calls");
         if class.is_real_time() {
             self.rtc += bandwidth;
         } else {
             self.nrtc += bandwidth;
         }
-        if self.uses_index() {
-            self.index.insert(id, self.connections.len() as u32);
+        if self.indexed {
+            self.index.insert(id, position);
+        }
+        // Owners stay empty until the first owned call, which pads them
+        // for the calls admitted before it.
+        if owner != NO_OWNER || !self.owners.is_empty() {
+            self.owners.resize(self.connections.len(), NO_OWNER);
+            self.owners.push(owner);
         }
         self.connections.push(ActiveConnection {
             id,
@@ -460,18 +531,33 @@ impl BaseStation {
             was_handoff,
         });
         self.total_admitted += 1;
-        Ok(())
+        Ok(position)
     }
 
+    /// Remove connection `id` (id-addressed).  The owner it moves is not
+    /// reported: callers that track positions remove by position.
     fn take(&mut self, id: u64) -> Result<ActiveConnection, StationError> {
-        self.sync_index();
+        self.index_for_id_access();
         let pos = self
             .position_of(id)
             .ok_or(StationError::UnknownConnection { id })?;
-        let conn = self.connections.swap_remove(pos);
-        self.index_remove(id, pos);
-        self.subtract(&conn);
-        Ok(conn)
+        Ok(self.swap_take(pos).0)
+    }
+
+    /// Remove the connection at `position` if it is `id`; otherwise
+    /// change nothing.  Returns it and the owner of the connection moved
+    /// into `position`, if any.
+    fn take_at(
+        &mut self,
+        position: u32,
+        id: u64,
+    ) -> Result<(ActiveConnection, Option<u32>), StationError> {
+        let pos = position as usize;
+        if self.connections.get(pos).is_none_or(|c| c.id != id) {
+            return Err(StationError::UnknownConnection { id });
+        }
+        let (conn, moved) = self.swap_take(pos);
+        Ok((conn, (moved != NO_OWNER).then_some(moved)))
     }
 
     /// Release a connection that completed normally, freeing its bandwidth.
@@ -479,6 +565,21 @@ impl BaseStation {
         let conn = self.take(id)?;
         self.total_released += 1;
         Ok(conn)
+    }
+
+    /// [`BaseStation::release`] by position: release the connection at
+    /// `position` if it is `id`, returning it and the owner of the
+    /// connection now at `position` (the one the removal moved there), if
+    /// any.  A stale position or a wrong id is
+    /// [`StationError::UnknownConnection`] and changes nothing.
+    pub fn release_at(
+        &mut self,
+        position: u32,
+        id: u64,
+    ) -> Result<(ActiveConnection, Option<u32>), StationError> {
+        let taken = self.take_at(position, id)?;
+        self.total_released += 1;
+        Ok(taken)
     }
 
     /// Remove a connection because it was dropped (e.g. failed handoff) —
@@ -496,18 +597,26 @@ impl BaseStation {
         self.take(id)
     }
 
+    /// [`BaseStation::transfer_out`] by position, reporting the moved
+    /// owner as [`BaseStation::release_at`] does.
+    pub fn transfer_out_at(
+        &mut self,
+        position: u32,
+        id: u64,
+    ) -> Result<(ActiveConnection, Option<u32>), StationError> {
+        self.take_at(position, id)
+    }
+
     /// Release every connection whose `ends_at` is at or before `now` into
     /// `out` (cleared first), sorted by completion time.  Allocation-free
-    /// once `out` has warmed up to the working-set size.
+    /// once `out` has warmed up to the working-set size.  Like a removal by
+    /// id, it does not report the owners it moves.
     pub fn release_expired_into(&mut self, now: SimTime, out: &mut Vec<ActiveConnection>) {
-        self.sync_index();
         out.clear();
         let mut i = 0;
         while i < self.connections.len() {
             if self.connections[i].ends_at <= now {
-                let conn = self.connections.swap_remove(i);
-                self.index_remove(conn.id, i);
-                self.subtract(&conn);
+                let (conn, _) = self.swap_take(i);
                 self.total_released += 1;
                 out.push(conn);
             } else {
@@ -525,6 +634,19 @@ impl BaseStation {
         let mut out = Vec::new();
         self.release_expired_into(now, &mut out);
         out
+    }
+
+    /// Whether an id-addressed mutation built the hash index.
+    #[cfg(test)]
+    pub(crate) fn id_index_built(&self) -> bool {
+        self.indexed
+    }
+
+    /// The owners, in step with the connections (empty while all are
+    /// [`NO_OWNER`]).
+    #[cfg(test)]
+    pub(crate) fn owners(&self) -> &[u32] {
+        &self.owners
     }
 
     fn subtract(&mut self, conn: &ActiveConnection) {
@@ -545,6 +667,7 @@ impl Default for BaseStation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn station() -> BaseStation {
         BaseStation::paper_default()
@@ -937,6 +1060,156 @@ mod tests {
         assert_eq!(restored.index.len(), restored.connections.len());
         s.release(25).unwrap();
         assert_eq!(restored, s);
+    }
+
+    #[test]
+    fn removal_by_position_checks_the_id_and_reports_the_moved_owner() {
+        let mut s = BaseStation::new(CellId::origin(), Point::default(), 2000);
+        for (owner, id) in [(10, 100), (11, 101), (12, 102)] {
+            let position = s.admit_owned(owner, id, ServiceClass::Voice, 5, 0.0, 60.0, false);
+            assert_eq!(position, Ok(owner - 10));
+        }
+        let before = s.clone();
+        // A stale position, a wrong id or a position past the end changes
+        // nothing.
+        for (position, id) in [(0, 101), (1, 100), (3, 100), (u32::MAX, 102), (2, 7)] {
+            let refused = Err(StationError::UnknownConnection { id });
+            assert_eq!(s.release_at(position, id), refused);
+            assert_eq!(s.transfer_out_at(position, id), refused);
+            assert_eq!(s, before);
+            assert_eq!(s.owners(), before.owners());
+        }
+        // Releasing the first call moves the last, owner 12, into its place.
+        let (conn, moved) = s.release_at(0, 100).unwrap();
+        assert_eq!((conn.id, moved), (100, Some(12)));
+        assert_eq!(
+            s.connections().map(|c| c.id).collect::<Vec<_>>(),
+            [102, 101]
+        );
+        assert_eq!(s.owners(), [12, 11]);
+        assert_eq!((s.total_released(), s.occupied()), (1, 10));
+        // Removing the last call moves nothing; a transfer is no release.
+        let (conn, moved) = s.transfer_out_at(1, 101).unwrap();
+        assert_eq!((conn.id, moved), (101, None));
+        assert_eq!((s.total_released(), s.occupied()), (1, 5));
+        assert!(!s.id_index_built(), "nothing was addressed by id");
+        // A call admitted by id has no owner to report.
+        s.admit(200, ServiceClass::Text, 1, 0.0, 60.0, false)
+            .unwrap();
+        assert!(
+            s.id_index_built(),
+            "the first id-addressed mutation builds it"
+        );
+        assert_eq!(s.owners(), [12, NO_OWNER]);
+        let (_, moved) = s.release_at(0, 102).unwrap();
+        assert_eq!(moved, None);
+        assert_eq!(
+            s.connection(200).map(|c| c.id),
+            Some(200),
+            "index kept in step"
+        );
+        assert_eq!(s.release(200).map(|c| c.id), Ok(200));
+        assert_eq!(s.active_connections(), 0);
+    }
+
+    /// A 2000-BU station driven by random position- and id-addressed
+    /// admissions and removals.  The caller's record of each owned call's
+    /// position, kept up to date from the moved owners that removals
+    /// report, must always point at that call; a station addressed only by
+    /// position must never build the id index.
+    #[test]
+    fn reported_moves_keep_every_owner_position_current() {
+        for by_id in [false, true] {
+            let mut rng = Stream(u64::from(by_id) + 40);
+            let mut s = BaseStation::new(CellId::origin(), Point::default(), 2000);
+            // owner → (id, position), as a caller of `admit_owned` keeps it.
+            let mut tracked: HashMap<u32, (u64, u32)> = HashMap::new();
+            let mut untracked: Vec<u64> = Vec::new();
+            let mut next_id = 0u64;
+            for step in 0..20_000u32 {
+                let live: Vec<u32> = tracked.keys().copied().collect();
+                match rng.below(100) {
+                    0..=54 => {
+                        let id = next_id;
+                        next_id += 1;
+                        if by_id && rng.below(8) == 0 {
+                            if s.admit(id, ServiceClass::Text, 1, 0.0, 1e9, false).is_ok() {
+                                untracked.push(id);
+                            }
+                        } else {
+                            let owner = step;
+                            if let Ok(pos) =
+                                s.admit_owned(owner, id, ServiceClass::Voice, 5, 0.0, 1e9, false)
+                            {
+                                tracked.insert(owner, (id, pos));
+                            }
+                        }
+                    }
+                    55..=89 if !live.is_empty() => {
+                        let owner = live[rng.below(live.len())];
+                        let (id, pos) = tracked.remove(&owner).unwrap();
+                        let removed = if rng.below(2) == 0 {
+                            s.release_at(pos, id)
+                        } else {
+                            s.transfer_out_at(pos, id)
+                        };
+                        let (conn, moved) = removed.expect("the record is current");
+                        assert_eq!(conn.id, id);
+                        if let Some(moved) = moved {
+                            tracked.get_mut(&moved).expect("a live owner moved").1 = pos;
+                        }
+                        // The same position and id now miss.
+                        assert!(s.release_at(pos, id).is_err());
+                    }
+                    90..=99 if !untracked.is_empty() => {
+                        let id = untracked.swap_remove(rng.below(untracked.len()));
+                        s.release(id).unwrap();
+                        // A removal by id reports no move: re-read every
+                        // position, as the engines never need to.
+                        for (id, pos) in tracked.values_mut() {
+                            *pos = s.connections().position(|c| c.id == *id).unwrap() as u32;
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(s.active_connections(), tracked.len() + untracked.len());
+                for (&owner, &(id, pos)) in &tracked {
+                    assert_eq!(s.connections[pos as usize].id, id, "step {step}");
+                    assert_eq!(s.owners()[pos as usize], owner, "step {step}");
+                }
+                if s.id_index_built() {
+                    for (pos, conn) in s.connections().enumerate() {
+                        assert_eq!(s.index.get(&conn.id), Some(&(pos as u32)));
+                    }
+                }
+            }
+            assert!(tracked.len() > 100, "the station must hold many calls");
+            assert_eq!(s.id_index_built(), by_id);
+        }
+    }
+
+    #[test]
+    fn owners_are_bookkeeping_off_the_wire() {
+        let mut s = BaseStation::new(CellId::origin(), Point::default(), 2000);
+        s.admit_owned(4, 1, ServiceClass::Voice, 5, 0.0, 60.0, false)
+            .unwrap();
+        s.admit_owned(5, 2, ServiceClass::Voice, 5, 0.0, 60.0, false)
+            .unwrap();
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(!json.contains("owners"));
+        let mut restored: BaseStation = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored, s);
+        assert!(restored.owners().is_empty());
+        // Restored calls have no owner; new ones do.
+        assert_eq!(
+            restored.admit_owned(6, 3, ServiceClass::Voice, 5, 0.0, 60.0, false),
+            Ok(2)
+        );
+        assert_eq!(restored.owners(), [NO_OWNER, NO_OWNER, 6]);
+        assert_eq!(
+            restored.release_at(0, 1).map(|(_, moved)| moved),
+            Ok(Some(6))
+        );
     }
 
     #[test]
