@@ -860,7 +860,6 @@ mod tests {
     struct Counting {
         inner: BoxedController,
         decides: Arc<AtomicU64>,
-        batches: Arc<AtomicU64>,
     }
 
     impl AdmissionController for Counting {
@@ -884,16 +883,6 @@ mod tests {
         fn on_released(&mut self, connection_id: u64, station: &BaseStation) {
             self.inner.on_released(connection_id, station);
         }
-
-        fn decide_batch(
-            &mut self,
-            requests: &[AdmissionRequest],
-            station: &BaseStation,
-            out: &mut Vec<AdmissionDecision>,
-        ) {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.inner.decide_batch(requests, station, out);
-        }
     }
 
     /// Every frame that passes the replay and capacity screens costs
@@ -901,12 +890,10 @@ mod tests {
     #[test]
     fn a_burst_is_decided_once_per_screened_frame() {
         let decides = Arc::new(AtomicU64::new(0));
-        let batches = Arc::new(AtomicU64::new(0));
         let world = World::new(&WorldConfig::paper_default(), "counting", || {
             Box::new(Counting {
                 inner: ControllerSpec::AlwaysAccept.build(),
                 decides: Arc::clone(&decides),
-                batches: Arc::clone(&batches),
             })
         });
         // Fifteen calls at one instant, one of them a replay of an
@@ -933,7 +920,6 @@ mod tests {
         }
         assert!(admitted.len() < 14, "the burst overflows the cell");
         assert_eq!(decides.load(Ordering::Relaxed), admitted.len() as u64);
-        assert_eq!(batches.load(Ordering::Relaxed), 0);
         assert_eq!(world.occupied(0), Some(occupied));
     }
 

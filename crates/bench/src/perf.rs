@@ -3,7 +3,7 @@
 //! [`run`] measures the admission hot path at each layer of the
 //! compile/execute split — the string-keyed interpreted engine, the
 //! compiled allocation-free engine, the LUT backend, the end-to-end
-//! `decide` / `decide_batch` of every controller and the cost of building
+//! `decide` of every controller and the cost of building
 //! one (what a sweep pays per cell), the event heap, the metro station by
 //! id and by position, and the engines end to end — and [`PerfReport`]
 //! serialises the result as the `BENCH_perf.json` artifact the `perf` bin
@@ -15,9 +15,7 @@ use admitd::{BenchConfig, Server, ServerConfig, World, WorldConfig};
 use cellsim::event::{EventKind, EventQueue};
 use cellsim::geometry::{CellId, CellIdx, Point};
 use cellsim::shard::{ShardConfig, ShardedSimulator};
-use cellsim::sim::{
-    AdmissionController, AdmissionDecision, AdmissionRequest, AlwaysAccept, SimConfig, Simulator,
-};
+use cellsim::sim::{AdmissionController, AdmissionRequest, AlwaysAccept, SimConfig, Simulator};
 use cellsim::station::BaseStation;
 use cellsim::telemetry::{
     LabelPair, NoopRecorder, Recorder, Registry, SpanSnapshot, TelemetrySnapshot,
@@ -942,38 +940,6 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             score
         },
     ));
-
-    // --- batch path: one tick's arrivals in one decide_batch pass -------
-    let batch: Vec<AdmissionRequest> = (0..32)
-        .map(|i| {
-            probe_request(
-                [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video][i % 3],
-                3.75 * i as f64,
-                11.25 * i as f64 - 180.0,
-            )
-        })
-        .collect();
-    let mut decisions: Vec<AdmissionDecision> = Vec::with_capacity(batch.len());
-    // Each timed iteration decides the whole 32-request batch, but every
-    // neighbouring case in the table is per-decision, so the case reports
-    // ns *per decision* (whole-batch time / 32) and says so in its name —
-    // a new name, so `--check` never compares it against the old
-    // whole-batch baseline entries.
-    let mut batch_case = time_case(
-        "controller/facs-p decide_batch(32, ns/decision)",
-        iters / 16,
-        || {
-            facsp.decide_batch(
-                std::hint::black_box(&batch),
-                std::hint::black_box(&station),
-                &mut decisions,
-            );
-            decisions[0].score
-        },
-    );
-    batch_case.ns_per_iter /= batch.len() as f64;
-    batch_case.iters *= batch.len() as u64;
-    cases.push(batch_case);
 
     // --- the headline: interpreted vs compiled/LUT full cascade ---------
     let interpreted_cascade = {

@@ -146,29 +146,9 @@ pub trait AdmissionController {
     /// (completion, drop or outbound handoff).
     fn on_released(&mut self, _connection_id: u64, _station: &BaseStation) {}
 
-    /// Decide a whole batch of requests against **one station snapshot**.
-    ///
-    /// This is the batch counterpart of [`AdmissionController::decide`],
-    /// added so a tick's arrivals can be screened in one pass (and so
-    /// controllers with per-call setup cost can amortise it).  The
-    /// contract:
-    ///
-    /// 1. `out` is cleared and refilled with exactly one decision per
-    ///    request, in request order.
-    /// 2. Every decision is evaluated against the *same* `station` state —
-    ///    the snapshot passed in.  Implementations must **not** assume
-    ///    earlier accepts in the batch consumed capacity; a caller that
-    ///    goes on to admit must re-validate with
-    ///    [`BaseStation::can_fit`] (and re-offer if it wants
-    ///    admission-order-dependent policies like FLC2's counter state to
-    ///    see the updated occupancy — this is why every admitting path
-    ///    offers one request at a time).
-    /// 3. The produced decisions must be identical to calling `decide`
-    ///    sequentially on the same snapshot; overrides may only change
-    ///    *how fast* the answers are produced, never the answers.
-    /// 4. `decide_batch` must not alter state that `decide` would not
-    ///    alter (learning controllers update on `on_admitted` /
-    ///    `on_released`, not here).
+    /// Decide each request against the same `station`, in order, into a
+    /// cleared `out`: a provided loop over [`AdmissionController::decide`],
+    /// kept for API compatibility.
     fn decide_batch(
         &mut self,
         requests: &[AdmissionRequest],

@@ -1,17 +1,15 @@
-//! The FACS and FACS-P admission controllers.
-//!
-//! Both controllers implement [`cellsim::AdmissionController`] so they plug
-//! directly into the simulator:
+//! The FACS and FACS-P admission controllers: one FLC1 → FLC2 [`Cascade`]
+//! whose [`Variant`], the configuration type, supplies the only two
+//! differences, FLC1's third input and the counter state FLC2 sees:
 //!
 //! * [`FacsController`] — the authors' *previous* system (the comparison
-//!   point of Figs. 7 and 10): FLC1 driven by speed, angle and
-//!   user-to-station distance, FLC2 driven by the physical counter state,
-//!   no priority handling.
-//! * [`FacsPController`] — the *proposed* system: FLC1 driven by speed,
-//!   angle and the requested bandwidth, FLC2 driven by the priority-aware
-//!   effective counter state of [`PriorityPolicy`].
+//!   point of Figs. 7 and 10): FLC1 reads the user-to-station distance,
+//!   and FLC2 sees the physical counter state.
+//! * [`FacsPController`] — the *proposed* system: FLC1 reads the requested
+//!   bandwidth, and FLC2 sees the priority-aware effective counter state
+//!   of [`PriorityPolicy`].
 
-use crate::flc1::{DistanceFlc1, Flc1};
+use crate::flc1::Flc1;
 use crate::flc2::{Flc2, Flc2Lut};
 use crate::params::PaperParams;
 use crate::priority::{PriorityPolicy, RequestPriority};
@@ -20,6 +18,39 @@ use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
 use cellsim::station::BaseStation;
 use fuzzy::Result;
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+
+/// What one cascade variant supplies: FLC1's third input and the counter
+/// state FLC2 sees.  Implemented by [`FacsConfig`] and [`FacsPConfig`]
+/// only.
+pub trait Variant: sealed::Sealed + Copy + Debug + Default + Send + 'static {
+    /// The controller's report name, and its name with the LUT backend.
+    const NAMES: [&'static str; 2];
+
+    /// Builds the FLC1 whose third input this variant reads.
+    const FLC1: fn() -> Result<Flc1>;
+
+    /// The station capacity the counter-state terms are scaled to (BU).
+    fn capacity_bu(&self) -> f64;
+
+    /// The configuration as the controller keeps it (FACS-P clamps its
+    /// priority policy into range).
+    fn sanitized(self) -> Self {
+        self
+    }
+
+    /// FLC1's third input for `request`.
+    fn third_input(request: &AdmissionRequest) -> f64;
+
+    /// The counter state (BU) FLC2 sees for `request` at `station`.
+    fn counter_state(&self, request: &AdmissionRequest, station: &BaseStation) -> f64;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::FacsConfig {}
+    impl Sealed for super::FacsPConfig {}
+}
 
 /// Configuration of the previous-work FACS controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,112 +75,22 @@ impl Default for FacsConfig {
     }
 }
 
-/// The authors' previous fuzzy admission control system (FACS).
-#[derive(Debug, Clone)]
-pub struct FacsController {
-    flc1: DistanceFlc1,
-    flc2: Flc2,
-    /// Optional LUT-backed FLC2 (see [`FacsController::with_lut`]).
-    lut: Option<Flc2Lut>,
-    config: FacsConfig,
-}
+impl Variant for FacsConfig {
+    const NAMES: [&'static str; 2] = ["facs", "facs-lut"];
+    const FLC1: fn() -> Result<Flc1> = Flc1::distance;
 
-impl FacsController {
-    /// Build the controller with [`FacsConfig::paper_default`].
-    ///
-    /// # Panics
-    /// Never panics: the paper parameters are statically valid (covered by
-    /// tests); the fallible constructor is [`FacsController::new`].
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self::new(FacsConfig::paper_default()).expect("paper parameters are valid")
+    fn capacity_bu(&self) -> f64 {
+        self.capacity_bu
     }
 
-    /// Build the controller from an explicit configuration.
-    pub fn new(config: FacsConfig) -> Result<Self> {
-        Ok(Self {
-            flc1: DistanceFlc1::paper_default()?,
-            flc2: Flc2::with_capacity(config.capacity_bu)?,
-            lut: None,
-            config,
-        })
-    }
-
-    /// Switch the FLC2 stage to the LUT backend (pre-tabulated per-class
-    /// `(Cv, Cs)` surfaces at the default refined settings).  Decisions
-    /// then track the compiled path within the *measured*
-    /// [`Flc2Lut::max_error`]; the controller reports itself as `facs-lut`.
-    pub fn with_lut(mut self) -> Result<Self> {
-        self.lut = Some(self.flc2.compile_lut()?);
-        Ok(self)
-    }
-
-    /// Install a pre-built LUT backend (e.g. custom refinement settings, or
-    /// one shared across controller instances).
-    ///
-    /// Fails when the LUT was tabulated for another station capacity than
-    /// this controller's FLC2: its counter-state axis would clamp at the
-    /// wrong capacity.
-    pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Result<Self> {
-        check_lut_capacity(&lut, &self.flc2)?;
-        self.lut = Some(lut);
-        Ok(self)
-    }
-
-    /// The paper-default controller behind the [`AdmissionController`]
-    /// trait object — the factory shape scenario specs build from.
-    #[must_use]
-    pub fn boxed_paper_default() -> BoxedController {
-        Box::new(Self::paper_default())
-    }
-
-    /// The controller's configuration.
-    #[must_use]
-    pub fn config(&self) -> &FacsConfig {
-        &self.config
-    }
-
-    /// The LUT backend, when enabled.
-    #[must_use]
-    pub fn lut(&self) -> Option<&Flc2Lut> {
-        self.lut.as_ref()
-    }
-
-    /// The defuzzified A/R value FACS would produce for a request, given
-    /// the station state (exposed for tests).
-    #[must_use]
-    pub fn decision_value(&self, request: &AdmissionRequest, station: &BaseStation) -> f64 {
-        let distance = request
+    fn third_input(request: &AdmissionRequest) -> f64 {
+        request
             .distance_m
-            .unwrap_or(PaperParams::DEFAULT_DISTANCE_M);
-        let cv = self
-            .flc1
-            .correction_value(request.speed_kmh, request.angle_deg, distance);
-        let rq = f64::from(request.bandwidth);
-        let cs = f64::from(station.counter_state());
-        match &self.lut {
-            Some(lut) => lut.decision_value(cv, rq, cs),
-            None => self.flc2.decision_value(cv, rq, cs),
-        }
-    }
-}
-
-impl AdmissionController for FacsController {
-    fn name(&self) -> &'static str {
-        if self.lut.is_some() {
-            "facs-lut"
-        } else {
-            "facs"
-        }
+            .unwrap_or(PaperParams::DEFAULT_DISTANCE_M)
     }
 
-    fn decide(&mut self, request: &AdmissionRequest, station: &BaseStation) -> AdmissionDecision {
-        let score = self.decision_value(request, station);
-        if score > PaperParams::ACCEPT_THRESHOLD {
-            AdmissionDecision::accept(score)
-        } else {
-            AdmissionDecision::reject(score)
-        }
+    fn counter_state(&self, _request: &AdmissionRequest, station: &BaseStation) -> f64 {
+        f64::from(station.counter_state())
     }
 }
 
@@ -197,42 +138,80 @@ impl Default for FacsPConfig {
     }
 }
 
-/// The proposed fuzzy admission control system with priority of on-going
-/// connections (FACS-P).
-#[derive(Debug, Clone)]
-pub struct FacsPController {
-    flc1: Flc1,
-    flc2: Flc2,
-    /// Optional LUT-backed FLC2 (see [`FacsPController::with_lut`]).
-    lut: Option<Flc2Lut>,
-    config: FacsPConfig,
+impl Variant for FacsPConfig {
+    const NAMES: [&'static str; 2] = ["facs-p", "facs-p-lut"];
+    const FLC1: fn() -> Result<Flc1> = Flc1::paper_default;
+
+    fn capacity_bu(&self) -> f64 {
+        self.capacity_bu
+    }
+
+    fn sanitized(self) -> Self {
+        Self {
+            priority: self.priority.sanitized(),
+            ..self
+        }
+    }
+
+    fn third_input(request: &AdmissionRequest) -> f64 {
+        f64::from(request.bandwidth)
+    }
+
+    fn counter_state(&self, request: &AdmissionRequest, station: &BaseStation) -> f64 {
+        self.priority.effective_counter_state_with_request_priority(
+            station,
+            request.is_handoff,
+            self.request_priority,
+        )
+    }
 }
 
-impl FacsPController {
-    /// Build the controller with [`FacsPConfig::paper_default`].
+/// The FLC1 → FLC2 admission cascade, with the variant `V` choosing
+/// FLC1's third input and FLC2's counter state.
+#[derive(Debug, Clone)]
+pub struct Cascade<V> {
+    flc1: Flc1,
+    flc2: Flc2,
+    /// Optional LUT-backed FLC2 (see [`Cascade::with_lut`]).
+    lut: Option<Flc2Lut>,
+    config: V,
+}
+
+/// The authors' previous fuzzy admission control system (FACS).
+pub type FacsController = Cascade<FacsConfig>;
+
+/// The proposed fuzzy admission control system with priority of on-going
+/// connections (FACS-P).
+pub type FacsPController = Cascade<FacsPConfig>;
+
+impl<V: Variant> Cascade<V> {
+    /// Build the controller with the variant's paper configuration.
+    ///
+    /// # Panics
+    /// Never panics: the paper parameters are statically valid (covered by
+    /// tests); the fallible constructor is [`Cascade::new`].
     #[must_use]
     pub fn paper_default() -> Self {
-        Self::new(FacsPConfig::paper_default()).expect("paper parameters are valid")
+        Self::new(V::default()).expect("paper parameters are valid")
     }
 
     /// Build the controller from an explicit configuration.
-    pub fn new(config: FacsPConfig) -> Result<Self> {
-        let config = FacsPConfig {
-            priority: config.priority.sanitized(),
-            ..config
-        };
+    pub fn new(config: V) -> Result<Self> {
+        let config = config.sanitized();
         Ok(Self {
-            flc1: Flc1::paper_default()?,
-            flc2: Flc2::with_capacity(config.capacity_bu)?,
+            flc1: V::FLC1()?,
+            flc2: Flc2::with_capacity(config.capacity_bu())?,
             lut: None,
             config,
         })
     }
 
     /// Switch the FLC2 stage to the LUT backend (pre-tabulated per-class
-    /// `(Cv, Cs)` surfaces at the default refined settings).  Decisions
-    /// then track the compiled path within the *measured*
-    /// [`Flc2Lut::max_error`]; the controller reports itself as `facs-p-lut`.
+    /// `(Cv, Cs)` surfaces at the default refined settings); the name gains
+    /// a `-lut` suffix.  [`Flc2Lut::max_error`] is the largest error found
+    /// at the tabulation's probe points, not a bound, and a score near 0
+    /// can flip: over the built-in scenarios but metro, 122 of 149,478
+    /// FACS-P decisions did, and 2 scores erred by more than `max_error`.
     pub fn with_lut(mut self) -> Result<Self> {
         self.lut = Some(self.flc2.compile_lut()?);
         Ok(self)
@@ -245,7 +224,15 @@ impl FacsPController {
     /// this controller's FLC2: its counter-state axis would clamp at the
     /// wrong capacity.
     pub fn with_lut_backend(mut self, lut: Flc2Lut) -> Result<Self> {
-        check_lut_capacity(&lut, &self.flc2)?;
+        if lut.capacity_bu() != self.flc2.capacity_bu() {
+            return Err(fuzzy::FuzzyError::InvalidLut {
+                reason: format!(
+                    "tabulated for {} BU, but the controller's station holds {} BU",
+                    lut.capacity_bu(),
+                    self.flc2.capacity_bu()
+                ),
+            });
+        }
         self.lut = Some(lut);
         Ok(self)
     }
@@ -282,7 +269,7 @@ impl FacsPController {
 
     /// The controller's configuration.
     #[must_use]
-    pub fn config(&self) -> &FacsPConfig {
+    pub fn config(&self) -> &V {
         &self.config
     }
 
@@ -299,23 +286,17 @@ impl FacsPController {
         self.flc1.correction_value(
             request.speed_kmh,
             request.angle_deg,
-            f64::from(request.bandwidth),
+            V::third_input(request),
         )
     }
 
-    /// The defuzzified A/R value FACS-P would produce for a request.
+    /// The defuzzified A/R value the controller would produce for a
+    /// request, given the station state.
     #[must_use]
     pub fn decision_value(&self, request: &AdmissionRequest, station: &BaseStation) -> f64 {
         let cv = self.correction_value(request);
-        let cs = self
-            .config
-            .priority
-            .effective_counter_state_with_request_priority(
-                station,
-                request.is_handoff,
-                self.config.request_priority,
-            );
         let rq = f64::from(request.bandwidth);
+        let cs = self.config.counter_state(request, station);
         match &self.lut {
             Some(lut) => lut.decision_value(cv, rq, cs),
             None => self.flc2.decision_value(cv, rq, cs),
@@ -323,13 +304,9 @@ impl FacsPController {
     }
 }
 
-impl AdmissionController for FacsPController {
+impl<V: Variant> AdmissionController for Cascade<V> {
     fn name(&self) -> &'static str {
-        if self.lut.is_some() {
-            "facs-p-lut"
-        } else {
-            "facs-p"
-        }
+        V::NAMES[usize::from(self.lut.is_some())]
     }
 
     fn decide(&mut self, request: &AdmissionRequest, station: &BaseStation) -> AdmissionDecision {
@@ -339,21 +316,6 @@ impl AdmissionController for FacsPController {
         } else {
             AdmissionDecision::reject(score)
         }
-    }
-}
-
-/// Refuse a LUT tabulated for another station capacity than `flc2`'s.
-fn check_lut_capacity(lut: &Flc2Lut, flc2: &Flc2) -> Result<()> {
-    if lut.capacity_bu() == flc2.capacity_bu() {
-        Ok(())
-    } else {
-        Err(fuzzy::FuzzyError::InvalidLut {
-            reason: format!(
-                "tabulated for {} BU, but the controller's station holds {} BU",
-                lut.capacity_bu(),
-                flc2.capacity_bu()
-            ),
-        })
     }
 }
 
@@ -578,31 +540,6 @@ mod tests {
         assert!(large.with_lut_backend(lut(40.0)).is_err());
         // A LUT tabulated for 80 BU fits the 80-BU controller.
         assert!(large_p().with_lut_backend(lut(80.0)).is_ok());
-    }
-
-    #[test]
-    fn decide_batch_matches_decide_on_a_snapshot() {
-        let mut facsp = FacsPController::paper_default();
-        let mut station = BaseStation::paper_default();
-        fill_station(&mut station, 18);
-        let requests: Vec<AdmissionRequest> = (0..16)
-            .map(|i| {
-                request(
-                    i,
-                    [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video]
-                        [(i % 3) as usize],
-                    7.5 * i as f64,
-                    22.5 * i as f64 - 180.0,
-                    i % 4 == 0,
-                )
-            })
-            .collect();
-        let mut batch = Vec::new();
-        facsp.decide_batch(&requests, &station, &mut batch);
-        assert_eq!(batch.len(), requests.len());
-        for (r, d) in requests.iter().zip(&batch) {
-            assert_eq!(*d, facsp.decide(r, &station));
-        }
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! FLC1 — the first fuzzy logic controller of the FACS-P cascade.
+//! FLC1 — the first fuzzy logic controller of the FLC1 → FLC2 cascade.
 //!
 //! Inputs: user Speed (`Sp`, km/h), user Angle (`An`, degrees relative to
-//! the direction toward the serving base station) and Service request
-//! (`Sr`, bandwidth units).  Output: the Correction value (`Cv` ∈ [0, 1]),
-//! a fuzzy estimate of how worthwhile it is to commit resources to the
-//! user (it encodes how predictable the user's trajectory is and how well
-//! the requested bandwidth fits that prediction).
+//! the direction toward the serving base station) and a third input that
+//! is the one difference between the two variants of [`Flc1`]:
 //!
-//! [`DistanceFlc1`] is the previous-work variant (used by the FACS
-//! comparison controller): the third input is the user-to-station distance
-//! instead of the service request.
+//! * FACS-P ([`Flc1::paper_default`]): the Service request (`Sr`,
+//!   bandwidth units);
+//! * FACS ([`Flc1::distance`]): the user-to-station Distance (`Di`, m).
+//!
+//! Output: the Correction value (`Cv` ∈ [0, 1]), a fuzzy estimate of how
+//! worthwhile it is to commit resources to the user (it encodes how
+//! predictable the user's trajectory is and how well the third input fits
+//! that prediction).
 
 use crate::frb1::{frb1_lookup, frb1_rules};
 use crate::params::PaperParams;
 use fuzzy::compile::{CompiledEngine, Scratch};
 use fuzzy::engine::MamdaniEngine;
 use fuzzy::rule::Rule;
-use fuzzy::Result;
+use fuzzy::{LinguisticVariable, Result};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -30,7 +32,7 @@ pub(crate) struct SharedEngine {
 }
 
 /// A process-wide cache of shared engines, keyed by a parameter of the
-/// controller (FLC2's capacity bits; a constant for the FLC1 variants).
+/// controller (FLC2's capacity bits; FLC1's third input).
 pub(crate) type EngineCache = Mutex<Vec<(u64, Arc<SharedEngine>)>>;
 
 impl SharedEngine {
@@ -66,32 +68,64 @@ impl SharedEngine {
     }
 }
 
-/// The proposed system's FLC1: `(Sp, An, Sr) -> Cv`.
+/// FLC1: `(Sp, An, x) -> Cv`, where the third input `x` is the service
+/// request (`Sr`, BU) in FACS-P and the user-to-station distance (`Di`, m)
+/// in the previous-work FACS.
 ///
 /// The string-keyed [`MamdaniEngine`] is kept for introspection and as the
 /// bit-identical reference implementation; every
 /// [`Flc1::correction_value`] call runs on the compiled, allocation-free
-/// execute path.  Both engines are built once per process and shared by
-/// every `Flc1`; each instance owns only its scratch memory.
+/// execute path.  Both engines are built once per process and third input
+/// and shared by every `Flc1` of that input; each instance owns only its
+/// scratch memory.
 #[derive(Debug, Clone)]
 pub struct Flc1 {
     shared: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
+    /// The third input's upper clamp, and what a non-finite value reads as.
+    third: (f64, f64),
 }
 
 impl Flc1 {
-    /// Build FLC1 with the paper's membership functions (Fig. 5) and the
-    /// 63-rule FRB1 (Table 1).
+    /// The proposed system's FLC1, `(Sp, An, Sr) -> Cv`: the paper's
+    /// membership functions (Fig. 5) and the 63-rule FRB1 (Table 1).
     pub fn paper_default() -> Result<Self> {
+        let clamp = (PaperParams::SR_MAX_BU, 1.0);
+        Self::build(0, PaperParams::service_request_variable, frb1_rules, clamp)
+    }
+
+    /// The previous-work FLC1 of the FACS comparison controller,
+    /// `(Sp, An, Di) -> Cv`.
+    ///
+    /// The previous papers' rule table is not included in the reproduced
+    /// text, so the rules are a documented reconstruction: each `(Sp, An)`
+    /// pair keeps the structure of Table 1, with the distance terms mapped
+    /// onto Table 1's service-request columns — `Near` behaves like `Me`
+    /// (most favourable), `Middle` like `Bi`, and `Far` like `Sm` (least
+    /// favourable) — reflecting that nearby users are the safest resource
+    /// commitment.
+    pub fn distance() -> Result<Self> {
+        let clamp = (PaperParams::DISTANCE_MAX_M, 500.0);
+        Self::build(1, PaperParams::distance_variable, distance_frb_rules, clamp)
+    }
+
+    /// The FLC1 whose third input is `third()`, with its engines built
+    /// once per process and cached under `key`.
+    fn build(
+        key: u64,
+        third: fn() -> Result<LinguisticVariable>,
+        rules: fn() -> Vec<Rule>,
+        clamp: (f64, f64),
+    ) -> Result<Self> {
         static SHARED: EngineCache = Mutex::new(Vec::new());
-        let shared = SharedEngine::cached(&SHARED, 0, || {
+        let shared = SharedEngine::cached(&SHARED, key, || {
             let mut engine = MamdaniEngine::builder()
                 .input(PaperParams::speed_variable()?)
                 .input(PaperParams::angle_variable()?)
-                .input(PaperParams::service_request_variable()?)
+                .input(third()?)
                 .output(PaperParams::correction_value_output()?)
                 .build()?;
-            for rule in frb1_rules() {
+            for rule in rules() {
                 engine.add_rule(rule)?;
             }
             SharedEngine::compile(engine, 0.5)
@@ -99,6 +133,7 @@ impl Flc1 {
         Ok(Self {
             scratch: shared.scratch(),
             shared,
+            third: clamp,
         })
     }
 
@@ -117,11 +152,13 @@ impl Flc1 {
 
     /// Compute the correction value for a request.
     ///
-    /// Inputs are clamped into the paper's universes (speed to
-    /// `[0, 120]` km/h, angle to `[-180, 180]`°, service request to
-    /// `[0, 10]` BU).  The result is always in `[0, 1]`.
+    /// `third` is the service request (BU) for [`Flc1::paper_default`] and
+    /// the distance (m) for [`Flc1::distance`].  Inputs are clamped into
+    /// the paper's universes (speed to `[0, 120]` km/h, angle to
+    /// `[-180, 180]`°, service request to `[0, 10]` BU, distance to
+    /// `[0, 1000]` m).  The result is always in `[0, 1]`.
     #[must_use]
-    pub fn correction_value(&self, speed_kmh: f64, angle_deg: f64, service_bu: f64) -> f64 {
+    pub fn correction_value(&self, speed_kmh: f64, angle_deg: f64, third: f64) -> f64 {
         let inputs = [
             clamp_or(speed_kmh, 0.0, PaperParams::SPEED_MAX_KMH, 0.0),
             clamp_or(
@@ -130,76 +167,7 @@ impl Flc1 {
                 PaperParams::ANGLE_MAX_DEG,
                 0.0,
             ),
-            clamp_or(service_bu, 0.0, PaperParams::SR_MAX_BU, 1.0),
-        ];
-        let mut scratch = self.scratch.borrow_mut();
-        self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
-    }
-}
-
-/// The previous-work FLC1 used by the FACS comparison controller:
-/// `(Sp, An, Di) -> Cv`, where `Di` is the user-to-station distance.
-///
-/// The previous papers' rule table is not included in the reproduced text,
-/// so the rules are a documented reconstruction: each `(Sp, An)` pair keeps
-/// the structure of Table 1, with the distance terms mapped onto Table 1's
-/// service-request columns — `Near` behaves like `Me` (most favourable),
-/// `Middle` like `Bi`, and `Far` like `Sm` (least favourable) — reflecting
-/// that nearby users are the safest resource commitment.
-///
-/// Like [`Flc1`], the engines are shared process-wide.
-#[derive(Debug, Clone)]
-pub struct DistanceFlc1 {
-    shared: Arc<SharedEngine>,
-    scratch: RefCell<Scratch>,
-}
-
-impl DistanceFlc1 {
-    /// Build the distance-based FLC1.
-    pub fn paper_default() -> Result<Self> {
-        static SHARED: EngineCache = Mutex::new(Vec::new());
-        let shared = SharedEngine::cached(&SHARED, 0, || {
-            let mut engine = MamdaniEngine::builder()
-                .input(PaperParams::speed_variable()?)
-                .input(PaperParams::angle_variable()?)
-                .input(PaperParams::distance_variable()?)
-                .output(PaperParams::correction_value_output()?)
-                .build()?;
-            for rule in distance_frb_rules() {
-                engine.add_rule(rule)?;
-            }
-            SharedEngine::compile(engine, 0.5)
-        })?;
-        Ok(Self {
-            scratch: shared.scratch(),
-            shared,
-        })
-    }
-
-    /// The underlying Mamdani engine.
-    #[must_use]
-    pub fn engine(&self) -> &MamdaniEngine {
-        &self.shared.engine
-    }
-
-    /// The compiled execute-path engine.
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledEngine {
-        &self.shared.compiled
-    }
-
-    /// Compute the correction value from speed, angle and distance.
-    #[must_use]
-    pub fn correction_value(&self, speed_kmh: f64, angle_deg: f64, distance_m: f64) -> f64 {
-        let inputs = [
-            clamp_or(speed_kmh, 0.0, PaperParams::SPEED_MAX_KMH, 0.0),
-            clamp_or(
-                angle_deg,
-                -PaperParams::ANGLE_MAX_DEG,
-                PaperParams::ANGLE_MAX_DEG,
-                0.0,
-            ),
-            clamp_or(distance_m, 0.0, PaperParams::DISTANCE_MAX_M, 500.0),
+            clamp_or(third, 0.0, self.third.0, self.third.1),
         ];
         let mut scratch = self.scratch.borrow_mut();
         self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(0.0, 1.0)
@@ -247,7 +215,7 @@ mod tests {
     fn builds_with_63_rules() {
         let c = flc1();
         assert_eq!(c.engine().rules().len(), 63);
-        let d = DistanceFlc1::paper_default().unwrap();
+        let d = Flc1::distance().unwrap();
         assert_eq!(d.engine().rules().len(), 63);
     }
 
@@ -325,7 +293,7 @@ mod tests {
 
     #[test]
     fn distance_variant_prefers_nearby_users() {
-        let d = DistanceFlc1::paper_default().unwrap();
+        let d = Flc1::distance().unwrap();
         let near = d.correction_value(60.0, 0.0, 50.0);
         let far = d.correction_value(60.0, 0.0, 950.0);
         assert!(near >= far, "near {near} should be >= far {far}");

@@ -1,4 +1,4 @@
-//! FLC2 — the second fuzzy logic controller of the FACS-P cascade.
+//! FLC2 — the second fuzzy logic controller of the FLC1 → FLC2 cascade.
 //!
 //! Inputs: the Correction value produced by FLC1 (`Cv` ∈ [0, 1]), the
 //! Request type (`Rq`, bandwidth units) and the Counter state (`Cs`, the
@@ -168,7 +168,7 @@ impl Flc2 {
 ///
 /// The class surfaces and the exact fallback engine are stored behind
 /// [`Arc`]s, so cloning an `Flc2Lut` (e.g. to share one tabulation across
-/// many controllers via [`crate::FacsPController::with_lut_backend`])
+/// many controllers via [`crate::Cascade::with_lut_backend`])
 /// copies pointers, not megabytes.
 #[derive(Debug, Clone)]
 pub struct Flc2Lut {

@@ -6,26 +6,28 @@
 //! Networks Considering Priority of On-going Connections"* (Mino, Barolli,
 //! Durresi, Xhafa, Koyama — ICDCS Workshops 2009).  It implements:
 //!
-//! * **FLC1** ([`Flc1`]) — the first fuzzy logic controller: user Speed
-//!   (`Sp`), user Angle (`An`) and Service request (`Sr`) are mapped to a
-//!   Correction value (`Cv`) through the 63-rule FRB1 (Table 1 of the
-//!   paper).
-//! * **FLC2** ([`Flc2`]) — the second controller: `Cv`, the Request type
-//!   (`Rq`) and the Counter state (`Cs`) are mapped to a soft Accept/Reject
-//!   value (`A/R`) through the 27-rule FRB2 (Table 2).
-//! * **FACS-P** ([`FacsPController`]) — the proposed system: the FLC1→FLC2
-//!   cascade plus the priority handling for on-going connections (the
-//!   Differentiated-service classifier and the RTC/NRTC counters that
-//!   inflate the counter state seen by new calls so that admitted — and in
-//!   particular real-time — connections keep their QoS).
-//! * **FACS** ([`FacsController`]) — the authors' previous system (used as
-//!   a comparison point in Figs. 7 and 10): the same cascade but with FLC1
-//!   driven by the user-to-station *distance* instead of the service
-//!   request, and no priority handling.
+//! * **FLC1** ([`Flc1`]) — user Speed (`Sp`), user Angle (`An`) and a
+//!   third input are mapped to a Correction value (`Cv`): the Service
+//!   request (`Sr`) through the 63-rule FRB1 (Table 1 of the paper), or
+//!   the user-to-station Distance (`Di`) through a reconstructed table.
+//! * **FLC2** ([`Flc2`]) — `Cv`, the Request type (`Rq`) and the Counter
+//!   state (`Cs`) are mapped to a soft Accept/Reject value (`A/R`) through
+//!   the 27-rule FRB2 (Table 2).
+//! * **The cascade** ([`Cascade`]) — one FLC1→FLC2 admission controller
+//!   with two variants, which differ only in FLC1's third input and the
+//!   counter state FLC2 sees:
+//!   * **FACS-P** ([`FacsPController`]) — the proposed system: `Sr`, and
+//!     the priority handling for on-going connections (the
+//!     Differentiated-service classifier and the RTC/NRTC counters that
+//!     inflate the counter state seen by new calls so that admitted — and
+//!     in particular real-time — connections keep their QoS);
+//!   * **FACS** ([`FacsController`]) — the authors' previous system (the
+//!     comparison point of Figs. 7 and 10): `Di`, and the physical
+//!     counter state.
 //!
-//! Both controllers implement [`cellsim::AdmissionController`], so they
-//! plug directly into the `cellsim` discrete-event simulator and can be
-//! compared against the `scc` baseline.
+//! Both implement [`cellsim::AdmissionController`], so they plug directly
+//! into the `cellsim` discrete-event simulator and can be compared
+//! against the `scc` baseline.
 //!
 //! # Quick start
 //!
@@ -52,8 +54,8 @@ pub mod frb2;
 pub mod params;
 pub mod priority;
 
-pub use controller::{FacsConfig, FacsController, FacsPConfig, FacsPController};
-pub use flc1::{DistanceFlc1, Flc1};
+pub use controller::{Cascade, FacsConfig, FacsController, FacsPConfig, FacsPController, Variant};
+pub use flc1::Flc1;
 pub use flc2::{
     Flc2, Flc2Lut, DEFAULT_LUT_BASE_RESOLUTION, DEFAULT_LUT_MAX_PATCH_NODES,
     DEFAULT_LUT_TARGET_ERROR,

@@ -3,7 +3,7 @@
 //! engine across a dense input grid, and the LUT backend must stay within
 //! its measured error bound (`< 1e-3` at the default resolution).
 
-use facs::{DistanceFlc1, Flc1, Flc2, Flc2Lut, PaperParams};
+use facs::{Flc1, Flc2, Flc2Lut, PaperParams};
 
 /// Compare two decision paths bit for bit and report the first divergence.
 fn assert_bit_identical(a: f64, b: f64, context: &str) {
@@ -47,7 +47,7 @@ fn flc1_compiled_matches_interpreted_over_dense_grid() {
 
 #[test]
 fn distance_flc1_compiled_matches_interpreted_over_dense_grid() {
-    let flc1 = DistanceFlc1::paper_default().unwrap();
+    let flc1 = Flc1::distance().unwrap();
     let engine = flc1.engine();
     for speed_step in 0..=6 {
         let speed = f64::from(speed_step) * 20.0;

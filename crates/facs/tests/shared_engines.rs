@@ -6,7 +6,7 @@ use cellsim::geometry::CellId;
 use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
 use cellsim::station::BaseStation;
 use cellsim::traffic::ServiceClass;
-use facs::{DistanceFlc1, FacsController, FacsPController, Flc1, Flc2, PaperParams};
+use facs::{FacsController, FacsPController, Flc1, Flc2, PaperParams};
 
 #[test]
 fn paper_controllers_share_one_engine() {
@@ -16,10 +16,7 @@ fn paper_controllers_share_one_engine() {
     );
     assert!(std::ptr::eq(a.compiled(), b.compiled()));
     assert!(std::ptr::eq(a.engine(), b.engine()));
-    let (a, b) = (
-        DistanceFlc1::paper_default().unwrap(),
-        DistanceFlc1::paper_default().unwrap(),
-    );
+    let (a, b) = (Flc1::distance().unwrap(), Flc1::distance().unwrap());
     assert!(std::ptr::eq(a.compiled(), b.compiled()));
     let (a, b) = (
         Flc2::paper_default().unwrap(),
@@ -29,7 +26,7 @@ fn paper_controllers_share_one_engine() {
     // FLC1 and its distance variant have different rule bases.
     assert!(!std::ptr::eq(
         Flc1::paper_default().unwrap().compiled(),
-        DistanceFlc1::paper_default().unwrap().compiled()
+        Flc1::distance().unwrap().compiled()
     ));
 }
 

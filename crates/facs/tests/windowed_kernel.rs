@@ -3,7 +3,7 @@
 //! on one reused scratch must reproduce the interpreted engine's crisp
 //! bits, aggregated output set and firing strengths.
 
-use facs::{DistanceFlc1, Flc1, Flc2};
+use facs::{Flc1, Flc2};
 use fuzzy::{CompiledEngine, MamdaniEngine, VarId};
 use proptest::prelude::*;
 
@@ -78,7 +78,7 @@ proptest! {
 
     #[test]
     fn distance_flc1_windowed_kernel_is_bit_identical(seq in inputs()) {
-        let flc1 = DistanceFlc1::paper_default().unwrap();
+        let flc1 = Flc1::distance().unwrap();
         check_sequence(flc1.engine(), flc1.compiled(), 0.5, &seq);
     }
 

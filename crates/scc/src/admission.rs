@@ -269,41 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_batch_matches_sequential_decide_on_a_snapshot() {
-        let mut scc = SccAdmission::default();
-        let mut station = BaseStation::paper_default();
-        // Seed non-trivial state: physical occupancy plus registered
-        // clusters, so the batch spans accepts and both reject paths.
-        for id in 0..3u64 {
-            let req = request(id, ServiceClass::Video, 20.0 * id as f64, 90.0, false);
-            station
-                .admit(id, req.class, req.bandwidth, 0.0, 600.0, false)
-                .unwrap();
-            scc.on_admitted(&req, &station);
-        }
-        let requests: Vec<AdmissionRequest> = (0..16)
-            .map(|i| {
-                request(
-                    100 + i,
-                    [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video]
-                        [(i % 3) as usize],
-                    7.5 * i as f64,
-                    22.5 * i as f64 - 180.0,
-                    i % 4 == 0,
-                )
-            })
-            .collect();
-        let mut batch = Vec::new();
-        scc.decide_batch(&requests, &station, &mut batch);
-        assert_eq!(batch.len(), requests.len());
-        for (r, d) in requests.iter().zip(&batch) {
-            assert_eq!(*d, scc.decide(r, &station), "diverged on request {}", r.id);
-        }
-        assert!(batch.iter().any(|d| d.accept));
-        assert!(batch.iter().any(|d| !d.accept));
-    }
-
-    #[test]
     fn integrates_with_the_simulator() {
         let mut controller = SccAdmission::default();
         let mut sim = Simulator::new(SimConfig::paper_default().with_seed(77));

@@ -26,8 +26,9 @@ pub enum ControllerSpec {
     /// The proposed FACS-P controller.
     FacsP,
     /// FACS-P with the LUT decision backend: FLC2 pre-tabulated into
-    /// per-class `(Cv, Cs)` surfaces (decisions within the measured LUT
-    /// error of `FacsP`, lookups independent of rule count).
+    /// per-class `(Cv, Cs)` surfaces, lookups independent of rule count.
+    /// The LUT's `max_error` is the largest error found at its probe
+    /// points, not a bound, so a score near 0 can flip against `FacsP`.
     FacsPLut,
     /// The authors' previous FACS controller.
     Facs,
