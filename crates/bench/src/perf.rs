@@ -14,6 +14,7 @@
 use admitd::{BenchConfig, Server, ServerConfig, World, WorldConfig};
 use cellsim::event::{EventKind, EventQueue};
 use cellsim::geometry::{CellId, CellIdx, Point};
+use cellsim::mobility::UserState;
 use cellsim::shard::{ShardConfig, ShardedSimulator};
 use cellsim::sim::{AdmissionController, AdmissionRequest, AlwaysAccept, SimConfig, Simulator};
 use cellsim::station::BaseStation;
@@ -1124,6 +1125,31 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             f64::from(released.bandwidth)
         },
     ));
+    // The user slab at a metro shard's occupancy (33k live users), used as
+    // the engines use it when a call departs and another is admitted:
+    // read a random live user's position tag, remove the user, and insert
+    // a new one, which takes the slot just freed.
+    const SHARD_USERS: u32 = 33_000;
+    let mut users = cellsim::slab::Slab::new();
+    let mut live: Vec<cellsim::slab::SlotId> = (0..SHARD_USERS)
+        .map(|i| users.insert_tagged(UserState::new(Point::new(f64::from(i), 0.0), 50.0, 0.0), i))
+        .collect();
+    let picks: Vec<u32> = (0..4_096)
+        .map(|_| hold_rng.uniform_u32(0, SHARD_USERS - 1))
+        .collect();
+    cases.push(time_case(
+        "slab/user tag+remove+insert (33000 live)",
+        iters * 10,
+        || {
+            let owner = picks[step & 4_095];
+            step += 1;
+            let slot = live[owner as usize];
+            let position = users.tag(slot).expect("every owner's user is live");
+            let user = users.remove(slot).expect("live");
+            live[owner as usize] = users.insert_tagged(user, position);
+            user.speed_kmh
+        },
+    ));
 
     // --- whole-simulation throughput: events/sec through run_poisson -----
     const POISSON_EVENTS: &str = "sim/paper-default poisson events";
@@ -1266,6 +1292,7 @@ mod tests {
             "event/queue pop+schedule (65536 pending)",
             "station/2000-BU admit+release",
             "station/2000-BU admit+release (by position)",
+            "slab/user tag+remove+insert (33000 live)",
             "lut/flc2 tabulate_refined (paper default)",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");

@@ -34,18 +34,24 @@
 //! follow `(time, sequence)` exactly as one heap over all events would.
 //! The paths that run once per bucket or less, rather than once per
 //! event, stay out of line, so that `schedule` and `pop` stay small.
-//! Storage — both heaps' vectors and the block pool — is kept
-//! across [`EventQueue::clear`], so a warmed-up simulator schedules and
-//! pops events without allocating.
+//!
+//! The near heap keeps [`Event`]s, so [`EventQueue::peek`] can lend one.
+//! The ring and the overflow heap, which hold almost every pending event
+//! of a metro shard, keep a hand-packed 40-byte form instead of the
+//! 48-byte `Event` (`EventKind`'s layout leaves no padding to pack the
+//! variant and the `Option` into).  Both grow in fixed-size chunks that
+//! are never reallocated, so a queue of tens of thousands of events grows
+//! without copying.  All storage — the near heap's vector and both
+//! chunked stores — is kept across [`EventQueue::clear`], so a warmed-up
+//! simulator schedules and pops events without allocating.
 
+use crate::chunks::{Chunks, CHUNK_LEN};
 use crate::geometry::CellIdx;
-use crate::slab::SlotId;
+use crate::heap::{Heap, Keyed};
+use crate::slab::{SlotId, NO_SLOT};
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-
-/// Children per node of the near and overflow heaps.
-const ARITY: usize = 4;
 
 /// Calendar bucket width in seconds.  A power of two, so a time's bucket
 /// is one exact multiply and a truncation.
@@ -65,6 +71,13 @@ const LAST_BUCKET: u64 = u64::MAX - RING_SLOTS as u64;
 /// events per block kept a metro run's peak memory lowest (measured
 /// against two and eight).
 const BLOCK_EVENTS: usize = 4;
+
+/// One block of ring storage.
+type Block = [Packed; BLOCK_EVENTS];
+
+/// Blocks per chunk of the ring's pool: as many events as a chunk of
+/// any other store holds.
+const BLOCK_CHUNK: usize = CHUNK_LEN / BLOCK_EVENTS;
 
 /// The null block index.
 const NIL: u32 = u32::MAX;
@@ -135,107 +148,131 @@ impl PartialOrd for Event {
     }
 }
 
-/// `true` when queued event `a` fires before queued event `b`.
-///
-/// The order is `time.total_cmp`, then `sequence`.  [`EventQueue::schedule`]
+/// Queued events order by `(time bits, sequence)`: [`EventQueue::schedule`]
 /// stores only `+0.0` or positive finite times, whose bit patterns order
 /// as unsigned integers exactly as `total_cmp` orders the values, so an
-/// integer tuple compare computes it (measured faster than `total_cmp`).
-#[inline]
-fn precedes(a: &Event, b: &Event) -> bool {
-    (a.time.to_bits(), a.sequence) < (b.time.to_bits(), b.sequence)
-}
+/// integer tuple compare computes the order (measured faster than
+/// `total_cmp`).
+impl Keyed for Event {
+    type Key = (u64, u64);
 
-/// An implicit 4-ary min-heap over `(time bits, sequence)`: the near and
-/// overflow parts of an [`EventQueue`].
-#[derive(Debug, Clone, Default)]
-struct Heap {
-    /// Heap order: the children of node `i` are `ARITY * i + 1 ..=
-    /// ARITY * i + ARITY`, and no child fires before its parent.
-    events: Vec<Event>,
-}
-
-impl Heap {
-    fn push(&mut self, ev: Event) {
-        self.events.push(ev);
-        self.sift_up(self.events.len() - 1, ev);
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        let last = self.events.pop()?;
-        if self.events.is_empty() {
-            return Some(last);
-        }
-        let first = self.events[0];
-        self.sift_down(last);
-        Some(first)
-    }
-
-    fn peek(&self) -> Option<&Event> {
-        self.events.first()
-    }
-
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Move `ev`, just written at `pos`, up past every parent it fires
-    /// before, shifting those parents down into the hole.
-    fn sift_up(&mut self, mut pos: usize, ev: Event) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if !precedes(&ev, &self.events[parent]) {
-                break;
-            }
-            self.events[pos] = self.events[parent];
-            pos = parent;
-        }
-        self.events[pos] = ev;
-    }
-
-    /// Refill the root hole with `ev` (the former last element): move the
-    /// earliest child up while it fires before `ev`, and stop at the first
-    /// level where `ev` fits.
-    fn sift_down(&mut self, ev: Event) {
-        let len = self.events.len();
-        let mut pos = 0;
-        loop {
-            let first_child = ARITY * pos + 1;
-            if first_child >= len {
-                break;
-            }
-            let children = &self.events[first_child..len.min(first_child + ARITY)];
-            let mut best = 0;
-            for (i, child) in children.iter().enumerate().skip(1) {
-                if precedes(child, &children[best]) {
-                    best = i;
-                }
-            }
-            let child = children[best];
-            if !precedes(&child, &ev) {
-                break;
-            }
-            self.events[pos] = child;
-            pos = first_child + best;
-        }
-        self.events[pos] = ev;
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time.to_bits(), self.sequence)
     }
 }
 
-/// The filler of a fresh block's unused entries (never read).
-const VACANT: Event = Event {
-    time: 0.0,
-    sequence: 0,
-    kind: EventKind::Departure {
-        cell: CellIdx(0),
+/// The largest sequence number a [`Packed`] event holds.
+const MAX_PACKED_SEQUENCE: u64 = u64::MAX >> 1;
+
+/// An event as the ring and the overflow heap store it: 40 bytes, where
+/// an [`Event`] takes 48.  The variant rides in the low bit of the
+/// sequence, a departure's missing user is the slot index the slab never
+/// issues, and a departure leaves `to` at 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Packed {
+    time: SimTime,
+    /// `sequence << 1 | variant`, the variant 1 for a handoff.
+    /// Sequences are unique within a queue, so `(time bits, key)` orders
+    /// events exactly as `(time bits, sequence)` does.
+    key: u64,
+    connection_id: u64,
+    /// The departure's cell, or the handoff's source.
+    cell: u32,
+    /// The handoff's target.
+    to: u32,
+    /// The user's slot index ([`NO_SLOT`] for none) and generation.
+    slot: u32,
+    generation: u32,
+}
+
+impl Keyed for Packed {
+    type Key = (u64, u64);
+
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time.to_bits(), self.key)
+    }
+}
+
+impl Packed {
+    /// The filler of a fresh ring block's unused entries (never read).
+    const VACANT: Self = Self {
+        time: 0.0,
+        key: 0,
         connection_id: 0,
-        user: None,
-    },
-};
+        cell: 0,
+        to: 0,
+        slot: NO_SLOT,
+        generation: 0,
+    };
+
+    /// # Panics
+    ///
+    /// If the sequence is past [`MAX_PACKED_SEQUENCE`], or a departure's
+    /// user has the slot index that stands for no user.
+    #[inline]
+    fn pack(ev: &Event) -> Self {
+        assert!(
+            ev.sequence <= MAX_PACKED_SEQUENCE,
+            "event sequence {} is past the largest packable sequence {MAX_PACKED_SEQUENCE}",
+            ev.sequence
+        );
+        let (variant, cell, to, connection_id, (slot, generation)) = match ev.kind {
+            EventKind::Departure {
+                cell,
+                connection_id,
+                user,
+            } => {
+                let parts = user.map_or((NO_SLOT, 0), SlotId::parts);
+                assert!(
+                    user.is_none() || parts.0 != NO_SLOT,
+                    "a departure's user slot index {NO_SLOT} is reserved for no user"
+                );
+                (0, cell, CellIdx(0), connection_id, parts)
+            }
+            EventKind::Handoff {
+                from,
+                to,
+                connection_id,
+                user,
+            } => (1, from, to, connection_id, user.parts()),
+        };
+        Self {
+            time: ev.time,
+            key: ev.sequence << 1 | variant,
+            connection_id,
+            cell: cell.0,
+            to: to.0,
+            slot,
+            generation,
+        }
+    }
+
+    #[inline]
+    fn unpack(&self) -> Event {
+        let user = SlotId::from_parts(self.slot, self.generation);
+        let kind = if self.key & 1 == 0 {
+            EventKind::Departure {
+                cell: CellIdx(self.cell),
+                connection_id: self.connection_id,
+                user: (self.slot != NO_SLOT).then_some(user),
+            }
+        } else {
+            EventKind::Handoff {
+                from: CellIdx(self.cell),
+                to: CellIdx(self.to),
+                connection_id: self.connection_id,
+                user,
+            }
+        };
+        Event {
+            time: self.time,
+            sequence: self.key >> 1,
+            kind,
+        }
+    }
+}
 
 /// One ring slot: a chain of blocks holding `len` events, all of one
 /// bucket, in insertion order (the near heap orders them on loading).
@@ -250,15 +287,17 @@ struct Slot {
 /// Drained blocks are recycled through a free list, so the pool holds
 /// about as many blocks as the ring's peak needs, and every slot wastes
 /// less than one block: far less slack than one growable vector per
-/// bucket.  The pool grows by `push`, so its spare capacity is never
-/// written and costs no resident memory.
+/// bucket.  The pool's blocks and links live in fixed-size chunks
+/// ([`crate::chunks`]) of 1024 events' worth: the pool grows a chunk at a
+/// time, never moves or copies a stored block, and keeps its chunks
+/// across [`Ring::clear`].
 #[derive(Debug, Clone)]
 struct Ring {
     slots: Box<[Slot; RING_SLOTS]>,
-    /// The pool's blocks, `BLOCK_EVENTS` events each.
-    events: Vec<Event>,
+    /// The pool's blocks.
+    blocks: Chunks<Block, BLOCK_CHUNK>,
     /// Each block's successor in its slot's chain or in the free list.
-    next: Vec<u32>,
+    next: Chunks<u32>,
     /// Head of the free-block list.
     free: u32,
     /// Events in all slots.
@@ -274,8 +313,8 @@ impl Default for Ring {
         };
         Self {
             slots: Box::new([empty; RING_SLOTS]),
-            events: Vec::new(),
-            next: Vec::new(),
+            blocks: Chunks::default(),
+            next: Chunks::default(),
             free: NIL,
             len: 0,
         }
@@ -288,9 +327,8 @@ impl Ring {
     }
 
     /// The events of block `index`.
-    fn block(&self, index: u32) -> &[Event] {
-        let start = index as usize * BLOCK_EVENTS;
-        &self.events[start..start + BLOCK_EVENTS]
+    fn block(&self, index: u32) -> &Block {
+        &self.blocks[index as usize]
     }
 
     /// A block for a slot's chain: a recycled one, else a fresh one.
@@ -305,12 +343,12 @@ impl Ring {
             .filter(|&i| i != NIL)
             .expect("event queue block pool exhausted");
         self.next.push(NIL);
-        self.events.extend_from_slice(&[VACANT; BLOCK_EVENTS]);
+        self.blocks.push([Packed::VACANT; BLOCK_EVENTS]);
         index
     }
 
     /// Append `ev`, whose bucket is `bucket`, to that bucket's slot.
-    fn append(&mut self, bucket: u64, ev: Event) {
+    fn append(&mut self, bucket: u64, ev: Packed) {
         let s = Self::slot(bucket);
         let fill = self.slots[s].len as usize % BLOCK_EVENTS;
         if fill == 0 {
@@ -322,7 +360,7 @@ impl Ring {
             }
             self.slots[s].tail = index;
         }
-        self.events[self.slots[s].tail as usize * BLOCK_EVENTS + fill] = ev;
+        self.blocks[self.slots[s].tail as usize][fill] = ev;
         self.slots[s].len += 1;
         self.len += 1;
     }
@@ -331,9 +369,9 @@ impl Ring {
         self.slots[Self::slot(bucket)].len > 0
     }
 
-    /// Move every event of `bucket`'s slot into `heap` and recycle the
-    /// slot's blocks.
-    fn drain_into(&mut self, bucket: u64, heap: &mut Heap) {
+    /// Hand every event of `bucket`'s slot to `sink`, in insertion order,
+    /// and recycle the slot's blocks.
+    fn drain(&mut self, bucket: u64, mut sink: impl FnMut(&Packed)) {
         let Slot { head, tail, len } = self.slots[Self::slot(bucket)];
         if len == 0 {
             return;
@@ -342,8 +380,8 @@ impl Ring {
         let mut index = head;
         loop {
             let n = left.min(BLOCK_EVENTS);
-            for &ev in &self.block(index)[..n] {
-                heap.push(ev);
+            for ev in &self.block(index)[..n] {
+                sink(ev);
             }
             left -= n;
             if left == 0 {
@@ -357,7 +395,7 @@ impl Ring {
         self.len -= len as usize;
     }
 
-    /// Empty every slot and the pool, keeping the pool's storage.  Free
+    /// Empty every slot and the pool, keeping the pool's chunks.  Free
     /// when the ring is already empty.
     fn clear(&mut self) {
         if self.len > 0 {
@@ -366,7 +404,7 @@ impl Ring {
             }
             self.len = 0;
         }
-        self.events.clear();
+        self.blocks.clear();
         self.next.clear();
         self.free = NIL;
     }
@@ -379,12 +417,12 @@ impl Ring {
 pub struct EventQueue {
     /// Exactly the pending events of bucket `near_bucket`; non-empty
     /// whenever the queue is.
-    near: Heap,
+    near: Heap<Vec<Event>>,
     /// The events of buckets `near_bucket + 1 .. clock + RING_SLOTS`.
     ring: Ring,
     /// The events of buckets from `clock + RING_SLOTS` on (all after
     /// `near_bucket`).
-    overflow: Heap,
+    overflow: Heap<Chunks<Packed>>,
     /// The ring's first bucket: the bucket of the last event popped, or
     /// an earlier one after a schedule into the past; never after
     /// `near_bucket`.
@@ -423,7 +461,7 @@ impl EventQueue {
             self.clock = self.clock.min(bucket);
             self.near_bucket = bucket;
         } else if bucket > self.near_bucket {
-            self.file(bucket, ev);
+            self.file(bucket, Packed::pack(&ev));
             return;
         } else if bucket < self.near_bucket {
             if bucket < self.clock {
@@ -468,8 +506,8 @@ impl EventQueue {
     /// Remove every pending event, keeping the backing storage, and reset
     /// the sequence counter.
     pub fn clear(&mut self) {
-        self.near.events.clear();
-        self.overflow.events.clear();
+        self.near.items.clear();
+        self.overflow.items.clear();
         self.ring.clear();
         self.clock = 0;
         self.near_bucket = 0;
@@ -478,7 +516,7 @@ impl EventQueue {
 
     /// File `ev` of a bucket after the near bucket: in the ring if the
     /// bucket is in its span, else in the overflow heap.
-    fn file(&mut self, bucket: u64, ev: Event) {
+    fn file(&mut self, bucket: u64, ev: Packed) {
         if bucket - self.clock < RING_SLOTS as u64 {
             self.ring.append(bucket, ev);
         } else {
@@ -490,11 +528,11 @@ impl EventQueue {
     /// events back under their own, now later, bucket.
     #[inline(never)]
     fn demote(&mut self) {
-        let mut near = std::mem::take(&mut self.near.events);
+        let mut near = std::mem::take(&mut self.near.items);
         for ev in near.drain(..) {
-            self.file(self.near_bucket, ev);
+            self.file(self.near_bucket, Packed::pack(&ev));
         }
-        self.near.events = near;
+        self.near.items = near;
     }
 
     /// Move the clock back to `bucket`, before the last pop: the ring's
@@ -505,7 +543,7 @@ impl EventQueue {
     fn rewind(&mut self, bucket: u64) {
         let end = self.clock + RING_SLOTS as u64;
         for later in (bucket + RING_SLOTS as u64).max(self.near_bucket + 1)..end {
-            self.ring.drain_into(later, &mut self.overflow);
+            self.ring.drain(later, |ev| self.overflow.push(*ev));
         }
         self.clock = bucket;
     }
@@ -540,7 +578,7 @@ impl EventQueue {
                 .find(|&b| self.ring.is_filled(b))
                 .expect("a non-empty ring has a filled slot in its span");
             self.near_bucket = bucket;
-            self.ring.drain_into(bucket, &mut self.near);
+            self.ring.drain(bucket, |ev| self.near.push(ev.unpack()));
         } else if let Some(first) = self.overflow.peek() {
             let bucket = bucket_of(first.time);
             self.near_bucket = bucket;
@@ -550,7 +588,7 @@ impl EventQueue {
                 .is_some_and(|ev| bucket_of(ev.time) == bucket)
             {
                 let ev = self.overflow.pop().expect("peeked above");
-                self.near.push(ev);
+                self.near.push(ev.unpack());
             }
         }
     }
@@ -605,6 +643,8 @@ pub(crate) fn next_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::precedes;
+    use proptest::prelude::*;
 
     fn departure(id: u64) -> EventKind {
         EventKind::Departure {
@@ -716,7 +756,7 @@ mod tests {
             "a non-empty queue has a non-empty near heap"
         );
         assert!(q.clock <= q.near_bucket);
-        for ev in &q.near.events {
+        for ev in &q.near.items {
             assert_eq!(bucket_of(ev.time), q.near_bucket, "near holds one bucket");
         }
         let mut ring_len = 0;
@@ -735,7 +775,7 @@ mod tests {
             }
         }
         assert_eq!(ring_len, q.ring.len);
-        for ev in &q.overflow.events {
+        for ev in q.overflow.items.iter() {
             let bucket = bucket_of(ev.time);
             assert!(bucket > q.near_bucket && bucket - q.clock >= RING_SLOTS as u64);
         }
@@ -779,7 +819,7 @@ mod tests {
             q.schedule(f64::from(i), departure(1));
         }
         let capacity = |q: &EventQueue| {
-            q.near.events.capacity() + q.overflow.events.capacity() + q.ring.events.capacity()
+            q.near.items.capacity() + q.overflow.items.capacity() + q.ring.blocks.capacity()
         };
         let cap = capacity(&q);
         q.clear();
@@ -793,12 +833,14 @@ mod tests {
     #[test]
     fn events_are_small_copy_values() {
         // An event moves a few machine words through the heap: handles,
-        // not owned connection state.
+        // not owned connection state.  The ring and the overflow heap,
+        // which hold almost every pending event, store the packed form.
         assert!(
             std::mem::size_of::<Event>() <= 48,
             "Event grew to {} bytes",
             std::mem::size_of::<Event>()
         );
+        assert_eq!(std::mem::size_of::<Packed>(), 40);
         let e = Event {
             time: 4.0,
             sequence: 9,
@@ -855,5 +897,126 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A slot handle as the slab would issue it.
+    fn slot(index: u32, generation: u32) -> SlotId {
+        SlotId::from_parts(index, generation)
+    }
+
+    fn any_event() -> impl Strategy<Value = Event> {
+        let time = prop_oneof![Just(0.0), 0.0..1e7, Just(f64::MIN_POSITIVE), Just(f64::MAX),];
+        let sequence = prop_oneof![
+            0..=MAX_PACKED_SEQUENCE,
+            MAX_PACKED_SEQUENCE - 1_000..=MAX_PACKED_SEQUENCE,
+            0u64..1_000,
+        ];
+        let connection_id = prop_oneof![any::<u64>(), u64::MAX - 1_000..=u64::MAX, Just(0u64)];
+        let cell = || prop_oneof![any::<u32>(), Just(u32::MAX - 1), Just(u32::MAX), Just(0u32)];
+        let user = prop_oneof![
+            (0..NO_SLOT, any::<u32>())
+                .prop_map(|(index, generation)| Some(slot(index, generation))),
+            Just(Some(slot(NO_SLOT - 1, u32::MAX))),
+            Just(None),
+        ];
+        (
+            time,
+            sequence,
+            connection_id,
+            (cell(), cell()),
+            user,
+            any::<bool>(),
+        )
+            .prop_map(|(time, sequence, connection_id, (a, b), user, handoff)| {
+                let kind = match (handoff, user) {
+                    (true, Some(user)) => EventKind::Handoff {
+                        from: CellIdx(a),
+                        to: CellIdx(b),
+                        connection_id,
+                        user,
+                    },
+                    _ => EventKind::Departure {
+                        cell: CellIdx(a),
+                        connection_id,
+                        user,
+                    },
+                };
+                Event {
+                    time,
+                    sequence,
+                    kind,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+        /// Packing loses nothing: both variants come back bit for bit,
+        /// and two packed events order as the events do.
+        #[test]
+        fn packed_events_round_trip_bit_for_bit(a in any_event(), b in any_event()) {
+            for ev in [a, b] {
+                let back = Packed::pack(&ev).unpack();
+                prop_assert_eq!(back.time.to_bits(), ev.time.to_bits());
+                prop_assert_eq!(back.sequence, ev.sequence);
+                prop_assert_eq!(back.kind, ev.kind);
+            }
+            prop_assume!(a.sequence != b.sequence);
+            prop_assert_eq!(
+                precedes(&Packed::pack(&a), &Packed::pack(&b)),
+                precedes(&a, &b)
+            );
+        }
+    }
+
+    #[test]
+    fn packing_keeps_the_edge_values() {
+        let handoff = Event {
+            time: 7.25,
+            sequence: MAX_PACKED_SEQUENCE,
+            kind: EventKind::Handoff {
+                from: CellIdx(u32::MAX - 1),
+                to: CellIdx(u32::MAX),
+                connection_id: u64::MAX,
+                user: slot(NO_SLOT - 1, u32::MAX),
+            },
+        };
+        let departure = Event {
+            time: 0.0,
+            sequence: MAX_PACKED_SEQUENCE - 1,
+            kind: EventKind::Departure {
+                cell: CellIdx(u32::MAX - 1),
+                connection_id: u64::MAX,
+                user: None,
+            },
+        };
+        for ev in [handoff, departure] {
+            assert_eq!(Packed::pack(&ev).unpack(), ev);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the largest packable sequence")]
+    fn an_unpackable_sequence_panics() {
+        let _ = Packed::pack(&Event {
+            time: 1.0,
+            sequence: MAX_PACKED_SEQUENCE + 1,
+            kind: departure(1),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for no user")]
+    fn a_departure_on_the_no_user_slot_panics() {
+        let _ = Packed::pack(&Event {
+            time: 1.0,
+            sequence: 0,
+            kind: EventKind::Departure {
+                cell: CellIdx(0),
+                connection_id: 1,
+                user: Some(slot(NO_SLOT, 1)),
+            },
+        });
     }
 }

@@ -52,9 +52,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cell;
+mod chunks;
 pub mod event;
 pub mod fault;
 pub mod geometry;
+mod heap;
 pub mod metrics;
 pub mod mobility;
 pub mod rng;

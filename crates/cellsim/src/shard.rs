@@ -47,9 +47,11 @@
 //! admissions see which capacity, exactly like changing a seed.
 
 use crate::cell::{Cells, Handoff};
+use crate::chunks::Chunks;
 use crate::event::{next_stream, EventKind, EventQueue, Stream};
 use crate::fault::FaultEvent;
 use crate::geometry::{CellGrid, CellIdx};
+use crate::heap::{Heap, Keyed};
 use crate::metrics::{is_zero, Metrics};
 use crate::rng::SimRng;
 use crate::sim::{AdmissionController, SimConfig};
@@ -58,7 +60,6 @@ use crate::traffic::{ArrivalStream, CallRequest};
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use telemetry::{Recorder, Stopwatch, TelemetrySnapshot, TraceEvent};
 
 /// A boxed admission controller that can move to a worker thread.
@@ -228,31 +229,19 @@ enum MergeTask {
     Event(EventKind),
 }
 
+#[derive(Debug, Clone, Copy)]
 struct MergeEntry {
     key: MergeKey,
     task: MergeTask,
 }
 
-impl Ord for MergeEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: `BinaryHeap` is a max-heap, we want the earliest key.
-        other.key.cmp(&self.key)
+impl Keyed for MergeEntry {
+    type Key = MergeKey;
+
+    fn key(&self) -> MergeKey {
+        self.key
     }
 }
-
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for MergeEntry {}
 
 /// Per-cell utilisation accumulator (mean only — the sharded engine does
 /// not keep the full sample series).
@@ -332,7 +321,7 @@ impl<R: Recorder> Shard<R> {
     /// stream, arrival stream, tick stream or event queue — with its time.
     fn next_stream(
         &self,
-        epoch: &[(CallRequest, u32)],
+        epoch: &Chunks<(CallRequest, u32)>,
         horizon: SimTime,
     ) -> Option<(Stream, SimTime)> {
         next_stream(
@@ -353,7 +342,7 @@ impl<R: Recorder> Shard<R> {
     fn run_epoch(
         &mut self,
         grid: &CellGrid,
-        epoch: &[(CallRequest, u32)],
+        epoch: &Chunks<(CallRequest, u32)>,
         horizon: SimTime,
         epoch_end: SimTime,
     ) {
@@ -468,9 +457,12 @@ pub struct ShardedSimulator<R: Recorder = DefaultRecorder> {
     /// First global cell index of each shard, ascending.
     starts: Vec<u32>,
     /// The current epoch's arrivals with their spawn cells (global
-    /// [`CellIdx`] values), in arrival order; reused across epochs.
-    epoch_arrivals: Vec<(CallRequest, u32)>,
-    merge_heap: BinaryHeap<MergeEntry>,
+    /// [`CellIdx`] values), in arrival order; reused across epochs, and
+    /// grown in chunks that never move.
+    epoch_arrivals: Chunks<(CallRequest, u32)>,
+    /// The barrier merge's queue, reused across epochs; it grows in
+    /// chunks that never move.
+    merge_heap: Heap<Chunks<MergeEntry>>,
     merge_events: u64,
     epochs: u64,
     peak_concurrent: u64,
@@ -527,8 +519,8 @@ impl<R: Recorder> ShardedSimulator<R> {
             grid,
             shards,
             starts,
-            epoch_arrivals: Vec::new(),
-            merge_heap: BinaryHeap::new(),
+            epoch_arrivals: Chunks::default(),
+            merge_heap: Heap::default(),
             merge_events: 0,
             epochs: 0,
             peak_concurrent: 0,
@@ -598,7 +590,7 @@ impl<R: Recorder> ShardedSimulator<R> {
     }
 
     fn reset_run(&mut self, factory: &mut dyn FnMut() -> BoxedController) {
-        self.merge_heap.clear();
+        self.merge_heap.items.clear();
         self.merge_events = 0;
         self.epochs = 0;
         self.peak_concurrent = 0;
@@ -759,7 +751,7 @@ impl<R: Recorder> ShardedSimulator<R> {
             .min(self.host_cores)
             .max(1);
         let grid = &self.grid;
-        let epoch = &self.epoch_arrivals[..];
+        let epoch = &self.epoch_arrivals;
         if workers <= 1 {
             for shard in &mut self.shards {
                 shard.run_epoch(grid, epoch, horizon, epoch_end);
@@ -851,7 +843,7 @@ impl<R: Recorder> ShardedSimulator<R> {
         &mut self,
         handoff: &Handoff,
         epoch_end: SimTime,
-        heap: &mut BinaryHeap<MergeEntry>,
+        heap: &mut Heap<Chunks<MergeEntry>>,
     ) {
         let s = self.shard_of(handoff.to.0);
         let Shard {

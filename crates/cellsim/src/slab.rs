@@ -12,11 +12,23 @@
 //! recycled slot.
 //!
 //! Each slot also carries a caller-defined `u32` *tag* beside its value
-//! (the engines keep a call's position in its station there).  The tag
-//! sits in the alignment padding after the generation, so for 8-byte
-//! aligned values it costs no memory.
+//! (the engines keep a call's position in its station there).
+//!
+//! An entry is the generation, the tag and the value, with no `Option`
+//! around the value: 40 bytes for a [`crate::mobility::UserState`].  The
+//! generation's parity says whether the slot is live (odd) or vacant
+//! (even), and a vacant slot's tag links it into the free list, so the
+//! free list costs no storage of its own.  Values are `Copy`, so a vacant
+//! slot's stale value needs no drop.  Entries live in fixed-size chunks
+//! that are never reallocated, so a slab grows without copying and keeps
+//! its chunks across [`Slab::clear`].
 
+use crate::chunks::Chunks;
 use serde::{Deserialize, Serialize};
+
+/// A slot index the slab never issues: the free list's end, and the
+/// index a packed event stores for "no user".
+pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// A generational handle into a [`Slab`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,36 +49,58 @@ impl SlotId {
     pub fn generation(self) -> u32 {
         self.generation
     }
+
+    /// The handle's index and generation, as a packed event stores them.
+    pub(crate) fn parts(self) -> (u32, u32) {
+        (self.index, self.generation)
+    }
+
+    /// The handle with these parts.
+    pub(crate) fn from_parts(index: u32, generation: u32) -> Self {
+        Self { index, generation }
+    }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<T> {
+    /// Odd while the slot holds a value; bumped on every insert and
+    /// remove, so a handle matches only the value it was issued for.
     generation: u32,
+    /// The caller's tag while live; the next vacant slot (or [`NO_SLOT`])
+    /// while vacant.
     tag: u32,
-    value: Option<T>,
+    /// The live value, or the last one the slot held.
+    value: T,
+}
+
+impl<T> Entry<T> {
+    fn is_live(&self) -> bool {
+        self.generation & 1 == 1
+    }
 }
 
 /// Dense generational storage with a free list.
 #[derive(Debug, Clone)]
-pub struct Slab<T> {
-    entries: Vec<Entry<T>>,
-    free: Vec<u32>,
+pub struct Slab<T: Copy> {
+    entries: Chunks<Entry<T>>,
+    /// The most recently vacated slot, or [`NO_SLOT`].
+    free: u32,
     len: usize,
 }
 
-impl<T> Default for Slab<T> {
+impl<T: Copy> Default for Slab<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> Slab<T> {
+impl<T: Copy> Slab<T> {
     /// An empty slab.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            entries: Vec::new(),
-            free: Vec::new(),
+            entries: Chunks::default(),
+            free: NO_SLOT,
             len: 0,
         }
     }
@@ -90,12 +124,19 @@ impl<T> Slab<T> {
     }
 
     /// The slot index the next insertion will use.
+    ///
+    /// # Panics
+    ///
+    /// If every slot is live and the slab already holds `u32::MAX` slots.
     #[must_use]
     pub fn vacant_index(&self) -> u32 {
-        match self.free.last() {
-            Some(&index) => index,
-            None => u32::try_from(self.entries.len()).expect("slab exceeds u32::MAX slots"),
+        if self.free != NO_SLOT {
+            return self.free;
         }
+        u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&index| index != NO_SLOT)
+            .expect("slab exceeds u32::MAX slots")
     }
 
     /// Insert a value with tag 0, reusing a freed slot when one exists.
@@ -107,35 +148,42 @@ impl<T> Slab<T> {
     /// the handle's index is [`Slab::vacant_index`] as it was before the
     /// call.
     pub fn insert_tagged(&mut self, value: T, tag: u32) -> SlotId {
+        let index = self.vacant_index();
         self.len += 1;
-        if let Some(index) = self.free.pop() {
+        if index == self.free {
             let entry = &mut self.entries[index as usize];
-            debug_assert!(entry.value.is_none(), "free list pointed at a live slot");
+            debug_assert!(!entry.is_live(), "free list pointed at a live slot");
+            self.free = entry.tag;
+            entry.generation = entry.generation.wrapping_add(1);
             entry.tag = tag;
-            entry.value = Some(value);
+            entry.value = value;
             SlotId {
                 index,
                 generation: entry.generation,
             }
         } else {
-            let index = self.vacant_index();
             self.entries.push(Entry {
-                generation: 0,
+                generation: 1,
                 tag,
-                value: Some(value),
+                value,
             });
             SlotId {
                 index,
-                generation: 0,
+                generation: 1,
             }
         }
+    }
+
+    /// The live entry behind `id`, if the handle is still current.
+    fn live(&self, id: SlotId) -> Option<&Entry<T>> {
+        let entry = self.entries.get(id.index())?;
+        (entry.generation == id.generation && entry.is_live()).then_some(entry)
     }
 
     /// The tag of the value behind `id`, if the handle is still current.
     #[must_use]
     pub fn tag(&self, id: SlotId) -> Option<u32> {
-        let entry = self.entries.get(id.index())?;
-        (entry.generation == id.generation && entry.value.is_some()).then_some(entry.tag)
+        self.live(id).map(|entry| entry.tag)
     }
 
     /// Set the tag of the live value in slot `index` (a [`SlotId::index`]
@@ -147,18 +195,14 @@ impl<T> Slab<T> {
     /// free.
     pub fn set_tag(&mut self, index: usize, tag: u32) {
         let entry = &mut self.entries[index];
-        debug_assert!(entry.value.is_some(), "tagging a free slot");
+        debug_assert!(entry.is_live(), "tagging a free slot");
         entry.tag = tag;
     }
 
     /// The value behind `id`, if the handle is still current.
     #[must_use]
     pub fn get(&self, id: SlotId) -> Option<&T> {
-        let entry = self.entries.get(id.index())?;
-        if entry.generation != id.generation {
-            return None;
-        }
-        entry.value.as_ref()
+        self.live(id).map(|entry| &entry.value)
     }
 
     /// Remove and return the value behind `id`; stale or double-freed
@@ -166,43 +210,46 @@ impl<T> Slab<T> {
     /// outstanding handle to it goes stale, and the slot joins the free
     /// list for reuse.
     pub fn remove(&mut self, id: SlotId) -> Option<T> {
-        let entry = self.entries.get_mut(id.index())?;
-        if entry.generation != id.generation {
-            return None;
-        }
-        let value = entry.value.take()?;
+        let value = self.live(id)?.value;
+        let entry = &mut self.entries[id.index()];
         entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(id.index);
+        entry.tag = self.free;
+        self.free = id.index;
         self.len -= 1;
         Some(value)
     }
 
     /// Drop every live value and invalidate every outstanding handle,
-    /// keeping the backing storage for reuse.
+    /// keeping the backing storage for reuse.  Insertions then reuse the
+    /// slots from the highest index down.
     pub fn clear(&mut self) {
-        self.free.clear();
+        let mut next = NO_SLOT;
         for (index, entry) in self.entries.iter_mut().enumerate() {
-            if entry.value.take().is_some() {
+            if entry.is_live() {
                 entry.generation = entry.generation.wrapping_add(1);
             }
-            self.free.push(index as u32);
+            entry.tag = next;
+            next = index as u32;
         }
+        self.free = next;
         self.len = 0;
     }
 
     /// Iterator over the live values (slot-index order).
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &T)> {
-        self.entries.iter().enumerate().filter_map(|(i, e)| {
-            e.value.as_ref().map(|v| {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_live())
+            .map(|(i, e)| {
                 (
                     SlotId {
                         index: i as u32,
                         generation: e.generation,
                     },
-                    v,
+                    &e.value,
                 )
             })
-        })
     }
 }
 
@@ -290,9 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn user_entries_stay_48_bytes() {
-        // The tag fills the padding after the generation.
-        assert_eq!(std::mem::size_of::<Entry<crate::mobility::UserState>>(), 48);
+    fn user_entries_are_40_bytes() {
+        // The generation and the tag share one word; no `Option`
+        // discriminant pads the value.
+        assert_eq!(std::mem::size_of::<Entry<crate::mobility::UserState>>(), 40);
     }
 
     #[test]

@@ -18,12 +18,15 @@ use cellsim::shard::BoxedController;
 use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
 use cellsim::station::BaseStation;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shadow-Cluster-Concept admission controller.
 #[derive(Debug, Clone)]
 pub struct SccAdmission {
     config: SccConfig,
-    grid: CellGrid,
+    /// The virtual grid, shared by every controller of the same
+    /// `cluster_radius` and `cell_radius_m` (see [`shared_grid`]).
+    grid: Arc<CellGrid>,
     estimator: LoadEstimator,
     /// Projection geometry per home cell of the virtual grid (by dense
     /// index), built on first use.
@@ -42,7 +45,7 @@ impl SccAdmission {
     /// the simulator only materialises the home cell.
     #[must_use]
     pub fn new(config: SccConfig) -> Self {
-        let grid = CellGrid::new(config.cluster_radius.max(1), config.cell_radius_m);
+        let grid = shared_grid(config.cluster_radius.max(1), config.cell_radius_m);
         Self {
             estimator: LoadEstimator::with_extent(grid.radius_cells(), config.slots.max(1)),
             geometry: vec![None; grid.len()],
@@ -109,6 +112,23 @@ impl SccAdmission {
             && angle_bits == request.angle_deg.to_bits();
         same.then_some(cluster)
     }
+}
+
+/// The grid of `radius_cells` and `cell_radius_m`, built once per process
+/// and shared: a sweep builds a controller per cell run, and the grid
+/// depends only on these two numbers.  The cache holds one grid per
+/// distinct pair a process asks for.
+fn shared_grid(radius_cells: u32, cell_radius_m: f64) -> Arc<CellGrid> {
+    type Grids = Vec<((u32, u64), Arc<CellGrid>)>;
+    static GRIDS: Mutex<Grids> = Mutex::new(Vec::new());
+    let key = (radius_cells, cell_radius_m.to_bits());
+    let mut grids = GRIDS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, grid)) = grids.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(grid);
+    }
+    let grid = Arc::new(CellGrid::new(radius_cells, cell_radius_m));
+    grids.push((key, Arc::clone(&grid)));
+    grid
 }
 
 impl Default for SccAdmission {
@@ -190,6 +210,27 @@ mod tests {
             distance_m: Some(300.0),
             is_handoff: handoff,
         }
+    }
+
+    #[test]
+    fn controllers_of_one_configuration_share_one_grid() {
+        let a = SccAdmission::default();
+        let b = SccAdmission::new(SccConfig::paper_default());
+        assert!(Arc::ptr_eq(&a.grid, &b.grid), "one grid per configuration");
+        assert!(Arc::ptr_eq(&a.grid, &a.clone().grid));
+        let wider = SccAdmission::new(SccConfig {
+            cluster_radius: 3,
+            ..SccConfig::paper_default()
+        });
+        let larger = SccAdmission::new(SccConfig {
+            cell_radius_m: 1500.0,
+            ..SccConfig::paper_default()
+        });
+        for other in [&wider, &larger] {
+            assert!(!Arc::ptr_eq(&a.grid, &other.grid));
+        }
+        assert_eq!(wider.grid.radius_cells(), 3);
+        assert_eq!(*a.grid, CellGrid::new(2, 1000.0));
     }
 
     #[test]
