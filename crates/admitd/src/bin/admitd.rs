@@ -4,7 +4,7 @@
 //! ```text
 //! admitd serve [--addr H:P] [--controller NAME] [--scenario NAME]
 //!              [--grid-radius N] [--cell-radius M] [--capacity BU]
-//!              [--shards N] [--max-pending N] [--chaos SEED]
+//!              [--max-pending N] [--chaos SEED]
 //!              [--snapshot PATH] [--snapshot-every SECS]
 //!              [--restore PATH] [--release-on-disconnect]
 //! admitd bench [--addr H:P] [--scenario NAME] [--connections N]
@@ -60,7 +60,7 @@ admitd — admission control as a service
 USAGE:
     admitd serve [--addr HOST:PORT] [--controller NAME] [--scenario NAME]
                  [--grid-radius N] [--cell-radius METRES] [--capacity BU]
-                 [--shards N] [--max-pending N] [--chaos SEED]
+                 [--max-pending N] [--chaos SEED]
                  [--snapshot PATH] [--snapshot-every SECS]
                  [--restore PATH] [--release-on-disconnect]
     admitd bench [--addr HOST:PORT] [--scenario NAME] [--connections N]
@@ -139,7 +139,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             }
             "--cell-radius" => world_config.cell_radius_m = parse_num(flag, args.value(flag)?)?,
             "--capacity" => world_config.station_capacity = parse_num(flag, args.value(flag)?)?,
-            "--shards" => world_config.shards = parse_num(flag, args.value(flag)?)?,
             "--max-pending" => {
                 server_config.max_pending = parse_num::<usize>(flag, args.value(flag)?)?.max(1);
             }
@@ -164,8 +163,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     }
     if let Some(name) = &scenario {
         let sim = scenario_sim_config(name, &controller)?;
-        let shards = world_config.shards;
-        world_config = WorldConfig::from_sim_config(&sim, shards);
+        world_config = WorldConfig::from_sim_config(&sim, 1);
     }
 
     install_signal_handlers();
@@ -177,8 +175,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         let snapshot = admitd::state::load_snapshot(std::path::Path::new(path))?;
         let restored = world.restore(&snapshot).map_err(|e| match e {
             RestoreError::Shape { .. } => {
-                // Lock sharding never changes a snapshot's cell count; only
-                // the grid does.
+                // Only the grid sets a snapshot's cell count.
                 format!(
                     "cannot restore {path}: {e} (was the snapshot taken with a \
                      different --grid-radius or --scenario?)"
@@ -198,9 +195,8 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
     println!(
-        "admitd: serving {} cells ({} shards) with {} on {bound}",
+        "admitd: serving {} cells with {} on {bound}",
         world.grid().len(),
-        world_config.shards.clamp(1, world.grid().len()),
         controller.label(),
     );
     let summary = server.run().map_err(|e| format!("server error: {e}"))?;

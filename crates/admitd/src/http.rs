@@ -4,7 +4,7 @@
 //! HTTP request and answered with `Connection: close`:
 //!
 //! - `GET /metrics` — Prometheus text exposition of the merged server
-//!   and shard registries (always passes `telemetry::lint_prometheus`).
+//!   and world registries (always passes `telemetry::lint_prometheus`).
 //! - `GET /state` — JSON per-cell occupancy snapshot.
 //! - `GET /healthz` — liveness probe (`ok`).
 //!

@@ -3,17 +3,18 @@
 //! The paper's admission controllers decide in about a microsecond;
 //! this crate is what production would actually deploy around that hot
 //! path: a long-running TCP server that owns the authoritative
-//! per-cell [`BaseStation`](cellsim::BaseStation) counter state behind
-//! sharded locks, answers length-prefixed binary admission requests
-//! from many concurrent connections with one controller decision per
-//! frame, in arrival order, and exposes live Prometheus
-//! metrics (`/metrics`) and a JSON occupancy snapshot (`/state`) over
-//! plain HTTP/1.1 — `std::net` only, no async runtime.
+//! per-cell [`BaseStation`](cellsim::BaseStation) counter state and one
+//! controller for every cell (as in the sequential engine) behind one
+//! lock, answers length-prefixed binary admission requests from many
+//! concurrent connections, which take turns on that lock, with one
+//! controller decision per frame, in arrival order, and exposes live
+//! Prometheus metrics (`/metrics`) and a JSON occupancy snapshot
+//! (`/state`) over plain HTTP/1.1 — `std::net` only, no async runtime.
 //!
 //! The crate splits into:
 //!
 //! - [`wire`] — the binary frame protocol (see `docs/SERVER.md`);
-//! - [`state`] — the sharded world, the per-frame decision engine over
+//! - [`state`] — the one-lock world, the per-frame decision engine over
 //!   same-cell groups and the snapshot/restore checkpoint path (see
 //!   `docs/FAULTS.md`);
 //! - [`server`] — accept loop, backpressure, HTTP endpoints, shutdown;

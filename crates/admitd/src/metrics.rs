@@ -1,6 +1,6 @@
 //! The `admitd` telemetry schema.
 //!
-//! One static [`Schema`] covers the server (per-shard registries plus a
+//! One static [`Schema`] covers the server (the world's registry plus a
 //! server-level registry for connection/HTTP counters) and the bench
 //! client (per-connection registries merged at the end).  Following the
 //! `cellsim::telem` idiom, metric ids are dense indices into the static
@@ -25,7 +25,7 @@ pub mod counter {
     pub const CONNECTIONS: CounterId = CounterId(6);
     /// HTTP requests served (all paths).
     pub const HTTP_REQUESTS: CounterId = CounterId(7);
-    /// Same-cell admit groups applied, one per shard-lock hold.
+    /// Same-cell admit groups applied, one per world-lock hold.
     pub const BATCHES: CounterId = CounterId(8);
     /// Connections the controller saw expire (implicit releases).
     pub const EXPIRED: CounterId = CounterId(9);
@@ -136,7 +136,7 @@ pub static SCHEMA: Schema = Schema {
         },
         MetricDef {
             name: "admitd_batches_total",
-            help: "Same-cell admit groups applied under one shard lock",
+            help: "Same-cell admit groups applied under one world-lock hold",
             labels: &[],
         },
         MetricDef {

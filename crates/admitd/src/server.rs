@@ -15,7 +15,7 @@
 //! complete frames the socket already buffered (one non-blocking fill)
 //! into a *bounded* window of [`ServerConfig::max_pending`] requests.
 //! The window is applied in one [`crate::state::World::process`] call
-//! — consecutive same-cell admits within it share one shard-lock hold,
+//! — consecutive same-cell admits within it share one world-lock hold,
 //! each still decided on its own — and every response is written back
 //! in request order.  Frames beyond the bound are answered with
 //! [`Status::Overload`](crate::wire::Status::Overload) *without*
@@ -62,15 +62,17 @@ pub fn global_shutdown_requested() -> bool {
     GLOBAL_SHUTDOWN.load(Ordering::SeqCst)
 }
 
+/// Read timeout of every connection, so idle handlers see shutdown.
+const READ_POLL: Duration = Duration::from_millis(50);
+/// Sleep of the non-blocking accept loop while no connection waits.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Tunables of the accept loop and connection handlers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bound on requests decided per read window; frames beyond it are
     /// shed with overload responses.
     pub max_pending: usize,
-    /// Read timeout used to poll the shutdown flag on idle
-    /// connections.
-    pub poll_interval: Duration,
     /// Seeded transport-fault injection (`--chaos`); `None` serves
     /// faithfully.
     pub chaos: Option<ChaosConfig>,
@@ -87,7 +89,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_pending: 1024,
-            poll_interval: Duration::from_millis(50),
             chaos: None,
             release_on_disconnect: false,
             snapshot_path: None,
@@ -207,7 +208,7 @@ impl Server {
                         .high_water(metrics::gauge::OPEN_CONNECTIONS, handlers.len() as u64);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.config.poll_interval.min(Duration::from_millis(10)));
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
                 Err(e) => return Err(e),
             }
@@ -235,7 +236,7 @@ impl Server {
         Ok(summary_from(&merged_telemetry(&world, &registry)))
     }
 
-    /// Merged telemetry of the accept loop and every shard.
+    /// Merged telemetry of the accept loop and the world.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         merged_telemetry(&self.world, &self.registry)
@@ -340,7 +341,7 @@ fn handle_connection(
     connection_index: u64,
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(config.poll_interval))?;
+    stream.set_read_timeout(Some(READ_POLL))?;
 
     // Protocol selection: read until we have 4 bytes (or EOF).
     let mut head = [0u8; 4];

@@ -1,19 +1,18 @@
-//! Authoritative per-cell counter state behind sharded locks, and the
+//! Authoritative per-cell counter state behind one lock, and the
 //! per-frame decision engine.
 //!
 //! The server owns one [`BaseStation`] per cell in the dense
-//! [`CellIdx`](cellsim::geometry::CellIdx) layout `cellsim` uses,
-//! partitioned into contiguous
-//! shards each guarded by its own mutex.  Every shard also owns its
-//! own controller instance (the same per-shard controller-bank
-//! semantics as `cellsim::shard::ShardedSimulator`) plus a telemetry
-//! registry, so concurrent connections touching different shards never
-//! contend.
+//! [`CellIdx`](cellsim::geometry::CellIdx) layout `cellsim` uses, plus
+//! one controller for every cell and one telemetry registry, all behind
+//! a single mutex.  One controller deciding for every cell is what the
+//! sequential engine does, so a controller with cross-cell state (SCC's
+//! shadow cluster) sees the whole world; clients on several connections
+//! take turns on the lock.
 //!
 //! # Same-cell groups, one decision per frame
 //!
 //! [`World::process`] applies consecutive same-cell admit frames as one
-//! group under a single shard lock, but decides every frame on its own:
+//! group under a single lock hold, but decides every frame on its own:
 //! the cell clock advances and expired calls complete, an id that is
 //! already admitted is answered again without re-admitting, a call that
 //! cannot fit is rejected without consulting the controller, and every
@@ -53,39 +52,35 @@ pub struct WorldConfig {
     pub cell_radius_m: f64,
     /// Station capacity (BU).
     pub station_capacity: Bandwidth,
-    /// Number of lock shards (clamped to `[1, cells]`).
-    pub shards: usize,
 }
 
 impl WorldConfig {
-    /// The paper's single 40-BU cell behind one lock.
+    /// The paper's single 40-BU cell.
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
             grid_radius_cells: 0,
             cell_radius_m: 1000.0,
             station_capacity: 40,
-            shards: 1,
         }
     }
 
     /// Adopt the world-shaping fields of a simulator config (grid,
-    /// cell radius, capacity).
+    /// cell radius, capacity).  The second argument is ignored; it is
+    /// kept so existing callers compile.
     #[must_use]
-    pub fn from_sim_config(config: &SimConfig, shards: usize) -> Self {
+    pub fn from_sim_config(config: &SimConfig, _: usize) -> Self {
         Self {
             grid_radius_cells: config.grid_radius_cells,
             cell_radius_m: config.cell_radius_m,
             station_capacity: config.station_capacity,
-            shards,
         }
     }
 }
 
-/// One lock shard: a contiguous run of stations plus its controller.
-struct Shard {
-    /// Dense index of the first cell in this shard.
-    base: usize,
+/// Everything behind the world's lock: every station and clock, the
+/// one controller and the one registry.
+struct Inner {
     stations: Vec<BaseStation>,
     /// Per-cell logical clocks (seconds); only move forward.
     clocks: Vec<f64>,
@@ -95,16 +90,15 @@ struct Shard {
     expired: Vec<cellsim::station::ActiveConnection>,
 }
 
-impl Shard {
-    /// Advance cell `local`'s clock to `time` (never backwards) and
-    /// complete the calls that expired by then
-    /// ([`cell::release_expired`]), as the sequential engine does before
-    /// every offer.
-    fn advance(&mut self, local: usize, time: f64) {
-        let now = self.clocks[local].max(time);
-        self.clocks[local] = now;
+impl Inner {
+    /// Advance `cell`'s clock to `time` (never backwards) and complete
+    /// the calls that expired by then ([`cell::release_expired`]), as the
+    /// sequential engine does before every offer.
+    fn advance(&mut self, cell: usize, time: f64) {
+        let now = self.clocks[cell].max(time);
+        self.clocks[cell] = now;
         cell::release_expired(
-            &mut self.stations[local],
+            &mut self.stations[cell],
             &mut *self.controller,
             now,
             &mut self.expired,
@@ -115,21 +109,21 @@ impl Shard {
         }
     }
 
-    /// Offer one admission request to cell `local` ([`cell::offer`]) and
+    /// Offer one admission request to `cell` ([`cell::offer`]) and
     /// answer with the outcome.
-    fn offer(&mut self, local: usize, request: &AdmissionRequest) -> Response {
+    fn offer(&mut self, cell: usize, request: &AdmissionRequest) -> Response {
         // Idempotent replay: a client that reconnected after a lost
         // response window resends every unacknowledged frame, so an id
         // that is already admitted must answer Accept again without
         // re-admitting (or panicking on the duplicate).
-        if self.stations[local].connection(request.id).is_some() {
+        if self.stations[cell].connection(request.id).is_some() {
             return Response {
                 status: Status::Accept,
                 id: request.id,
                 score: 0.0,
             };
         }
-        let decision = cell::offer(&mut self.stations[local], &mut *self.controller, request);
+        let decision = cell::offer(&mut self.stations[cell], &mut *self.controller, request);
         Response {
             status: if decision.accept {
                 Status::Accept
@@ -139,6 +133,14 @@ impl Shard {
             id: request.id,
             score: decision.score,
         }
+    }
+
+    /// Count `n` frames (under the `frames` counter) that named a cell
+    /// outside the grid, and their error responses.
+    fn count_unrouted(&mut self, frames: CounterId, n: usize) {
+        self.registry.add(frames, n as u64);
+        self.registry
+            .add(metrics::response_counter(Status::Error), n as u64);
     }
 }
 
@@ -172,8 +174,6 @@ pub struct WorldState {
     pub controller: String,
     /// Number of cells in the grid.
     pub cells: usize,
-    /// Number of lock shards.
-    pub shards: usize,
     /// Sum of `occupied` across cells (BU).
     pub occupied_total: u64,
     /// Sum of live connections across cells.
@@ -186,53 +186,38 @@ pub struct WorldState {
 /// The server's authoritative admission state.
 pub struct World {
     grid: CellGrid,
-    shards: Vec<Mutex<Shard>>,
-    cells_per_shard: usize,
+    inner: Mutex<Inner>,
     /// Capacity every station is built with (BU).
     station_capacity: Bandwidth,
     controller_label: String,
-    /// Frame and response counters of frames that name no cell of the
-    /// grid; locked only when such a frame arrives.
-    unrouted: Mutex<Registry>,
 }
 
 impl World {
-    /// Build a world whose shards each own a fresh controller from
-    /// `build_controller`.
+    /// Build a world whose one controller, built by one call of
+    /// `build_controller`, decides for every cell.
     pub fn new(
         config: &WorldConfig,
         controller_label: &str,
-        mut build_controller: impl FnMut() -> BoxedController,
+        build_controller: impl FnOnce() -> BoxedController,
     ) -> Self {
         let grid = CellGrid::new(config.grid_radius_cells, config.cell_radius_m);
-        let cells = grid.len();
-        let shard_count = config.shards.clamp(1, cells);
-        let cells_per_shard = cells.div_ceil(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut base = 0usize;
-        while base < cells {
-            let end = (base + cells_per_shard).min(cells);
-            let stations: Vec<BaseStation> = grid.cells()[base..end]
-                .iter()
-                .map(|&c| BaseStation::new(c, grid.center_of(&c), config.station_capacity))
-                .collect();
-            shards.push(Mutex::new(Shard {
-                base,
-                clocks: vec![0.0; stations.len()],
-                stations,
-                controller: build_controller(),
-                registry: Registry::for_schema(&SCHEMA),
-                expired: Vec::new(),
-            }));
-            base = end;
-        }
+        let stations: Vec<BaseStation> = grid
+            .cells()
+            .iter()
+            .map(|&c| BaseStation::new(c, grid.center_of(&c), config.station_capacity))
+            .collect();
+        let inner = Inner {
+            clocks: vec![0.0; stations.len()],
+            stations,
+            controller: build_controller(),
+            registry: Registry::for_schema(&SCHEMA),
+            expired: Vec::new(),
+        };
         Self {
             grid,
-            shards,
-            cells_per_shard,
+            inner: Mutex::new(inner),
             station_capacity: config.station_capacity,
             controller_label: controller_label.to_string(),
-            unrouted: Mutex::new(Registry::for_schema(&SCHEMA)),
         }
     }
 
@@ -248,15 +233,15 @@ impl World {
         &self.controller_label
     }
 
-    fn shard_of(&self, cell: usize) -> usize {
-        cell / self.cells_per_shard
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("world lock")
     }
 
     /// Apply a run of request frames, appending exactly one response
     /// per frame to `out`, in order.
     ///
     /// Consecutive admit frames for the same cell are applied as one
-    /// group under one shard lock; releases are applied one by one.
+    /// group under one lock hold; releases are applied one by one.
     /// Every frame is decided on its own, in order.  Frames naming a
     /// cell outside the grid get [`Status::Error`] responses.
     pub fn process(&self, requests: &[Request], out: &mut Vec<Response>) {
@@ -287,20 +272,19 @@ impl World {
     /// frame that passes the replay and capacity screens.
     fn admit_group(&self, cell: u32, group: &[Request], out: &mut Vec<Response>) {
         let cell = cell as usize;
-        if cell >= self.grid.len() {
-            self.count_unrouted(metrics::counter::FRAMES_ADMIT, group.len());
+        let inner = &mut *self.lock();
+        if cell >= inner.stations.len() {
+            inner.count_unrouted(metrics::counter::FRAMES_ADMIT, group.len());
             out.extend(group.iter().map(|r| Response::error(r.id())));
             return;
         }
-        let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
-        let local = cell - shard.base;
         let watch = Stopwatch::started(true);
-        let cell_id = shard.stations[local].cell();
-        shard
+        let cell_id = inner.stations[cell].cell();
+        inner
             .registry
             .add(metrics::counter::FRAMES_ADMIT, group.len() as u64);
-        shard.registry.add(metrics::counter::BATCHES, 1);
-        shard
+        inner.registry.add(metrics::counter::BATCHES, 1);
+        inner
             .registry
             .observe(metrics::histogram::BATCH_SIZE, group.len() as u64);
         for request in group {
@@ -308,30 +292,29 @@ impl World {
                 unreachable!("admit_group only sees admit runs");
             };
             let request = admission_request(frame, cell_id);
-            shard.advance(local, request.time);
-            let response = shard.offer(local, &request);
-            shard
+            inner.advance(cell, request.time);
+            let response = inner.offer(cell, &request);
+            inner
                 .registry
                 .add(metrics::response_counter(response.status), 1);
             out.push(response);
         }
         if let Some(ns) = watch.elapsed_ns() {
-            shard.registry.span_ns(metrics::span::PROCESS, ns);
+            inner.registry.span_ns(metrics::span::PROCESS, ns);
         }
     }
 
     /// Apply one release frame.
     fn release_one(&self, cell: u32, id: u64, time: f64) -> Response {
         let cell = cell as usize;
-        if cell >= self.grid.len() {
-            self.count_unrouted(metrics::counter::FRAMES_RELEASE, 1);
+        let inner = &mut *self.lock();
+        if cell >= inner.stations.len() {
+            inner.count_unrouted(metrics::counter::FRAMES_RELEASE, 1);
             return Response::error(id);
         }
-        let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
-        let local = cell - shard.base;
-        shard.registry.add(metrics::counter::FRAMES_RELEASE, 1);
-        shard.advance(local, time);
-        let response = match cell::release(&mut shard.stations[local], &mut *shard.controller, id) {
+        inner.registry.add(metrics::counter::FRAMES_RELEASE, 1);
+        inner.advance(cell, time);
+        let response = match cell::release(&mut inner.stations[cell], &mut *inner.controller, id) {
             Some(_) => Response {
                 status: Status::Accept,
                 id,
@@ -339,55 +322,40 @@ impl World {
             },
             None => Response::error(id),
         };
-        shard
+        inner
             .registry
             .add(metrics::response_counter(response.status), 1);
         response
     }
 
-    /// Count `n` frames (under the `frames` counter) that named a cell
-    /// outside the grid, and their error responses.
-    fn count_unrouted(&self, frames: CounterId, n: usize) {
-        let mut registry = self.unrouted.lock().expect("unrouted registry");
-        registry.add(frames, n as u64);
-        registry.add(metrics::response_counter(Status::Error), n as u64);
-    }
-
-    /// Merge every shard's telemetry into one snapshot.
+    /// The world's telemetry.
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut merged = self.unrouted.lock().expect("unrouted registry").snapshot();
-        for shard in &self.shards {
-            let snap = shard.lock().expect("shard lock").registry.snapshot();
-            merged.merge(&snap);
-        }
-        merged
+        self.lock().registry.snapshot()
     }
 
     /// Per-cell occupancy snapshot (the `/state` payload).
     #[must_use]
     pub fn state(&self) -> WorldState {
-        let mut per_cell = Vec::with_capacity(self.grid.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock");
-            for station in &shard.stations {
-                per_cell.push(CellState {
-                    q: station.cell().q,
-                    r: station.cell().r,
-                    occupied: station.occupied(),
-                    capacity: station.capacity(),
-                    active: station.active_connections(),
-                    rtc: station.rtc(),
-                    nrtc: station.nrtc(),
-                    total_admitted: station.total_admitted(),
-                    total_released: station.total_released(),
-                });
-            }
-        }
+        let per_cell: Vec<CellState> = self
+            .lock()
+            .stations
+            .iter()
+            .map(|station| CellState {
+                q: station.cell().q,
+                r: station.cell().r,
+                occupied: station.occupied(),
+                capacity: station.capacity(),
+                active: station.active_connections(),
+                rtc: station.rtc(),
+                nrtc: station.nrtc(),
+                total_admitted: station.total_admitted(),
+                total_released: station.total_released(),
+            })
+            .collect();
         WorldState {
             controller: self.controller_label.clone(),
             cells: per_cell.len(),
-            shards: self.shards.len(),
             occupied_total: per_cell.iter().map(|c| u64::from(c.occupied)).sum(),
             active_total: per_cell.iter().map(|c| c.active as u64).sum(),
             per_cell,
@@ -397,11 +365,7 @@ impl World {
     /// Occupied bandwidth of one cell by dense index, if it exists.
     #[must_use]
     pub fn occupied(&self, cell: usize) -> Option<Bandwidth> {
-        if cell >= self.grid.len() {
-            return None;
-        }
-        let shard = self.shards[self.shard_of(cell)].lock().expect("shard lock");
-        Some(shard.stations[cell - shard.base].occupied())
+        self.lock().stations.get(cell).map(BaseStation::occupied)
     }
 
     /// Release every `(cell, id)` a disconnected client left behind,
@@ -409,16 +373,14 @@ impl World {
     /// (already expired or explicitly released) are skipped silently.
     /// Returns the number of connections actually freed.
     pub fn release_abandoned(&self, connections: &[(u32, u64)]) -> u64 {
+        let inner = &mut *self.lock();
         let mut freed = 0;
         for &(cell, id) in connections {
-            let cell = cell as usize;
-            if cell >= self.grid.len() {
+            let Some(station) = inner.stations.get_mut(cell as usize) else {
                 continue;
-            }
-            let shard = &mut *self.shards[self.shard_of(cell)].lock().expect("shard lock");
-            let local = cell - shard.base;
-            if cell::release(&mut shard.stations[local], &mut *shard.controller, id).is_some() {
-                shard.registry.add(metrics::counter::DISCONNECT_RELEASES, 1);
+            };
+            if cell::release(station, &mut *inner.controller, id).is_some() {
+                inner.registry.add(metrics::counter::DISCONNECT_RELEASES, 1);
                 freed += 1;
             }
         }
@@ -427,32 +389,26 @@ impl World {
 
     /// Checkpoint the authoritative state: every station (active
     /// connections included) plus the per-cell clocks, in dense cell
-    /// order.  Taken shard by shard under each shard's lock.
+    /// order, taken in one lock hold.
     #[must_use]
     pub fn snapshot(&self) -> WorldSnapshot {
-        let mut stations = Vec::with_capacity(self.grid.len());
-        let mut clocks = Vec::with_capacity(self.grid.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock");
-            stations.extend(shard.stations.iter().cloned());
-            clocks.extend(shard.clocks.iter().copied());
-        }
+        let inner = self.lock();
         WorldSnapshot {
             controller: self.controller_label.clone(),
-            cells: stations.len(),
-            stations,
-            clocks,
+            cells: inner.stations.len(),
+            stations: inner.stations.clone(),
+            clocks: inner.clocks.clone(),
         }
     }
 
-    /// Install a checkpoint into this (freshly built) world: stations
-    /// and clocks are restored exactly, and the per-shard controllers
-    /// are re-warmed with one synthetic `on_admitted` per surviving
-    /// connection.  Kinematics (speed, heading, distance) are not part
-    /// of a checkpoint, so mobility-informed controller internals
-    /// restart cold; the counter state every shipped controller decides
-    /// against is bit-exact.  Returns the number of live connections
-    /// restored.
+    /// Install a checkpoint into this (freshly built) world in one lock
+    /// hold: stations and clocks are restored exactly, and the
+    /// controller is re-warmed with one synthetic `on_admitted` per
+    /// surviving connection.  Kinematics (speed, heading, distance) are
+    /// not part of a checkpoint, so mobility-informed controller
+    /// internals restart cold; the counter state every shipped
+    /// controller decides against is bit-exact.  Returns the number of
+    /// live connections restored.
     ///
     /// # Errors
     ///
@@ -467,23 +423,16 @@ impl World {
     /// must be finite.
     pub fn restore(&self, snapshot: &WorldSnapshot) -> Result<u64, RestoreError> {
         check_snapshot(snapshot, &self.grid, self.station_capacity)?;
+        let inner = &mut *self.lock();
+        inner.stations.clone_from(&snapshot.stations);
+        inner.clocks.clone_from(&snapshot.clocks);
         let mut restored = 0;
-        for shard in &self.shards {
-            let shard = &mut *shard.lock().expect("shard lock");
-            let base = shard.base;
-            for local in 0..shard.stations.len() {
-                shard.stations[local] = snapshot.stations[base + local].clone();
-                shard.clocks[local] = snapshot.clocks[base + local];
-                let Shard {
-                    controller,
-                    stations,
-                    ..
-                } = shard;
-                let station = &stations[local];
-                for conn in station.connections() {
-                    controller.on_admitted(&replayed_request(conn, station), station);
-                    restored += 1;
-                }
+        for station in &inner.stations {
+            for conn in station.connections() {
+                inner
+                    .controller
+                    .on_admitted(&replayed_request(conn, station), station);
+                restored += 1;
             }
         }
         Ok(restored)
@@ -795,12 +744,11 @@ mod tests {
     /// Submitting whole same-cell groups at once must answer exactly like
     /// submitting the same frames one by one, for every shipped
     /// controller: on the paper's single cell, and on a burst-shaped
-    /// stream over a 19-cell world behind four lock shards.
+    /// stream over a 19-cell world.
     #[test]
     fn batched_processing_matches_frame_at_a_time() {
         let burst = WorldConfig {
             grid_radius_cells: 2,
-            shards: 4,
             ..WorldConfig::paper_default()
         };
         let cases = [
@@ -854,6 +802,114 @@ mod tests {
             .find(|c| c.name == "admitd_expired_releases_total")
             .map_or(0, |c| c.value);
         assert!(expired > 0);
+    }
+
+    /// The answers of one controller driven frame by frame over one
+    /// station per cell, through the same [`cellsim::cell`] transitions
+    /// and with the same grid and replay screens as [`World::process`]:
+    /// what the sequential engine would answer.
+    fn sequential_reference(
+        config: &WorldConfig,
+        spec: ControllerSpec,
+        requests: &[Request],
+    ) -> Vec<Response> {
+        let grid = CellGrid::new(config.grid_radius_cells, config.cell_radius_m);
+        let mut stations: Vec<BaseStation> = grid
+            .cells()
+            .iter()
+            .map(|&c| BaseStation::new(c, grid.center_of(&c), config.station_capacity))
+            .collect();
+        let mut clocks = vec![0.0_f64; stations.len()];
+        let mut controller = spec.build();
+        let mut expired = Vec::new();
+        let accept = |id| Response {
+            status: Status::Accept,
+            id,
+            score: 0.0,
+        };
+        requests
+            .iter()
+            .map(|request| {
+                let (cell, time) = match request {
+                    Request::Admit(f) => (f.cell as usize, f.time),
+                    Request::Release(f) => (f.cell as usize, f.time),
+                };
+                let Some(station) = stations.get_mut(cell) else {
+                    return Response::error(request.id());
+                };
+                clocks[cell] = clocks[cell].max(time);
+                cell::release_expired(station, &mut *controller, clocks[cell], &mut expired);
+                match request {
+                    Request::Admit(frame) if station.connection(frame.id).is_some() => {
+                        accept(frame.id)
+                    }
+                    Request::Admit(frame) => {
+                        let request = admission_request(frame, station.cell());
+                        let decision = cell::offer(station, &mut *controller, &request);
+                        Response {
+                            status: if decision.accept {
+                                Status::Accept
+                            } else {
+                                Status::Reject
+                            },
+                            id: frame.id,
+                            score: decision.score,
+                        }
+                    }
+                    Request::Release(frame) => {
+                        match cell::release(station, &mut *controller, frame.id) {
+                            Some(_) => accept(frame.id),
+                            None => Response::error(frame.id),
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the wire encoding of every response, in order.
+    fn digest(responses: &[Response]) -> u64 {
+        let mut bytes = Vec::new();
+        for response in responses {
+            crate::wire::encode_response(response, &mut bytes);
+        }
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// On a 19-cell world one controller, built once, decides for every
+    /// cell: every controller, SCC's cross-cell shadow cluster included,
+    /// answers the burst stream exactly as the sequential reference does,
+    /// and the recorded digests pin those answers.
+    #[test]
+    fn one_controller_decides_for_every_cell_like_the_sequential_engine() {
+        let config = WorldConfig {
+            grid_radius_cells: 2,
+            ..WorldConfig::paper_default()
+        };
+        let requests = burst_stream(0xB0057, 400);
+        let recorded = [
+            0x9e58_a381_bec8_859c,
+            0x892a_dca1_5bd0_bf6c,
+            0x4643_fea6_ccfa_fc8c,
+            0xd2c1_282d_99c5_123b,
+            0x9109_6105_a05e_16a9,
+            0x4f17_7fb5_22fc_cfbe,
+        ];
+        for (spec, recorded) in SPECS.into_iter().zip(recorded) {
+            let mut builds = 0;
+            let world = World::new(&config, &spec.label(), || {
+                builds += 1;
+                spec.build()
+            });
+            assert_eq!(builds, 1, "controller {}", spec.label());
+            let mut out = Vec::new();
+            world.process(&requests, &mut out);
+            let reference = sequential_reference(&config, spec, &requests);
+            assert_eq!(out, reference, "controller {}", spec.label());
+            assert_eq!(digest(&out), recorded, "controller {}", spec.label());
+        }
     }
 
     /// A controller that counts the decisions it is asked for.

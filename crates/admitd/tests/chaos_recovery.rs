@@ -258,7 +258,6 @@ fn snapshot_restores_bit_identical_state() {
         grid_radius_cells: 2,
         cell_radius_m: 500.0,
         station_capacity: 40,
-        shards: 3,
     };
     let world = World::new(&config, "FACS-P", || ControllerSpec::FacsP.build());
     let cells = world.grid().len() as u32;

@@ -27,6 +27,4 @@ pub use experiments::{
     QosRow,
 };
 pub use perf::{PerfCase, PerfReport, SweepThroughput};
-pub use report::{
-    render_qos_table, render_table, run_report_to_csv, run_report_to_json, series_to_json,
-};
+pub use report::{render_qos_table, render_table, series_to_json};

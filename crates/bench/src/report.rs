@@ -1,7 +1,6 @@
-//! Plain-text, JSON and CSV rendering of experiment results.
+//! Plain-text and JSON rendering of experiment results.
 
 use crate::experiments::{FigureSeries, QosRow};
-use sweep::RunReport;
 
 /// Render the supplementary QoS-protection comparison as a plain-text
 /// table.
@@ -87,20 +86,6 @@ pub fn series_to_json(figure: &str, series: &[FigureSeries]) -> String {
     .unwrap_or_else(|_| "{}".to_string())
 }
 
-/// Serialise a sweep engine's [`RunReport`] (full aggregates: mean / std /
-/// 95 % CI and merged counters) to pretty-printed JSON.
-#[must_use]
-pub fn run_report_to_json(report: &RunReport) -> String {
-    report.to_json()
-}
-
-/// Flatten a sweep engine's [`RunReport`] to CSV, one row per
-/// `(controller, load)` cell.
-#[must_use]
-pub fn run_report_to_csv(report: &RunReport) -> String {
-    report.to_csv()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,24 +158,5 @@ mod tests {
         assert_eq!(value["figure"], "fig7");
         assert_eq!(value["series"].as_array().unwrap().len(), 2);
         assert_eq!(value["series"][0]["label"], "FACS");
-    }
-
-    #[test]
-    fn run_report_writers_delegate_to_the_engine() {
-        use crate::experiments::{figure_scenario, ExperimentConfig};
-        use sweep::{ControllerSpec, SweepRunner};
-        let cfg = ExperimentConfig {
-            request_counts: vec![20],
-            repetitions: 2,
-            ..ExperimentConfig::paper_default()
-        };
-        let spec = figure_scenario(&[ControllerSpec::AlwaysAccept], &cfg, None, None);
-        let report = SweepRunner::with_threads(2).run(&spec).unwrap();
-        let json = run_report_to_json(&report);
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(value["scenario"], "figure-sweep");
-        let csv = run_report_to_csv(&report);
-        assert!(csv.starts_with("scenario,controller,load"));
-        assert_eq!(csv.lines().count(), 2, "header + one cell");
     }
 }

@@ -591,14 +591,10 @@ impl BaseStation {
         Ok(conn)
     }
 
-    /// Remove a connection that is handing off to another cell (neither a
-    /// completion nor a drop from this station's point of view).
-    pub fn transfer_out(&mut self, id: u64) -> Result<ActiveConnection, StationError> {
-        self.take(id)
-    }
-
-    /// [`BaseStation::transfer_out`] by position, reporting the moved
-    /// owner as [`BaseStation::release_at`] does.
+    /// Remove the connection at `position` if it is `id`, because it is
+    /// handing off to another cell (neither a completion nor a drop from
+    /// this station's point of view); reports the moved owner as
+    /// [`BaseStation::release_at`] does.
     pub fn transfer_out_at(
         &mut self,
         position: u32,
@@ -624,16 +620,6 @@ impl BaseStation {
             }
         }
         out.sort_unstable_by(|a, b| a.ends_at.total_cmp(&b.ends_at));
-    }
-
-    /// Release every connection whose `ends_at` is at or before `now`;
-    /// returns them sorted by completion time.  The simulator's hot loop
-    /// uses [`BaseStation::release_expired_into`] with a reused scratch
-    /// buffer instead.
-    pub fn release_expired(&mut self, now: SimTime) -> Vec<ActiveConnection> {
-        let mut out = Vec::new();
-        self.release_expired_into(now, &mut out);
-        out
     }
 
     /// Whether an id-addressed mutation built the hash index.
@@ -757,27 +743,13 @@ mod tests {
         s.admit(2, ServiceClass::Video, 10, 0.0, 60.0, true)
             .unwrap();
         s.drop_connection(1).unwrap();
-        s.transfer_out(2).unwrap();
+        // Dropping the call at position 0 moved call 2 there.
+        s.transfer_out_at(0, 2).unwrap();
         assert_eq!(s.total_dropped(), 1);
         assert_eq!(s.total_released(), 0);
         assert_eq!(s.occupied(), 0);
         assert!(s.drop_connection(99).is_err());
-        assert!(s.transfer_out(99).is_err());
-    }
-
-    #[test]
-    fn release_expired_only_removes_finished_calls() {
-        let mut s = station();
-        s.admit(1, ServiceClass::Text, 1, 0.0, 10.0, false).unwrap();
-        s.admit(2, ServiceClass::Text, 1, 0.0, 50.0, false).unwrap();
-        s.admit(3, ServiceClass::Voice, 5, 0.0, 20.0, false)
-            .unwrap();
-        let done = s.release_expired(25.0);
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[0].id, 1);
-        assert_eq!(done[1].id, 3);
-        assert_eq!(s.active_connections(), 1);
-        assert_eq!(s.occupied(), 1);
+        assert!(s.transfer_out_at(0, 99).is_err());
     }
 
     #[test]
@@ -892,7 +864,7 @@ mod tests {
     }
 
     /// A 2000-BU metro station (above the index threshold) driven by
-    /// random `admit` / `release` / `transfer_out` / `drop_all_into` /
+    /// random `admit` / `release` / `drop_connection` / `drop_all_into` /
     /// `release_expired_into` sequences and serde round trips, with ids
     /// that are sequential, spaced 2^20 apart, spaced 2^32 apart, and
     /// random.  Every result, every lookup and the dense order must agree
@@ -962,8 +934,8 @@ mod tests {
                     }
                     800..=989 => {
                         let id = probe(&mut rng, &model, admitted);
-                        let got = station.transfer_out(id);
-                        assert_eq!(got, model.take(id), "{name}: transfer_out {id}");
+                        let got = station.drop_connection(id);
+                        assert_eq!(got, model.take(id), "{name}: drop_connection {id}");
                     }
                     990..=994 => {
                         station.release_expired_into(now, &mut out);

@@ -94,6 +94,7 @@ proptest! {
         // connections, equal the occupied counter, and fit the capacity.
         let mut station = BaseStation::new(CellId::origin(), Point::default(), capacity);
         let mut clock = 0.0;
+        let mut expired = Vec::new();
         for (id, class_idx, bw, op) in ops {
             clock += 1.0;
             match op {
@@ -107,9 +108,7 @@ proptest! {
                 2 => {
                     let _ = station.drop_connection(id);
                 }
-                _ => {
-                    let _ = station.release_expired(clock);
-                }
+                _ => station.release_expired_into(clock, &mut expired),
             }
             let live_bandwidth: u32 = station.connections().map(|c| c.bandwidth).sum();
             prop_assert_eq!(station.rtc() + station.nrtc(), live_bandwidth);
