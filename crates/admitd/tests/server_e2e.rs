@@ -104,7 +104,7 @@ fn metrics_endpoint_lints_clean_and_state_reports_occupancy() {
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     telemetry::lint_prometheus(&body).expect("valid Prometheus exposition");
     assert!(body.contains("admitd_frames_total"), "{body}");
-    // Same-cell admit groups applied under one shard lock, and their sizes.
+    // Same-cell admit groups applied under one world-lock hold, and their sizes.
     assert!(body.contains("admitd_batches_total"), "{body}");
     assert!(body.contains("admitd_batch_size"), "{body}");
 

@@ -830,7 +830,7 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         },
     ));
 
-    // --- LUT layer: one FLC2 decision from the tabulated surface --------
+    // --- LUT layer: one FLC2 decision from the tabulated lines ----------
     let flc2 = Flc2::paper_default().expect("paper parameters are valid");
     cases.push(time_case(
         "fuzzy/flc2 compiled decision",
@@ -865,15 +865,16 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
         },
     ));
     // The tabulation behind `Flc2Lut::paper_shared`, which every process
-    // that serves `facs-p-lut` (an admitd start, a sweep) pays once: the
-    // three refined class surfaces, 1.8M engine points.
+    // that serves `facs-p-lut` (an admitd start, a sweep) pays once: one
+    // line per request class and reachable counter state, 1,371 lines of
+    // 513 engine points.
     cases.push(time_case(
-        "lut/flc2 tabulate_refined (paper default)",
+        "lut/flc2 tabulate lines (paper default)",
         3,
         || {
             flc2.compile_lut()
                 .expect("paper parameters tabulate")
-                .max_error()
+                .sample_bytes() as f64
         },
     ));
     let lut = flc2.compile_lut().expect("paper parameters tabulate");
@@ -884,6 +885,28 @@ pub fn run_with_telemetry(quick: bool) -> (PerfReport, TelemetrySnapshot) {
             std::hint::black_box(23.0),
         )
     }));
+    // A tabulated score this close to the threshold is recomputed by the
+    // compiled engine: the fallback path of the LUT.
+    let (band_cv, band_rq, band_cs) = lut
+        .lines()
+        .find_map(|(rq, cs, line)| {
+            let k = line
+                .iter()
+                .position(|v| f64::from(*v).abs() < facs::LUT_DECISION_BAND / 2.0)?;
+            Some((k as f64 / (facs::LUT_LINE_POINTS - 1) as f64, rq, cs))
+        })
+        .expect("some FLC2 line crosses the threshold");
+    cases.push(time_case(
+        "lut/flc2 decision (inside band)",
+        iters * 10,
+        || {
+            lut.decision_value(
+                std::hint::black_box(band_cv),
+                std::hint::black_box(band_rq),
+                std::hint::black_box(band_cs),
+            )
+        },
+    ));
 
     // --- controller layer: end-to-end decide per controller -------------
     let mut station = BaseStation::paper_default();
@@ -1293,7 +1316,8 @@ mod tests {
             "station/2000-BU admit+release",
             "station/2000-BU admit+release (by position)",
             "slab/user tag+remove+insert (33000 live)",
-            "lut/flc2 tabulate_refined (paper default)",
+            "lut/flc2 tabulate lines (paper default)",
+            "lut/flc2 decision (inside band)",
         ] {
             assert!(report.case(name).is_some(), "missing case {name}");
         }

@@ -206,19 +206,20 @@ impl<V: Variant> Cascade<V> {
         })
     }
 
-    /// Switch the FLC2 stage to the LUT backend (pre-tabulated per-class
-    /// `(Cv, Cs)` surfaces at the default refined settings); the name gains
-    /// a `-lut` suffix.  [`Flc2Lut::max_error`] is the largest error found
-    /// at the tabulation's probe points, not a bound, and a score near 0
-    /// can flip: over the built-in scenarios but metro, 122 of 149,478
-    /// FACS-P decisions did, and 2 scores erred by more than `max_error`.
-    pub fn with_lut(mut self) -> Result<Self> {
-        self.lut = Some(self.flc2.compile_lut()?);
-        Ok(self)
+    /// Switch the FLC2 stage to the LUT backend (see [`Flc2Lut`]); the name
+    /// gains a `-lut` suffix.  The tables come from a process-wide cache,
+    /// one per capacity ([`Flc2Lut::shared`]), so only the first controller
+    /// of a capacity tabulates.  The backend decides every call as the
+    /// compiled FLC2 does: a score near the threshold is recomputed by the
+    /// compiled engine, so no decision flips.
+    #[must_use]
+    pub fn with_lut(mut self) -> Self {
+        self.lut = Some(Flc2Lut::shared(&self.flc2));
+        self
     }
 
-    /// Install a pre-built LUT backend (e.g. custom refinement settings, or
-    /// one shared across controller instances).
+    /// Install a pre-built LUT backend (e.g. a fresh
+    /// [`Flc2::compile_lut`], or one shared across controller instances).
     ///
     /// Fails when the LUT was tabulated for another station capacity than
     /// this controller's FLC2: its counter-state axis would clamp at the
@@ -239,18 +240,13 @@ impl<V: Variant> Cascade<V> {
 
     /// The paper-default controller with the LUT decision backend.
     ///
-    /// The tabulation is shared process-wide ([`Flc2Lut::paper_shared`]):
-    /// the first call pays the tabulation cost, every further call —
+    /// The tables are shared process-wide ([`Cascade::with_lut`]): the
+    /// first call pays the tabulation cost, every further call —
     /// including the thousands of per-cell controllers a sweep builds —
-    /// reuses the same surfaces.
-    ///
-    /// # Panics
-    /// Never panics: the paper parameters are statically valid.
+    /// reuses the same lines.
     #[must_use]
     pub fn paper_default_lut() -> Self {
-        Self::paper_default()
-            .with_lut_backend(Flc2Lut::paper_shared())
-            .expect("the shared LUT is tabulated for the paper capacity")
+        Self::paper_default().with_lut()
     }
 
     /// The paper-default controller behind the [`AdmissionController`]
@@ -519,12 +515,7 @@ mod tests {
 
     #[test]
     fn lut_backend_must_match_the_station_capacity() {
-        // A coarse table without patches (a target no cell exceeds) keeps
-        // this capacity-only test cheap.
-        let lut = |capacity_bu| {
-            let flc2 = crate::flc2::Flc2::with_capacity(capacity_bu).unwrap();
-            Flc2Lut::tabulate_refined(&flc2, (17, 17), f64::MAX, 3).unwrap()
-        };
+        let lut = |capacity_bu| Flc2Lut::shared(&Flc2::with_capacity(capacity_bu).unwrap());
         let large_p = || {
             FacsPController::new(FacsPConfig {
                 capacity_bu: 80.0,

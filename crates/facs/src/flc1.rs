@@ -31,9 +31,29 @@ pub(crate) struct SharedEngine {
     pub(crate) compiled: CompiledEngine,
 }
 
-/// A process-wide cache of shared engines, keyed by a parameter of the
+/// A process-wide cache of shared values, keyed by a parameter of the
 /// controller (FLC2's capacity bits; FLC1's third input).
-pub(crate) type EngineCache = Mutex<Vec<(u64, Arc<SharedEngine>)>>;
+pub(crate) type Cache<T> = Mutex<Vec<(u64, Arc<T>)>>;
+
+/// A process-wide cache of shared engines.
+pub(crate) type EngineCache = Cache<SharedEngine>;
+
+/// The value cached under `key`, built by `build` on first use.
+pub(crate) fn cached<T>(
+    cache: &Cache<T>,
+    key: u64,
+    build: impl FnOnce() -> Result<T>,
+) -> Result<Arc<T>> {
+    // A panic while the lock is held can only come from `build`, before
+    // the push, so a poisoned cache still holds only complete entries.
+    let mut entries = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, shared)) = entries.iter().find(|(k, _)| *k == key) {
+        return Ok(Arc::clone(shared));
+    }
+    let shared = Arc::new(build()?);
+    entries.push((key, Arc::clone(&shared)));
+    Ok(shared)
+}
 
 impl SharedEngine {
     /// Compile `engine` and pin the crisp fallback reported when no rule
@@ -43,23 +63,6 @@ impl SharedEngine {
         let mut compiled = engine.compile()?;
         compiled.set_empty_default(fuzzy::VarId::from_index(0), default);
         Ok(Self { engine, compiled })
-    }
-
-    /// The engine cached under `key`, built by `build` on first use.
-    pub(crate) fn cached(
-        cache: &EngineCache,
-        key: u64,
-        build: impl FnOnce() -> Result<Self>,
-    ) -> Result<Arc<Self>> {
-        // A panic while the lock is held can only come from `build`, before
-        // the push, so a poisoned cache still holds only complete entries.
-        let mut entries = cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, shared)) = entries.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(shared));
-        }
-        let shared = Arc::new(build()?);
-        entries.push((key, Arc::clone(&shared)));
-        Ok(shared)
     }
 
     /// A fresh scratch for one controller instance.
@@ -118,7 +121,7 @@ impl Flc1 {
         clamp: (f64, f64),
     ) -> Result<Self> {
         static SHARED: EngineCache = Mutex::new(Vec::new());
-        let shared = SharedEngine::cached(&SHARED, key, || {
+        let shared = cached(&SHARED, key, || {
             let mut engine = MamdaniEngine::builder()
                 .input(PaperParams::speed_variable()?)
                 .input(PaperParams::angle_variable()?)

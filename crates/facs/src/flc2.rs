@@ -6,28 +6,32 @@
 //! Accept/Reject decision (`A/R` ∈ [-1, 1]) with linguistic terms
 //! Reject / Weak Reject / Not-Reject-Not-Accept / Weak Accept / Accept.
 
-use crate::flc1::{EngineCache, SharedEngine};
+use crate::flc1::{cached, Cache, EngineCache, SharedEngine};
 use crate::frb2::frb2_rules;
 use crate::params::PaperParams;
+use crate::priority::PriorityPolicy;
 use fuzzy::compile::{CompiledEngine, Scratch, VarId};
 use fuzzy::engine::MamdaniEngine;
-use fuzzy::{Lut2d, Result};
+use fuzzy::Result;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// Default base grid of [`Flc2Lut`]'s refined tabulation: uniform
-/// `(Cv, Cs)` nodes per tabulated request class before local refinement.
-pub const DEFAULT_LUT_BASE_RESOLUTION: (usize, usize) = (129, 129);
+/// Points per tabulated line of [`Flc2Lut`]: the correction values
+/// `k / 512` for `k = 0..=512`.  The step is a power of two, so a grid
+/// value reads its own sample exactly.
+pub const LUT_LINE_POINTS: usize = 513;
 
-/// Default per-cell error target of [`Flc2Lut`]'s refined tabulation.
-/// Chosen with ~2.5x headroom under the `1e-3` decision-value bound the
-/// `lut_error_is_bounded` test pins (FRB2's kink bands make uniform grids
-/// pay this density everywhere; the refined table pays it only along the
-/// bands).
-pub const DEFAULT_LUT_TARGET_ERROR: f64 = 4.0e-4;
+/// Half-width of the band of scores around
+/// [`PaperParams::ACCEPT_THRESHOLD`] that [`Flc2Lut`] hands to the compiled
+/// engine.  Half of it, [`Flc2Lut::max_error`], lies above the worst
+/// interpolation error found on FLC2's lines at 16 times the sample
+/// density (1.69e-3), so a score outside the band has the sign of the
+/// exact score.
+pub const LUT_DECISION_BAND: f64 = 4.0e-3;
 
-/// Patch density cap of the refined tabulation (nodes per side per cell).
-pub const DEFAULT_LUT_MAX_PATCH_NODES: usize = 129;
+/// The request classes [`Flc2Lut`] tabulates: the paper's text, voice and
+/// video bandwidths (BU).
+const LUT_CLASSES: [f64; 3] = [1.0, 5.0, 10.0];
 
 /// The admission-decision controller: `(Cv, Rq, Cs) -> A/R`.
 ///
@@ -60,7 +64,7 @@ impl Flc2 {
         } else {
             PaperParams::CAPACITY_BU
         };
-        let shared = SharedEngine::cached(&SHARED, capacity_bu.to_bits(), || {
+        let shared = cached(&SHARED, capacity_bu.to_bits(), || {
             let mut engine = MamdaniEngine::builder()
                 .input(PaperParams::correction_value_input()?)
                 .input(PaperParams::request_variable()?)
@@ -98,17 +102,11 @@ impl Flc2 {
         &self.shared.compiled
     }
 
-    /// Pre-tabulate this controller into per-request-class lookup tables
-    /// (see [`Flc2Lut`]): a [`DEFAULT_LUT_BASE_RESOLUTION`] uniform grid
-    /// refined until every probed cell error is at or below
-    /// [`DEFAULT_LUT_TARGET_ERROR`].
+    /// Tabulate this controller into line tables (see [`Flc2Lut`]).  Every
+    /// call tabulates from scratch; [`Flc2Lut::shared`] keeps one copy per
+    /// capacity.
     pub fn compile_lut(&self) -> Result<Flc2Lut> {
-        Flc2Lut::tabulate_refined(
-            self,
-            DEFAULT_LUT_BASE_RESOLUTION,
-            DEFAULT_LUT_TARGET_ERROR,
-            DEFAULT_LUT_MAX_PATCH_NODES,
-        )
+        Ok(Flc2Lut::from_lines(Arc::new(Lines::reachable(self)), self))
     }
 
     /// Compute the soft accept/reject value in `[-1, 1]`.
@@ -127,11 +125,12 @@ impl Flc2 {
         request_bu: f64,
         counter_state_bu: f64,
     ) -> f64 {
-        let inputs = [
-            clamp_or(correction_value, 0.0, 1.0, 0.0),
-            clamp_or(request_bu, 0.0, PaperParams::RQ_MAX_BU, 1.0),
-            clamp_or(counter_state_bu, 0.0, self.capacity_bu, self.capacity_bu),
-        ];
+        let inputs = engine_inputs(
+            correction_value,
+            request_bu,
+            counter_state_bu,
+            self.capacity_bu,
+        );
         let mut scratch = self.scratch.borrow_mut();
         self.shared.compiled.infer_into(&inputs, &mut scratch)[0].clamp(-1.0, 1.0)
     }
@@ -150,134 +149,233 @@ impl Flc2 {
     }
 }
 
-/// LUT-backed FLC2: one pre-tabulated `(Cv, Cs)` surface per paper request
-/// class (text = 1 BU, voice = 5 BU, video = 10 BU).
+/// LUT-backed FLC2: one line along the correction value for every pair
+/// of request class (text = 1 BU, voice = 5 BU, video = 10 BU) and counter
+/// state a station can show FLC2, so the counter state is never
+/// interpolated.
 ///
-/// The request-type axis of FRB2 is only ever exercised at the three
-/// discrete bandwidths the traffic model emits, so fixing `Rq` per class
-/// turns the 3-input controller into three 2-input surfaces that
-/// [`Lut2d`] can quantise.  Lookups for a tabulated class cost four table
-/// reads and a bilinear blend; any other request bandwidth transparently
-/// falls back to the compiled engine, so the policy is total either way.
+/// The tabulated counter states are those of the paper's two policies at
+/// FLC2's capacity `C`:
 ///
-/// The approximation error is measured at tabulation time:
-/// [`Flc2Lut::max_error`] is the worst [`Lut2d::max_error`] across the
-/// class surfaces (`< 1e-3` at the default settings; pinned by a test),
-/// probed on a 3x3 lattice per base cell plus every patch sub-cell
-/// midpoint.
+/// * the integers `0..=C`, the physical counter state FACS sees;
+/// * the handoff states `occupied × 0.4` of [`PriorityPolicy::paper_default`]
+///   up to `C`, which a station larger than `C` reaches up to
+///   `occupied = 2.5 C`;
+/// * its new-call states `occupied + 0.3 RTC + 0.1 NRTC` up to `C`, for
+///   every split of `occupied ≤ C` into RTC and NRTC;
+/// * `C` itself, where FLC2 clamps every larger state.
 ///
-/// The class surfaces and the exact fallback engine are stored behind
-/// [`Arc`]s, so cloning an `Flc2Lut` (e.g. to share one tabulation across
-/// many controllers via [`crate::Cascade::with_lut_backend`])
-/// copies pointers, not megabytes.
+/// Each line holds [`LUT_LINE_POINTS`] scores, tabulated eagerly through
+/// [`CompiledEngine::infer_line`], and is found by its counter state's
+/// bits.  A lookup interpolates along the correction value.  A score within
+/// [`LUT_DECISION_BAND`] of [`PaperParams::ACCEPT_THRESHOLD`], any other
+/// counter state (another policy or request priority) and any other
+/// request bandwidth are served by the compiled engine, bit-identical to
+/// [`Flc2::decision_value`].  So the LUT accepts exactly the calls the
+/// compiled engine accepts.
+///
+/// The lines and the exact fallback engine are stored behind [`Arc`]s, so
+/// cloning an `Flc2Lut` (e.g. to share one tabulation across many
+/// controllers via [`crate::Cascade::with_lut_backend`]) copies pointers,
+/// not megabytes.
 #[derive(Debug, Clone)]
 pub struct Flc2Lut {
-    /// `(request_bu, surface)` pairs for the tabulated classes, shared
-    /// across clones.
-    luts: Arc<[(f64, Lut2d)]>,
-    /// Exact compiled fallback for non-tabulated request bandwidths: the
-    /// engine of the [`Flc2`] that was tabulated, shared with it.
+    /// The tabulated lines, shared across clones.
+    lines: Arc<Lines>,
+    /// Exact compiled fallback: the engine of the [`Flc2`] that was
+    /// tabulated, shared with it.
     exact: Arc<SharedEngine>,
     scratch: RefCell<Scratch>,
     capacity_bu: f64,
 }
 
-impl Flc2Lut {
-    /// Tabulate `flc2` for the paper's three request classes on a uniform
-    /// base grid with local refinement down to `target_error` (see
-    /// [`Lut2d::tabulate_fn_refined`]).
-    pub fn tabulate_refined(
-        flc2: &Flc2,
-        base: (usize, usize),
-        target_error: f64,
-        max_patch_nodes: usize,
-    ) -> Result<Self> {
+/// The line tables of one capacity.
+#[derive(Debug)]
+struct Lines {
+    /// The tabulated counter states' bits, ascending.  Every state is
+    /// non-negative, so bit order is value order.
+    states: Box<[u64]>,
+    /// Class-major lines: class `c` at state `s` starts at
+    /// `(c * states.len() + s) * LUT_LINE_POINTS`.
+    samples: Box<[f32]>,
+}
+
+impl Lines {
+    /// Tabulate `flc2`'s lines at every counter state it can be shown.
+    fn reachable(flc2: &Flc2) -> Self {
+        Self::tabulate(flc2, reachable_counter_states(flc2.capacity_bu))
+    }
+
+    /// Tabulate `flc2`'s lines at `states` (ascending, distinct bits).
+    fn tabulate(flc2: &Flc2, states: Vec<f64>) -> Self {
         let compiled = flc2.compiled();
         let mut scratch = compiled.scratch();
-        let mut luts = Vec::with_capacity(3);
-        for rq in [1.0, 5.0, 10.0] {
-            let lut = Lut2d::tabulate_fn_refined(
-                0.0,
-                1.0,
-                0.0,
-                flc2.capacity_bu,
-                base,
-                target_error,
-                max_patch_nodes,
-                class_line(compiled, &mut scratch, rq),
-            )?;
-            luts.push((rq, lut));
+        let last = (LUT_LINE_POINTS - 1) as f64;
+        let cvs: Vec<f64> = (0..LUT_LINE_POINTS).map(|k| k as f64 / last).collect();
+        let mut line = vec![0.0; LUT_LINE_POINTS];
+        let mut samples = Vec::with_capacity(LUT_CLASSES.len() * states.len() * LUT_LINE_POINTS);
+        // Inputs in declaration order: Cv, Rq, Cs.
+        let cv = VarId::from_index(0);
+        for rq in LUT_CLASSES {
+            for &cs in &states {
+                compiled.infer_line(&[0.0, rq, cs], cv, &cvs, &mut line, &mut scratch);
+                // Scores lie in [-1, 1], where `f32` rounds by under 6e-8.
+                samples.extend(line.iter().map(|v| v.clamp(-1.0, 1.0) as f32));
+            }
         }
-        Ok(Self {
-            luts: luts.into(),
-            exact: Arc::clone(&flc2.shared),
-            scratch: RefCell::new(scratch),
-            capacity_bu: flc2.capacity_bu,
-        })
+        Self {
+            states: states.iter().map(|s| s.to_bits()).collect(),
+            samples: samples.into(),
+        }
     }
 
-    /// One shared copy of the paper-default tabulation (40 BU capacity,
-    /// default base/target): tabulated once per process, then handed out
-    /// as cheap clones.  This is what lets a sweep build thousands of
-    /// LUT-backed controllers without re-tabulating per cell.
+    /// The line of class `rq` at counter state `cs`, if tabulated.
+    fn line(&self, rq: f64, cs: f64) -> Option<&[f32]> {
+        let class = LUT_CLASSES.iter().position(|&c| c == rq)?;
+        let state = self.states.binary_search(&cs.to_bits()).ok()?;
+        let start = (class * self.states.len() + state) * LUT_LINE_POINTS;
+        Some(&self.samples[start..start + LUT_LINE_POINTS])
+    }
+}
+
+/// The counter states FLC2 of `capacity_bu` can be shown by FACS and by
+/// FACS-P under the paper's policy, ascending and distinct by bits.
+fn reachable_counter_states(capacity_bu: f64) -> Vec<f64> {
+    let policy = PriorityPolicy::paper_default();
+    let top = capacity_bu as u32;
+    let mut states: Vec<f64> = (0..=top).map(f64::from).collect();
+    states.push(capacity_bu);
+    // A new call's state is at least `occupied`, so larger occupancies
+    // show only states that FLC2 clamps to the capacity.
+    for occupied in 0..=top {
+        for rtc in 0..=occupied {
+            states.push(policy.counter_state(rtc, occupied - rtc, u32::MAX, false));
+        }
+    }
+    // A larger station keeps discounting handoffs below the capacity.
+    let mut occupied = 0;
+    loop {
+        let state = policy.counter_state(0, occupied, u32::MAX, true);
+        if state > capacity_bu {
+            break;
+        }
+        states.push(state);
+        occupied += 1;
+    }
+    states.retain(|&s| s <= capacity_bu);
+    states.sort_by(f64::total_cmp);
+    states.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    states
+}
+
+impl Flc2Lut {
+    fn from_lines(lines: Arc<Lines>, flc2: &Flc2) -> Self {
+        Self {
+            lines,
+            exact: Arc::clone(&flc2.shared),
+            scratch: flc2.shared.scratch(),
+            capacity_bu: flc2.capacity_bu,
+        }
+    }
+
+    /// The tables of `flc2`'s capacity, as [`Flc2::compile_lut`] builds
+    /// them: tabulated once per process and capacity, then handed out as
+    /// cheap clones.  This is what lets a sweep build thousands of LUT-backed
+    /// controllers without re-tabulating per cell.
+    #[must_use]
+    pub fn shared(flc2: &Flc2) -> Self {
+        static LINES: Cache<Lines> = Mutex::new(Vec::new());
+        let lines = cached(&LINES, flc2.capacity_bu.to_bits(), || {
+            Ok(Lines::reachable(flc2))
+        })
+        .expect("tabulation cannot fail");
+        Self::from_lines(lines, flc2)
+    }
+
+    /// The shared tables of the paper's FLC2 (40 BU capacity); see
+    /// [`Flc2Lut::shared`].
     #[must_use]
     pub fn paper_shared() -> Self {
-        // The cache holds only the Sync parts (surfaces + fallback
-        // engine); each handed-out value gets fresh scratch memory.
-        type SharedParts = (Arc<[(f64, Lut2d)]>, Arc<SharedEngine>, f64);
-        static PAPER: OnceLock<SharedParts> = OnceLock::new();
-        let (luts, exact, capacity_bu) = PAPER.get_or_init(|| {
-            let lut = Flc2::paper_default()
-                .expect("paper parameters are valid")
-                .compile_lut()
-                .expect("paper parameters tabulate cleanly");
-            (lut.luts, lut.exact, lut.capacity_bu)
-        });
-        Self {
-            luts: Arc::clone(luts),
-            exact: Arc::clone(exact),
-            scratch: exact.scratch(),
-            capacity_bu: *capacity_bu,
-        }
+        Self::shared(&Flc2::paper_default().expect("paper parameters are valid"))
     }
 
-    /// The capacity (BU) the tabulated counter-state axis spans.
+    /// The capacity (BU) FLC2's counter-state input is clamped to.
     #[must_use]
     pub fn capacity_bu(&self) -> f64 {
         self.capacity_bu
     }
 
-    /// The worst measured interpolation error over every tabulated class
-    /// surface (see the type docs for the measurement basis).
+    /// The interpolation error [`LUT_DECISION_BAND`] is sized for: half the
+    /// band.  It is not measured per table.  A test checks every line at
+    /// the paper's capacity, and lines at a dense sweep of counter states,
+    /// at 16 times the sample density against it.  Decisions do not depend
+    /// on it: a score closer to the threshold than the band is exact.
     #[must_use]
     pub fn max_error(&self) -> f64 {
-        self.luts
-            .iter()
-            .map(|(_, lut)| lut.max_error())
-            .fold(0.0, f64::max)
+        LUT_DECISION_BAND / 2.0
     }
 
-    /// Total memory held by the tabulated surfaces, in bytes (shared
-    /// across clones).
+    /// Memory held by the tables (counter states and samples), in bytes,
+    /// shared across clones.
     #[must_use]
     pub fn sample_bytes(&self) -> usize {
-        self.luts.iter().map(|(_, lut)| lut.sample_bytes()).sum()
+        std::mem::size_of_val(&*self.lines.states) + std::mem::size_of_val(&*self.lines.samples)
     }
 
     /// The tabulated request bandwidths (BU).
     #[must_use]
     pub fn tabulated_classes(&self) -> Vec<f64> {
-        self.luts.iter().map(|&(rq, _)| rq).collect()
+        LUT_CLASSES.to_vec()
     }
 
-    /// The tabulated `(request_bu, surface)` pairs, in class order.
-    pub fn surfaces(&self) -> impl Iterator<Item = (f64, &Lut2d)> + '_ {
-        self.luts.iter().map(|(rq, lut)| (*rq, lut))
+    /// The tabulated counter states (BU), ascending.
+    pub fn counter_states(&self) -> impl Iterator<Item = f64> + '_ {
+        self.lines.states.iter().map(|&bits| f64::from_bits(bits))
     }
 
-    /// The soft accept/reject value in `[-1, 1]`, served from the class
-    /// surface when `request_bu` matches a tabulated class and from the
-    /// compiled engine otherwise.
+    /// Every line as `(request_bu, counter_state_bu, samples)`, class by
+    /// class; sample `k` is the score at correction value
+    /// `k / (LUT_LINE_POINTS - 1)`.
+    pub fn lines(&self) -> impl Iterator<Item = (f64, f64, &[f32])> + '_ {
+        let states = self.lines.states.len();
+        self.lines
+            .samples
+            .chunks_exact(LUT_LINE_POINTS)
+            .enumerate()
+            .map(move |(i, line)| {
+                let cs = f64::from_bits(self.lines.states[i % states]);
+                (LUT_CLASSES[i / states], cs, line)
+            })
+    }
+
+    /// The score interpolated on the line of `(request_bu,
+    /// counter_state_bu)`, with the inputs clamped as
+    /// [`Flc2::decision_value`] clamps them; `None` when that pair has no
+    /// line.
+    #[must_use]
+    pub fn tabulated_value(
+        &self,
+        correction_value: f64,
+        request_bu: f64,
+        counter_state_bu: f64,
+    ) -> Option<f64> {
+        let [cv, rq, cs] = engine_inputs(
+            correction_value,
+            request_bu,
+            counter_state_bu,
+            self.capacity_bu,
+        );
+        let line = self.lines.line(rq, cs)?;
+        let x = cv * (LUT_LINE_POINTS - 1) as f64;
+        // `cv` lies in [0, 1], so the cast floors.
+        let i = (x as usize).min(LUT_LINE_POINTS - 2);
+        let (a, b) = (f64::from(line[i]), f64::from(line[i + 1]));
+        Some(a + (x - i as f64) * (b - a))
+    }
+
+    /// The soft accept/reject value in `[-1, 1]`: the tabulated score when
+    /// there is one and it lies outside [`LUT_DECISION_BAND`] of the
+    /// threshold, else the compiled engine's score.
     #[must_use]
     pub fn decision_value(
         &self,
@@ -285,38 +383,32 @@ impl Flc2Lut {
         request_bu: f64,
         counter_state_bu: f64,
     ) -> f64 {
-        let rq = clamp_or(request_bu, 0.0, PaperParams::RQ_MAX_BU, 1.0);
-        let cv = clamp_or(correction_value, 0.0, 1.0, 0.0);
-        let cs = clamp_or(counter_state_bu, 0.0, self.capacity_bu, self.capacity_bu);
-        for (tab_rq, lut) in self.luts.iter() {
-            if rq == *tab_rq {
-                return lut.lookup(cv, cs).clamp(-1.0, 1.0);
+        if let Some(score) = self.tabulated_value(correction_value, request_bu, counter_state_bu) {
+            if (score - PaperParams::ACCEPT_THRESHOLD).abs() > LUT_DECISION_BAND {
+                return score;
             }
         }
         // Exact fallback: the same operation sequence as
-        // `Flc2::decision_value`, so untabulated classes stay bit-identical
-        // to the compiled controller.
+        // `Flc2::decision_value`, so its bits equal the compiled controller's.
+        let inputs = engine_inputs(
+            correction_value,
+            request_bu,
+            counter_state_bu,
+            self.capacity_bu,
+        );
         let mut scratch = self.scratch.borrow_mut();
-        self.exact.compiled.infer_into(&[cv, rq, cs], &mut scratch)[0].clamp(-1.0, 1.0)
+        self.exact.compiled.infer_into(&inputs, &mut scratch)[0].clamp(-1.0, 1.0)
     }
 }
 
-/// The `(Cv, Cs)` line function of request class `rq`: the compiled
-/// engine's decision values at `Cv = cv` along the given counter states,
-/// clamped to `[-1, 1]` as [`Flc2::decision_value`] clamps them.
-fn class_line<'a>(
-    compiled: &'a CompiledEngine,
-    scratch: &'a mut Scratch,
-    rq: f64,
-) -> impl FnMut(f64, &[f64], &mut [f64]) + 'a {
-    move |cv, counter_states, out| {
-        // Inputs in declaration order: Cv, Rq, Cs.
-        let cs = VarId::from_index(2);
-        compiled.infer_line(&[cv, rq, 0.0], cs, counter_states, out, scratch);
-        for v in out {
-            *v = v.clamp(-1.0, 1.0);
-        }
-    }
+/// FLC2's inputs `[Cv, Rq, Cs]` as the engine reads them: clamped into
+/// their universes, with a non-finite value replaced.
+fn engine_inputs(cv: f64, rq: f64, cs: f64, capacity_bu: f64) -> [f64; 3] {
+    [
+        clamp_or(cv, 0.0, 1.0, 0.0),
+        clamp_or(rq, 0.0, PaperParams::RQ_MAX_BU, 1.0),
+        clamp_or(cs, 0.0, capacity_bu, capacity_bu),
+    ]
 }
 
 fn clamp_or(value: f64, lo: f64, hi: f64, fallback: f64) -> f64 {
@@ -330,6 +422,7 @@ fn clamp_or(value: f64, lo: f64, hi: f64, fallback: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellsim::station::BaseStation;
 
     fn flc2() -> Flc2 {
         Flc2::paper_default().unwrap()
@@ -456,18 +549,15 @@ mod tests {
 
     #[test]
     fn paper_shared_lut_reuses_one_tabulation() {
-        use std::time::Instant;
         let first = Flc2Lut::paper_shared();
-        // Every further hand-out reuses the cached surfaces: identical
-        // tables, and no re-tabulation (micro-seconds, not seconds).
-        let t = Instant::now();
+        // Every further hand-out shares the cached lines.
         let second = Flc2Lut::paper_shared();
-        assert!(
-            t.elapsed().as_millis() < 100,
-            "second paper_shared() must not re-tabulate"
-        );
-        assert_eq!(first.max_error().to_bits(), second.max_error().to_bits());
+        assert!(Arc::ptr_eq(&first.lines, &second.lines));
         assert_eq!(first.tabulated_classes(), second.tabulated_classes());
+        // The cache holds what `compile_lut` builds.
+        let fresh = flc2().compile_lut().unwrap();
+        assert_eq!(fresh.lines.states, first.lines.states);
+        assert_eq!(fresh.lines.samples, first.lines.samples);
         for (cv, rq, cs) in [(0.1, 1.0, 5.0), (0.8, 5.0, 30.0), (0.5, 10.0, 38.0)] {
             assert_eq!(
                 first.decision_value(cv, rq, cs).to_bits(),
@@ -486,5 +576,156 @@ mod tests {
         let v_small = small.decision_value(0.5, 5.0, 30.0);
         let v_large = large.decision_value(0.5, 5.0, 30.0);
         assert!(v_large > v_small);
+    }
+
+    /// The worst distance between `lut`'s interpolated lines and the
+    /// compiled engine, probed at 16 times the sample density.
+    fn worst_line_error(flc2: &Flc2, lut: &Flc2Lut) -> f64 {
+        let fine = 16 * (LUT_LINE_POINTS - 1);
+        let cvs: Vec<f64> = (0..=fine).map(|k| k as f64 / fine as f64).collect();
+        let mut exact = vec![0.0; cvs.len()];
+        let mut scratch = flc2.compiled().scratch();
+        let mut worst = 0.0f64;
+        for (rq, cs, _) in lut.lines() {
+            let inputs = [0.0, rq, cs];
+            flc2.compiled().infer_line(
+                &inputs,
+                VarId::from_index(0),
+                &cvs,
+                &mut exact,
+                &mut scratch,
+            );
+            for (&cv, &e) in cvs.iter().zip(&exact) {
+                let approx = lut.tabulated_value(cv, rq, cs).expect("a tabulated line");
+                worst = worst.max((approx - e.clamp(-1.0, 1.0)).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn every_paper_line_stays_within_half_the_band() {
+        let c = flc2();
+        let lut = c.compile_lut().unwrap();
+        let worst = worst_line_error(&c, &lut);
+        assert!(
+            worst <= lut.max_error(),
+            "worst line error {worst} exceeds half the band, {}",
+            lut.max_error()
+        );
+    }
+
+    #[test]
+    fn lines_at_a_dense_sweep_of_counter_states_stay_within_half_the_band() {
+        // The counter-state terms scale with the capacity, so lines between
+        // the paper's states stand for the states of other capacities.
+        let c = flc2();
+        let sweep = (0..400).map(|k| 0.05 + 0.1 * f64::from(k)).collect();
+        let lut = Flc2Lut::from_lines(Arc::new(Lines::tabulate(&c, sweep)), &c);
+        let worst = worst_line_error(&c, &lut);
+        assert!(
+            worst <= lut.max_error(),
+            "worst line error {worst} exceeds half the band, {}",
+            lut.max_error()
+        );
+    }
+
+    #[test]
+    fn every_tabulated_state_hits_its_own_line() {
+        let lut = Flc2Lut::paper_shared();
+        let states: Vec<f64> = lut.counter_states().collect();
+        // FACS's 41 integers, the paper policy's states and the handoff
+        // states of larger stations, up to 0.4 x 100 BU.
+        for cs in [0.0, 17.0, 40.0, 22.8, 7.2, 0.4 * 99.0] {
+            assert!(states.contains(&cs), "{cs} BU is not tabulated");
+        }
+        assert!(states.windows(2).all(|w| w[0] < w[1]));
+        let last = (LUT_LINE_POINTS - 1) as f64;
+        for (rq, cs, line) in lut.lines() {
+            for (k, &sample) in line.iter().enumerate() {
+                let score = lut.tabulated_value(k as f64 / last, rq, cs);
+                assert_eq!(score, Some(f64::from(sample)), "Rq={rq} Cs={cs} k={k}");
+            }
+        }
+        assert_eq!(lut.lines().count(), 3 * states.len());
+    }
+
+    #[test]
+    fn untabulated_inputs_and_band_scores_get_the_compiled_bits() {
+        let exact = flc2();
+        let lut = Flc2Lut::paper_shared();
+        let check = |cv: f64, rq: f64, cs: f64| {
+            assert_eq!(
+                lut.decision_value(cv, rq, cs).to_bits(),
+                exact.decision_value(cv, rq, cs).to_bits(),
+                "Cv={cv} Rq={rq} Cs={cs}"
+            );
+        };
+        // An off-grid state, and a 7-BU request at a tabulated state.
+        assert_eq!(lut.tabulated_value(0.6, 5.0, 17.05), None);
+        check(0.6, 5.0, 17.05);
+        assert_eq!(lut.tabulated_value(0.6, 7.0, 17.0), None);
+        check(0.6, 7.0, 17.0);
+        // A score inside the band: find one on a tabulated line.
+        let (cv, rq, cs) = lut
+            .lines()
+            .find_map(|(rq, cs, line)| {
+                let k = line.iter().position(|v| v.abs() < 1e-3)?;
+                Some((k as f64 / (LUT_LINE_POINTS - 1) as f64, rq, cs))
+            })
+            .expect("some line crosses the threshold");
+        assert!(lut.tabulated_value(cv, rq, cs).unwrap().abs() <= LUT_DECISION_BAND);
+        check(cv, rq, cs);
+    }
+
+    #[test]
+    fn other_policies_and_request_priorities_get_the_compiled_bits() {
+        use crate::priority::RequestPriority;
+        use cellsim::geometry::{CellId, Point};
+        use cellsim::traffic::ServiceClass;
+        let exact = flc2();
+        let lut = Flc2Lut::paper_shared();
+        // 15 BU of real-time calls: every state below is off the paper's
+        // grid.  (A state that lands on it is served by its own line.)
+        let mut station = BaseStation::new(CellId::origin(), Point::default(), 40);
+        station
+            .admit(1, ServiceClass::Video, 10, 0.0, 100.0, false)
+            .unwrap();
+        station
+            .admit(2, ServiceClass::Voice, 5, 0.0, 100.0, false)
+            .unwrap();
+        let paper = PriorityPolicy::paper_default();
+        let other = PriorityPolicy {
+            rt_protection_weight: 0.25,
+            ..paper
+        };
+        let mut states = vec![
+            other.effective_counter_state(&station, false),
+            PriorityPolicy {
+                handoff_discount: 0.55,
+                ..paper
+            }
+            .effective_counter_state(&station, true),
+        ];
+        for priority in [RequestPriority::Low, RequestPriority::High] {
+            for handoff in [false, true] {
+                states
+                    .push(paper.effective_counter_state_with_request_priority(
+                        &station, handoff, priority,
+                    ));
+            }
+        }
+        for cs in states {
+            for rq in [1.0, 5.0, 10.0] {
+                assert_eq!(lut.tabulated_value(0.5, rq, cs), None, "Cs={cs}");
+                for cv in [0.1, 0.5, 0.9] {
+                    assert_eq!(
+                        lut.decision_value(cv, rq, cs).to_bits(),
+                        exact.decision_value(cv, rq, cs).to_bits(),
+                        "Cv={cv} Rq={rq} Cs={cs}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -56,9 +56,6 @@ pub mod priority;
 
 pub use controller::{Cascade, FacsConfig, FacsController, FacsPConfig, FacsPController, Variant};
 pub use flc1::Flc1;
-pub use flc2::{
-    Flc2, Flc2Lut, DEFAULT_LUT_BASE_RESOLUTION, DEFAULT_LUT_MAX_PATCH_NODES,
-    DEFAULT_LUT_TARGET_ERROR,
-};
+pub use flc2::{Flc2, Flc2Lut, LUT_DECISION_BAND, LUT_LINE_POINTS};
 pub use params::PaperParams;
 pub use priority::{DifferentiatedService, PriorityPolicy, RequestPriority};

@@ -139,14 +139,34 @@ impl PriorityPolicy {
     /// connection.
     #[must_use]
     pub fn effective_counter_state(&self, station: &BaseStation, is_handoff: bool) -> f64 {
-        let occupied = f64::from(station.occupied());
-        let capacity = f64::from(station.capacity());
+        self.counter_state(
+            station.rtc(),
+            station.nrtc(),
+            station.capacity(),
+            is_handoff,
+        )
+    }
+
+    /// [`PriorityPolicy::effective_counter_state`] of a station of
+    /// `capacity` BU whose on-going connections hold `rtc` BU of real-time
+    /// and `nrtc` BU of non-real-time bandwidth.
+    #[must_use]
+    pub(crate) fn counter_state(
+        &self,
+        rtc: u32,
+        nrtc: u32,
+        capacity: u32,
+        is_handoff: bool,
+    ) -> f64 {
+        let occupied = f64::from(rtc + nrtc);
+        let capacity = f64::from(capacity);
+        let (rtc, nrtc) = (f64::from(rtc), f64::from(nrtc));
         if is_handoff {
             (occupied * (1.0 - self.handoff_discount.clamp(0.0, 1.0))).max(0.0)
         } else {
             let inflated = occupied
-                + self.rt_protection_weight.max(0.0) * f64::from(station.rtc())
-                + self.nrt_protection_weight.max(0.0) * f64::from(station.nrtc());
+                + self.rt_protection_weight.max(0.0) * rtc
+                + self.nrt_protection_weight.max(0.0) * nrtc;
             inflated.min(capacity)
         }
     }

@@ -6,7 +6,7 @@ use cellsim::geometry::CellId;
 use cellsim::sim::{AdmissionController, AdmissionDecision, AdmissionRequest};
 use cellsim::station::BaseStation;
 use cellsim::traffic::ServiceClass;
-use facs::{FacsController, FacsPController, Flc1, Flc2, PaperParams};
+use facs::{FacsConfig, FacsController, FacsPController, Flc1, Flc2, Flc2Lut, PaperParams};
 
 #[test]
 fn paper_controllers_share_one_engine() {
@@ -28,6 +28,28 @@ fn paper_controllers_share_one_engine() {
         Flc1::paper_default().unwrap().compiled(),
         Flc1::distance().unwrap().compiled()
     ));
+}
+
+#[test]
+fn lut_controllers_of_one_capacity_share_one_table() {
+    // The first sample of the first line: equal addresses mean one table.
+    let table = |lut: Option<&Flc2Lut>| lut.unwrap().lines().next().unwrap().2.as_ptr();
+    let facs_p = FacsPController::paper_default().with_lut();
+    let facs = FacsController::paper_default().with_lut();
+    let shared = FacsPController::paper_default_lut();
+    assert_eq!(table(facs_p.lut()), table(facs.lut()));
+    assert_eq!(table(facs_p.lut()), table(shared.lut()));
+    assert_eq!(table(facs_p.lut()), table(Some(&Flc2Lut::paper_shared())));
+    let small = || {
+        FacsController::new(FacsConfig { capacity_bu: 20.0 })
+            .unwrap()
+            .with_lut()
+    };
+    assert_eq!(table(small().lut()), table(small().lut()));
+    assert_ne!(table(small().lut()), table(facs.lut()));
+    // `compile_lut` tabulates afresh on every call.
+    let fresh = Flc2::paper_default().unwrap().compile_lut().unwrap();
+    assert_ne!(table(Some(&fresh)), table(facs.lut()));
 }
 
 #[test]

@@ -36,9 +36,11 @@
 //!   same code path.  The fixed inputs are fuzzified once per line; a
 //!   point whose per-term heights equal the previous point's, bit for
 //!   bit, repeats its outputs without aggregating or defuzzifying; and
-//!   the centroids of up to four other points are summed side by side.  Tabulating the paper's FLC2 ([`crate::Lut2d`], three refined
-//!   class surfaces) takes 1,809,557 engine points in 72,810 lines, and
-//!   608,462 of them (34 %) skip aggregation and the centroid.
+//!   the centroids of up to four other points are summed side by side.
+//!   Tabulating the paper's FLC2 (`facs::Flc2Lut`, one line along the
+//!   correction value per request class and reachable counter state)
+//!   takes 703,323 engine points in 1,371 lines, and 304,989 of them
+//!   (43 %) skip aggregation and the centroid.
 //!
 //! The compiled path is *bit-identical* to the interpreted one: for the
 //! same inputs, `infer_into` produces exactly the `f64` bits that

@@ -25,10 +25,11 @@ use std::fmt;
 pub enum ControllerSpec {
     /// The proposed FACS-P controller.
     FacsP,
-    /// FACS-P with the LUT decision backend: FLC2 pre-tabulated into
-    /// per-class `(Cv, Cs)` surfaces, lookups independent of rule count.
-    /// The LUT's `max_error` is the largest error found at its probe
-    /// points, not a bound, so a score near 0 can flip against `FacsP`.
+    /// FACS-P with the LUT decision backend: FLC2 pre-tabulated into one
+    /// line along the correction value per request class and reachable
+    /// counter state, lookups independent of rule count.  Scores near
+    /// the threshold come from the compiled FLC2, so every decision
+    /// equals `FacsP`'s.
     FacsPLut,
     /// The authors' previous FACS controller.
     Facs,

@@ -10,8 +10,8 @@
 //! `(controller, load, replication)` cell draws its own SplitMix64-hashed
 //! seed stream, so each policy's numbers come from genuinely independent
 //! replications over the same load axis.  The FACS-P-LUT column runs the
-//! same policy from pre-tabulated decision surfaces (within the measured
-//! LUT error of the exact FACS-P decisions).
+//! same policy from pre-tabulated FLC2 lines, and decides every call as
+//! the exact FACS-P does.
 
 use facs_suite::prelude::*;
 

@@ -1,17 +1,16 @@
 //! Golden pinning of the FLC2 lookup tables.
 //!
-//! `Flc2::compile_lut` tabulates the paper's FLC2 into one refined
-//! `(Cv, Cs)` surface per request class; `facs-p-lut` decides every call
-//! from those surfaces.  This test pins, per capacity and per class, the
-//! patch count, the sample bytes, the bits of the measured `max_error` and
-//! an FNV-1a digest over every stored sample block (the base grid and
-//! each patch with its base cell and node counts), so a change to how the
-//! surfaces are computed cannot move a single stored bit unnoticed.
+//! `Flc2::compile_lut` tabulates the paper's FLC2 into one line along the
+//! correction value per request class and reachable counter state;
+//! `facs-p-lut` decides every call from those lines, or from the compiled
+//! engine near the threshold.  This test pins, per capacity and per class,
+//! the line count, the sample bytes, the bits of the decision band and an
+//! FNV-1a digest over every line (its counter state's bits, then its
+//! samples' bits), so a change to how the lines are computed cannot move a
+//! single stored bit unnoticed.
 //!
-//! Covered: the refined default at the paper's 40 BU capacity and at 20
-//! and 100 BU.  The counter-state terms scale with the capacity and the
-//! `Cs` axis spans it, so the three tabulations store the same bits: the
-//! snapshot pins that too.
+//! Covered: the paper's 40 BU capacity and 20 and 100 BU.  The reachable
+//! counter states grow with the capacity, so each has its own lines.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -19,8 +18,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_lut
 //! ```
 
-use facs_suite::facs::{Flc2, Flc2Lut};
-use facs_suite::fuzzy::Lut2d;
+use facs_suite::facs::{Flc2, Flc2Lut, LUT_DECISION_BAND};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -40,39 +38,29 @@ impl Fnv {
     }
 }
 
-/// Digest of every stored sample block of `lut`, with its layout.
-fn digest(lut: &Lut2d) -> u64 {
-    let mut h = Fnv::new();
-    for (cell, (nx, ny), samples) in lut.sample_blocks() {
-        match cell {
-            Some((ix, iy)) => {
-                h.word(ix as u64);
-                h.word(iy as u64);
-            }
-            None => h.word(u64::MAX),
-        }
-        h.word(nx as u64);
-        h.word(ny as u64);
-        for s in samples {
-            h.word(s.to_bits());
-        }
-    }
-    h.0
-}
-
 /// One tabulation as pretty JSON lines, one object per class.
 fn describe(name: &str, lut: &Flc2Lut, out: &mut String) {
     let _ = writeln!(out, "  \"{name}\": [");
     let classes: Vec<String> = lut
-        .surfaces()
-        .map(|(rq, surface)| {
+        .tabulated_classes()
+        .into_iter()
+        .map(|class| {
+            let mut h = Fnv::new();
+            let (mut lines, mut samples) = (0, 0);
+            for (_, cs, line) in lut.lines().filter(|&(rq, _, _)| rq == class) {
+                lines += 1;
+                samples += line.len();
+                h.word(cs.to_bits());
+                for s in line {
+                    h.word(u64::from(s.to_bits()));
+                }
+            }
             format!(
-                "    {{\"request_bu\": {rq}, \"patch_count\": {}, \"sample_bytes\": {}, \
-                 \"max_error_bits\": \"{:016x}\", \"digest\": \"{:016x}\"}}",
-                surface.patch_count(),
-                surface.sample_bytes(),
-                surface.max_error().to_bits(),
-                digest(surface)
+                "    {{\"request_bu\": {class}, \"line_count\": {lines}, \"sample_bytes\": {}, \
+                 \"band_bits\": \"{:016x}\", \"digest\": \"{:016x}\"}}",
+                samples * std::mem::size_of::<f32>(),
+                LUT_DECISION_BAND.to_bits(),
+                h.0
             )
         })
         .collect();
@@ -89,7 +77,7 @@ fn flc2_luts_match_golden() {
         }
         let flc2 = Flc2::with_capacity(capacity).expect("paper parameters are valid");
         let lut = flc2.compile_lut().expect("paper parameters tabulate");
-        describe(&format!("refined@{capacity}bu"), &lut, &mut json);
+        describe(&format!("lines@{capacity}bu"), &lut, &mut json);
     }
     json.push_str("\n}");
 

@@ -34,10 +34,20 @@ fn pinned_controllers(spec: &ScenarioSpec) -> Vec<ControllerSpec> {
 
 /// One snapshot cell: the scenario's middle load point, replication 0.
 fn run_cell(spec: &ScenarioSpec, controller: &ControllerSpec) -> SimReport {
+    run_cell_as(spec, controller, controller)
+}
+
+/// [`run_cell`] with `controller` deciding on the configuration of
+/// `configured`'s cell (the seed derives from the controller label).
+fn run_cell_as(
+    spec: &ScenarioSpec,
+    controller: &ControllerSpec,
+    configured: &ControllerSpec,
+) -> SimReport {
     let load_index = spec.load_points.len() / 2;
     let load = spec.load_points[load_index];
     let mut boxed = controller.build();
-    let mut sim = Simulator::new(spec.sim_config(controller, load_index, 0));
+    let mut sim = Simulator::new(spec.sim_config(configured, load_index, 0));
     match spec.load_mode {
         LoadMode::Batch => sim.run_batch(boxed.as_mut(), load),
         LoadMode::RequestsPerWindow { .. } | LoadMode::TotalRequests => {
@@ -98,6 +108,28 @@ fn sim_reports_match_committed_golden_snapshots() {
     }
     // 5 scenarios × (3..=4 own controllers + FACS-P-LUT).
     assert!(checked >= 20, "expected at least 20 snapshot cells");
+}
+
+/// The LUT backend decides every call as the compiled controller does:
+/// each committed FACS-P-LUT snapshot is the report compiled FACS-P gives
+/// on the same configuration, apart from the controller label.
+#[test]
+fn facs_p_lut_snapshots_equal_compiled_facs_p_reports() {
+    for name in builtin_names() {
+        let spec = builtin(name).expect("builtin_names lists only builtins");
+        let mut report = run_cell_as(&spec, &ControllerSpec::FacsP, &ControllerSpec::FacsPLut);
+        assert_eq!(report.controller, "facs-p");
+        report.controller = "facs-p-lut".to_string();
+        let json = serde_json::to_string_pretty(&report).expect("reports serialize");
+        let path = snapshot_path(name, &ControllerSpec::FacsPLut);
+        let expected = std::fs::read_to_string(&path).expect("committed snapshot");
+        assert_eq!(
+            expected.trim_end(),
+            json,
+            "compiled FACS-P on `{name}` differs from {}",
+            path.display()
+        );
+    }
 }
 
 /// The snapshot harness itself must be deterministic: running a cell twice
